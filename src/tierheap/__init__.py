@@ -17,7 +17,7 @@ from .regions import (HeapRegion, HintEvent, HintKind, RegionExhausted,
 from .runtime import GuideRegistry, TierRuntime
 from .scope import BaseDeltaSet, EpochState, ScopeManager, ThreadActivityIndex
 from .soda import SodaBitmap
-from .store import GuideSkipList, StripedGuideMap, make_store
+from .store import GuideSkipList, PlainStore, StripedGuideMap, make_store
 from .workload import (OpStream, TraceParseError, TraceRecord, WorkloadSpec,
                        ZipfianGenerator, read_trace, replay_trace,
                        write_trace)
@@ -28,8 +28,9 @@ __all__ = [
     "AccessLog", "BaseDeltaSet", "Collector", "ControllerState",
     "EpochState", "GuideCell", "GuideProtocolError", "GuideRegistry",
     "GuideSkipList", "GuideWord", "HeapId", "HeapRegion", "HintEvent",
-    "HintKind", "OpStream", "RegionExhausted", "RegionManager", "RunConfig",
-    "ScopeManager", "SodaBitmap", "StripedGuideMap", "ThreadActivityIndex",
+    "HintKind", "OpStream", "PlainStore", "RegionExhausted",
+    "RegionManager", "RunConfig", "ScopeManager", "SodaBitmap",
+    "StripedGuideMap", "ThreadActivityIndex",
     "TierRuntime", "TraceParseError", "TraceRecord", "UtilizationReport",
     "WindowReport", "WorkloadSpec", "ZipfianGenerator",
     "compute_promotion_rate", "main", "make_store", "next_cold_threshold",

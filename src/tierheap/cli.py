@@ -128,6 +128,38 @@ def _drain(stream_iter, count, store, spec: WorkloadSpec) -> int:
     return executed
 
 
+class _Workers:
+    """One thread per op stream, each draining `count` ops into the store.
+
+    A worker's exception is kept and re-raised by join(), after every
+    worker has finished, so a fault in any thread fails the run.
+    """
+
+    def __init__(self, streams, count: int, store, spec: WorkloadSpec):
+        self.tally = [0] * len(streams)
+        self.errors: list[Exception] = []
+        self._threads = [
+            threading.Thread(target=self._body,
+                             args=(i, stream, count, store, spec))
+            for i, stream in enumerate(streams)]
+        for thread in self._threads:
+            thread.start()
+
+    def _body(self, i, stream, count, store, spec) -> None:
+        try:
+            self.tally[i] = _drain(stream, count, store, spec)
+        except Exception as exc:
+            self.errors.append(exc)
+
+    def join(self) -> int:
+        """Wait for every worker; returns the ops they executed."""
+        for thread in self._threads:
+            thread.join()
+        if self.errors:
+            raise self.errors[0]
+        return sum(self.tally)
+
+
 def run_benchmark(config: RunConfig) -> BenchmarkResult:
     config.validate()
     spec = config.workload_spec()
@@ -175,36 +207,17 @@ def run_benchmark(config: RunConfig) -> BenchmarkResult:
             if spec.threads == 1:
                 executed += _drain(streams[0], per_window, store, spec)
             else:
-                tally = [0] * spec.threads
-                workers = []
-                for i, stream in enumerate(streams):
-                    def body(i=i, stream=stream):
-                        tally[i] = _drain(stream, per_window, store, spec)
-                    workers.append(threading.Thread(target=body))
-                for worker in workers:
-                    worker.start()
-                for worker in workers:
-                    worker.join()
-                executed += sum(tally)
+                executed += _Workers(streams, per_window, store,
+                                     spec).join()
             fire_window()
     else:  # realtime: workers free-run, windows fire on a timer
         streams = [iter(OpStream(spec, worker))
                    for worker in range(spec.threads)]
-        tally = [0] * spec.threads
-        workers = []
-        for i, stream in enumerate(streams):
-            def body(i=i, stream=stream):
-                tally[i] = _drain(stream, spec.ops // spec.threads,
-                                  store, spec)
-            workers.append(threading.Thread(target=body))
-        for worker in workers:
-            worker.start()
+        workers = _Workers(streams, spec.ops // spec.threads, store, spec)
         for _ in range(config.windows):
             time.sleep(config.scan_interval)
             fire_window()
-        for worker in workers:
-            worker.join()
-        executed = sum(tally)
+        executed = workers.join()
     elapsed = time.perf_counter() - run_started
 
     summary = _build_summary(config, runtime, access_windows,

@@ -114,8 +114,10 @@ class Collector:
         state = self.epoch_state
         if state.phase != Phase.INACTIVE:
             raise CollectorError("begin_epoch outside INACTIVE")
-        state.epoch += 1
+        # Tracking goes on before the epoch moves, so a scope that registers
+        # under the new epoch is sure to see it on (ScopeManager.enter_scope).
         state.tracking_enabled = True
+        state.epoch += 1
         state.phase = Phase.PREPARE
 
     def await_convergence(self, timeout_s: float | None = None) -> bool:

@@ -1,4 +1,4 @@
-"""Layout-quality metrics: page utilization, heap byte split, reclaim replay.
+"""Layout-quality metrics: the access log, page utilization, reclaim replay.
 
 Utilization is counted at 64-byte line granularity: for a scan window T, the
 aggregate is sum over touched pages of unique-lines-touched*64 divided by the
@@ -8,9 +8,10 @@ excluded from both sums.
 from __future__ import annotations
 
 import csv
+import threading
 from dataclasses import dataclass, field
 
-from .guideword import HeapId
+import numpy as np
 
 LINE_SIZE = 64
 
@@ -29,12 +30,21 @@ class UtilizationReport:
     cdf_points: list[tuple[float, float]] = field(default_factory=list)
 
 
+FOLD_BATCH = 4096  # pending records folded into line masks at once
+_ALL_LINES = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
+
+
 class AccessLog:
     """Windowed record of which 64 B lines of which pages were touched.
 
-    record() is called from mutator hot paths without a lock; a racing pair
-    of updates to the same page can drop a duplicate line mark, which only
-    understates utilization marginally and never corrupts the structure.
+    record() runs on mutator hot paths without a lock: it only extends a
+    flat pending list by the (offset, length) pair, in one list.extend, so
+    pairs from racing threads never interleave, and no object survives
+    that the cyclic garbage collector would have to track.  The buffer is
+    folded into the current window's {page: line_mask} dict when it holds
+    FOLD_BATCH records and before a window closes or is read, under a lock
+    that only folds take, so a record racing a fold lands in the next fold
+    instead of being lost.
     """
 
     def __init__(self, page_size: int = 4096):
@@ -42,40 +52,107 @@ class AccessLog:
         self.window = 1
         self._windows: dict[int, dict[int, int]] = {1: {}}
         self._current: dict[int, int] = self._windows[1]
+        self._pending: list[int] = []  # offset, length, offset, ...
+        self._fold_lock = threading.Lock()
+        self._fold_masks = (_fold_vectorized
+                            if page_size <= 64 * LINE_SIZE else _fold_scalar)
 
     def record(self, offset: int, length: int) -> None:
-        if length <= 0:
+        pending = self._pending
+        pending.extend((offset, length))
+        if len(pending) >= 2 * FOLD_BATCH:
+            with self._fold_lock:
+                self._fold()
+
+    def _fold(self) -> None:
+        """Fold the pending records into the current window; lock held."""
+        pending = self._pending
+        n = len(pending)
+        if not n:
             return
-        ps = self.page_size
+        # Copy then delete the prefix: records racing the fold stay behind.
+        batch = pending[:n]
+        del pending[:n]
         current = self._current
-        end = offset + length
-        for page in range(offset // ps, (end - 1) // ps + 1):
-            page_start = page * ps
-            a = max(offset, page_start) - page_start
-            b = min(end, page_start + ps) - page_start
-            first = a // LINE_SIZE
-            last = (b - 1) // LINE_SIZE
-            mask = ((1 << (last - first + 1)) - 1) << first
+        for page, mask in self._fold_masks(batch, self.page_size):
             current[page] = current.get(page, 0) | mask
 
     def advance(self) -> int:
         """Close the current window and start the next; returns its index."""
-        self.window += 1
-        self._current = self._windows[self.window] = {}
-        return self.window
+        with self._fold_lock:
+            self._fold()
+            self.window += 1
+            self._current = self._windows[self.window] = {}
+            return self.window
 
     def entries(self, window: int | None = None) -> list[AccessLogEntry]:
-        if window is not None:
-            masks = self._windows.get(window, {})
-            return [AccessLogEntry(window, p, m) for p, m in masks.items()]
-        out = []
-        for w in sorted(self._windows):
-            out.extend(AccessLogEntry(w, p, m)
-                       for p, m in self._windows[w].items())
-        return out
+        with self._fold_lock:
+            self._fold()
+            if window is not None:
+                masks = self._windows.get(window, {})
+                return [AccessLogEntry(window, p, m)
+                        for p, m in masks.items()]
+            out = []
+            for w in sorted(self._windows):
+                out.extend(AccessLogEntry(w, p, m)
+                           for p, m in self._windows[w].items())
+            return out
 
     def windows(self) -> list[int]:
         return sorted(self._windows)
+
+
+def _fold_scalar(batch: list[int], page_size: int):
+    """(page, line_mask) per page each record of a flat (offset, length)
+    list touches, in record order."""
+    for offset, length in zip(batch[::2], batch[1::2]):
+        if length <= 0:
+            continue
+        end = offset + length
+        for page in range(offset // page_size, (end - 1) // page_size + 1):
+            page_start = page * page_size
+            a = max(offset, page_start) - page_start
+            b = min(end, page_start + page_size) - page_start
+            first = a // LINE_SIZE
+            last = (b - 1) // LINE_SIZE
+            yield page, ((1 << (last - first + 1)) - 1) << first
+
+
+def _fold_vectorized(batch: list[int], page_size: int):
+    """_fold_scalar's masks OR-merged per page, for at most 64 lines a page.
+
+    Pages come out in the order of their first touch in the batch, so the
+    window dict gets the same keys in the same order as the scalar fold.
+    """
+    rec = np.array(batch, dtype=np.int64).reshape(-1, 2)
+    rec = rec[rec[:, 1] > 0]
+    if not len(rec):
+        return []
+    offset, end = rec[:, 0], rec[:, 0] + rec[:, 1]
+    first_page = offset // page_size
+    spans = (end - 1) // page_size - first_page + 1
+    if spans.max() > 1:  # one row per (record, page) pair
+        row = np.repeat(np.arange(len(rec)), spans)
+        step = np.arange(len(row)) - np.repeat(np.cumsum(spans) - spans,
+                                               spans)
+        page = first_page[row] + step
+        offset, end = offset[row], end[row]
+    else:
+        page = first_page
+    page_start = page * page_size
+    first = (np.maximum(offset, page_start) - page_start) // LINE_SIZE
+    last = (np.minimum(end, page_start + page_size) - page_start - 1) \
+        // LINE_SIZE
+    masks = (_ALL_LINES >> (63 - last).astype(np.uint64)) \
+        & (_ALL_LINES << first.astype(np.uint64))
+    order = np.argsort(page)
+    sorted_pages = page[order]
+    starts = np.flatnonzero(np.concatenate(
+        ([True], sorted_pages[1:] != sorted_pages[:-1])))
+    merged = np.bitwise_or.reduceat(masks[order], starts)
+    by_first_touch = np.argsort(np.minimum.reduceat(order, starts))
+    return zip(sorted_pages[starts][by_first_touch].tolist(),
+               merged[by_first_touch].tolist())
 
 
 def page_utilization(entries: list[AccessLogEntry],
@@ -97,16 +174,6 @@ def page_utilization(entries: list[AccessLogEntry],
     n = len(values)
     cdf = [(v, (i + 1) / n) for i, v in enumerate(values)]
     return UtilizationReport(per_page, aggregate, cdf)
-
-
-def heap_byte_distribution(region_manager) -> dict:
-    live = {}
-    resident = {}
-    for heap in (HeapId.NEW, HeapId.HOT, HeapId.COLD):
-        region = region_manager.region(heap)
-        live[heap.name] = region.live_bytes
-        resident[heap.name] = region.resident_bytes()
-    return {"live_bytes": live, "resident_bytes": resident}
 
 
 def simulate_reclaim(reclaimed_pages, entries: list[AccessLogEntry],

@@ -95,9 +95,6 @@ class HeapRegion:
         self._lock = threading.Lock()
         self.live_bytes = 0
 
-    def contains(self, locator: int) -> bool:
-        return self.base <= locator < self.base + self.length
-
     def _size_class_for(self, length: int) -> int:
         i = bisect.bisect_left(self.size_classes, length)
         if i == len(self.size_classes):
@@ -269,6 +266,7 @@ class RegionManager:
                              size_classes, page_size)
             for i, heap in enumerate((HeapId.NEW, HeapId.HOT, HeapId.COLD))
         }
+        self._region_length = region_length
         self._order = [self.regions[h] for h in
                        (HeapId.NEW, HeapId.HOT, HeapId.COLD)]
 
@@ -276,10 +274,7 @@ class RegionManager:
         return self.regions[heap]
 
     def heap_of(self, locator: int) -> HeapId:
-        for region in self._order:
-            if region.contains(locator):
-                return region.heap
-        raise RegionError(f"locator {locator:#x} outside every region")
+        return self._region_of(locator).heap
 
     def allocate(self, heap: HeapId, length: int) -> int:
         return self.regions[heap].allocate(length)
@@ -294,7 +289,10 @@ class RegionManager:
         self._region_of(locator).write(locator, data)
 
     def _region_of(self, locator: int) -> HeapRegion:
-        return self.regions[self.heap_of(locator)]
+        index = locator // self._region_length
+        if not 0 <= index < len(self._order):
+            raise RegionError(f"locator {locator:#x} outside every region")
+        return self._order[index]
 
     def page_stats(self, heap: HeapId) -> dict:
         return self.regions[heap].page_stats()
@@ -309,12 +307,6 @@ class RegionManager:
     def audit(self) -> None:
         for region in self._order:
             region.audit()
-
-
-def reserve_regions(region_length: int = DEFAULT_REGION_LENGTH,
-                    size_classes=DEFAULT_SIZE_CLASSES,
-                    page_size: int = DEFAULT_PAGE_SIZE) -> RegionManager:
-    return RegionManager(region_length, size_classes, page_size)
 
 
 def write_hint_log(events: list[HintEvent], path) -> None:

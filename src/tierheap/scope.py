@@ -1,10 +1,12 @@
 """Thread-local scope guards, the compact used-guide set, and the TAI.
 
 Every public store operation runs inside a scope.  The outermost entry
-samples the global epoch and registers the thread in the Thread Activity
-Index (TAI); guide uses are collected in a base+delta set and, while ATC
-tracking is enabled, increment the guide's active-thread count exactly once
-per scope.  The matching decrements happen when the outermost scope exits.
+registers the thread in the Thread Activity Index (TAI) under the global
+epoch and samples whether ATC tracking is on.  While it is, guide uses are
+collected in a base+delta set and increment the guide's active-thread count
+exactly once per scope; the matching decrements happen when the outermost
+scope exits.  With tracking off (and scope-size sampling off) a scope keeps
+no used-guide set at all.
 """
 from __future__ import annotations
 
@@ -162,9 +164,10 @@ class _ThreadScope:
         self.depth = 0
         self.epoch_at_entry = 0
         self.tracking = False
-        self.used = BaseDeltaSet()
-        self.atc_recorded: list[int] = []
-        self.thread_id = 0
+        # Both stay None unless the scope tracks ATC or sizes are sampled.
+        self.used: BaseDeltaSet | None = None
+        self.atc_recorded: list[int] | None = None
+        self.thread_id = threading.get_ident()
         self.entered_at = 0.0
 
 
@@ -192,20 +195,37 @@ class ScopeManager:
         scope.depth += 1
         if scope.depth == 1:
             state = self.epoch_state
-            scope.epoch_at_entry = state.epoch
-            scope.tracking = state.tracking_enabled
-            scope.used = BaseDeltaSet()
-            scope.atc_recorded = []
-            scope.thread_id = threading.get_ident()
+            tai = self.tai
+            thread_id = scope.thread_id
+            # Register before sampling tracking, then re-check the epoch: a
+            # window that begins before the registration is seen here and
+            # retried under its epoch, and one that begins after it must
+            # wait for this scope to exit before it converges.
+            epoch = state.epoch
+            while True:
+                tai.enter(thread_id, epoch)
+                tracking = state.tracking_enabled
+                current = state.epoch
+                if current == epoch:
+                    break
+                tai.exit(thread_id)
+                epoch = current
+            scope.epoch_at_entry = epoch
+            scope.tracking = tracking
+            if tracking or self._sample_sizes:
+                scope.used = BaseDeltaSet()
+                scope.atc_recorded = []
+            else:
+                scope.used = None
             scope.entered_at = time.monotonic()
-            self.tai.enter(scope.thread_id, scope.epoch_at_entry)
             self.outermost_entries += 1
 
     def record_guide_use(self, cell_index: int) -> None:
         scope = getattr(self._tls, "scope", None)
         if scope is None or scope.depth == 0:
             raise ScopeError("guide use outside any scope")
-        if scope.used.add(cell_index) and scope.tracking:
+        used = scope.used
+        if used is not None and used.add(cell_index) and scope.tracking:
             if self._registry.cell(cell_index).atc_increment():
                 scope.atc_recorded.append(cell_index)
             # Saturated ATC: the object stays migration-ineligible this
@@ -217,10 +237,12 @@ class ScopeManager:
             raise ScopeError("unbalanced scope exit")
         scope.depth -= 1
         if scope.depth == 0:
-            cell = self._registry.cell
-            for index in scope.atc_recorded:
-                cell(index).atc_decrement()
-            scope.atc_recorded = []
+            recorded = scope.atc_recorded
+            if recorded:
+                cell = self._registry.cell
+                for index in recorded:
+                    cell(index).atc_decrement()
+            scope.atc_recorded = None
             self.tai.exit(scope.thread_id)
             self.outermost_exits += 1
             duration = time.monotonic() - scope.entered_at

@@ -4,7 +4,8 @@ Two structures share the same guide discipline: a striped-lock hash map and
 a lock-free-style skip list.  Every public operation runs inside a scope
 guard, every key/value access goes through a guide cell, and inserted data
 is deep-copied into region slots so the runtime owns the authoritative
-bytes.  A baseline mode bypasses guides entirely for overhead comparisons.
+bytes.  PlainStore is the untiered baseline for overhead comparisons: a
+locked dict with no guides, scopes or regions.
 """
 from __future__ import annotations
 
@@ -28,9 +29,8 @@ class KvEntry:
 class _GuideOps:
     """Guide plumbing shared by both store structures."""
 
-    def __init__(self, runtime: TierRuntime, baseline: bool):
+    def __init__(self, runtime: TierRuntime):
         self.runtime = runtime
-        self.baseline = baseline
         self.op_count = 0
 
     def _make_entry(self, key: bytes, value: bytes) -> KvEntry:
@@ -96,17 +96,14 @@ class _GuideOps:
 class StripedGuideMap(_GuideOps):
     """Hash map with per-stripe locks; guide CAS arbitrates with migration."""
 
-    def __init__(self, runtime: TierRuntime, stripes: int = 64,
-                 baseline: bool = False):
-        super().__init__(runtime, baseline)
+    def __init__(self, runtime: TierRuntime, stripes: int = 64):
+        super().__init__(runtime)
         if stripes & (stripes - 1):
             raise ValueError("stripes must be a power of two")
         self._mask = stripes - 1
         self._stripes: list[dict[bytes, KvEntry]] = \
             [{} for _ in range(stripes)]
         self._locks = [threading.Lock() for _ in range(stripes)]
-        self._plain: list[dict[bytes, bytes]] = \
-            [{} for _ in range(stripes)] if baseline else []
 
     def _stripe(self, key: bytes) -> int:
         return zlib.crc32(key) & self._mask
@@ -114,10 +111,6 @@ class StripedGuideMap(_GuideOps):
     def set(self, key: bytes, value: bytes) -> None:
         self.op_count += 1
         i = self._stripe(key)
-        if self.baseline:
-            with self._locks[i]:
-                self._plain[i][key] = bytes(value)
-            return
         scope = self.runtime.scope
         scope.enter_scope()
         try:
@@ -137,9 +130,6 @@ class StripedGuideMap(_GuideOps):
     def get(self, key: bytes) -> bytes | None:
         self.op_count += 1
         i = self._stripe(key)
-        if self.baseline:
-            with self._locks[i]:
-                return self._plain[i].get(key)
         scope = self.runtime.scope
         scope.enter_scope()
         try:
@@ -155,9 +145,6 @@ class StripedGuideMap(_GuideOps):
     def delete(self, key: bytes) -> bool:
         self.op_count += 1
         i = self._stripe(key)
-        if self.baseline:
-            with self._locks[i]:
-                return self._plain[i].pop(key, None) is not None
         scope = self.runtime.scope
         scope.enter_scope()
         try:
@@ -171,8 +158,6 @@ class StripedGuideMap(_GuideOps):
             scope.exit_scope()
 
     def __len__(self) -> int:
-        if self.baseline:
-            return sum(len(s) for s in self._plain)
         return sum(len(s) for s in self._stripes)
 
 
@@ -229,11 +214,9 @@ class GuideSkipList(_GuideOps):
     for a benchmark store.
     """
 
-    def __init__(self, runtime: TierRuntime, baseline: bool = False):
-        super().__init__(runtime, baseline)
+    def __init__(self, runtime: TierRuntime):
+        super().__init__(runtime)
         self._head = _Node(None, _MAX_LEVEL)
-        self._plain: dict[bytes, bytes] = {}
-        self._plain_lock = threading.Lock()
 
     def _find(self, key: bytes):
         """Predecessors per level plus the matching node, if any."""
@@ -275,10 +258,6 @@ class GuideSkipList(_GuideOps):
 
     def set(self, key: bytes, value: bytes) -> None:
         self.op_count += 1
-        if self.baseline:
-            with self._plain_lock:
-                self._plain[key] = bytes(value)
-            return
         scope = self.runtime.scope
         scope.enter_scope()
         try:
@@ -309,9 +288,6 @@ class GuideSkipList(_GuideOps):
 
     def get(self, key: bytes) -> bytes | None:
         self.op_count += 1
-        if self.baseline:
-            with self._plain_lock:
-                return self._plain.get(key)
         scope = self.runtime.scope
         scope.enter_scope()
         try:
@@ -328,9 +304,6 @@ class GuideSkipList(_GuideOps):
 
     def delete(self, key: bytes) -> bool:
         self.op_count += 1
-        if self.baseline:
-            with self._plain_lock:
-                return self._plain.pop(key, None) is not None
         scope = self.runtime.scope
         scope.enter_scope()
         try:
@@ -348,8 +321,6 @@ class GuideSkipList(_GuideOps):
             scope.exit_scope()
 
     def __len__(self) -> int:
-        if self.baseline:
-            return len(self._plain)
         count = 0
         node = self._head.nexts[0].get()
         while node is not None:
@@ -368,10 +339,39 @@ class GuideSkipList(_GuideOps):
         return out
 
 
+class PlainStore:
+    """Untiered baseline: a dict under one lock, no guides or regions."""
+
+    def __init__(self):
+        self._data: dict[bytes, bytes] = {}
+        self._lock = threading.Lock()
+
+    def set(self, key: bytes, value: bytes) -> None:
+        with self._lock:
+            self._data[key] = bytes(value)
+
+    def get(self, key: bytes) -> bytes | None:
+        with self._lock:
+            return self._data.get(key)
+
+    def delete(self, key: bytes) -> bool:
+        with self._lock:
+            return self._data.pop(key, None) is not None
+
+    def __len__(self) -> int:
+        return len(self._data)
+
+
 def make_store(runtime: TierRuntime, structure: str = "hashmap",
                baseline: bool = False):
+    """A guided store of the given structure, or a PlainStore if baseline.
+
+    The baseline ignores the runtime: it has nothing to tier.
+    """
+    if structure not in ("hashmap", "skiplist"):
+        raise ValueError(f"unknown structure {structure!r}")
+    if baseline:
+        return PlainStore()
     if structure == "hashmap":
-        return StripedGuideMap(runtime, baseline=baseline)
-    if structure == "skiplist":
-        return GuideSkipList(runtime, baseline=baseline)
-    raise ValueError(f"unknown structure {structure!r}")
+        return StripedGuideMap(runtime)
+    return GuideSkipList(runtime)

@@ -9,6 +9,7 @@ insertion order.
 from __future__ import annotations
 
 import csv
+import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -220,7 +221,7 @@ def replay_trace(records: list[TraceRecord], store, *,
             versions[record.key] = version + 1
             size = record.size or value_size
             store.set(record.key, make_value(
-                hash(record.key) & 0xFFFFFFFF, version, size))
+                zlib.crc32(record.key), version, size))
         else:
             store.delete(record.key)
         counts[record.op] += 1

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from tierheap import cli
 from tierheap.cli import (SUMMARY_FIELDS, RunConfig, build_parser,
                           config_from_args, main, run_benchmark)
 from tierheap.workload import TraceRecord, write_trace
@@ -144,3 +145,24 @@ class TestExitCodes:
         code = main(["--keys", "10", "--ops", "0", "--value-size", "64",
                      "--trace", str(tmp_path / "absent.csv")])
         assert code == 1
+
+    @pytest.mark.parametrize("clock", ["logical", "realtime"])
+    def test_worker_thread_fault_is_runtime_fault(self, monkeypatch, capsys,
+                                                  clock):
+        make_store = cli.make_store
+
+        def faulty_store(*args, **kwargs):
+            store = make_store(*args, **kwargs)
+
+            def get(key):
+                raise RuntimeError("injected get fault")
+
+            store.get = get
+            return store
+
+        monkeypatch.setattr(cli, "make_store", faulty_store)
+        code = main(["--keys", "100", "--ops", "200", "--threads", "2",
+                     "--windows", "1", "--clock", clock,
+                     "--scan-interval", "0.01"])
+        assert code == 1
+        assert "injected get fault" in capsys.readouterr().err

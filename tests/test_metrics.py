@@ -1,9 +1,13 @@
 """Utilization metrics with brute-force oracles."""
 import random
+import sys
+import threading
 
-from tierheap.metrics import (LINE_SIZE, AccessLog, AccessLogEntry,
-                              page_utilization, simulate_reclaim,
-                              write_cdf_csv)
+import pytest
+
+from tierheap.metrics import (FOLD_BATCH, LINE_SIZE, AccessLog,
+                              AccessLogEntry, page_utilization,
+                              simulate_reclaim, write_cdf_csv)
 
 PAGE = 4096
 
@@ -109,6 +113,94 @@ class TestAccessLog:
         log = AccessLog(PAGE)
         log.record(0, 0)
         assert log.entries(1) == []
+
+
+def scalar_fold(records, page_size):
+    """Reference: the per-record page/line-mask loop, one record at a time."""
+    masks: dict[int, int] = {}
+    for offset, length in records:
+        if length <= 0:
+            continue
+        end = offset + length
+        for page in range(offset // page_size, (end - 1) // page_size + 1):
+            page_start = page * page_size
+            a = max(offset, page_start) - page_start
+            b = min(end, page_start + page_size) - page_start
+            first = a // LINE_SIZE
+            last = (b - 1) // LINE_SIZE
+            mask = ((1 << (last - first + 1)) - 1) << first
+            masks[page] = masks.get(page, 0) | mask
+    return masks
+
+
+class TestFoldedAccessLog:
+    @pytest.mark.parametrize("page_size", [1024, PAGE, 8192])
+    def test_matches_scalar_fold(self, page_size):
+        rng = random.Random(page_size)
+        log = AccessLog(page_size)
+        expected = {}
+        for window in (1, 2, 3):
+            records = []
+            # Window 2 stays under one fold batch; 1 and 3 cross it.
+            count = FOLD_BATCH // 3 if window == 2 \
+                else rng.randrange(FOLD_BATCH + 1, 3 * FOLD_BATCH)
+            for i in range(count):
+                kind = rng.random()
+                if kind < 0.6:  # small records on a few hot pages
+                    offset = rng.randrange(0, 16 * page_size)
+                    length = rng.randrange(1, 200)
+                elif kind < 0.9:  # multi-page records
+                    offset = rng.randrange(0, 256 * page_size)
+                    length = rng.randrange(page_size, 4 * page_size)
+                else:  # empty records and exact page boundaries
+                    offset = rng.randrange(0, 64) * page_size
+                    length = rng.choice([0, 1, page_size, page_size + 1])
+                log.record(offset, length)
+                records.append((offset, length))
+                if i == count // 2:
+                    log.entries(window)  # a read folds a partial buffer
+            expected[window] = scalar_fold(records, page_size)
+            log.advance()
+        for window, masks in expected.items():
+            got = [(e.page, e.line_mask) for e in log.entries(window)]
+            assert got == list(masks.items())  # same masks, same order
+            assert page_utilization(log.entries(window), page_size) \
+                == page_utilization([AccessLogEntry(window, p, m)
+                                     for p, m in masks.items()],
+                                    page_size)
+
+    def test_no_record_lost_to_concurrent_advance(self):
+        log = AccessLog(PAGE)
+        per_thread = 3 * FOLD_BATCH
+        done = threading.Event()
+
+        def recorder(parity):
+            for i in range(per_thread):
+                log.record((2 * i + parity) * PAGE, 64)
+
+        def advancer():
+            while not done.is_set():
+                log.advance()
+
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=recorder, args=(p,))
+                       for p in (0, 1)]
+            closer = threading.Thread(target=advancer)
+            closer.start()
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            done.set()
+            closer.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert not any(t.is_alive() for t in threads + [closer])
+        assert len(log.windows()) > 2  # advance really raced the records
+        pages = {e.page for e in log.entries()}
+        assert pages == set(range(2 * per_thread))
 
 
 class TestSimulateReclaim:

@@ -161,8 +161,11 @@ class TestRegionManager:
 
     def test_out_of_range_locator(self):
         mgr = RegionManager(region_length=1 << 20)
-        with pytest.raises(RegionError):
-            mgr.heap_of(3 << 20)
+        for locator in (3 << 20, -1):
+            with pytest.raises(RegionError):
+                mgr.heap_of(locator)
+            with pytest.raises(RegionError):
+                mgr.read(locator)
 
     def test_overflowing_managed_space_rejected(self):
         with pytest.raises(RegionError):

@@ -4,6 +4,8 @@ import threading
 
 import pytest
 
+from tierheap import scope as scope_module
+from tierheap.collector import Collector
 from tierheap.guideword import pack, word_atc
 from tierheap.runtime import GuideRegistry
 from tierheap.scope import (BaseDeltaSet, EpochState, Phase, ScopeError,
@@ -139,6 +141,88 @@ class TestScopeManager:
         assert word_atc(registry.cell(index).word) == 1
         scope.exit_scope()
         assert word_atc(registry.cell(index).word) == 0
+
+    def test_atc_once_per_scope_across_nesting(self):
+        registry, scope, _ = make_scope_env(tracking=True)
+        guides = [registry.create(pack(0x10 * (i + 1))) for i in range(3)]
+
+        def atcs():
+            return [word_atc(registry.cell(g).word) for g in guides]
+
+        for _ in range(2):  # a second scope tracks afresh
+            scope.enter_scope()
+            for g in guides:
+                scope.record_guide_use(g)
+            scope.enter_scope()
+            for g in guides + guides:
+                scope.record_guide_use(g)
+            scope.exit_scope()
+            assert atcs() == [1, 1, 1]  # inner exit keeps the debt
+            scope.exit_scope()
+            assert atcs() == [0, 0, 0]
+
+    def test_no_used_set_without_tracking_or_sampling(self, monkeypatch):
+        created = []
+
+        class CountingSet(BaseDeltaSet):
+            def __init__(self):
+                created.append(self)
+                super().__init__()
+
+        monkeypatch.setattr(scope_module, "BaseDeltaSet", CountingSet)
+        registry, scope, state = make_scope_env(tracking=False)
+        index = registry.create(pack(0x10))
+        for _ in range(3):
+            scope.enter_scope()
+            scope.record_guide_use(index)
+            scope.exit_scope()
+        assert created == []
+        state.tracking_enabled = True
+        scope.enter_scope()
+        scope.record_guide_use(index)
+        scope.exit_scope()
+        assert len(created) == 1
+
+    @pytest.mark.parametrize("before_registration", [True, False])
+    def test_window_racing_scope_entry_is_safe(self, before_registration):
+        """A window that begins while a scope registers in the TAI either
+        waits for that scope or sees it tracked, never converges past an
+        untracked one."""
+        registry = GuideRegistry(SodaBitmap())
+        state = EpochState()
+        outcome = {}
+
+        class HookedTAI(ThreadActivityIndex):
+            hook = None
+
+            def enter(self, thread_id, epoch):
+                hook, self.hook = self.hook, None  # fire once
+                if hook is not None and before_registration:
+                    hook()
+                super().enter(thread_id, epoch)
+                if hook is not None and not before_registration:
+                    hook()
+
+        tai = HookedTAI(16)
+        scope = ScopeManager(registry, tai, state)
+        collector = Collector(registry, None, tai, state)
+
+        def window_begins():
+            collector.begin_epoch()
+            outcome["converged"] = collector.await_convergence(0.05)
+
+        tai.hook = window_begins
+        index = registry.create(pack(0x10))
+        scope.enter_scope()
+        scope.record_guide_use(index)
+        if before_registration:
+            assert outcome["converged"] and state.phase == Phase.ACTIVE
+            assert word_atc(registry.cell(index).word) == 1  # tracked
+        else:
+            assert not outcome["converged"]  # waited for the open scope
+        scope.exit_scope()
+        assert word_atc(registry.cell(index).word) == 0
+        assert tai.converged(state.epoch)
 
     def test_no_atc_when_tracking_disabled(self):
         registry, scope, _ = make_scope_env(tracking=False)

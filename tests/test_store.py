@@ -6,7 +6,8 @@ import pytest
 
 from tierheap.guideword import ACCESSED_BIT, HeapId, unpack, word_heap
 from tierheap.runtime import TierRuntime
-from tierheap.store import GuideSkipList, StripedGuideMap, make_store
+from tierheap.store import (GuideSkipList, PlainStore, StripedGuideMap,
+                            make_store)
 
 
 def make_runtime():
@@ -203,6 +204,7 @@ class TestBaseline:
     def test_baseline_bypasses_guides(self, structure):
         runtime = make_runtime()
         store = make_store(runtime, structure, baseline=True)
+        assert isinstance(store, PlainStore)
         store.set(b"k", b"v")
         assert store.get(b"k") == b"v"
         assert store.delete(b"k") is True

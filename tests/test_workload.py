@@ -1,4 +1,9 @@
 """Zipfian generation, op streams, and trace replay."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -162,6 +167,28 @@ class TestReplay:
                    TraceRecord(1, "get", b"k", 0)]
         with pytest.raises(TraceParseError):
             replay_trace(records, self.make_store(), window_ms=1000)
+
+    def test_values_do_not_depend_on_the_hash_seed(self):
+        script = (
+            "from tierheap.workload import TraceRecord, replay_trace\n"
+            "class Store(dict):\n"
+            "    def set(self, key, value): self[key] = value\n"
+            "records = [TraceRecord(0, 'set', b'alpha', 64),\n"
+            "           TraceRecord(1, 'set', b'beta', 0),\n"
+            "           TraceRecord(2, 'set', b'alpha', 0)]\n"
+            "store = Store()\n"
+            "replay_trace(records, store, window_ms=1000)\n"
+            "print(sorted(store.items()))\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        outputs = []
+        for seed in ("1", "2"):
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+            done = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, text=True,
+                                  timeout=60, check=True)
+            outputs.append(done.stdout)
+        assert outputs[0] == outputs[1]
+        assert "alpha" in outputs[0]
 
     def test_phase_shift_trace_shape(self):
         records = synthesize_phase_shift_trace(
