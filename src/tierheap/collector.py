@@ -1,22 +1,27 @@
 """The object collector: scan windows, classification, epochs, migration.
 
-Once per scan window the collector walks every live guide through the sparse
-bitmap, reads and clears the accessed flag, maintains the per-object
-consecutive-inactive-window count, and queues promotions (accessed objects in
-NEW or COLD move to HOT) and demotions (objects inactive for at least the
-cold threshold move to COLD).  It then adjusts the cold threshold from the
-observed promotion rate and runs one epoch cycle in which queued candidates
-are migrated with the two-CAS optimistic protocol.
+Once per scan window the collector ages the guide-word arena one lock stripe
+at a time with numpy: under the stripe's lock it copies the stripe's words,
+clears the accessed flag and updates the consecutive-inactive-window count
+(CIW) of every live word, and writes the stripe back.  From the copies it
+then queues, in ascending guide index, promotions (accessed objects in NEW
+or COLD move to HOT) and demotions (objects inactive for at least the cold
+threshold move to COLD).  It adjusts the cold threshold from the observed
+promotion rate and runs one epoch cycle in which queued candidates are
+migrated with the two-CAS optimistic protocol.
 """
 from __future__ import annotations
 
 import json
 import time
+from array import array
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .guideword import (ACCESSED_BIT, ATC_FIELD, CIW_FIELD, CIW_MAX,
-                        CIW_SHIFT, LOCATOR_MASK, LOCK_BIT, HeapId, pack,
-                        word_heap)
+                        CIW_SHIFT, HEAP_FIELD, HEAP_SHIFT, LOCATOR_MASK,
+                        LOCK_BIT, WORD_MASK, HeapId, pack)
 from .regions import HintEvent, HintKind, RegionError, RegionExhausted
 from .scope import Phase
 
@@ -26,6 +31,11 @@ DEFAULT_PR_TARGET = 0.01       # fraction of the working set per minute
 DEFAULT_SCAN_INTERVAL_S = 120.0
 DEFAULT_CONVERGENCE_FLOOR_S = 0.1
 HINT_STABILITY_WINDOWS = 2
+SCAN_CHUNK = 16384  # guides classified per numpy pass
+
+_AGE_KEEP = WORD_MASK & ~(ACCESSED_BIT | CIW_FIELD)
+_HOT, _COLD, _RESERVED = (int(h) for h in
+                          (HeapId.HOT, HeapId.COLD, HeapId.RESERVED))
 
 
 class CollectorError(RuntimeError):
@@ -86,6 +96,22 @@ class WindowReport:
         return json.dumps(self.__dict__, sort_keys=True)
 
 
+@dataclass
+class ScanResult:
+    """What one scan saw; guide lists are in ascending guide index."""
+
+    scanned: int
+    promotions: list[int]
+    promotion_sources: list[int]  # heap id (NEW or COLD) of each promotion
+    demotions: list[int]
+    working_set_pages: int        # unique pages holding an accessed object
+    cold_pages: int               # of those, the pages in COLD
+
+
+def _count_unique(chunks: list[np.ndarray]) -> int:
+    return len(np.unique(np.concatenate(chunks))) if chunks else 0
+
+
 class Collector:
     """Single collector thread driving scans, epochs, and migrations."""
 
@@ -107,6 +133,8 @@ class Collector:
         self.hint_events: list[HintEvent] = []
         self.total_demoted = 0
         self.total_promoted = 0
+        # The words as read by the last scan; reused across windows.
+        self._snapshot = np.empty(0, dtype=np.uint64)
 
     # -- epoch state machine -------------------------------------------------
 
@@ -155,8 +183,7 @@ class Collector:
             raise CollectorError("migrate outside ACTIVE")
         cell = self.registry.cell(cell_index)
         word = cell.load()
-        if word & LOCK_BIT or word & ATC_FIELD \
-                or word_heap(word) == HeapId.RESERVED:
+        if word & (LOCK_BIT | ATC_FIELD) or (word & HEAP_FIELD) == HEAP_FIELD:
             return "skipped"
         locked = cell.try_lock_for_migration(word)
         if locked is None:
@@ -184,12 +211,74 @@ class Collector:
 
     # -- scan window ---------------------------------------------------------
 
+    def _age_words(self) -> np.ndarray:
+        """Age every live word, one lock stripe at a time.
+
+        Under a stripe's lock, the lock every CAS on its words takes, the
+        stripe is copied out of the arena, aged (accessed cleared; CIW reset
+        to 0 if it was set, else raised by one up to CIW_MAX) and written
+        back with one extended-slice assignment, so no concurrent update is
+        lost.  RESERVED words and guides created after the scan began are
+        left alone.  No view of the arena outlives the stripe copy, so
+        mutators may append to it meanwhile.  Returns the words as they were
+        before aging, in guide-index order, in a buffer reused across
+        windows.
+        """
+        registry = self.registry
+        words = registry.words
+        n = len(words)
+        if len(self._snapshot) < n:
+            self._snapshot = np.empty(n + n // 4, dtype=np.uint64)
+        snapshot = self._snapshot[:n]
+        step = len(registry.stripes)
+        for s, lock in enumerate(registry.stripes[:n]):
+            with lock:
+                old = np.frombuffer(words[s:n:step], dtype=np.uint64)
+                ciw = np.where(
+                    old & ACCESSED_BIT, 0,
+                    np.minimum(((old >> CIW_SHIFT) & CIW_MAX) + 1, CIW_MAX))
+                aged = (old & _AGE_KEEP) | (ciw << CIW_SHIFT)
+                live = (old & HEAP_FIELD) != HEAP_FIELD
+                aged = np.where(live, aged, old)
+                words[s:n:step] = array("Q", aged.tobytes())
+            snapshot[s::step] = old
+        return snapshot
+
+    def scan(self, cold_threshold: int) -> ScanResult:
+        """Age the arena and classify every live guide from its old word."""
+        snapshot = self._age_words()
+        page_size = self.regions.page_size
+        promotions: list[int] = []
+        sources: list[int] = []
+        demotions: list[int] = []
+        ws_pages: list[np.ndarray] = []
+        cold_pages: list[np.ndarray] = []
+        scanned = 0
+        for lo in range(0, len(snapshot), SCAN_CHUNK):
+            old = snapshot[lo:lo + SCAN_CHUNK]
+            heap = (old >> HEAP_SHIFT) & 3
+            live = heap != _RESERVED
+            accessed = (old & ACCESSED_BIT) != 0
+            scanned += int(np.count_nonzero(live))
+            hit = live & accessed
+            pages = (old[hit] & LOCATOR_MASK) // page_size
+            ws_pages.append(np.unique(pages))
+            cold_pages.append(np.unique(pages[heap[hit] == _COLD]))
+            promote = np.flatnonzero(hit & (heap != _HOT))
+            promotions += (promote + lo).tolist()
+            sources += heap[promote].tolist()
+            ciw = np.minimum(((old >> CIW_SHIFT) & CIW_MAX) + 1, CIW_MAX)
+            demote = live & ~accessed & (ciw >= cold_threshold) \
+                & (heap != _COLD)
+            demotions += (np.flatnonzero(demote) + lo).tolist()
+        return ScanResult(scanned, promotions, sources, demotions,
+                          _count_unique(ws_pages), _count_unique(cold_pages))
+
     def run_scan_window(self) -> WindowReport:
         if self.epoch_state.phase != Phase.INACTIVE:
             raise CollectorError("scan window outside INACTIVE")
         ctl = self.controller
         self.window_index += 1
-        page_size = self.regions.page_size
         ct = ctl.cold_threshold
         # PR is only a meaningful stability signal once demotion has begun;
         # a below-target reading against an empty COLD region must not count
@@ -197,41 +286,8 @@ class Collector:
         cold_populated = \
             self.regions.region(HeapId.COLD).live_slot_count > 0
 
-        scanned = 0
-        promotions: list[tuple[int, HeapId]] = []  # (cell, source heap)
-        demotions: list[int] = []
-        cold_pages: set[int] = set()
-        ws_pages: set[int] = set()
-
-        for index in self.registry.soda.indices():
-            cell = self.registry.cell(index)
-            while True:
-                word = cell.word
-                heap = word_heap(word)
-                if heap == HeapId.RESERVED:
-                    break
-                accessed = bool(word & ACCESSED_BIT)
-                new_ciw = 0 if accessed \
-                    else min(((word >> CIW_SHIFT) & CIW_MAX) + 1, CIW_MAX)
-                new_word = (word & ~(ACCESSED_BIT | CIW_FIELD)) \
-                    | (new_ciw << CIW_SHIFT)
-                if new_word == word or cell.compare_and_swap(word, new_word):
-                    break
-            if heap == HeapId.RESERVED:
-                continue
-            scanned += 1
-            page = (word & LOCATOR_MASK) // page_size
-            if accessed:
-                ws_pages.add(page)
-                if heap == HeapId.COLD:
-                    cold_pages.add(page)
-                    promotions.append((index, heap))
-                elif heap == HeapId.NEW:
-                    promotions.append((index, heap))
-            elif new_ciw >= ct and heap != HeapId.COLD:
-                demotions.append(index)
-
-        pr = compute_promotion_rate(len(cold_pages), len(ws_pages),
+        scan = self.scan(ct)
+        pr = compute_promotion_rate(scan.cold_pages, scan.working_set_pages,
                                     ctl.scan_interval_s)
         ctl.cold_threshold = next_cold_threshold(ct, pr, ctl.pr_target)
         ctl.pr_history.append(pr)
@@ -245,10 +301,11 @@ class Collector:
         self.begin_epoch()
         converged = self.await_convergence()
         if converged:
-            for index, source in promotions:
+            for index, source in zip(scan.promotions,
+                                     scan.promotion_sources):
                 outcome = self.migrate(index, HeapId.HOT)
                 if outcome == "moved":
-                    if source == HeapId.COLD:
+                    if source == _COLD:
                         promoted += 1
                     else:
                         new_to_hot += 1
@@ -256,7 +313,7 @@ class Collector:
                     aborted += 1
                 else:
                     skipped += 1
-            for index in demotions:
+            for index in scan.demotions:
                 outcome = self.migrate(index, HeapId.COLD)
                 if outcome == "moved":
                     demoted += 1
@@ -283,10 +340,10 @@ class Collector:
             new_to_hot=new_to_hot,
             aborted_migrations=aborted,
             skipped_migrations=skipped,
-            scanned_guides=scanned,
+            scanned_guides=scan.scanned,
             heap_bytes=heap_bytes,
-            unique_cold_pages_accessed=len(cold_pages),
-            working_set_pages=len(ws_pages),
+            unique_cold_pages_accessed=scan.cold_pages,
+            working_set_pages=scan.working_set_pages,
             converged=converged,
             hints_emitted=len(hints),
         )

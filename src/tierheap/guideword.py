@@ -145,29 +145,38 @@ def tombstone_from(word: int) -> int:
 
 
 class GuideCell:
-    """One guide-cell slot: a word plus a stable index in the arena.
+    """View of one guide: its index in a word arena plus its stripe lock.
 
-    The cell is the sole synchronization point for its object.  CPython has no
-    64-bit CAS primitive, so compare_and_swap is emulated with a (striped)
-    lock; plain loads read the attribute directly, which is atomic under the
-    GIL and matches the intended single-word load semantics.
+    The word itself lives in the arena, `GuideRegistry.words`, indexed by
+    guide index, so the collector can read and age a whole lock stripe at
+    once.  A cell built without an arena keeps its word in a private
+    one-entry dict.  The cell is the sole synchronization point for its
+    object.  CPython has no 64-bit CAS primitive, so compare_and_swap is
+    emulated with a (striped) lock; plain loads read the arena directly,
+    which is atomic under the GIL and matches the intended single-word load
+    semantics.
     """
 
-    __slots__ = ("word", "index", "_lock")
+    __slots__ = ("index", "_words", "_lock")
 
     def __init__(self, index: int, word: int = 0,
-                 lock: threading.Lock | None = None):
+                 lock: threading.Lock | None = None, arena=None):
         self.index = index
-        self.word = word
+        self._words = arena if arena is not None else {index: word}
         self._lock = lock if lock is not None else threading.Lock()
 
+    @property
+    def word(self) -> int:
+        return self._words[self.index]
+
     def load(self) -> int:
-        return self.word
+        return self._words[self.index]
 
     def compare_and_swap(self, expected: int, new: int) -> bool:
+        words, index = self._words, self.index
         with self._lock:
-            if self.word == expected:
-                self.word = new
+            if words[index] == expected:
+                words[index] = new
                 return True
             return False
 
@@ -178,17 +187,17 @@ class GuideCell:
         this is a plain load and no store is issued.  Otherwise a bounded CAS
         loop installs accessed=1, lock=0.  The locator bits are never modified.
         """
-        w = self.word
+        w = self._words[self.index]
         if (w & ACCESSED_BIT) and not (w & LOCK_BIT):
             return w & LOCATOR_MASK
         for _ in range(DEREF_MAX_RETRIES):
             updated = (w | ACCESSED_BIT) & ~LOCK_BIT
             if self.compare_and_swap(w, updated):
                 return updated & LOCATOR_MASK
-            w = self.word
+            w = self._words[self.index]
             if (w & ACCESSED_BIT) and not (w & LOCK_BIT):
                 return w & LOCATOR_MASK
-        return self.word & LOCATOR_MASK
+        return self._words[self.index] & LOCATOR_MASK
 
     def atc_increment(self) -> bool:
         """atc += 1, clearing the migration lock (an increment is a use).
@@ -197,7 +206,7 @@ class GuideCell:
         caller then treats the object as migration-ineligible this epoch.
         """
         while True:
-            w = self.word
+            w = self._words[self.index]
             if (w >> ATC_SHIFT) & ATC_MAX == ATC_MAX:
                 return False
             if self.compare_and_swap(w, (w & ~LOCK_BIT) + ATC_ONE):
@@ -205,7 +214,7 @@ class GuideCell:
 
     def atc_decrement(self) -> None:
         while True:
-            w = self.word
+            w = self._words[self.index]
             if (w >> ATC_SHIFT) & ATC_MAX == 0:
                 raise GuideProtocolError(
                     f"ATC decrement below zero on cell {self.index}")

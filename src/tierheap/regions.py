@@ -105,7 +105,18 @@ class HeapRegion:
     def _account(self, locator: int, length: int, sign: int) -> None:
         ps = self.page_size
         end = locator + length
-        for page in range(locator // ps, (end - 1) // ps + 1):
+        page = locator // ps
+        if (end - 1) // ps == page:  # the common case: one page
+            rec = self._pages.get(page)
+            if rec is None:
+                rec = self._pages[page] = _Page()
+            rec.live_bytes += sign * length
+            rec.live_slots += sign
+            if sign > 0:
+                rec.resident = True
+            self.live_bytes += sign * length
+            return
+        for page in range(page, (end - 1) // ps + 1):
             rec = self._pages.get(page)
             if rec is None:
                 rec = self._pages[page] = _Page()

@@ -8,10 +8,11 @@ their components through this object.
 from __future__ import annotations
 
 import threading
+from array import array
 
 from .collector import Collector, ControllerState
-from .guideword import (ATC_FIELD, GuideCell, HeapId, tombstone_from,
-                        word_heap)
+from .guideword import (ATC_FIELD, HEAP_FIELD, LOCATOR_MASK, GuideCell,
+                        tombstone_from, word_heap)
 from .metrics import AccessLog
 from .regions import (DEFAULT_PAGE_SIZE, DEFAULT_REGION_LENGTH,
                       DEFAULT_SIZE_CLASSES, RegionManager)
@@ -20,36 +21,46 @@ from .soda import SodaBitmap
 
 
 class GuideRegistry:
-    """Arena of guide cells with stable indices and a mirrored SODA bitmap.
+    """Arena of guide words with stable indices and a mirrored SODA bitmap.
 
-    Deleted cells are tombstoned (heap=RESERVED, ATC preserved) and parked in
-    a graveyard until their ATC drains to zero, so scopes that recorded the
-    guide before the delete can still balance their decrements.  The
-    collector drains the graveyard at the end of each window.
+    `words[i]` is guide i's word, stored unboxed in one `array("Q")`, and
+    `cell(i)` is the GuideCell view through which mutators load and CAS it.
+    Every store to an existing word happens under the guide's stripe lock,
+    `stripes[i & (len(stripes) - 1)]`, the lock the cell's CAS emulation
+    takes, so the collector can age a whole stripe under one acquisition.
+    Deleted guides are tombstoned (heap=RESERVED, ATC preserved) and parked
+    in a graveyard until their ATC drains to zero, so scopes that recorded
+    the guide before the delete can still balance their decrements.  The
+    collector drains the graveyard at the end of each window.  A word is
+    live exactly when its heap bits are not RESERVED.
     """
 
     def __init__(self, soda: SodaBitmap, lock_stripes: int = 256):
         if lock_stripes & (lock_stripes - 1):
             raise ValueError("lock_stripes must be a power of two")
         self.soda = soda
+        self.words = array("Q")
         self._cells: list[GuideCell] = []
         self._free: list[int] = []
         self._graveyard: list[int] = []
-        self._stripes = [threading.Lock() for _ in range(lock_stripes)]
+        self.stripes = [threading.Lock() for _ in range(lock_stripes)]
         self._stripe_mask = lock_stripes - 1
         self._lock = threading.Lock()
 
     def create(self, word: int) -> int:
-        if word_heap(word) == HeapId.RESERVED:
+        if (word & HEAP_FIELD) == HEAP_FIELD:
             raise ValueError("cannot create a guide with a RESERVED heap id")
         with self._lock:
             if self._free:
                 index = self._free.pop()
-                self._cells[index].word = word
+                with self.stripes[index & self._stripe_mask]:
+                    self.words[index] = word
             else:
-                index = len(self._cells)
+                index = len(self.words)
+                self.words.append(word)
                 self._cells.append(GuideCell(
-                    index, word, self._stripes[index & self._stripe_mask]))
+                    index, lock=self.stripes[index & self._stripe_mask],
+                    arena=self.words))
         self.soda.set_bit(index)
         return index
 
@@ -76,8 +87,9 @@ class GuideRegistry:
     def reclaim_retired(self) -> None:
         with self._lock:
             still_parked = []
+            words = self.words
             for index in self._graveyard:
-                if self._cells[index].word & ATC_FIELD:
+                if words[index] & ATC_FIELD:
                     still_parked.append(index)
                 else:
                     self._free.append(index)
@@ -129,19 +141,31 @@ class TierRuntime:
     def audit(self) -> None:
         """Full-system consistency walk; raises on any drift.
 
-        Checks region accounting, SODA/registry agreement, and that every
-        live guide's heap bits match the region its locator falls in.
+        Checks region accounting, that the live words of the arena (heap
+        bits not RESERVED) are exactly the SODA bitmap's set bits, and that
+        every live guide's heap bits match the region its locator falls in.
+        Run it while no mutator is between a tombstone and its retire.
         """
         self.regions.audit()
-        for index in self.registry.live_indices():
-            cell = self.registry.cell(index)
-            word = cell.load()
+        registry = self.registry
+        soda = registry.soda
+        live = 0
+        for index, word in enumerate(registry.words):
+            if (word & HEAP_FIELD) == HEAP_FIELD:
+                continue
+            live += 1
+            if not soda.test(index):
+                raise AssertionError(
+                    f"guide {index} is live in the arena but its SODA bit "
+                    f"is clear")
             heap = word_heap(word)
-            if heap == HeapId.RESERVED:
-                continue  # tombstoned concurrently with the walk
-            locator = word & ((1 << 48) - 1)
+            locator = word & LOCATOR_MASK
             actual = self.regions.heap_of(locator)
             if actual != heap:
                 raise AssertionError(
                     f"guide {index}: heap bits say {heap.name}, locator "
                     f"{locator:#x} lies in {actual.name}")
+        if live != registry.live_count:
+            raise AssertionError(
+                f"{live} live words in the arena but {registry.live_count} "
+                f"SODA bits set")

@@ -10,6 +10,7 @@ no used-guide set at all.
 """
 from __future__ import annotations
 
+import itertools
 import threading
 import time
 from bisect import bisect_right
@@ -114,10 +115,12 @@ class BaseDeltaSet:
 
 
 class ThreadActivityIndex:
-    """Fixed array of {epoch, active_count} slots keyed by thread-id hash.
+    """Fixed array of {epoch, active_count} slots, one handed to each thread.
 
-    Hash collisions merge into one slot; convergence then conservatively
-    waits for every colliding thread to exit.
+    `assign_slot` hands slots out in order, so threads share one only when
+    more threads than slots have entered scopes.  A shared slot keeps the
+    oldest epoch among its active scopes, so convergence conservatively
+    waits for every thread sharing it to exit.
     """
 
     def __init__(self, slot_count: int = 256):
@@ -126,24 +129,26 @@ class ThreadActivityIndex:
         self._mask = slot_count - 1
         self._slots = [[0, 0] for _ in range(slot_count)]
         self._locks = [threading.Lock() for _ in range(slot_count)]
+        self._next_slot = itertools.count()
 
-    def slot_index(self, thread_id: int) -> int:
-        return hash(thread_id) & self._mask
+    def assign_slot(self) -> int:
+        return next(self._next_slot) & self._mask
 
-    def enter(self, thread_id: int, epoch: int) -> None:
-        i = self.slot_index(thread_id)
+    def enter(self, slot: int, epoch: int) -> None:
+        i = slot & self._mask
         with self._locks[i]:
-            slot = self._slots[i]
-            slot[0] = epoch
-            slot[1] += 1
+            entry = self._slots[i]
+            if entry[1] == 0 or epoch < entry[0]:
+                entry[0] = epoch
+            entry[1] += 1
 
-    def exit(self, thread_id: int) -> None:
-        i = self.slot_index(thread_id)
+    def exit(self, slot: int) -> None:
+        i = slot & self._mask
         with self._locks[i]:
-            slot = self._slots[i]
-            if slot[1] <= 0:
+            entry = self._slots[i]
+            if entry[1] <= 0:
                 raise ScopeError("TAI exit without matching enter")
-            slot[1] -= 1
+            entry[1] -= 1
 
     def converged(self, epoch: int) -> bool:
         """True when every slot with active threads reflects `epoch`."""
@@ -158,16 +163,16 @@ class ThreadActivityIndex:
 
 class _ThreadScope:
     __slots__ = ("depth", "epoch_at_entry", "tracking", "used",
-                 "atc_recorded", "thread_id", "entered_at")
+                 "atc_recorded", "tai_slot", "entered_at")
 
-    def __init__(self):
+    def __init__(self, tai_slot: int):
         self.depth = 0
         self.epoch_at_entry = 0
         self.tracking = False
         # Both stay None unless the scope tracks ATC or sizes are sampled.
         self.used: BaseDeltaSet | None = None
         self.atc_recorded: list[int] | None = None
-        self.thread_id = threading.get_ident()
+        self.tai_slot = tai_slot
         self.entered_at = 0.0
 
 
@@ -187,7 +192,7 @@ class ScopeManager:
     def _scope(self) -> _ThreadScope:
         scope = getattr(self._tls, "scope", None)
         if scope is None:
-            scope = self._tls.scope = _ThreadScope()
+            scope = self._tls.scope = _ThreadScope(self.tai.assign_slot())
         return scope
 
     def enter_scope(self) -> None:
@@ -196,19 +201,19 @@ class ScopeManager:
         if scope.depth == 1:
             state = self.epoch_state
             tai = self.tai
-            thread_id = scope.thread_id
+            slot = scope.tai_slot
             # Register before sampling tracking, then re-check the epoch: a
             # window that begins before the registration is seen here and
             # retried under its epoch, and one that begins after it must
             # wait for this scope to exit before it converges.
             epoch = state.epoch
             while True:
-                tai.enter(thread_id, epoch)
+                tai.enter(slot, epoch)
                 tracking = state.tracking_enabled
                 current = state.epoch
                 if current == epoch:
                     break
-                tai.exit(thread_id)
+                tai.exit(slot)
                 epoch = current
             scope.epoch_at_entry = epoch
             scope.tracking = tracking
@@ -243,7 +248,7 @@ class ScopeManager:
                 for index in recorded:
                     cell(index).atc_decrement()
             scope.atc_recorded = None
-            self.tai.exit(scope.thread_id)
+            self.tai.exit(scope.tai_slot)
             self.outermost_exits += 1
             duration = time.monotonic() - scope.entered_at
             if duration > self.max_scope_seconds:

@@ -1,17 +1,17 @@
 """Sparse two-level bitmap over the guide-cell arena.
 
 One bit per guide cell, grouped into lazily materialized fixed-size blocks so
-memory stays proportional to the populated index range.  The scanning
-collector iterates the bitmap concurrently with mutators under a
-snapshot-tolerant contract: every index set before iteration starts and not
-cleared before being visited is seen; indices added mid-scan may or may not
-be.  The collector revalidates each guide word anyway, so this is the weakest
-contract it can use safely.
+memory stays proportional to the populated index range.  The registry sets a
+guide's bit when it creates the guide and clears it when the guide is
+retired; the bitmap counts live guides and `TierRuntime.audit` checks it
+against the word arena.  Iteration (`indices`) runs concurrently with
+mutators under a snapshot-tolerant contract: every index set before
+iteration starts and not cleared before being visited is seen; indices added
+mid-iteration may or may not be.
 """
 from __future__ import annotations
 
 import threading
-from typing import Callable
 
 DEFAULT_BLOCK_SIZE = 65536  # cells per block; 8 KiB of bits
 
@@ -88,13 +88,6 @@ class SodaBitmap:
                     low = w & -w
                     yield word_base + low.bit_length() - 1
                     w ^= low
-
-    def iterate_live(self, visitor: Callable[[int], None]) -> int:
-        count = 0
-        for index in self.indices():
-            visitor(index)
-            count += 1
-        return count
 
     def __len__(self) -> int:
         return self._population

@@ -13,8 +13,8 @@ import threading
 import zlib
 from dataclasses import dataclass
 
-from .guideword import (ACCESSED_BIT, ATC_FIELD, LOCATOR_MASK, HeapId,
-                        pack)
+from .guideword import (ACCESSED_BIT, ATC_FIELD, HEAP_FIELD, LOCATOR_MASK,
+                        HeapId, pack)
 from .regions import RegionError
 from .runtime import TierRuntime
 
@@ -285,6 +285,37 @@ class GuideSkipList(_GuideOps):
                 return
         finally:
             scope.exit_scope()
+
+    def _read_value(self, entry: KvEntry) -> bytes | None:
+        """Read the value slot, then confirm the guide still names it.
+
+        The hash map reads under the key's stripe lock, which keeps the
+        key's setters out.  The skip list takes no lock, so a racing set
+        may publish a new slot and free the one being read, and the next
+        allocation may reuse it at once.  If the word moved on, the read is
+        repeated at the new locator.  A setter writes its slot before its
+        CAS publishes it, so a slot the word still names after the read
+        held this guide's value, unless within that window the slot was
+        freed, reused elsewhere and then published for this guide again.
+        """
+        rt = self.runtime
+        rt.scope.record_guide_use(entry.value_guide)
+        cell = rt.registry.cell(entry.value_guide)
+        locator = cell.dereference()
+        while True:
+            try:
+                data = rt.regions.read(locator)
+            except RegionError:
+                data = None
+            word = cell.load()
+            if (word & HEAP_FIELD) == HEAP_FIELD:
+                return None  # lost a race with delete; entry is gone
+            if word & LOCATOR_MASK == locator:
+                break
+            locator = cell.dereference()
+        if data is not None:
+            rt.record_access(locator, len(data))
+        return data
 
     def get(self, key: bytes) -> bytes | None:
         self.op_count += 1

@@ -1,4 +1,6 @@
 """Collector: scans, classification, AIAD controller, epochs, migration."""
+import threading
+
 import pytest
 
 from tierheap.collector import (CT_MAX, CT_MIN, CollectorError,
@@ -99,6 +101,41 @@ class TestEpochMachine:
         assert not col.await_convergence(timeout_s=0.05)
         assert runtime.epoch_state.phase == Phase.INACTIVE
         assert not runtime.epoch_state.tracking_enabled
+
+    def test_open_scope_of_an_older_epoch_blocks_convergence(self):
+        """Thread A's scope, opened under epoch 0, holds back a window even
+        after thread B enters and leaves a scope under epoch 1."""
+        runtime = make_runtime()
+        scope, col = runtime.scope, runtime.collector
+        a_entered, a_release = threading.Event(), threading.Event()
+
+        def thread_a():
+            scope.enter_scope()
+            a_entered.set()
+            a_release.wait(5.0)
+            scope.exit_scope()
+
+        def thread_b():
+            scope.enter_scope()
+            scope.exit_scope()
+
+        a = threading.Thread(target=thread_a)
+        a.start()
+        try:
+            assert a_entered.wait(5.0)
+            col.begin_epoch()
+            b = threading.Thread(target=thread_b)
+            b.start()
+            b.join(5.0)
+            assert not b.is_alive()
+            assert not col.await_convergence(timeout_s=0.05)
+        finally:
+            a_release.set()
+            a.join(5.0)
+        assert not a.is_alive()
+        col.begin_epoch()
+        assert col.await_convergence(timeout_s=0.05)
+        col.end_epoch()
 
     def test_empty_tai_converges_immediately(self):
         runtime = make_runtime()

@@ -1,0 +1,207 @@
+"""The guide-word arena: the vectorized scan against a scalar reference,
+its concurrency, and the audit of the arena against the SODA bitmap."""
+import random
+import sys
+import threading
+
+import pytest
+
+from tierheap.collector import SCAN_CHUNK, ScanResult
+from tierheap.guideword import (ACCESSED_BIT, ATC_MAX, ATC_ONE, CIW_FIELD,
+                                CIW_MAX, CIW_SHIFT, LOCATOR_MASK, HeapId,
+                                pack, word_atc, word_heap)
+from tierheap.runtime import TierRuntime
+
+REGION_LENGTH = 1 << 30
+HEAPS = (HeapId.NEW, HeapId.HOT, HeapId.COLD)
+
+
+def scalar_scan(registry, cold_threshold, page_size) -> ScanResult:
+    """The per-guide scan loop the vectorized scan replaced."""
+    scanned = 0
+    promotions: list[tuple[int, HeapId]] = []
+    demotions: list[int] = []
+    cold_pages: set[int] = set()
+    ws_pages: set[int] = set()
+    for index in registry.soda.indices():
+        cell = registry.cell(index)
+        while True:
+            word = cell.word
+            heap = word_heap(word)
+            if heap == HeapId.RESERVED:
+                break
+            accessed = bool(word & ACCESSED_BIT)
+            new_ciw = 0 if accessed \
+                else min(((word >> CIW_SHIFT) & CIW_MAX) + 1, CIW_MAX)
+            new_word = (word & ~(ACCESSED_BIT | CIW_FIELD)) \
+                | (new_ciw << CIW_SHIFT)
+            if new_word == word or cell.compare_and_swap(word, new_word):
+                break
+        if heap == HeapId.RESERVED:
+            continue
+        scanned += 1
+        page = (word & LOCATOR_MASK) // page_size
+        if accessed:
+            ws_pages.add(page)
+            if heap == HeapId.COLD:
+                cold_pages.add(page)
+                promotions.append((index, heap))
+            elif heap == HeapId.NEW:
+                promotions.append((index, heap))
+        elif new_ciw >= cold_threshold and heap != HeapId.COLD:
+            demotions.append(index)
+    return ScanResult(scanned, [i for i, _ in promotions],
+                      [int(h) for _, h in promotions], demotions,
+                      len(ws_pages), len(cold_pages))
+
+
+def random_arena(seed: int, guides: int, page_size: int) -> TierRuntime:
+    """A runtime whose registry holds random words over all four heaps.
+
+    Words carry the lock bit, nonzero ATC and CIW at 0, 30 and 31; about a
+    quarter are tombstoned, some of those parked with ATC and the rest
+    freed.  Locators fall on few pages so objects share pages.
+    """
+    rng = random.Random(seed)
+    runtime = TierRuntime(page_size=page_size, region_length=REGION_LENGTH)
+    registry = runtime.registry
+    for _ in range(guides):
+        heap = rng.choice(HEAPS)
+        locator = int(heap) * REGION_LENGTH \
+            + rng.randrange(64 * page_size)
+        registry.create(pack(
+            locator, atc=rng.choice((0, 0, 0, 1, 7, ATC_MAX)),
+            ciw=rng.choice((0, 0, 1, 2, 5, 30, 31, 31)), heap=heap,
+            accessed=rng.random() < 0.5,
+            migration_lock=rng.random() < 0.1))
+    for index in rng.sample(range(guides), guides // 4):
+        registry.tombstone(index)
+        registry.retire(index)
+    registry.reclaim_retired()
+    return runtime
+
+
+CASES = [(seed, guides, page_size, ct)
+         for seed, (guides, page_size, ct) in enumerate([
+             (0, 4096, 3), (1, 4096, 1), (255, 1024, 32), (257, 8192, 2),
+             (3000, 1024, 1), (3000, 4096, 3), (3000, 8192, 30),
+             (3000, 4096, 31), (3000, 1024, 32), (3000, 8192, 16),
+             (2 * SCAN_CHUNK + 5, 4096, 3), (SCAN_CHUNK, 1024, 31)])]
+
+
+@pytest.mark.parametrize("seed,guides,page_size,ct", CASES)
+def test_vectorized_scan_matches_scalar_reference(seed, guides, page_size,
+                                                  ct):
+    reference = random_arena(seed, guides, page_size)
+    vectorized = random_arena(seed, guides, page_size)
+    assert reference.registry.words == vectorized.registry.words
+    expected = scalar_scan(reference.registry, ct, page_size)
+    assert vectorized.collector.scan(ct) == expected
+    assert vectorized.registry.words == reference.registry.words
+
+
+def test_second_scan_matches_too():
+    reference = random_arena(99, 3000, 4096)
+    vectorized = random_arena(99, 3000, 4096)
+    for ct in (2, 5):
+        assert vectorized.collector.scan(ct) \
+            == scalar_scan(reference.registry, ct, 4096)
+    assert vectorized.registry.words == reference.registry.words
+
+
+def test_dereferences_and_atc_increments_racing_scans_are_kept():
+    """Mutators CAS every guide while scans age the arena: no ATC
+    increment is lost and no locator or heap bit changes."""
+    runtime = TierRuntime(region_length=REGION_LENGTH)
+    registry, collector = runtime.registry, runtime.collector
+    guides = [registry.create(pack(0x40 * i, heap=HeapId.HOT))
+              for i in range(2048)]
+    before = [w & ~(ACCESSED_BIT | CIW_FIELD) for w in registry.words]
+    threads, rounds = 4, 30
+    stop = threading.Event()
+    scans = []
+
+    def mutator(offset):
+        cells = [registry.cell(i) for i in guides]
+        for _ in range(rounds):
+            for cell in cells[offset:] + cells[:offset]:
+                cell.dereference()
+                cell.atc_increment()
+
+    def scanner():
+        while not stop.is_set():
+            scans.append(collector.scan(3).scanned)
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        scan_thread = threading.Thread(target=scanner)
+        scan_thread.start()
+        workers = [threading.Thread(target=mutator, args=(t * 500,))
+                   for t in range(threads)]
+        for t in workers:
+            t.start()
+        for t in workers:
+            t.join(60.0)
+        stop.set()
+        scan_thread.join(60.0)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not scan_thread.is_alive()
+    assert not any(t.is_alive() for t in workers)
+    assert len(scans) >= 2 and set(scans) == {len(guides)}
+    assert [word_atc(registry.words[i]) for i in guides] \
+        == [threads * rounds] * len(guides)
+    after = [(w & ~(ACCESSED_BIT | CIW_FIELD)) - threads * rounds * ATC_ONE
+             for w in registry.words]
+    assert after == before
+
+
+def test_create_reuses_a_free_index_under_its_stripe_lock():
+    """A scan writes a stripe back under its lock, so create must store a
+    reused index's word under that lock too or the write-back loses it."""
+    runtime = TierRuntime(region_length=REGION_LENGTH)
+    registry = runtime.registry
+    index = registry.create(pack(0x100))
+    registry.tombstone(index)
+    registry.retire(index)
+    registry.reclaim_retired()
+    stone = registry.words[index]
+    created = []
+    lock = registry.stripes[index % len(registry.stripes)]
+    with lock:
+        creator = threading.Thread(
+            target=lambda: created.append(registry.create(pack(0x200))))
+        creator.start()
+        creator.join(0.1)
+        assert creator.is_alive()  # waiting for the stripe lock
+        assert registry.words[index] == stone
+    creator.join(5.0)
+    assert not creator.is_alive()
+    assert created == [index] and registry.words[index] == pack(0x200)
+
+
+class TestArenaAudit:
+    def make_runtime(self):
+        runtime = TierRuntime(region_length=REGION_LENGTH)
+        for payload in (b"a" * 40, b"b" * 40):
+            loc = runtime.regions.allocate(HeapId.NEW, len(payload))
+            runtime.regions.write(loc, payload)
+            runtime.registry.create(pack(loc, heap=HeapId.NEW))
+        runtime.audit()
+        return runtime
+
+    def test_live_word_without_its_soda_bit_fails(self):
+        runtime = self.make_runtime()
+        runtime.registry.soda.clear_bit(1)
+        with pytest.raises(AssertionError, match="SODA bit is clear"):
+            runtime.audit()
+
+    def test_soda_bit_of_a_tombstone_fails(self):
+        runtime = self.make_runtime()
+        registry = runtime.registry
+        runtime.regions.free(registry.tombstone(1) & LOCATOR_MASK)
+        with pytest.raises(AssertionError, match="1 live words"):
+            runtime.audit()  # tombstoned but not retired: bit still set
+        registry.retire(1)
+        runtime.audit()

@@ -88,11 +88,16 @@ class TestThreadActivityIndex:
         tai.enter(2, 7)
         assert tai.converged(7)
         tai.enter(3, 8)
-        assert tai.converged(8)  # slot epoch now 8, count 3
+        assert not tai.converged(8)  # the slot keeps its oldest epoch, 7
         tai.exit(1)
         tai.exit(2)
+        assert not tai.converged(8)  # still 7 until the slot drains
         tai.exit(3)
         assert tai.converged(9)
+
+    def test_slots_assigned_in_order(self):
+        tai = ThreadActivityIndex(4)
+        assert [tai.assign_slot() for _ in range(6)] == [0, 1, 2, 3, 0, 1]
 
     def test_slot_count_must_be_power_of_two(self):
         with pytest.raises(ValueError):

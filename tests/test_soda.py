@@ -50,15 +50,6 @@ def test_iteration_ascending_across_blocks():
     assert list(soda.indices()) == values
 
 
-def test_iterate_live_visitor_count():
-    soda = SodaBitmap()
-    for v in (1, 2, 3, 100):
-        soda.set_bit(v)
-    seen = []
-    assert soda.iterate_live(seen.append) == 4
-    assert seen == [1, 2, 3, 100]
-
-
 def test_snapshot_tolerant_iteration():
     soda = SodaBitmap()
     for v in range(0, 1000, 2):

@@ -192,6 +192,30 @@ class TestSkipListSpecifics:
         assert store.get(b"k") == b"two"
         assert len(store) == 1
 
+    def test_get_rereads_a_value_slot_reused_mid_read(self, monkeypatch):
+        """While get reads the value slot, a set of the same key frees it
+        and the next allocation reuses it for other bytes: get still
+        returns the intact current value."""
+        runtime = make_runtime()
+        store = GuideSkipList(runtime)
+        store.set(b"k", b"old-value")
+        regions = runtime.regions
+        real_read = regions.read
+        raced = []
+
+        def racing_read(locator):
+            if not raced:
+                raced.append(locator)
+                store.set(b"k", b"new-value")  # frees the slot being read
+                reused = regions.allocate(HeapId.NEW, len(b"other-key"))
+                assert reused == locator
+                regions.write(reused, b"other-key")
+            return real_read(locator)
+
+        monkeypatch.setattr(regions, "read", racing_read)
+        assert store.get(b"k") == b"new-value"
+        assert raced
+
     def test_deterministic_levels(self):
         from tierheap.store import _node_level
         assert all(1 <= _node_level(b"key-%d" % i) <= 16
