@@ -16,6 +16,7 @@ import statistics
 import sys
 import threading
 import time
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -98,7 +99,8 @@ class BenchmarkResult:
 
 def measure_deref_ns(samples: int = 64, batch: int = 2000) -> float:
     """Median per-call latency of a fast-path dereference, in nanoseconds."""
-    cell = GuideCell(0, pack(0x1000, heap=HeapId.HOT, accessed=True))
+    cell = GuideCell(0, array("Q", [pack(0x1000, heap=HeapId.HOT,
+                                         accessed=True)]))
     deref = cell.dereference
     medians = []
     for _ in range(samples):

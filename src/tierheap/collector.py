@@ -363,12 +363,9 @@ class Collector:
         if self.controller.stable_windows < HINT_STABILITY_WINDOWS:
             return []
         events = self.regions.emit_hints(
-            HeapId.COLD, HintKind.PAGEOUT_ADVICE,
-            eligible=lambda page, rec: rec.live_slots > 0,
-            window=self.window_index)
+            HeapId.COLD, HintKind.PAGEOUT_ADVICE, window=self.window_index)
         events += self.regions.emit_hints(
-            HeapId.HOT, HintKind.HUGEPAGE_ADVICE, eligible=None,
-            window=self.window_index)
+            HeapId.HOT, HintKind.HUGEPAGE_ADVICE, window=self.window_index)
         return events
 
     def hinted_cold_pages(self) -> set[int]:

@@ -147,10 +147,9 @@ def tombstone_from(word: int) -> int:
 class GuideCell:
     """View of one guide: its index in a word arena plus its stripe lock.
 
-    The word itself lives in the arena, `GuideRegistry.words`, indexed by
-    guide index, so the collector can read and age a whole lock stripe at
-    once.  A cell built without an arena keeps its word in a private
-    one-entry dict.  The cell is the sole synchronization point for its
+    The word itself lives in an `array("Q")` arena, `GuideRegistry.words`,
+    indexed by guide index, so the collector can read and age a whole lock
+    stripe at once.  The cell is the sole synchronization point for its
     object.  CPython has no 64-bit CAS primitive, so compare_and_swap is
     emulated with a (striped) lock; plain loads read the arena directly,
     which is atomic under the GIL and matches the intended single-word load
@@ -159,10 +158,9 @@ class GuideCell:
 
     __slots__ = ("index", "_words", "_lock")
 
-    def __init__(self, index: int, word: int = 0,
-                 lock: threading.Lock | None = None, arena=None):
+    def __init__(self, index: int, arena, lock: threading.Lock | None = None):
         self.index = index
-        self._words = arena if arena is not None else {index: word}
+        self._words = arena
         self._lock = lock if lock is not None else threading.Lock()
 
     @property

@@ -2,9 +2,10 @@
 
 Each heap temperature (NEW, HOT, COLD) gets one contiguous reserved range of
 the 48-bit managed space and sub-allocates object slots from power-of-two
-size classes.  Pages are materialized lazily; each carries live-byte and
-live-slot counts plus a simulated residency flag, so reclaim advice can be
-modeled without touching the OS.
+size classes.  A live slot holds only its payload bytes; its length and size
+class follow from them.  Pages are materialized lazily; each carries
+live-byte and live-slot counts plus a simulated residency flag, so reclaim
+advice can be modeled without touching the OS.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from .guideword import LOCATOR_MASK, HeapId
 
 DEFAULT_PAGE_SIZE = 4096
 DEFAULT_REGION_LENGTH = 4 << 30  # 4 GiB per heap
-DEFAULT_SIZE_CLASSES = tuple(1 << i for i in range(4, 17))  # 16 B .. 64 KiB
+SIZE_CLASSES = tuple(1 << i for i in range(4, 17))  # 16 B .. 64 KiB
 
 
 class RegionError(RuntimeError):
@@ -31,6 +32,14 @@ class RegionExhausted(RegionError):
 
 class DoubleFreeError(RegionError):
     pass
+
+
+def _size_class_for(length: int) -> int:
+    i = bisect.bisect_left(SIZE_CLASSES, length)
+    if i == len(SIZE_CLASSES):
+        raise RegionError(f"payload of {length} B exceeds the largest "
+                          f"size class ({SIZE_CLASSES[-1]} B)")
+    return SIZE_CLASSES[i]
 
 
 class HintKind(str, Enum):
@@ -52,13 +61,6 @@ class HintEvent:
                 f"{self.start_page},{self.end_page}")
 
 
-@dataclass
-class ObjectSlot:
-    size_class: int
-    length: int
-    data: bytes = b""
-
-
 class _Page:
     __slots__ = ("live_bytes", "live_slots", "resident")
 
@@ -77,7 +79,6 @@ class HeapRegion:
     """
 
     def __init__(self, heap: HeapId, base: int, length: int,
-                 size_classes=DEFAULT_SIZE_CLASSES,
                  page_size: int = DEFAULT_PAGE_SIZE):
         if length % page_size:
             raise RegionError("region length must be page aligned")
@@ -87,20 +88,12 @@ class HeapRegion:
         self.base = base
         self.length = length
         self.page_size = page_size
-        self.size_classes = sorted(size_classes)
-        self._free: dict[int, list[int]] = {c: [] for c in self.size_classes}
+        self._free: dict[int, list[int]] = {c: [] for c in SIZE_CLASSES}
         self._bump = 0
-        self._live: dict[int, ObjectSlot] = {}  # region-relative offset -> slot
+        self._live: dict[int, bytes] = {}  # region-relative offset -> payload
         self._pages: dict[int, _Page] = {}  # absolute page index
         self._lock = threading.Lock()
         self.live_bytes = 0
-
-    def _size_class_for(self, length: int) -> int:
-        i = bisect.bisect_left(self.size_classes, length)
-        if i == len(self.size_classes):
-            raise RegionError(f"payload of {length} B exceeds the largest "
-                              f"size class ({self.size_classes[-1]} B)")
-        return self.size_classes[i]
 
     def _account(self, locator: int, length: int, sign: int) -> None:
         ps = self.page_size
@@ -128,10 +121,13 @@ class HeapRegion:
         self.live_bytes += sign * length
 
     def allocate(self, length: int) -> int:
-        """Return the absolute locator of a slot holding `length` bytes."""
+        """Return the absolute locator of a slot holding `length` bytes.
+
+        The slot reads as `length` zero bytes until it is written.
+        """
         if length <= 0:
             raise RegionError("allocation length must be positive")
-        size_class = self._size_class_for(length)
+        size_class = _size_class_for(length)
         with self._lock:
             free = self._free[size_class]
             if free:
@@ -142,7 +138,7 @@ class HeapRegion:
                     raise RegionExhausted(
                         f"{self.heap.name} region exhausted")
                 self._bump = offset + size_class
-            self._live[offset] = ObjectSlot(size_class, length)
+            self._live[offset] = bytes(length)
             locator = self.base + offset
             self._account(locator, length, +1)
             return locator
@@ -150,80 +146,54 @@ class HeapRegion:
     def free(self, locator: int) -> None:
         offset = locator - self.base
         with self._lock:
-            slot = self._live.pop(offset, None)
-            if slot is None:
+            payload = self._live.pop(offset, None)
+            if payload is None:
                 raise DoubleFreeError(
                     f"free of non-live locator {locator:#x} in "
                     f"{self.heap.name}")
-            self._account(locator, slot.length, -1)
-            heapq.heappush(self._free[slot.size_class], offset)
+            length = len(payload)
+            self._account(locator, length, -1)
+            heapq.heappush(self._free[_size_class_for(length)], offset)
 
     def write(self, locator: int, data: bytes) -> None:
-        slot = self._live.get(locator - self.base)
-        if slot is None:
+        """Fill a slot; only its allocator writes it, before publishing it."""
+        offset = locator - self.base
+        payload = self._live.get(offset)
+        if payload is None:
             raise RegionError(f"write to non-live locator {locator:#x}")
-        if len(data) != slot.length:
+        if len(data) != len(payload):
             raise RegionError("payload length does not match the slot")
-        slot.data = data
+        self._live[offset] = data
 
     def read(self, locator: int) -> bytes:
-        slot = self._live.get(locator - self.base)
-        if slot is None:
+        payload = self._live.get(locator - self.base)
+        if payload is None:
             raise RegionError(f"read of non-live locator {locator:#x}")
-        return slot.data
-
-    def slot(self, locator: int) -> ObjectSlot:
-        slot = self._live.get(locator - self.base)
-        if slot is None:
-            raise RegionError(f"no live slot at {locator:#x}")
-        return slot
+        return payload
 
     @property
     def live_slot_count(self) -> int:
         return len(self._live)
 
-    def page_stats(self) -> dict:
-        resident = 0
-        hist = [0] * 10
-        for rec in list(self._pages.values()):
-            if rec.resident:
-                resident += 1
-            if rec.live_bytes > 0:
-                occupancy = rec.live_bytes / self.page_size
-                hist[min(9, int(occupancy * 10))] += 1
-        return {
-            "total_pages": self.length // self.page_size,
-            "resident_pages": resident,
-            "live_bytes": self.live_bytes,
-            "occupancy_histogram": hist,
-        }
-
     def resident_bytes(self) -> int:
         return sum(1 for r in self._pages.values() if r.resident) \
             * self.page_size
 
-    def emit_hints(self, kind: HintKind, eligible=None,
-                   window: int = 0) -> list[HintEvent]:
-        """Coalesce eligible pages into maximal ranges of hint events.
+    def emit_hints(self, kind: HintKind, window: int = 0) -> list[HintEvent]:
+        """Hint events for this region.
 
-        With eligible=None a single event covering the whole region is
-        emitted.  PAGEOUT_ADVICE clears the residency flag of the hinted
-        pages (simulated reclamation).
+        PAGEOUT_ADVICE covers the pages holding live slots, coalesced into
+        maximal ranges, and clears their residency flag (simulated
+        reclamation).  Any other kind is one event covering the whole region.
         """
         ps = self.page_size
-        if eligible is None:
+        if kind is not HintKind.PAGEOUT_ADVICE:
             start = self.base // ps
-            events = [HintEvent(kind, self.heap, start,
-                                start + self.length // ps, window)]
-            if kind is HintKind.PAGEOUT_ADVICE:
-                with self._lock:
-                    for rec in self._pages.values():
-                        rec.resident = False
-            return events
-
+            return [HintEvent(kind, self.heap, start,
+                              start + self.length // ps, window)]
         with self._lock:
             pages = sorted(p for p, rec in self._pages.items()
-                           if eligible(p, rec))
+                           if rec.live_slots > 0)
             events: list[HintEvent] = []
             for page in pages:
                 if events and events[-1].end_page == page:
@@ -231,8 +201,7 @@ class HeapRegion:
                 else:
                     events.append(HintEvent(kind, self.heap, page,
                                             page + 1, window))
-                if kind is HintKind.PAGEOUT_ADVICE:
-                    self._pages[page].resident = False
+                self._pages[page].resident = False
             return events
 
     def audit(self) -> None:
@@ -242,10 +211,10 @@ class HeapRegion:
         ps = self.page_size
         with self._lock:
             total = 0
-            for offset, slot in self._live.items():
+            for offset, payload in self._live.items():
                 locator = self.base + offset
-                end = locator + slot.length
-                total += slot.length
+                end = locator + len(payload)
+                total += len(payload)
                 for page in range(locator // ps, (end - 1) // ps + 1):
                     overlap = min(end, (page + 1) * ps) \
                         - max(locator, page * ps)
@@ -267,14 +236,13 @@ class RegionManager:
     """The three temperature regions packed back to back in locator space."""
 
     def __init__(self, region_length: int = DEFAULT_REGION_LENGTH,
-                 size_classes=DEFAULT_SIZE_CLASSES,
                  page_size: int = DEFAULT_PAGE_SIZE):
         if 3 * region_length - 1 > LOCATOR_MASK:
             raise RegionError("regions overflow the 48-bit managed space")
         self.page_size = page_size
         self.regions = {
             heap: HeapRegion(heap, i * region_length, region_length,
-                             size_classes, page_size)
+                             page_size)
             for i, heap in enumerate((HeapId.NEW, HeapId.HOT, HeapId.COLD))
         }
         self._region_length = region_length
@@ -305,12 +273,9 @@ class RegionManager:
             raise RegionError(f"locator {locator:#x} outside every region")
         return self._order[index]
 
-    def page_stats(self, heap: HeapId) -> dict:
-        return self.regions[heap].page_stats()
-
-    def emit_hints(self, heap: HeapId, kind: HintKind, eligible=None,
+    def emit_hints(self, heap: HeapId, kind: HintKind,
                    window: int = 0) -> list[HintEvent]:
-        return self.regions[heap].emit_hints(kind, eligible, window)
+        return self.regions[heap].emit_hints(kind, window)
 
     def live_slot_count(self) -> int:
         return sum(r.live_slot_count for r in self._order)

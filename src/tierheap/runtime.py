@@ -14,10 +14,11 @@ from .collector import Collector, ControllerState
 from .guideword import (ATC_FIELD, HEAP_FIELD, LOCATOR_MASK, GuideCell,
                         tombstone_from, word_heap)
 from .metrics import AccessLog
-from .regions import (DEFAULT_PAGE_SIZE, DEFAULT_REGION_LENGTH,
-                      DEFAULT_SIZE_CLASSES, RegionManager)
+from .regions import DEFAULT_PAGE_SIZE, DEFAULT_REGION_LENGTH, RegionManager
 from .scope import EpochState, ScopeManager, ThreadActivityIndex
 from .soda import SodaBitmap
+
+LOCK_STRIPES = 256
 
 
 class GuideRegistry:
@@ -26,7 +27,7 @@ class GuideRegistry:
     `words[i]` is guide i's word, stored unboxed in one `array("Q")`, and
     `cell(i)` is the GuideCell view through which mutators load and CAS it.
     Every store to an existing word happens under the guide's stripe lock,
-    `stripes[i & (len(stripes) - 1)]`, the lock the cell's CAS emulation
+    `stripes[i % LOCK_STRIPES]`, the lock the cell's CAS emulation
     takes, so the collector can age a whole stripe under one acquisition.
     Deleted guides are tombstoned (heap=RESERVED, ATC preserved) and parked
     in a graveyard until their ATC drains to zero, so scopes that recorded
@@ -35,16 +36,13 @@ class GuideRegistry:
     live exactly when its heap bits are not RESERVED.
     """
 
-    def __init__(self, soda: SodaBitmap, lock_stripes: int = 256):
-        if lock_stripes & (lock_stripes - 1):
-            raise ValueError("lock_stripes must be a power of two")
+    def __init__(self, soda: SodaBitmap):
         self.soda = soda
         self.words = array("Q")
         self._cells: list[GuideCell] = []
         self._free: list[int] = []
         self._graveyard: list[int] = []
-        self.stripes = [threading.Lock() for _ in range(lock_stripes)]
-        self._stripe_mask = lock_stripes - 1
+        self.stripes = [threading.Lock() for _ in range(LOCK_STRIPES)]
         self._lock = threading.Lock()
 
     def create(self, word: int) -> int:
@@ -53,14 +51,13 @@ class GuideRegistry:
         with self._lock:
             if self._free:
                 index = self._free.pop()
-                with self.stripes[index & self._stripe_mask]:
+                with self.stripes[index % LOCK_STRIPES]:
                     self.words[index] = word
             else:
                 index = len(self.words)
                 self.words.append(word)
                 self._cells.append(GuideCell(
-                    index, lock=self.stripes[index & self._stripe_mask],
-                    arena=self.words))
+                    index, self.words, self.stripes[index % LOCK_STRIPES]))
         self.soda.set_bit(index)
         return index
 
@@ -106,21 +103,17 @@ class GuideRegistry:
 class TierRuntime:
     def __init__(self, *, page_size: int = DEFAULT_PAGE_SIZE,
                  region_length: int = DEFAULT_REGION_LENGTH,
-                 size_classes=DEFAULT_SIZE_CLASSES,
                  scan_interval_s: float = 120.0,
                  pr_target: float = 0.01,
                  ct_init: int = 3,
                  hinted: bool = False,
-                 track_access_log: bool = True,
-                 sample_scope_sizes: bool = False,
-                 tai_slots: int = 256):
-        self.regions = RegionManager(region_length, size_classes, page_size)
+                 track_access_log: bool = True):
+        self.regions = RegionManager(region_length, page_size)
         self.soda = SodaBitmap()
         self.registry = GuideRegistry(self.soda)
         self.epoch_state = EpochState()
-        self.tai = ThreadActivityIndex(tai_slots)
-        self.scope = ScopeManager(self.registry, self.tai, self.epoch_state,
-                                  sample_scope_sizes=sample_scope_sizes)
+        self.tai = ThreadActivityIndex()
+        self.scope = ScopeManager(self.registry, self.tai, self.epoch_state)
         self.access_log = AccessLog(page_size) if track_access_log else None
         controller = ControllerState(cold_threshold=ct_init,
                                      pr_target=pr_target,

@@ -5,8 +5,7 @@ registers the thread in the Thread Activity Index (TAI) under the global
 epoch and samples whether ATC tracking is on.  While it is, guide uses are
 collected in a base+delta set and increment the guide's active-thread count
 exactly once per scope; the matching decrements happen when the outermost
-scope exits.  With tracking off (and scope-size sampling off) a scope keeps
-no used-guide set at all.
+scope exits.  With tracking off a scope keeps no used-guide set at all.
 """
 from __future__ import annotations
 
@@ -157,19 +156,13 @@ class ThreadActivityIndex:
                 return False
         return True
 
-    def snapshot(self) -> list[tuple[int, int]]:
-        return [tuple(slot) for slot in self._slots]
-
 
 class _ThreadScope:
-    __slots__ = ("depth", "epoch_at_entry", "tracking", "used",
-                 "atc_recorded", "tai_slot", "entered_at")
+    __slots__ = ("depth", "used", "atc_recorded", "tai_slot", "entered_at")
 
     def __init__(self, tai_slot: int):
         self.depth = 0
-        self.epoch_at_entry = 0
-        self.tracking = False
-        # Both stay None unless the scope tracks ATC or sizes are sampled.
+        # Both stay None unless the scope tracks ATC.
         self.used: BaseDeltaSet | None = None
         self.atc_recorded: list[int] | None = None
         self.tai_slot = tai_slot
@@ -178,16 +171,12 @@ class _ThreadScope:
 
 class ScopeManager:
     def __init__(self, registry, tai: ThreadActivityIndex,
-                 epoch_state: EpochState, sample_scope_sizes: bool = False):
+                 epoch_state: EpochState):
         self._registry = registry
         self.tai = tai
         self.epoch_state = epoch_state
         self._tls = threading.local()
-        self.outermost_entries = 0
-        self.outermost_exits = 0
         self.max_scope_seconds = 0.0
-        self._sample_sizes = sample_scope_sizes
-        self.scope_size_samples: list[int] = []
 
     def _scope(self) -> _ThreadScope:
         scope = getattr(self._tls, "scope", None)
@@ -215,22 +204,19 @@ class ScopeManager:
                     break
                 tai.exit(slot)
                 epoch = current
-            scope.epoch_at_entry = epoch
-            scope.tracking = tracking
-            if tracking or self._sample_sizes:
+            if tracking:
                 scope.used = BaseDeltaSet()
                 scope.atc_recorded = []
             else:
                 scope.used = None
             scope.entered_at = time.monotonic()
-            self.outermost_entries += 1
 
     def record_guide_use(self, cell_index: int) -> None:
         scope = getattr(self._tls, "scope", None)
         if scope is None or scope.depth == 0:
             raise ScopeError("guide use outside any scope")
         used = scope.used
-        if used is not None and used.add(cell_index) and scope.tracking:
+        if used is not None and used.add(cell_index):
             if self._registry.cell(cell_index).atc_increment():
                 scope.atc_recorded.append(cell_index)
             # Saturated ATC: the object stays migration-ineligible this
@@ -249,12 +235,9 @@ class ScopeManager:
                     cell(index).atc_decrement()
             scope.atc_recorded = None
             self.tai.exit(scope.tai_slot)
-            self.outermost_exits += 1
             duration = time.monotonic() - scope.entered_at
             if duration > self.max_scope_seconds:
                 self.max_scope_seconds = duration
-            if self._sample_sizes and len(self.scope_size_samples) < 65536:
-                self.scope_size_samples.append(len(scope.used))
 
     @property
     def depth(self) -> int:

@@ -18,6 +18,8 @@ from .guideword import (ACCESSED_BIT, ATC_FIELD, HEAP_FIELD, LOCATOR_MASK,
 from .regions import RegionError
 from .runtime import TierRuntime
 
+MAP_STRIPES = 64
+
 
 @dataclass
 class KvEntry:
@@ -31,7 +33,6 @@ class _GuideOps:
 
     def __init__(self, runtime: TierRuntime):
         self.runtime = runtime
-        self.op_count = 0
 
     def _make_entry(self, key: bytes, value: bytes) -> KvEntry:
         rt = self.runtime
@@ -96,20 +97,16 @@ class _GuideOps:
 class StripedGuideMap(_GuideOps):
     """Hash map with per-stripe locks; guide CAS arbitrates with migration."""
 
-    def __init__(self, runtime: TierRuntime, stripes: int = 64):
+    def __init__(self, runtime: TierRuntime):
         super().__init__(runtime)
-        if stripes & (stripes - 1):
-            raise ValueError("stripes must be a power of two")
-        self._mask = stripes - 1
         self._stripes: list[dict[bytes, KvEntry]] = \
-            [{} for _ in range(stripes)]
-        self._locks = [threading.Lock() for _ in range(stripes)]
+            [{} for _ in range(MAP_STRIPES)]
+        self._locks = [threading.Lock() for _ in range(MAP_STRIPES)]
 
     def _stripe(self, key: bytes) -> int:
-        return zlib.crc32(key) & self._mask
+        return zlib.crc32(key) % MAP_STRIPES
 
     def set(self, key: bytes, value: bytes) -> None:
-        self.op_count += 1
         i = self._stripe(key)
         scope = self.runtime.scope
         scope.enter_scope()
@@ -128,7 +125,6 @@ class StripedGuideMap(_GuideOps):
             scope.exit_scope()
 
     def get(self, key: bytes) -> bytes | None:
-        self.op_count += 1
         i = self._stripe(key)
         scope = self.runtime.scope
         scope.enter_scope()
@@ -143,7 +139,6 @@ class StripedGuideMap(_GuideOps):
             scope.exit_scope()
 
     def delete(self, key: bytes) -> bool:
-        self.op_count += 1
         i = self._stripe(key)
         scope = self.runtime.scope
         scope.enter_scope()
@@ -257,7 +252,6 @@ class GuideSkipList(_GuideOps):
         return node
 
     def set(self, key: bytes, value: bytes) -> None:
-        self.op_count += 1
         scope = self.runtime.scope
         scope.enter_scope()
         try:
@@ -318,7 +312,6 @@ class GuideSkipList(_GuideOps):
         return data
 
     def get(self, key: bytes) -> bytes | None:
-        self.op_count += 1
         scope = self.runtime.scope
         scope.enter_scope()
         try:
@@ -334,7 +327,6 @@ class GuideSkipList(_GuideOps):
             scope.exit_scope()
 
     def delete(self, key: bytes) -> bool:
-        self.op_count += 1
         scope = self.runtime.scope
         scope.enter_scope()
         try:

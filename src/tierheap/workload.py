@@ -259,16 +259,3 @@ def synthesize_phase_shift_trace(keys: int, key_size: int, *,
             records.append(TraceRecord(ts, "get", key, value_size))
     return records
 
-
-def reuse_distances(key_sequence) -> list[int]:
-    """Per-access reuse distance (unique keys since last touch; -1 first)."""
-    last_seen: dict = {}
-    distances = []
-    for i, key in enumerate(key_sequence):
-        if key in last_seen:
-            window = key_sequence[last_seen[key] + 1:i]
-            distances.append(len(set(window)))
-        else:
-            distances.append(-1)
-        last_seen[key] = i
-    return distances

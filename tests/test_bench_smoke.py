@@ -1,0 +1,26 @@
+"""The benchmark's entry point still runs against this checkout.
+
+`tierbench/` calls into the runtime by name (the region calls its tracer
+wraps, the registry's cells and SODA bitmap, the runtime's options), so a
+one-second run of each mode keeps that surface from breaking unnoticed.
+"""
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("trace", ["0", "1"])
+def test_benchmark_runs_and_is_correct(trace):
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tierbench" / "run.py"),
+         "--workload", "zipf-update-skiplist", "--seconds", "1",
+         "--trace", trace],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    last = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert last["correct"] is True

@@ -1,6 +1,7 @@
 """Guide-word packing, atomic transitions, and protocol edge cases."""
 import random
 import threading
+from array import array
 
 import pytest
 
@@ -9,6 +10,10 @@ from tierheap.guideword import (ACCESSED_BIT, ATC_MAX, ATC_ONE, CIW_MAX,
                                 GuideCell, GuideProtocolError, GuideWord,
                                 HeapId, pack, pack_fields, tombstone_from,
                                 unpack, word_atc, word_heap)
+
+
+def one_word_cell(word: int) -> GuideCell:
+    return GuideCell(0, array("Q", [word]))
 
 
 class TestPackUnpack:
@@ -70,25 +75,25 @@ class TestPackUnpack:
 
 class TestDereference:
     def test_sets_accessed_and_returns_locator(self):
-        cell = GuideCell(0, pack(0x42, heap=HeapId.HOT))
+        cell = one_word_cell(pack(0x42, heap=HeapId.HOT))
         assert cell.dereference() == 0x42
         assert cell.word & ACCESSED_BIT
 
     def test_fast_path_is_a_plain_load(self):
         word = pack(0x42, accessed=True)
-        cell = GuideCell(0, word)
+        cell = one_word_cell(word)
         assert cell.dereference() == 0x42
         assert cell.word == word
 
     def test_clears_migration_lock(self):
-        cell = GuideCell(0, pack(0x42, migration_lock=True))
+        cell = one_word_cell(pack(0x42, migration_lock=True))
         cell.dereference()
         assert not cell.word & LOCK_BIT
         assert cell.word & ACCESSED_BIT
 
     def test_locator_bits_never_change(self):
         rng = random.Random(2)
-        cell = GuideCell(0, pack(0xABCDE, heap=HeapId.NEW))
+        cell = one_word_cell(pack(0xABCDE, heap=HeapId.NEW))
         held = 0
         for _ in range(2_000):
             op = rng.randrange(3)
@@ -103,7 +108,7 @@ class TestDereference:
             assert cell.word & LOCATOR_MASK == 0xABCDE
 
     def test_concurrent_dereference_stress(self):
-        cell = GuideCell(0, pack(0x77777, heap=HeapId.COLD))
+        cell = one_word_cell(pack(0x77777, heap=HeapId.COLD))
         n_threads, per_thread = 8, 12_500
         results = []
 
@@ -125,24 +130,24 @@ class TestDereference:
 
 class TestAtcProtocol:
     def test_increment_decrement(self):
-        cell = GuideCell(0, pack(1))
+        cell = one_word_cell(pack(1))
         assert cell.atc_increment()
         assert word_atc(cell.word) == 1
         cell.atc_decrement()
         assert word_atc(cell.word) == 0
 
     def test_increment_clears_lock(self):
-        cell = GuideCell(0, pack(1, migration_lock=True))
+        cell = one_word_cell(pack(1, migration_lock=True))
         assert cell.atc_increment()
         assert not cell.word & LOCK_BIT
 
     def test_saturation_returns_false(self):
-        cell = GuideCell(0, pack(1, atc=ATC_MAX))
+        cell = one_word_cell(pack(1, atc=ATC_MAX))
         assert not cell.atc_increment()
         assert word_atc(cell.word) == ATC_MAX
 
     def test_decrement_below_zero_raises(self):
-        cell = GuideCell(0, pack(1))
+        cell = one_word_cell(pack(1))
         with pytest.raises(GuideProtocolError):
             cell.atc_decrement()
 
@@ -150,25 +155,25 @@ class TestAtcProtocol:
 class TestMigrationCas:
     def test_lock_from_quiescent_word(self):
         word = pack(0x100, heap=HeapId.NEW)
-        cell = GuideCell(0, word)
+        cell = one_word_cell(word)
         locked = cell.try_lock_for_migration(word)
         assert locked == word | LOCK_BIT
         assert cell.word == locked
 
     def test_lock_on_busy_word_raises(self):
-        cell = GuideCell(0, pack(0x100, atc=1))
+        cell = one_word_cell(pack(0x100, atc=1))
         with pytest.raises(GuideProtocolError):
             cell.try_lock_for_migration(cell.word)
 
     def test_lock_fails_when_word_changed(self):
         word = pack(0x100)
-        cell = GuideCell(0, word)
+        cell = one_word_cell(word)
         cell.dereference()  # word changed since the scan
         assert cell.try_lock_for_migration(word) is None
 
     def test_commit_after_clean_lock(self):
         word = pack(0x100, heap=HeapId.NEW)
-        cell = GuideCell(0, word)
+        cell = one_word_cell(word)
         locked = cell.try_lock_for_migration(word)
         new_word = pack(0x200, heap=HeapId.HOT)
         assert cell.commit_migration(locked, new_word)
@@ -176,7 +181,7 @@ class TestMigrationCas:
 
     def test_intervening_dereference_aborts_commit(self):
         word = pack(0x100, heap=HeapId.NEW)
-        cell = GuideCell(0, word)
+        cell = one_word_cell(word)
         locked = cell.try_lock_for_migration(word)
         assert cell.dereference() == 0x100  # clears the lock
         assert not cell.commit_migration(locked, pack(0x200, heap=HeapId.HOT))

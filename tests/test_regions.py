@@ -15,13 +15,17 @@ class TestAllocation:
     def test_size_class_rounding(self):
         region = small_region()
         loc = region.allocate(30)
-        assert region.slot(loc).size_class == 32
-        assert region.slot(loc).length == 30
+        assert region.allocate(30) == loc + 32  # bump past a 32 B class
+        assert region.read(loc) == bytes(30)  # unwritten: zeros, own length
+        region.free(loc)
+        assert region.allocate(17) == loc  # freed into the 32 B class
 
     def test_exact_class_boundary(self):
         region = small_region()
-        assert region.slot(region.allocate(1024)).size_class == 1024
-        assert region.slot(region.allocate(1025)).size_class == 2048
+        a = region.allocate(1024)
+        b = region.allocate(1025)
+        assert b == a + 1024
+        assert region.allocate(16) == b + 2048
 
     def test_oversized_payload_rejected(self):
         region = small_region(pages=64)
@@ -90,9 +94,8 @@ class TestDataAndAccounting:
         region = small_region()
         # 16 KiB slot spans 4 pages exactly
         loc = region.allocate(16 << 10)
-        stats = region.page_stats()
         assert region.resident_bytes() == 4 * DEFAULT_PAGE_SIZE
-        assert stats["live_bytes"] == 16 << 10
+        assert region.live_bytes == 16 << 10
         region.free(loc)
         region.audit()  # audit clears residency of emptied pages
         assert region.resident_bytes() == 0
@@ -121,9 +124,7 @@ class TestHints:
         region = small_region(HeapId.COLD, pages=16)
         locs = [region.allocate(4096) for _ in range(5)]
         region.free(locs[2])  # hole at page 2
-        events = region.emit_hints(
-            HintKind.PAGEOUT_ADVICE,
-            eligible=lambda page, rec: rec.live_slots > 0, window=1)
+        events = region.emit_hints(HintKind.PAGEOUT_ADVICE, window=1)
         spans = [(e.start_page, e.end_page) for e in events]
         assert spans == [(0, 2), (3, 5)]
         assert region.resident_bytes() == DEFAULT_PAGE_SIZE  # only the hole

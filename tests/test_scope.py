@@ -115,16 +115,16 @@ def make_scope_env(tracking=False, epoch=0):
 
 
 class TestScopeManager:
-    def test_nesting_single_outermost(self):
+    def test_nesting_single_outermost(self, tai_calls):
         registry, scope, _ = make_scope_env()
+        calls = tai_calls(scope.tai)
         scope.enter_scope()
         scope.enter_scope()
         scope.exit_scope()
         assert scope.in_scope()
         scope.exit_scope()
         assert not scope.in_scope()
-        assert scope.outermost_entries == 1
-        assert scope.outermost_exits == 1
+        assert calls == {"enter": 1, "exit": 1}
 
     def test_unbalanced_exit_raises(self):
         _, scope, _ = make_scope_env()
@@ -253,18 +253,6 @@ class TestScopeManager:
         assert not scope.tai.converged(5)  # still registered under epoch 4
         scope.exit_scope()
         assert scope.tai.converged(5)
-
-    def test_scope_size_sampling(self):
-        soda = SodaBitmap()
-        registry = GuideRegistry(soda)
-        scope = ScopeManager(registry, ThreadActivityIndex(16), EpochState(),
-                             sample_scope_sizes=True)
-        guides = [registry.create(pack(i)) for i in range(4)]
-        scope.enter_scope()
-        for g in guides:
-            scope.record_guide_use(g)
-        scope.exit_scope()
-        assert scope.scope_size_samples == [4]
 
     def test_threads_are_independent(self):
         registry, scope, _ = make_scope_env(tracking=True)

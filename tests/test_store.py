@@ -71,15 +71,13 @@ class TestGuideDiscipline:
         assert any(runtime.registry.cell(i).word & ACCESSED_BIT
                    for i in live)
 
-    def test_every_op_is_one_outermost_scope(self, store):
-        scope = store.runtime.scope
+    def test_every_op_is_one_outermost_scope(self, store, tai_calls):
+        calls = tai_calls(store.runtime.tai)
         store.set(b"a", b"1")
         store.get(b"a")
         store.delete(b"a")
         store.get(b"missing")
-        assert scope.outermost_entries == 4
-        assert scope.outermost_exits == 4
-        assert store.op_count == 4
+        assert calls == {"enter": 4, "exit": 4}
 
     def test_delete_retires_guides_and_frees_slots(self, store):
         runtime = store.runtime
@@ -105,20 +103,27 @@ class TestGuideDiscipline:
         for i in range(40):
             assert store.get(b"key-%03d" % i) == b"payload-%03d" % i
 
-    def test_unique_guides_per_op_band(self):
-        # A point KV op should touch a handful of guides (key + value).
-        runtime = TierRuntime(region_length=1 << 24,
-                              sample_scope_sizes=True)
+    def test_unique_guides_per_op_band(self, monkeypatch):
+        # A point get touches exactly its key and value guides.
+        runtime = make_runtime()
         store = StripedGuideMap(runtime)
         for i in range(50):
             store.set(b"k%02d" % i, b"v")
-        runtime.scope.scope_size_samples.clear()
+        scope = runtime.scope
+        record = scope.record_guide_use
+        used: list[int] = []
+
+        def counted(index):
+            used.append(index)
+            record(index)
+
+        monkeypatch.setattr(scope, "record_guide_use", counted)
+        unique_per_op = []
         for i in range(50):
+            used.clear()
             store.get(b"k%02d" % i)
-        samples = sorted(runtime.scope.scope_size_samples)
-        median = samples[len(samples) // 2]
-        assert median <= 32
-        assert median >= 1
+            unique_per_op.append(len(set(used)))
+        assert unique_per_op == [2] * 50
 
 
 class TestConcurrency:
@@ -225,15 +230,16 @@ class TestSkipListSpecifics:
 
 class TestBaseline:
     @pytest.mark.parametrize("structure", ["hashmap", "skiplist"])
-    def test_baseline_bypasses_guides(self, structure):
+    def test_baseline_bypasses_guides(self, structure, tai_calls):
         runtime = make_runtime()
+        calls = tai_calls(runtime.tai)
         store = make_store(runtime, structure, baseline=True)
         assert isinstance(store, PlainStore)
         store.set(b"k", b"v")
         assert store.get(b"k") == b"v"
         assert store.delete(b"k") is True
         assert runtime.registry.live_count == 0
-        assert runtime.scope.outermost_entries == 0
+        assert calls == {"enter": 0, "exit": 0}
 
 
 def checksummed(i: int) -> bytes:

@@ -12,7 +12,6 @@ from tierheap.store import StripedGuideMap
 from tierheap.workload import (OpStream, TraceParseError, TraceRecord,
                                WorkloadSpec, ZipfianGenerator, make_key,
                                make_value, read_trace, replay_trace,
-                               reuse_distances,
                                synthesize_phase_shift_trace, write_trace)
 
 
@@ -199,7 +198,3 @@ class TestReplay:
         late = {r.key for r in records if r.ts_ms >= 2000}
         assert early.isdisjoint(late)
 
-
-def test_reuse_distances():
-    assert reuse_distances(list("abcab")) == [-1, -1, -1, 2, 2]
-    assert reuse_distances(list("aa")) == [-1, 0]
