@@ -9,7 +9,6 @@ advice can be modeled without touching the OS.
 """
 from __future__ import annotations
 
-import bisect
 import heapq
 import threading
 from dataclasses import dataclass
@@ -34,12 +33,11 @@ class DoubleFreeError(RegionError):
     pass
 
 
-def _size_class_for(length: int) -> int:
-    i = bisect.bisect_left(SIZE_CLASSES, length)
-    if i == len(SIZE_CLASSES):
-        raise RegionError(f"payload of {length} B exceeds the largest "
-                          f"size class ({SIZE_CLASSES[-1]} B)")
-    return SIZE_CLASSES[i]
+# The size class of a length, looked up at (length - 1) >> 4: every class is
+# a power of two of at least 16 B, so lengths that round up to the same
+# multiple of 16 share a class.
+_CLASS_OF = [next(c for c in SIZE_CLASSES if c >= (i + 1) << 4)
+             for i in range(SIZE_CLASSES[-1] >> 4)]
 
 
 class HintKind(str, Enum):
@@ -120,6 +118,37 @@ class HeapRegion:
                 rec.resident = True
         self.live_bytes += sign * length
 
+    def _install(self, payload: bytes) -> int | None:
+        """Put `payload` itself in the lowest free slot of its class, or at
+        the bump pointer, and account for it.  Returns the slot's locator,
+        or None when the class has no room.  The caller holds the lock."""
+        length = len(payload)
+        size_class = _CLASS_OF[(length - 1) >> 4]
+        free = self._free[size_class]
+        if free:
+            offset = heapq.heappop(free)
+        else:
+            offset = self._bump
+            if offset + size_class > self.length:
+                return None
+            self._bump = offset + size_class
+        self._live[offset] = payload
+        locator = self.base + offset
+        self._account(locator, length, +1)
+        return locator
+
+    def _release(self, locator: int) -> None:
+        """Free a live slot into its class's free list; caller holds the
+        lock."""
+        offset = locator - self.base
+        payload = self._live.pop(offset, None)
+        if payload is None:
+            raise DoubleFreeError(
+                f"free of non-live locator {locator:#x} in {self.heap.name}")
+        length = len(payload)
+        self._account(locator, length, -1)
+        heapq.heappush(self._free[_CLASS_OF[(length - 1) >> 4]], offset)
+
     def allocate(self, length: int) -> int:
         """Return the absolute locator of a slot holding `length` bytes.
 
@@ -127,33 +156,36 @@ class HeapRegion:
         """
         if length <= 0:
             raise RegionError("allocation length must be positive")
-        size_class = _size_class_for(length)
+        if length > SIZE_CLASSES[-1]:
+            raise RegionError(f"payload of {length} B exceeds the largest "
+                              f"size class ({SIZE_CLASSES[-1]} B)")
+        placeholder = bytes(length)
         with self._lock:
-            free = self._free[size_class]
-            if free:
-                offset = heapq.heappop(free)
-            else:
-                offset = self._bump
-                if offset + size_class > self.length:
-                    raise RegionExhausted(
-                        f"{self.heap.name} region exhausted")
-                self._bump = offset + size_class
-            self._live[offset] = bytes(length)
-            locator = self.base + offset
-            self._account(locator, length, +1)
-            return locator
+            locator = self._install(placeholder)
+        if locator is None:
+            raise RegionExhausted(f"{self.heap.name} region exhausted")
+        return locator
+
+    def allocate_batch(self, payloads: list[bytes]) -> list[int | None]:
+        """Install each live payload object in a fresh slot, all under one
+        lock acquisition.
+
+        Returns each slot's locator in order, or None for a payload whose
+        size class has no room; a later payload of a smaller class may
+        still get a slot.
+        """
+        with self._lock:
+            return [self._install(payload) for payload in payloads]
 
     def free(self, locator: int) -> None:
-        offset = locator - self.base
         with self._lock:
-            payload = self._live.pop(offset, None)
-            if payload is None:
-                raise DoubleFreeError(
-                    f"free of non-live locator {locator:#x} in "
-                    f"{self.heap.name}")
-            length = len(payload)
-            self._account(locator, length, -1)
-            heapq.heappush(self._free[_size_class_for(length)], offset)
+            self._release(locator)
+
+    def free_batch(self, locators: list[int]) -> None:
+        """Free many live slots under one lock acquisition."""
+        with self._lock:
+            for locator in locators:
+                self._release(locator)
 
     def write(self, locator: int, data: bytes) -> None:
         """Fill a slot; only its allocator writes it, before publishing it."""

@@ -1,5 +1,9 @@
 """Benchmark driver: flags, report artifacts, determinism, exit codes."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -125,6 +129,19 @@ class TestExitCodes:
         assert code == 0
         summary = json.loads(capsys.readouterr().out)
         assert set(summary) == set(SUMMARY_FIELDS)
+
+    def test_package_runs_as_a_module_with_empty_stderr(self):
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ,
+               "PYTHONPATH": src + (os.pathsep + path if path else "")}
+        proc = subprocess.run(
+            [sys.executable, "-m", "tierheap", "--keys", "200", "--ops",
+             "400", "--windows", "1"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        assert set(json.loads(proc.stdout)) == set(SUMMARY_FIELDS)
 
     def test_invalid_mix_is_usage_error(self, capsys):
         code = main(["--read-pct", "50"])  # percentages sum to 50

@@ -1,14 +1,16 @@
 """Collector: scans, classification, AIAD controller, epochs, migration."""
+import random
 import threading
 
 import pytest
 
-from tierheap.collector import (CT_MAX, CT_MIN, CollectorError,
-                                ControllerState, compute_promotion_rate,
-                                next_cold_threshold)
-from tierheap.guideword import (ACCESSED_BIT, HeapId, pack, unpack,
+from tierheap.collector import (CT_MAX, CT_MIN, MIGRATE_CHUNK,
+                                CollectorError, ControllerState,
+                                compute_promotion_rate, next_cold_threshold)
+from tierheap.guideword import (ACCESSED_BIT, ATC_FIELD, HEAP_FIELD,
+                                LOCATOR_MASK, LOCK_BIT, HeapId, pack, unpack,
                                 word_heap)
-from tierheap.regions import HintKind
+from tierheap.regions import HintKind, RegionError, RegionExhausted
 from tierheap.runtime import TierRuntime
 from tierheap.scope import Phase
 
@@ -188,6 +190,180 @@ class TestMigrate:
         assert word_heap(runtime.registry.cell(index).word) is HeapId.NEW
 
 
+def scalar_migrate(runtime, cell_index: int, target: HeapId) -> str:
+    """The per-object migration the chunked batch path replaced."""
+    regions = runtime.regions
+    cell = runtime.registry.cell(cell_index)
+    word = cell.load()
+    if word & (LOCK_BIT | ATC_FIELD) or (word & HEAP_FIELD) == HEAP_FIELD:
+        return "skipped"
+    locked = cell.try_lock_for_migration(word)
+    if locked is None:
+        return "skipped"
+    old_locator = word & LOCATOR_MASK
+    try:
+        payload = regions.read(old_locator)
+    except RegionError:
+        cell.compare_and_swap(locked, word)
+        return "aborted"
+    try:
+        new_locator = regions.allocate(target, len(payload))
+    except RegionExhausted:
+        cell.compare_and_swap(locked, word)
+        return "skipped"
+    regions.write(new_locator, payload)
+    new_word = pack(new_locator, heap=target)
+    if cell.commit_migration(locked, new_word):
+        regions.free(old_locator)
+        return "moved"
+    regions.free(new_locator)
+    return "aborted"
+
+
+def heap_state(runtime):
+    """Everything migration may change: words, slots, pages, free lists."""
+    regions = []
+    for heap in (HeapId.NEW, HeapId.HOT, HeapId.COLD):
+        region = runtime.regions.region(heap)
+        regions.append((
+            dict(region._live),
+            {page: (rec.live_bytes, rec.live_slots, rec.resident)
+             for page, rec in region._pages.items()},
+            {c: sorted(free) for c, free in region._free.items()},
+            region._bump, region.live_bytes))
+    return list(runtime.registry.words), regions
+
+
+def seeded_heap(seed, guides, sizes, page_size=4096,
+                region_length=1 << 22):
+    """A runtime with `guides` objects of random sizes in random heaps.
+
+    Half the words carry the accessed bit, some carry the lock bit or an
+    ATC, some are tombstoned and freed,
+    and some keep a live word whose slot was freed behind its back, so a
+    migration of it aborts at the read.  Returns the runtime and seeded
+    promotion (heap not HOT) and demotion (heap not COLD) lists, disjoint
+    and in ascending guide order.
+    """
+    rng = random.Random(seed)
+    runtime = TierRuntime(page_size=page_size, region_length=region_length,
+                          scan_interval_s=120.0)
+    registry = runtime.registry
+    for _ in range(guides):
+        heap = rng.choice((HeapId.NEW, HeapId.HOT, HeapId.COLD))
+        add_object(runtime, payload=bytes([rng.randrange(256)])
+                   * rng.choice(sizes), heap=heap,
+                   accessed=rng.random() < 0.5)
+    for index in range(guides):
+        roll = rng.random()
+        if roll < 0.05:
+            registry.words[index] |= LOCK_BIT
+        elif roll < 0.10:
+            registry.cell(index).atc_increment()
+        elif roll < 0.15:
+            runtime.regions.free(registry.tombstone(index) & LOCATOR_MASK)
+            registry.retire(index)
+        elif roll < 0.17:
+            runtime.regions.free(registry.words[index] & LOCATOR_MASK)
+    promotions, demotions = [], []
+    for index in range(guides):
+        heap = word_heap(registry.words[index])
+        if heap != HeapId.HOT and rng.random() < 0.5:
+            promotions.append(index)
+        elif heap != HeapId.COLD and rng.random() < 0.7:
+            demotions.append(index)
+    return runtime, promotions, demotions
+
+
+def migrate_both_ways(seed, guides, sizes, **kwargs):
+    """Run the same lists through the batch path and the scalar reference;
+    assert the heaps end equal and return the batch path's counts."""
+    batch, promotions, demotions = seeded_heap(seed, guides, sizes, **kwargs)
+    reference, _, _ = seeded_heap(seed, guides, sizes, **kwargs)
+    assert heap_state(batch) == heap_state(reference)
+    counts = []
+    for runtime in (batch, reference):
+        runtime.collector.begin_epoch()
+        assert runtime.collector.await_convergence()
+    for indices, target in ((promotions, HeapId.HOT),
+                            (demotions, HeapId.COLD)):
+        got = batch.collector.migrate_batch(indices, target)
+        outcomes = [scalar_migrate(reference, i, target) for i in indices]
+        moved = [i for i, o in zip(indices, outcomes) if o == "moved"]
+        assert (got.moved, got.aborted, got.skipped) == (
+            len(moved), outcomes.count("aborted"), outcomes.count("skipped"))
+        assert got.bytes_moved == sum(
+            len(reference.regions.read(reference.registry.words[i]
+                                       & LOCATOR_MASK)) for i in moved)
+        counts.append(got)
+    assert heap_state(batch) == heap_state(reference)
+    return counts
+
+
+class TestBatchMatchesScalarReference:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_lists_longer_than_two_chunks(self, seed):
+        up, down = migrate_both_ways(seed, 12 * MIGRATE_CHUNK + 7,
+                                     (16, 30, 64, 100, 1000, 1024))
+        assert min(up.moved, down.moved) > 2 * MIGRATE_CHUNK
+        assert up.skipped and up.aborted + down.aborted
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_objects_spanning_two_pages(self, seed):
+        migrate_both_ways(seed, 3 * MIGRATE_CHUNK, (700, 1500, 3000),
+                          page_size=1024)
+
+    def test_freed_cold_slot_is_reused_by_a_later_demotion(self):
+        def build():
+            runtime = make_runtime()
+            cold = [add_object(runtime, payload=b"c" * 64, heap=HeapId.COLD)
+                    for _ in range(3)]
+            hot = [add_object(runtime, payload=b"h" * 64, heap=HeapId.HOT)
+                   for _ in range(3)]
+            runtime.collector.begin_epoch()
+            assert runtime.collector.await_convergence()
+            return runtime, cold, hot
+
+        batch, cold, hot = build()
+        reference, _, _ = build()
+        freed = batch.registry.words[cold[1]] & LOCATOR_MASK
+        assert batch.collector.migrate_batch(cold[1:2], HeapId.HOT).moved \
+            == 1
+        assert batch.collector.migrate_batch(hot, HeapId.COLD).moved == 3
+        assert batch.registry.words[hot[0]] & LOCATOR_MASK == freed
+        for index, target in [(cold[1], HeapId.HOT)] \
+                + [(i, HeapId.COLD) for i in hot]:
+            assert scalar_migrate(reference, index, target) == "moved"
+        assert heap_state(batch) == heap_state(reference)
+        batch.audit()
+
+    def test_hot_runs_out_mid_chunk_while_a_smaller_class_fits(self):
+        def build():
+            runtime = make_runtime(region_length=1 << 16)
+            hot = runtime.regions.region(HeapId.HOT)
+            while hot.length - hot._bump > 1024:
+                runtime.regions.allocate(HeapId.HOT, 1024)
+            runtime.regions.allocate(HeapId.HOT, 512)
+            runtime.regions.allocate(HeapId.HOT, 256)
+            runtime.regions.allocate(HeapId.HOT, 128)  # 128 B remain
+            guides = [add_object(runtime, payload=b"m" * size)
+                      for size in (1024, 64, 500, 32, 60, 16, 8)]
+            runtime.collector.begin_epoch()
+            assert runtime.collector.await_convergence()
+            return runtime, guides
+
+        batch, guides = build()
+        reference, _ = build()
+        counts = batch.collector.migrate_batch(guides, HeapId.HOT)
+        outcomes = [scalar_migrate(reference, i, HeapId.HOT)
+                    for i in guides]
+        assert outcomes == ["skipped", "moved", "skipped", "moved",
+                            "skipped", "moved", "moved"]
+        assert (counts.moved, counts.skipped) == (4, 3)
+        assert heap_state(batch) == heap_state(reference)
+        batch.audit()
+
+
 class TestScanWindow:
     def test_accessed_cold_object_promoted(self):
         runtime = make_runtime()
@@ -235,6 +411,15 @@ class TestScanWindow:
             assert runtime.registry.live_count == 50
             assert runtime.regions.live_slot_count() == 50
             runtime.audit()
+
+    def test_window_reports_bytes_moved(self):
+        runtime = make_runtime()
+        for size in (64, 100, 1024):
+            add_object(runtime, payload=b"b" * size, accessed=True)
+        report = runtime.collector.run_scan_window()
+        assert report.new_to_hot == 3
+        assert report.bytes_moved == 64 + 100 + 1024
+        assert runtime.collector.run_scan_window().bytes_moved == 0
 
     def test_window_report_counts_consistent(self):
         runtime = make_runtime()

@@ -2,14 +2,24 @@
 
 Each test replays one exact schedule by invoking the protocol's individual
 CAS steps in a fixed order from a single thread, so outcomes are checked
-with zero tolerance rather than stochastically.
+with zero tolerance rather than stochastically.  The chunked collector path
+gets the same schedules through a hook between its lock and commit passes,
+plus one time-bounded stress run against concurrent mutators.
 """
+import random
+import sys
+import threading
+import time
+
 import pytest
 
-from tierheap.guideword import (ACCESSED_BIT, LOCATOR_MASK, LOCK_BIT,
-                                HeapId, pack, tombstone_from, unpack)
+from tierheap.collector import MIGRATE_CHUNK
+from tierheap.guideword import (ACCESSED_BIT, ATC_FIELD, LOCATOR_MASK,
+                                LOCK_BIT, HeapId, pack, tombstone_from,
+                                unpack, word_heap)
 from tierheap.regions import DoubleFreeError, RegionError
 from tierheap.runtime import TierRuntime
+from tierheap.store import make_store
 
 
 PAYLOAD = b"migrating-object-payload" * 4
@@ -162,3 +172,149 @@ class TestDeleteVersusMigrate:
         fields = unpack(stone)
         assert fields.heap is HeapId.RESERVED and fields.atc == 2
         assert fields.locator == 0 and not fields.migration_lock
+
+
+def dereference(runtime, index):
+    runtime.registry.cell(index).dereference()
+
+
+def atc_increment(runtime, index):
+    assert runtime.registry.cell(index).atc_increment()
+
+
+def tombstone_and_free(runtime, index):
+    old = runtime.registry.tombstone(index)
+    runtime.regions.free(old & LOCATOR_MASK)
+    runtime.registry.retire(index)
+
+
+def swing_value(runtime, index):
+    """A set: publish a fresh NEW slot by CAS, then free the replaced one."""
+    regions, cell = runtime.regions, runtime.registry.cell(index)
+    new_loc = regions.allocate(HeapId.NEW, len(PAYLOAD))
+    regions.write(new_loc, PAYLOAD)
+    while True:
+        word = cell.load()
+        if cell.compare_and_swap(word, new_loc | ACCESSED_BIT
+                                 | (word & ATC_FIELD)):
+            regions.free(word & LOCATOR_MASK)
+            return
+
+
+class TestChunkedMigration:
+    @pytest.mark.parametrize("step", [dereference, atc_increment,
+                                      tombstone_and_free, swing_value])
+    def test_mutator_step_between_lock_and_commit_aborts_one_guide(
+            self, step):
+        runtime = TierRuntime(region_length=1 << 22)
+        guides = []
+        for _ in range(MIGRATE_CHUNK):
+            loc = runtime.regions.allocate(HeapId.NEW, len(PAYLOAD))
+            runtime.regions.write(loc, PAYLOAD)
+            guides.append(runtime.registry.create(pack(loc, heap=HeapId.NEW)))
+        victim = guides[MIGRATE_CHUNK // 2]
+        hot = runtime.regions.region(HeapId.HOT)
+        allocate_batch = hot.allocate_batch
+        copies = []
+
+        def hooked(payloads):
+            assert all(runtime.registry.words[i] & LOCK_BIT for i in guides)
+            copies.extend(allocate_batch(payloads))
+            step(runtime, victim)  # lands after the lock pass
+            return copies
+
+        hot.allocate_batch = hooked
+        collector = runtime.collector
+        collector.begin_epoch()
+        assert collector.await_convergence()
+        counts = collector.migrate_batch(guides, HeapId.HOT)
+        collector.end_epoch()
+        assert (counts.moved, counts.aborted, counts.skipped) \
+            == (MIGRATE_CHUNK - 1, 1, 0)
+        assert counts.bytes_moved == (MIGRATE_CHUNK - 1) * len(PAYLOAD)
+        with pytest.raises(RegionError):
+            hot.read(copies[MIGRATE_CHUNK // 2])  # the copy was freed
+        assert word_heap(runtime.registry.words[victim]) is not HeapId.HOT
+        for index, copy in zip(guides, copies):
+            if index != victim:
+                assert runtime.registry.words[index] \
+                    == pack(copy, heap=HeapId.HOT)
+                assert hot.read(copy) == PAYLOAD
+        assert hot.live_slot_count == MIGRATE_CHUNK - 1
+        runtime.audit()
+
+    def test_stress_against_mutators_on_disjoint_keys(self):
+        """Three mutators own disjoint thirds of a 2k-key map while a
+        collector thread runs windows; every get matches the thread's own
+        model and every candidate a window tries gets exactly one
+        outcome."""
+        runtime = TierRuntime(region_length=1 << 26, ct_init=1)
+        store = make_store(runtime, "hashmap")
+        keys = [b"key-%05d" % i for i in range(2000)]
+        for key in keys:
+            store.set(key, key * 3)
+        collector = runtime.collector
+        tried = []
+        scan = collector.scan
+
+        def counted_scan(cold_threshold):
+            result = scan(cold_threshold)
+            tried.append(len(result.promotions) + len(result.demotions))
+            return result
+
+        collector.scan = counted_scan
+        deadline = time.monotonic() + 2.0
+        errors = []
+
+        def mutator(t):
+            rng = random.Random(t)
+            own = keys[t::3]
+            model = {key: key * 3 for key in own}
+            try:
+                n = 0
+                while time.monotonic() < deadline:
+                    key = rng.choice(own)
+                    roll = rng.random()
+                    if roll < 0.6:
+                        got = store.get(key)
+                        if got != model.get(key):
+                            errors.append((key, got, model.get(key)))
+                    elif roll < 0.85:
+                        n += 1
+                        model[key] = b"%d-%d" % (t, n) * rng.randrange(1, 40)
+                        store.set(key, model[key])
+                    else:
+                        assert store.delete(key) == (model.pop(key, None)
+                                                     is not None)
+            except Exception as exc:  # noqa: BLE001 - collected for assert
+                errors.append(exc)
+
+        def collect():
+            try:
+                while time.monotonic() < deadline:
+                    collector.run_scan_window()
+            except Exception as exc:  # noqa: BLE001 - collected for assert
+                errors.append(exc)
+
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=mutator, args=(t,))
+                       for t in range(3)]
+            threads.append(threading.Thread(target=collect))
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60.0)
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        reports = collector.reports
+        assert len(reports) == len(tried) >= 2
+        for report, candidates in zip(reports, tried):
+            outcomes = report.promoted_to_hot + report.new_to_hot \
+                + report.demoted_to_cold + report.aborted_migrations \
+                + report.skipped_migrations
+            assert outcomes == (candidates if report.converged else 0)
+        runtime.audit()

@@ -19,7 +19,7 @@ HEAPS = (HeapId.NEW, HeapId.HOT, HeapId.COLD)
 def scalar_scan(registry, cold_threshold, page_size) -> ScanResult:
     """The per-guide scan loop the vectorized scan replaced."""
     scanned = 0
-    promotions: list[tuple[int, HeapId]] = []
+    promotions: list[int] = []
     demotions: list[int] = []
     cold_pages: set[int] = set()
     ws_pages: set[int] = set()
@@ -45,14 +45,13 @@ def scalar_scan(registry, cold_threshold, page_size) -> ScanResult:
             ws_pages.add(page)
             if heap == HeapId.COLD:
                 cold_pages.add(page)
-                promotions.append((index, heap))
+                promotions.append(index)
             elif heap == HeapId.NEW:
-                promotions.append((index, heap))
+                promotions.append(index)
         elif new_ciw >= cold_threshold and heap != HeapId.COLD:
             demotions.append(index)
-    return ScanResult(scanned, [i for i, _ in promotions],
-                      [int(h) for _, h in promotions], demotions,
-                      len(ws_pages), len(cold_pages))
+    return ScanResult(scanned, promotions, demotions, len(ws_pages),
+                      len(cold_pages))
 
 
 def random_arena(seed: int, guides: int, page_size: int) -> TierRuntime:
