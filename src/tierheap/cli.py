@@ -255,18 +255,19 @@ def _build_summary(config: RunConfig, runtime: TierRuntime,
     after_report = None
     if runtime.access_log is not None and access_windows:
         before = _utilization_for(runtime, access_windows[0]).aggregate
-        # "After" is the first window with PR below target.  A below-target
-        # PR before any demotion has happened is vacuous (nothing is COLD
-        # yet), so the pick also requires reorganization to have started;
-        # when the signal never settles below target the last window stands
-        # in for it.
+        # "After" is the first window with PR below target whose access log
+        # was recorded after some demotion.  Access window i is recorded
+        # before scan window i demotes, so only earlier windows' demotions
+        # count; a below-target PR before any demotion is vacuous (nothing
+        # is COLD yet).  When the signal never settles below target the
+        # last window stands in for it.
         pick = len(access_windows) - 1
         demoted = 0
         for i, report in enumerate(reports[:len(access_windows)]):
-            demoted += report.demoted_to_cold
             if demoted and report.pr_actual < controller.pr_target:
                 pick = i
                 break
+            demoted += report.demoted_to_cold
         after_report = _utilization_for(runtime, access_windows[pick])
         after = after_report.aggregate
 
@@ -283,8 +284,8 @@ def _build_summary(config: RunConfig, runtime: TierRuntime,
         "coldBytesFraction":
             (live[HeapId.COLD] / total_live) if total_live else 0.0,
         "residentBytesFinal": resident,
-        "prSeries": list(controller.pr_history),
-        "ctSeries": list(controller.ct_history),
+        "prSeries": [r.pr_actual for r in reports],
+        "ctSeries": [r.cold_threshold_after for r in reports],
         "migrationCounts": migration_counts,
         "derefOverheadNs": measure_deref_ns(),
         "throughputOpsPerSec": (executed / elapsed) if elapsed > 0 else 0.0,

@@ -77,8 +77,6 @@ class ControllerState:
     cold_threshold: int = 3
     pr_target: float = DEFAULT_PR_TARGET
     scan_interval_s: float = DEFAULT_SCAN_INTERVAL_S
-    pr_history: list[float] = field(default_factory=list)
-    ct_history: list[int] = field(default_factory=list)
     stable_windows: int = 0
 
     def __post_init__(self):
@@ -157,8 +155,6 @@ class Collector:
         self.window_index = 0
         self.reports: list[WindowReport] = []
         self.hint_events: list[HintEvent] = []
-        self.total_demoted = 0
-        self.total_promoted = 0
         # The words as read by the last scan; reused across windows.
         self._snapshot = np.empty(0, dtype=np.uint64)
 
@@ -380,8 +376,6 @@ class Collector:
         pr = compute_promotion_rate(scan.cold_pages, scan.working_set_pages,
                                     ctl.scan_interval_s)
         ctl.cold_threshold = next_cold_threshold(ct, pr, ctl.pr_target)
-        ctl.pr_history.append(pr)
-        ctl.ct_history.append(ctl.cold_threshold)
         if pr >= ctl.pr_target:
             ctl.stable_windows = 0
         elif cold_populated:
@@ -398,8 +392,6 @@ class Collector:
         new_to_hot = up.moved - promoted
         demoted = down.moved
         self.registry.reclaim_retired()
-        self.total_promoted += promoted + new_to_hot
-        self.total_demoted += demoted
 
         hints = self.maybe_emit_hints()
         self.hint_events.extend(hints)

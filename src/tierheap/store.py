@@ -1,11 +1,12 @@
 """Guide-managed concurrent key-value stores.
 
 Two structures share the same guide discipline: a striped-lock hash map and
-a lock-free-style skip list.  Every public operation runs inside a scope
-guard, every key/value access goes through a guide cell, and inserted data
-is deep-copied into region slots so the runtime owns the authoritative
-bytes.  PlainStore is the untiered baseline for overhead comparisons: a
-locked dict with no guides, scopes or regions.
+a skip list whose readers take no lock and whose writers link under one
+lock, deleting logically.  Every public operation runs inside a scope guard,
+every key/value access goes through a guide cell, and inserted data is
+deep-copied into region slots so the runtime owns the authoritative bytes.
+PlainStore is the untiered baseline for overhead comparisons: a locked dict
+with no guides, scopes or regions.
 """
 from __future__ import annotations
 
@@ -161,32 +162,13 @@ class StripedGuideMap(_GuideOps):
 _MAX_LEVEL = 16
 
 
-class _AtomicRef:
-    __slots__ = ("ref", "_lock")
-
-    def __init__(self, ref=None):
-        self.ref = ref
-        self._lock = threading.Lock()
-
-    def get(self):
-        return self.ref
-
-    def cas(self, expected, new) -> bool:
-        with self._lock:
-            if self.ref is expected:
-                self.ref = new
-                return True
-            return False
-
-
 class _Node:
-    __slots__ = ("key", "state", "nexts", "level")
+    __slots__ = ("key", "entry", "nexts")
 
     def __init__(self, key: bytes | None, level: int, entry=None):
         self.key = key
-        self.level = level
-        self.state = _AtomicRef(entry)  # live KvEntry, or None when deleted
-        self.nexts = [_AtomicRef(None) for _ in range(level)]
+        self.entry = entry  # live KvEntry, or None when deleted
+        self.nexts: list[_Node | None] = [None] * level
 
 
 def _node_level(key: bytes) -> int:
@@ -201,82 +183,73 @@ def _node_level(key: bytes) -> int:
 
 
 class GuideSkipList(_GuideOps):
-    """Ordered map with per-level CAS insertion and logical deletion.
+    """Ordered map: plain-load readers, one writer lock, logical deletion.
 
-    Deleted keys leave their node in place with a cleared state reference;
-    a later insert of the same key resurrects the node.  This avoids unlink
-    races at the cost of node memory for deleted keys, which is acceptable
-    for a benchmark store.
+    Readers (`get`, `__len__`, `keys` and every search) take no lock; they
+    follow links and read entries with plain loads.  Every write to a link
+    or an entry happens under `_lock`: an insert searches again under it
+    and links the new node at all its levels, level 0 first and each level
+    only after the node's own link there is set, so a reader that meets
+    the node at level l also finds it at every level below.  Deleted keys
+    leave their node in place with a cleared entry; a later insert of the
+    same key resurrects the node.  This avoids unlink races at the cost of
+    node memory for deleted keys, which is acceptable for a benchmark
+    store.
     """
 
     def __init__(self, runtime: TierRuntime):
         super().__init__(runtime)
         self._head = _Node(None, _MAX_LEVEL)
+        self._lock = threading.Lock()
 
     def _find(self, key: bytes):
         """Predecessors per level plus the matching node, if any."""
         preds = [self._head] * _MAX_LEVEL
         node = self._head
         for level in range(_MAX_LEVEL - 1, -1, -1):
-            nxt = node.nexts[level].get()
+            nxt = node.nexts[level]
             while nxt is not None and nxt.key < key:
                 node = nxt
-                nxt = node.nexts[level].get()
+                nxt = node.nexts[level]
             preds[level] = node
-        candidate = preds[0].nexts[0].get()
+        candidate = preds[0].nexts[0]
         if candidate is not None and candidate.key == key:
             return preds, candidate
         return preds, None
 
-    def _insert_node(self, key: bytes, entry: KvEntry) -> _Node | None:
-        """Link a fresh node; None means another thread linked the key."""
-        level = _node_level(key)
-        node = _Node(key, level, entry)
-        while True:
-            preds, found = self._find(key)
-            if found is not None:
-                return None
-            succ = preds[0].nexts[0].get()
-            node.nexts[0].ref = succ
-            if preds[0].nexts[0].cas(succ, node):
-                break
-        for lvl in range(1, level):
-            while True:
-                preds, _ = self._find(key)
-                succ = preds[lvl].nexts[lvl].get()
-                if succ is node:
-                    break
-                node.nexts[lvl].ref = succ
-                if preds[lvl].nexts[lvl].cas(succ, node):
-                    break
-        return node
+    def _install(self, key: bytes, fresh: KvEntry) -> KvEntry:
+        """Link or resurrect the key's node holding `fresh`.
+
+        Returns the entry live afterwards: `fresh`, or the entry another
+        set installed first.
+        """
+        with self._lock:
+            preds, node = self._find(key)
+            if node is None:
+                node = _Node(key, _node_level(key), fresh)
+                for level, pred in enumerate(preds[:len(node.nexts)]):
+                    node.nexts[level] = pred.nexts[level]
+                    pred.nexts[level] = node
+            elif node.entry is None:
+                node.entry = fresh
+            return node.entry
 
     def set(self, key: bytes, value: bytes) -> None:
         scope = self.runtime.scope
         scope.enter_scope()
         try:
-            while True:
-                _, node = self._find(key)
-                if node is None:
-                    entry = self._make_entry(key, value)
-                    scope.record_guide_use(entry.key_guide)
-                    scope.record_guide_use(entry.value_guide)
-                    if self._insert_node(key, entry) is not None:
-                        return
-                    self._retire_entry(entry)  # lost the link race
-                    continue
-                entry = node.state.get()
-                if entry is None:
-                    fresh = self._make_entry(key, value)
-                    scope.record_guide_use(fresh.key_guide)
-                    scope.record_guide_use(fresh.value_guide)
-                    if node.state.cas(None, fresh):
-                        return
-                    self._retire_entry(fresh)
-                    continue
-                self._touch_key(entry, len(key))
-                self._swing_value(entry, value)
-                return
+            _, node = self._find(key)
+            entry = None if node is None else node.entry
+            if entry is None:
+                fresh = self._make_entry(key, value)
+                scope.record_guide_use(fresh.key_guide)
+                scope.record_guide_use(fresh.value_guide)
+                entry = self._install(key, fresh)
+                if entry is fresh:
+                    return
+                self._retire_entry(fresh)  # another set installed first
+            self._touch_key(entry, len(key))
+            self._swing_value(entry, value)
         finally:
             scope.exit_scope()
 
@@ -316,9 +289,7 @@ class GuideSkipList(_GuideOps):
         scope.enter_scope()
         try:
             _, node = self._find(key)
-            if node is None:
-                return None
-            entry = node.state.get()
+            entry = None if node is None else node.entry
             if entry is None:
                 return None
             self._touch_key(entry, len(key))
@@ -333,33 +304,28 @@ class GuideSkipList(_GuideOps):
             _, node = self._find(key)
             if node is None:
                 return False
-            entry = node.state.get()
+            with self._lock:
+                entry = node.entry
+                node.entry = None
             if entry is None:
                 return False
-            if node.state.cas(entry, None):
-                self._retire_entry(entry)
-                return True
-            return False
+            self._retire_entry(entry)
+            return True
         finally:
             scope.exit_scope()
 
-    def __len__(self) -> int:
-        count = 0
-        node = self._head.nexts[0].get()
+    def _live_nodes(self):
+        node = self._head.nexts[0]
         while node is not None:
-            if node.state.get() is not None:
-                count += 1
-            node = node.nexts[0].get()
-        return count
+            if node.entry is not None:
+                yield node
+            node = node.nexts[0]
+
+    def __len__(self) -> int:
+        return sum(1 for _ in self._live_nodes())
 
     def keys(self) -> list[bytes]:
-        out = []
-        node = self._head.nexts[0].get()
-        while node is not None:
-            if node.state.get() is not None:
-                out.append(node.key)
-            node = node.nexts[0].get()
-        return out
+        return [node.key for node in self._live_nodes()]
 
 
 class PlainStore:

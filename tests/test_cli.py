@@ -4,12 +4,15 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from tierheap import cli
 from tierheap.cli import (SUMMARY_FIELDS, RunConfig, build_parser,
                           config_from_args, main, run_benchmark)
+from tierheap.collector import WindowReport
+from tierheap.runtime import TierRuntime
 from tierheap.workload import TraceRecord, write_trace
 
 SMALL = dict(keys=400, key_size=30, value_size=256, ops=8000, windows=4,
@@ -120,6 +123,43 @@ class TestRunBenchmark:
             keys=10, ops=0, trace=str(path), scan_interval=1.0))
         assert result.replay_counts == {"get": 2, "set": 1, "del": 0}
         assert len(result.reports) >= 2
+
+
+def window_report(index: int, pr: float, demoted: int) -> WindowReport:
+    return WindowReport(
+        window_index=index, pr_actual=pr, cold_threshold_after=3,
+        promoted_to_hot=0, demoted_to_cold=demoted, new_to_hot=0,
+        aborted_migrations=0, skipped_migrations=0, scanned_guides=0,
+        heap_bytes={}, unique_cold_pages_accessed=0, working_set_pages=0,
+        converged=True, hints_emitted=0, bytes_moved=0)
+
+
+class TestAfterPick:
+    """"After" utilization comes from the first below-target window whose
+    access log was recorded after a window of demotions."""
+
+    @pytest.mark.parametrize("first_demotion", [0, 1, 3, 5, None])
+    def test_after_follows_the_first_demotions(self, monkeypatch,
+                                               first_demotion):
+        # PR is below target in every window, but before any demotion that
+        # is vacuous.  Access window i is recorded before scan window i
+        # demotes, so the first access log to follow demotions is k + 1;
+        # with none inside the run the last window stands in.
+        runtime = TierRuntime(region_length=1 << 20)
+        target = runtime.collector.controller.pr_target
+        demoting = range(6 if first_demotion is None else first_demotion, 6)
+        runtime.collector.reports[:] = [
+            window_report(i + 1, pr=target / 2,
+                          demoted=100 if i in demoting else 0)
+            for i in range(6)]
+        access_windows = [10, 11, 12, 13, 14, 15]
+        monkeypatch.setattr(
+            cli, "_utilization_for",
+            lambda _rt, window: SimpleNamespace(aggregate=float(window)))
+        summary = cli._build_summary(small_config(), runtime,
+                                     access_windows, 1, 1.0)
+        pick = 5 if first_demotion is None else min(first_demotion + 1, 5)
+        assert summary["aggregateUtilizationAfter"] == access_windows[pick]
 
 
 class TestExitCodes:

@@ -62,12 +62,13 @@ class TestControllerMath:
         for _ in range(6):
             runtime.collector.run_scan_window()
         ctl = runtime.collector.controller
+        reports = runtime.collector.reports
         ct = 3
         replayed = []
-        for pr in ctl.pr_history:
-            ct = next_cold_threshold(ct, pr, ctl.pr_target)
+        for report in reports:
+            ct = next_cold_threshold(ct, report.pr_actual, ctl.pr_target)
             replayed.append(ct)
-        assert replayed == ctl.ct_history
+        assert replayed == [r.cold_threshold_after for r in reports]
 
 
 class TestEpochMachine:

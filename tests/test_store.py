@@ -1,13 +1,16 @@
 """Guide-managed KV stores: hash map and skip list."""
+import sys
 import threading
+import time
 import zlib
+from collections import Counter
 
 import pytest
 
 from tierheap.guideword import ACCESSED_BIT, HeapId, unpack, word_heap
 from tierheap.runtime import TierRuntime
-from tierheap.store import (GuideSkipList, PlainStore, StripedGuideMap,
-                            make_store)
+from tierheap.store import (_MAX_LEVEL, GuideSkipList, PlainStore,
+                            StripedGuideMap, make_store)
 
 
 def make_runtime():
@@ -220,6 +223,128 @@ class TestSkipListSpecifics:
         monkeypatch.setattr(regions, "read", racing_read)
         assert store.get(b"k") == b"new-value"
         assert raced
+
+    def test_concurrent_writers_keep_every_level_linked(self):
+        """Four threads insert, delete and re-insert interleaved keys, each
+        searching past the others' half-linked nodes.  No search ever sees a
+        node at a level without the one below, every get and delete agrees
+        with its thread's model, and afterwards every level is a sorted
+        sublist of the one below and the live keys equal the models."""
+        store = GuideSkipList(make_runtime())
+        threads_n, rounds, per_round = 4, 4, 100
+        models: list[dict[bytes, bytes]] = [{} for _ in range(threads_n)]
+        errors = []
+
+        def body(worker):
+            model = models[worker]
+            try:
+                for r in range(rounds):
+                    # Each round's fresh keys fall between earlier ones, so
+                    # every round links new nodes all along the list.
+                    fresh = [b"key-%05d" % ((i * rounds + r) * threads_n
+                                            + worker)
+                             for i in range(per_round)]
+                    for i, key in enumerate(fresh):
+                        model[key] = checksummed(r * per_round + i)
+                        store.set(key, model[key])
+                    for key, value in model.items():
+                        assert store.get(key) == value
+                    for key in fresh[::2]:
+                        assert store.delete(key)
+                        del model[key]
+                        assert store.get(key) is None
+                    for key in fresh[::4]:  # resurrect half of those
+                        model[key] = b"back"
+                        store.set(key, b"back")
+            except Exception as exc:  # noqa: BLE001 - collected for assert
+                errors.append(exc)
+
+        # The interpreter lock can change hands as rarely as every few ms
+        # whatever the switch interval (seen on a 2-core box), so each line
+        # of `_install` also sleeps to hand the others a half-linked node,
+        # after checking what a lock-free search sees of that node: its
+        # levels 0..m, never a level without the one below.
+        gaps = []
+
+        def check_and_yield(frame, event, arg):
+            node = frame.f_locals.get("node")
+            if event == "line" and node is not None:
+                preds, _ = store._find(node.key)
+                seen = [preds[level].nexts[level] is node
+                        for level in range(len(node.nexts))]
+                if seen != sorted(seen, reverse=True):
+                    gaps.append((node.key, seen))
+                time.sleep(1e-6)
+            return check_and_yield
+
+        def trace_install(frame, event, arg):
+            if frame.f_code is GuideSkipList._install.__code__:
+                return check_and_yield
+            return None
+
+        threads = [threading.Thread(target=body, args=(w,))
+                   for w in range(threads_n)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        threading.settrace(trace_install)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            threading.settrace(None)
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert gaps == []
+        assert errors == []
+
+        levels = []
+        for level in range(_MAX_LEVEL):
+            chain, node = [], store._head.nexts[level]
+            while node is not None:
+                chain.append(node)
+                node = node.nexts[level]
+            levels.append(chain)
+        for level, chain in enumerate(levels):
+            keys = [node.key for node in chain]
+            assert keys == sorted(set(keys)), f"level {level} out of order"
+            if level:
+                assert set(chain) <= set(levels[level - 1])
+        appearances = Counter(node for chain in levels for node in chain)
+        assert all(appearances[node] == len(node.nexts)
+                   for node in levels[0])
+        expected = sorted(set().union(*models))
+        assert all(store.get(key) == model[key]
+                   for model in models for key in model)
+        assert store.keys() == expected
+        assert len(store) == len(expected)
+        store.runtime.audit()
+
+    def test_same_key_insert_race_keeps_one_entry(self, monkeypatch):
+        """A set of the same key lands between an insert's first search
+        and its install: the later install finds that entry, retires its
+        own, and its value wins."""
+        runtime = make_runtime()
+        store = GuideSkipList(runtime)
+        real_make_entry = store._make_entry
+        nested = []
+
+        def racing_make_entry(key, value):
+            if not nested:
+                nested.append(key)
+                store.set(key, b"inner")
+            return real_make_entry(key, value)
+
+        monkeypatch.setattr(store, "_make_entry", racing_make_entry)
+        store.set(b"k", b"outer")
+        assert nested == [b"k"]
+        assert store.get(b"k") == b"outer"
+        assert store.keys() == [b"k"]
+        assert runtime.registry.live_count == 2  # one key + one value guide
+        assert runtime.regions.live_slot_count() == 2
+        runtime.registry.reclaim_retired()
+        runtime.audit()
 
     def test_deterministic_levels(self):
         from tierheap.store import _node_level
