@@ -157,6 +157,7 @@ class Collector:
         self.hint_events: list[HintEvent] = []
         # The words as read by the last scan; reused across windows.
         self._snapshot = np.empty(0, dtype=np.uint64)
+        self._reclaim_mark = 0  # graveyard_mark() at the last begin_epoch
 
     # -- epoch state machine -------------------------------------------------
 
@@ -164,6 +165,9 @@ class Collector:
         state = self.epoch_state
         if state.phase != Phase.INACTIVE:
             raise CollectorError("begin_epoch outside INACTIVE")
+        # Indices retired before the epoch moves may be held by scopes that
+        # a converged window waits out; later ones may not (reclaim_retired).
+        self._reclaim_mark = self.registry.graveyard_mark()
         # Tracking goes on before the epoch moves, so a scope that registers
         # under the new epoch is sure to see it on (ScopeManager.enter_scope).
         state.tracking_enabled = True
@@ -388,10 +392,10 @@ class Collector:
             up = self.migrate_batch(scan.promotions, HeapId.HOT)
             down = self.migrate_batch(scan.demotions, HeapId.COLD)
             self.end_epoch()
+            self.registry.reclaim_retired(self._reclaim_mark)
         promoted = up.moved_from[_COLD]
         new_to_hot = up.moved - promoted
         demoted = down.moved
-        self.registry.reclaim_retired()
 
         hints = self.maybe_emit_hints()
         self.hint_events.extend(hints)

@@ -31,6 +31,9 @@ class UtilizationReport:
 
 
 FOLD_BATCH = 4096  # pending records folded into line masks at once
+# Folded rows a window keeps unmerged before they are merged early, which
+# bounds a long window's memory by its touched pages instead of its records.
+MERGE_ROWS = 1 << 18
 _ALL_LINES = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
 
 
@@ -40,18 +43,23 @@ class AccessLog:
     record() runs on mutator hot paths without a lock: it only extends a
     flat pending list by the (offset, length) pair, in one list.extend, so
     pairs from racing threads never interleave, and no object survives
-    that the cyclic garbage collector would have to track.  The buffer is
-    folded into the current window's {page: line_mask} dict when it holds
-    FOLD_BATCH records and before a window closes or is read, under a lock
-    that only folds take, so a record racing a fold lands in the next fold
-    instead of being lost.
+    that the cyclic garbage collector would have to track.  When the buffer
+    holds FOLD_BATCH records, and before a window closes or is read, it is
+    folded into a (pages, line masks) pair of arrays that is appended to
+    the current window's parts, under a lock that only folds take, so a
+    record racing a fold lands in the next fold instead of being lost.  A
+    window's parts are OR-merged per page into one pair, pages in order of
+    first touch, when the window is read or closed, or once they hold more
+    than MERGE_ROWS rows and more rows than the merged pair.
     """
 
     def __init__(self, page_size: int = 4096):
         self.page_size = page_size
         self.window = 1
-        self._windows: dict[int, dict[int, int]] = {1: {}}
-        self._current: dict[int, int] = self._windows[1]
+        self._windows: dict[int, list[tuple[np.ndarray, np.ndarray]]] = \
+            {1: []}
+        self._current = self._windows[1]
+        self._loose_rows = 0  # rows folded into _current since its merge
         self._pending: list[int] = []  # offset, length, offset, ...
         self._fold_lock = threading.Lock()
         self._fold_masks = (_fold_vectorized
@@ -73,29 +81,42 @@ class AccessLog:
         # Copy then delete the prefix: records racing the fold stay behind.
         batch = pending[:n]
         del pending[:n]
+        part = self._fold_masks(batch, self.page_size)
         current = self._current
-        for page, mask in self._fold_masks(batch, self.page_size):
-            current[page] = current.get(page, 0) | mask
+        current.append(part)
+        self._loose_rows += len(part[0])
+        if self._loose_rows > max(MERGE_ROWS, len(current[0][0])):
+            self._merge(current)
+
+    def _merge(self, parts: list) -> tuple[np.ndarray, np.ndarray]:
+        """Merge a window's parts in place into one; lock held."""
+        if len(parts) > 1:
+            parts[:] = [_or_by_page(np.concatenate([p for p, _ in parts]),
+                                    np.concatenate([m for _, m in parts]))]
+        if parts is self._current:
+            self._loose_rows = 0
+        return parts[0] if parts else self._fold_masks([], self.page_size)
 
     def advance(self) -> int:
         """Close the current window and start the next; returns its index."""
         with self._fold_lock:
             self._fold()
+            self._merge(self._current)
             self.window += 1
-            self._current = self._windows[self.window] = {}
+            self._current = self._windows[self.window] = []
             return self.window
 
     def entries(self, window: int | None = None) -> list[AccessLogEntry]:
         with self._fold_lock:
             self._fold()
-            if window is not None:
-                masks = self._windows.get(window, {})
-                return [AccessLogEntry(window, p, m)
-                        for p, m in masks.items()]
             out = []
-            for w in sorted(self._windows):
-                out.extend(AccessLogEntry(w, p, m)
-                           for p, m in self._windows[w].items())
+            for w in sorted(self._windows) if window is None else [window]:
+                parts = self._windows.get(w)
+                if parts is None:
+                    continue
+                pages, masks = self._merge(parts)
+                out.extend(AccessLogEntry(w, p, m) for p, m in
+                           zip(pages.tolist(), masks.tolist()))
             return out
 
     def windows(self) -> list[int]:
@@ -103,8 +124,13 @@ class AccessLog:
 
 
 def _fold_scalar(batch: list[int], page_size: int):
-    """(page, line_mask) per page each record of a flat (offset, length)
-    list touches, in record order."""
+    """(pages, line masks) of every page each record of a flat (offset,
+    length) list touches, one row per record and page, in record order.
+
+    Masks are Python ints in an object array, as a page may have more than
+    64 lines.
+    """
+    pages, masks = [], []
     for offset, length in zip(batch[::2], batch[1::2]):
         if length <= 0:
             continue
@@ -115,23 +141,21 @@ def _fold_scalar(batch: list[int], page_size: int):
             b = min(end, page_start + page_size) - page_start
             first = a // LINE_SIZE
             last = (b - 1) // LINE_SIZE
-            yield page, ((1 << (last - first + 1)) - 1) << first
+            pages.append(page)
+            masks.append(((1 << (last - first + 1)) - 1) << first)
+    return (np.array(pages, dtype=np.int64),
+            np.array(masks, dtype=object))
 
 
 def _fold_vectorized(batch: list[int], page_size: int):
-    """_fold_scalar's masks OR-merged per page, for at most 64 lines a page.
-
-    Pages come out in the order of their first touch in the batch, so the
-    window dict gets the same keys in the same order as the scalar fold.
-    """
-    rec = np.array(batch, dtype=np.int64).reshape(-1, 2)
+    """_fold_scalar's rows OR-merged per page, for at most 64 lines a page,
+    with the masks as uint64."""
+    rec = np.fromiter(batch, np.int64, len(batch)).reshape(-1, 2)
     rec = rec[rec[:, 1] > 0]
-    if not len(rec):
-        return []
     offset, end = rec[:, 0], rec[:, 0] + rec[:, 1]
     first_page = offset // page_size
     spans = (end - 1) // page_size - first_page + 1
-    if spans.max() > 1:  # one row per (record, page) pair
+    if len(spans) and spans.max() > 1:  # one row per (record, page) pair
         row = np.repeat(np.arange(len(rec)), spans)
         step = np.arange(len(row)) - np.repeat(np.cumsum(spans) - spans,
                                                spans)
@@ -145,14 +169,20 @@ def _fold_vectorized(batch: list[int], page_size: int):
         // LINE_SIZE
     masks = (_ALL_LINES >> (63 - last).astype(np.uint64)) \
         & (_ALL_LINES << first.astype(np.uint64))
-    order = np.argsort(page)
-    sorted_pages = page[order]
+    return _or_by_page(page, masks)
+
+
+def _or_by_page(pages: np.ndarray, masks: np.ndarray):
+    """Masks OR-merged per page, pages in the order of their first row."""
+    if not len(pages):
+        return pages, masks
+    order = np.argsort(pages)
+    sorted_pages = pages[order]
     starts = np.flatnonzero(np.concatenate(
         ([True], sorted_pages[1:] != sorted_pages[:-1])))
     merged = np.bitwise_or.reduceat(masks[order], starts)
-    by_first_touch = np.argsort(np.minimum.reduceat(order, starts))
-    return zip(sorted_pages[starts][by_first_touch].tolist(),
-               merged[by_first_touch].tolist())
+    by_first_row = np.argsort(np.minimum.reduceat(order, starts))
+    return sorted_pages[starts][by_first_row], merged[by_first_row]
 
 
 def page_utilization(entries: list[AccessLogEntry],

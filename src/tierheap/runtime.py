@@ -32,8 +32,11 @@ class GuideRegistry:
     Deleted guides are tombstoned (heap=RESERVED, ATC preserved) and parked
     in a graveyard until their ATC drains to zero, so scopes that recorded
     the guide before the delete can still balance their decrements.  The
-    collector drains the graveyard at the end of each window.  A word is
-    live exactly when its heap bits are not RESERVED.
+    collector drains the graveyard at the end of each window that
+    converged, and only of the indices retired before the window began:
+    convergence proves that every scope open at a retire, which may still
+    hold the deleted entry, has exited.  A word is live exactly when its
+    heap bits are not RESERVED.
     """
 
     def __init__(self, soda: SodaBitmap):
@@ -81,16 +84,25 @@ class GuideRegistry:
             if cell.compare_and_swap(word, tombstone_from(word)):
                 return word
 
-    def reclaim_retired(self) -> None:
+    def graveyard_mark(self) -> int:
+        """The graveyard's length: indices retired so far lie below it."""
+        return len(self._graveyard)
+
+    def reclaim_retired(self, mark: int | None = None) -> None:
+        """Free the parked indices below `mark` (all by default) whose ATC
+        has drained; the others stay parked, in order."""
         with self._lock:
+            graveyard = self._graveyard
+            if mark is None:
+                mark = len(graveyard)
             still_parked = []
             words = self.words
-            for index in self._graveyard:
+            for index in graveyard[:mark]:
                 if words[index] & ATC_FIELD:
                     still_parked.append(index)
                 else:
                     self._free.append(index)
-            self._graveyard = still_parked
+            self._graveyard = still_parked + graveyard[mark:]
 
     @property
     def live_count(self) -> int:

@@ -6,6 +6,12 @@ epoch and samples whether ATC tracking is on.  While it is, guide uses are
 collected in a base+delta set and increment the guide's active-thread count
 exactly once per scope; the matching decrements happen when the outermost
 scope exits.  With tracking off a scope keeps no used-guide set at all.
+
+Registration takes no lock: a TAI slot is a list of the entry epochs of
+its open scopes, and entering or leaving one is a single list append or
+remove, which the interpreter lock makes atomic.  Scope durations, which
+size the collector's convergence wait, are timed on every 64th outermost
+scope of a thread only.
 """
 from __future__ import annotations
 
@@ -14,8 +20,6 @@ import threading
 import time
 from bisect import bisect_right
 from enum import IntEnum
-
-from .guideword import GuideProtocolError
 
 
 class Phase(IntEnum):
@@ -114,51 +118,52 @@ class BaseDeltaSet:
 
 
 class ThreadActivityIndex:
-    """Fixed array of {epoch, active_count} slots, one handed to each thread.
+    """Fixed array of slots, one handed to each thread; each slot is the
+    list of the entry epochs of the scopes open on it.
 
     `assign_slot` hands slots out in order, so threads share one only when
-    more threads than slots have entered scopes.  A shared slot keeps the
-    oldest epoch among its active scopes, so convergence conservatively
-    waits for every thread sharing it to exit.
+    more threads than slots have entered scopes.  `enter` appends the
+    scope's entry epoch and `exit` removes it, each one list call that the
+    interpreter lock makes atomic, so no slot needs a lock.  Equal epochs
+    are interchangeable, which keeps a shared slot exact: it holds the
+    epoch of every open scope and nothing else.  `converged` copies each
+    slot with `tuple()`, since iterating a list while another thread
+    removes from it can skip an element.
     """
 
     def __init__(self, slot_count: int = 256):
         if slot_count <= 0 or slot_count & (slot_count - 1):
             raise ValueError("slot_count must be a power of two")
         self._mask = slot_count - 1
-        self._slots = [[0, 0] for _ in range(slot_count)]
-        self._locks = [threading.Lock() for _ in range(slot_count)]
+        self._slots: list[list[int]] = [[] for _ in range(slot_count)]
         self._next_slot = itertools.count()
 
     def assign_slot(self) -> int:
         return next(self._next_slot) & self._mask
 
     def enter(self, slot: int, epoch: int) -> None:
-        i = slot & self._mask
-        with self._locks[i]:
-            entry = self._slots[i]
-            if entry[1] == 0 or epoch < entry[0]:
-                entry[0] = epoch
-            entry[1] += 1
+        self._slots[slot & self._mask].append(epoch)
 
-    def exit(self, slot: int) -> None:
-        i = slot & self._mask
-        with self._locks[i]:
-            entry = self._slots[i]
-            if entry[1] <= 0:
-                raise ScopeError("TAI exit without matching enter")
-            entry[1] -= 1
+    def exit(self, slot: int, epoch: int) -> None:
+        try:
+            self._slots[slot & self._mask].remove(epoch)
+        except ValueError:
+            raise ScopeError("TAI exit without matching enter") from None
 
     def converged(self, epoch: int) -> bool:
-        """True when every slot with active threads reflects `epoch`."""
+        """True when every open scope entered under `epoch`."""
         for slot in self._slots:
-            if slot[1] > 0 and slot[0] != epoch:
+            if slot and any(entered != epoch for entered in tuple(slot)):
                 return False
         return True
 
 
+SCOPE_SAMPLE_MASK = 63  # time one outermost scope in 64 per thread
+
+
 class _ThreadScope:
-    __slots__ = ("depth", "used", "atc_recorded", "tai_slot", "entered_at")
+    __slots__ = ("depth", "used", "atc_recorded", "tai_slot", "epoch",
+                 "outermost", "entered_at")
 
     def __init__(self, tai_slot: int):
         self.depth = 0
@@ -166,7 +171,9 @@ class _ThreadScope:
         self.used: BaseDeltaSet | None = None
         self.atc_recorded: list[int] | None = None
         self.tai_slot = tai_slot
-        self.entered_at = 0.0
+        self.epoch = 0  # the open scope's TAI registration
+        self.outermost = 0  # outermost scopes exited so far
+        self.entered_at = 0.0  # set only on sampled scopes
 
 
 class ScopeManager:
@@ -176,6 +183,7 @@ class ScopeManager:
         self.tai = tai
         self.epoch_state = epoch_state
         self._tls = threading.local()
+        # The longest sampled scope (see SCOPE_SAMPLE_MASK).
         self.max_scope_seconds = 0.0
 
     def _scope(self) -> _ThreadScope:
@@ -202,14 +210,16 @@ class ScopeManager:
                 current = state.epoch
                 if current == epoch:
                     break
-                tai.exit(slot)
+                tai.exit(slot, epoch)
                 epoch = current
+            scope.epoch = epoch
             if tracking:
                 scope.used = BaseDeltaSet()
                 scope.atc_recorded = []
             else:
                 scope.used = None
-            scope.entered_at = time.monotonic()
+            if not scope.outermost & SCOPE_SAMPLE_MASK:
+                scope.entered_at = time.monotonic()
 
     def record_guide_use(self, cell_index: int) -> None:
         scope = getattr(self._tls, "scope", None)
@@ -234,10 +244,12 @@ class ScopeManager:
                 for index in recorded:
                     cell(index).atc_decrement()
             scope.atc_recorded = None
-            self.tai.exit(scope.tai_slot)
-            duration = time.monotonic() - scope.entered_at
-            if duration > self.max_scope_seconds:
-                self.max_scope_seconds = duration
+            self.tai.exit(scope.tai_slot, scope.epoch)
+            if not scope.outermost & SCOPE_SAMPLE_MASK:
+                duration = time.monotonic() - scope.entered_at
+                if duration > self.max_scope_seconds:
+                    self.max_scope_seconds = duration
+            scope.outermost += 1
 
     @property
     def depth(self) -> int:

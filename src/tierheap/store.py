@@ -55,12 +55,13 @@ class _GuideOps:
         locator = rt.registry.cell(entry.key_guide).dereference()
         rt.record_access(locator, key_len)
 
-    def _swing_value(self, entry: KvEntry, value: bytes) -> None:
+    def _swing_value(self, entry: KvEntry, value: bytes) -> bool:
         """Publish a fresh NEW-heap slot for the value via guide CAS.
 
         Whoever succeeds a CAS frees exactly the slot named by the word it
         replaced, so racing setters and an in-flight migration can never
-        free the same slot twice.
+        free the same slot twice.  A tombstoned word is never replaced: the
+        entry was deleted, so the fresh slot is freed and False returned.
         """
         rt = self.runtime
         rt.scope.record_guide_use(entry.value_guide)
@@ -70,10 +71,14 @@ class _GuideOps:
         new_base = new_loc | ACCESSED_BIT  # heap=NEW, ciw=0, lock clear
         while True:
             word = cell.load()
+            if (word & HEAP_FIELD) == HEAP_FIELD:
+                rt.regions.free(new_loc)
+                return False
             if cell.compare_and_swap(word, new_base | (word & ATC_FIELD)):
                 rt.regions.free(word & LOCATOR_MASK)
                 break
         rt.record_access(new_loc, len(value))
+        return True
 
     def _read_value(self, entry: KvEntry) -> bytes | None:
         rt = self.runtime
@@ -238,18 +243,21 @@ class GuideSkipList(_GuideOps):
         scope = self.runtime.scope
         scope.enter_scope()
         try:
-            _, node = self._find(key)
-            entry = None if node is None else node.entry
-            if entry is None:
-                fresh = self._make_entry(key, value)
-                scope.record_guide_use(fresh.key_guide)
-                scope.record_guide_use(fresh.value_guide)
-                entry = self._install(key, fresh)
-                if entry is fresh:
+            while True:
+                _, node = self._find(key)
+                entry = None if node is None else node.entry
+                if entry is None:
+                    fresh = self._make_entry(key, value)
+                    scope.record_guide_use(fresh.key_guide)
+                    scope.record_guide_use(fresh.value_guide)
+                    entry = self._install(key, fresh)
+                    if entry is fresh:
+                        return
+                    self._retire_entry(fresh)  # another set installed first
+                self._touch_key(entry, len(key))
+                if self._swing_value(entry, value):
                     return
-                self._retire_entry(fresh)  # another set installed first
-            self._touch_key(entry, len(key))
-            self._swing_value(entry, value)
+                # A delete retired the entry after the search: insert anew.
         finally:
             scope.exit_scope()
 

@@ -5,6 +5,7 @@ import threading
 
 import pytest
 
+from tierheap import metrics
 from tierheap.metrics import (FOLD_BATCH, LINE_SIZE, AccessLog,
                               AccessLogEntry, page_utilization,
                               simulate_reclaim, write_cdf_csv)
@@ -168,6 +169,31 @@ class TestFoldedAccessLog:
                 == page_utilization([AccessLogEntry(window, p, m)
                                      for p, m in masks.items()],
                                     page_size)
+
+    def test_long_window_merges_early_and_keeps_first_touch_order(
+            self, monkeypatch):
+        """Once a window's unmerged rows pass MERGE_ROWS and the merged
+        rows, they are merged before the window is read; its rows stay
+        bounded by its touched pages, and its masks and their order still
+        match the scalar fold."""
+        monkeypatch.setattr(metrics, "MERGE_ROWS", 2000)
+        rng = random.Random(11)
+        log = AccessLog(PAGE)
+        records = []
+        peak_rows = 0
+        for _ in range(40):  # ~2,200 pages per fold, 3,000 in all
+            for _ in range(FOLD_BATCH):
+                record = (rng.randrange(0, 3000 * PAGE),
+                          rng.randrange(1, 300))
+                log.record(*record)
+                records.append(record)
+            peak_rows = max(peak_rows, sum(len(pages) for pages, _ in
+                                           log._windows[1]))
+        masks = scalar_fold(records, PAGE)
+        # The merged rows, plus under one merge's worth of unmerged ones.
+        assert peak_rows <= 2 * len(masks) + 2 * FOLD_BATCH
+        got = [(e.page, e.line_mask) for e in log.entries(1)]
+        assert got == list(masks.items())
 
     def test_no_record_lost_to_concurrent_advance(self):
         log = AccessLog(PAGE)

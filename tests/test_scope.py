@@ -1,5 +1,6 @@
 """Scope guards, the base+delta used-guide set, and the TAI."""
 import random
+import sys
 import threading
 
 import pytest
@@ -74,26 +75,78 @@ class TestThreadActivityIndex:
         tai = ThreadActivityIndex(16)
         tai.enter(1, 5)
         assert not tai.converged(6)
-        tai.exit(1)
+        tai.exit(1, 5)
         assert tai.converged(6)  # empty slots are ignored
 
     def test_exit_without_enter_raises(self):
         tai = ThreadActivityIndex(16)
         with pytest.raises(ScopeError):
-            tai.exit(1)
+            tai.exit(1, 0)
+        tai.enter(1, 7)
+        with pytest.raises(ScopeError):
+            tai.exit(1, 8)  # an epoch the slot never entered
+        tai.exit(1, 7)
 
     def test_collision_merge_waits_for_all(self):
+        """A shared slot holds back a window exactly as long as one of its
+        scopes entered under an older epoch."""
         tai = ThreadActivityIndex(1)  # every thread collides
         tai.enter(1, 7)
         tai.enter(2, 7)
         assert tai.converged(7)
         tai.enter(3, 8)
-        assert not tai.converged(8)  # the slot keeps its oldest epoch, 7
-        tai.exit(1)
-        tai.exit(2)
-        assert not tai.converged(8)  # still 7 until the slot drains
-        tai.exit(3)
+        assert not tai.converged(8)
+        tai.exit(1, 7)
+        assert not tai.converged(8)  # one scope of epoch 7 is still open
+        tai.exit(2, 7)
+        assert tai.converged(8)  # no need to wait for the slot to drain
+        with pytest.raises(ScopeError):
+            tai.exit(3, 7)
+        tai.exit(3, 8)
         assert tai.converged(9)
+
+    def test_shared_slot_under_thread_switches(self):
+        """Four threads open and close scopes under the new epoch on one
+        shared slot while an older scope opens and closes among them; no
+        converged() reading may miss the older scope."""
+        registry = GuideRegistry(SodaBitmap())
+        state = EpochState()
+        state.epoch = 2
+        tai = ThreadActivityIndex(1)
+        scope = ScopeManager(registry, tai, state)
+        stop = threading.Event()
+        errors = []
+
+        def worker():
+            try:
+                while not stop.is_set():
+                    scope.enter_scope()
+                    scope.exit_scope()
+            except Exception as exc:  # pragma: no cover - reported below
+                errors.append(exc)
+
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        threads = [threading.Thread(target=worker) for _ in range(4)]
+        early = 0
+        try:
+            for t in threads:
+                t.start()
+            for _ in range(400):
+                tai.enter(0, 1)  # a scope of the old epoch, among theirs
+                for _ in range(1000):
+                    early += tai.converged(2)
+                tai.exit(0, 1)
+                assert tai.converged(2)  # only new-epoch scopes are open
+        finally:
+            stop.set()
+            for t in threads:
+                t.join(timeout=30)
+            sys.setswitchinterval(old_interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert early == 0
+        assert tai.converged(-1)  # every slot is empty
 
     def test_slots_assigned_in_order(self):
         tai = ThreadActivityIndex(4)

@@ -346,6 +346,58 @@ class TestSkipListSpecifics:
         runtime.registry.reclaim_retired()
         runtime.audit()
 
+    def test_set_racing_a_delete_of_its_entry_inserts_anew(
+            self, monkeypatch):
+        """A delete retires the entry that a set of the same key found,
+        between the set's search and its value swing: the set must not
+        revive the tombstone, and inserts the key again instead."""
+        runtime = make_runtime()
+        store = GuideSkipList(runtime)
+        store.set(b"k", b"old")
+        real_touch_key = store._touch_key
+        deleted = []
+
+        def racing_touch_key(entry, key_len):
+            if not deleted:
+                deleted.append(store.delete(b"k"))
+            real_touch_key(entry, key_len)
+
+        monkeypatch.setattr(store, "_touch_key", racing_touch_key)
+        store.set(b"k", b"new")
+        assert deleted == [True]
+        assert store.get(b"k") == b"new"
+        assert len(store) == 1
+        assert runtime.regions.live_slot_count() == 2
+        runtime.audit()
+
+    def test_open_scope_keeps_a_deleted_entry_from_reuse(self, monkeypatch):
+        """A get holds an entry that is deleted while its scope is open,
+        and a scan window that cannot converge past that scope runs: the
+        window must not recycle the entry's guides, or a later insert would
+        hand them, and the get, another key's bytes."""
+        runtime = make_runtime()
+        store = GuideSkipList(runtime)
+        store.set(b"k1", b"v1")
+        real_touch_key = store._touch_key
+        reports = []
+
+        def racing_touch_key(entry, key_len):
+            if not reports:
+                assert store.delete(b"k1")
+                reports.append(runtime.collector.run_scan_window())
+                store.set(b"k2", b"v2")
+            real_touch_key(entry, key_len)
+
+        monkeypatch.setattr(store, "_touch_key", racing_touch_key)
+        assert store.get(b"k1") is None
+        assert [r.converged for r in reports] == [False]
+        assert store.get(b"k2") == b"v2"
+        runtime.collector.run_scan_window()  # converges: now they recycle
+        store.set(b"k3", b"v3")
+        assert runtime.registry.live_count == 4
+        assert len(runtime.registry.words) == 4  # k3 took k1's guides
+        runtime.audit()
+
     def test_deterministic_levels(self):
         from tierheap.store import _node_level
         assert all(1 <= _node_level(b"key-%d" % i) <= 16
