@@ -8,7 +8,7 @@ reports page-utilization and reclaimability metrics.
 from .cli import RunConfig, main, run_benchmark
 from .collector import (Collector, ControllerState, WindowReport,
                         compute_promotion_rate, next_cold_threshold)
-from .guideword import (GuideCell, GuideProtocolError, GuideWord, HeapId,
+from .guideword import (GuideArena, GuideProtocolError, GuideWord, HeapId,
                         pack, unpack)
 from .metrics import (AccessLog, UtilizationReport, page_utilization,
                       simulate_reclaim)
@@ -26,7 +26,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AccessLog", "BaseDeltaSet", "Collector", "ControllerState",
-    "EpochState", "GuideCell", "GuideProtocolError", "GuideRegistry",
+    "EpochState", "GuideArena", "GuideProtocolError", "GuideRegistry",
     "GuideSkipList", "GuideWord", "HeapId", "HeapRegion", "HintEvent",
     "HintKind", "OpStream", "PlainStore", "RegionExhausted",
     "RegionManager", "RunConfig", "ScopeManager", "SodaBitmap",

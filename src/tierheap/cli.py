@@ -16,13 +16,13 @@ import statistics
 import sys
 import threading
 import time
-from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .guideword import GuideCell, HeapId, pack
+from .collector import CT_MAX, CT_MIN
+from .guideword import GuideArena, HeapId, pack
 from .metrics import page_utilization, write_cdf_csv
-from .regions import write_hint_log
+from .regions import SIZE_CLASSES, write_hint_log
 from .runtime import TierRuntime
 from .store import make_store
 from .workload import (OpStream, TraceParseError, WorkloadSpec, make_key,
@@ -73,6 +73,13 @@ class RunConfig:
             raise ConfigError("windows and threads must be positive")
         if self.scan_interval <= 0:
             raise ConfigError("scan interval must be positive")
+        if not CT_MIN <= self.ct_init <= CT_MAX:
+            raise ConfigError(f"ct-init must lie in [{CT_MIN}, {CT_MAX}]")
+        largest = SIZE_CLASSES[-1]
+        if not (1 <= self.key_size <= largest
+                and 1 <= self.value_size <= largest):
+            raise ConfigError(
+                f"key and value sizes must lie in [1, {largest}] bytes")
         self.workload_spec()  # validates sizes and percentages
 
     def workload_spec(self) -> WorkloadSpec:
@@ -99,14 +106,13 @@ class BenchmarkResult:
 
 def measure_deref_ns(samples: int = 64, batch: int = 2000) -> float:
     """Median per-call latency of a fast-path dereference, in nanoseconds."""
-    cell = GuideCell(0, array("Q", [pack(0x1000, heap=HeapId.HOT,
-                                         accessed=True)]))
-    deref = cell.dereference
+    arena = GuideArena([pack(0x1000, heap=HeapId.HOT, accessed=True)])
+    deref = arena.dereference
     medians = []
     for _ in range(samples):
         t0 = time.perf_counter_ns()
         for _ in range(batch):
-            deref()
+            deref(0)
         medians.append((time.perf_counter_ns() - t0) / batch)
     return statistics.median(medians)
 

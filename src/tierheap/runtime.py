@@ -1,51 +1,42 @@
-"""Guide-cell registry and the wired-up runtime facade.
+"""Guide registry and the wired-up runtime facade.
 
-TierRuntime owns one of everything: the three heap regions, the guide-cell
-arena with its sparse bitmap, the thread activity index, the scope manager,
+TierRuntime owns one of everything: the three heap regions, the guide
+registry with its sparse bitmap, the thread activity index, the scope manager,
 the access log, and the collector.  Stores and the benchmark driver talk to
 their components through this object.
 """
 from __future__ import annotations
 
 import threading
-from array import array
 
 from .collector import Collector, ControllerState
-from .guideword import (ATC_FIELD, HEAP_FIELD, LOCATOR_MASK, GuideCell,
-                        tombstone_from, word_heap)
+from .guideword import (ATC_FIELD, HEAP_FIELD, LOCATOR_MASK, LOCK_STRIPES,
+                        GuideArena, tombstone_from, word_heap)
 from .metrics import AccessLog
 from .regions import DEFAULT_PAGE_SIZE, DEFAULT_REGION_LENGTH, RegionManager
 from .scope import EpochState, ScopeManager, ThreadActivityIndex
 from .soda import SodaBitmap
 
-LOCK_STRIPES = 256
 
+class GuideRegistry(GuideArena):
+    """Guide arena with stable indices and a mirrored SODA bitmap.
 
-class GuideRegistry:
-    """Arena of guide words with stable indices and a mirrored SODA bitmap.
-
-    `words[i]` is guide i's word, stored unboxed in one `array("Q")`, and
-    `cell(i)` is the GuideCell view through which mutators load and CAS it.
-    Every store to an existing word happens under the guide's stripe lock,
-    `stripes[i % LOCK_STRIPES]`, the lock the cell's CAS emulation
-    takes, so the collector can age a whole stripe under one acquisition.
-    Deleted guides are tombstoned (heap=RESERVED, ATC preserved) and parked
-    in a graveyard until their ATC drains to zero, so scopes that recorded
-    the guide before the delete can still balance their decrements.  The
-    collector drains the graveyard at the end of each window that
-    converged, and only of the indices retired before the window began:
-    convergence proves that every scope open at a retire, which may still
-    hold the deleted entry, has exited.  A word is live exactly when its
-    heap bits are not RESERVED.
+    The arena holds the words and runs the guide-word protocol by index;
+    the registry adds lifetimes.  Deleted guides are tombstoned
+    (heap=RESERVED, ATC preserved) and parked in a graveyard until their
+    ATC drains to zero, so scopes that recorded the guide before the
+    delete can still balance their decrements.  The collector drains the
+    graveyard at the end of each window that converged, and only of the
+    indices retired before the window began: convergence proves that every
+    scope open at a retire, which may still hold the deleted entry, has
+    exited.  A word is live exactly when its heap bits are not RESERVED.
     """
 
     def __init__(self, soda: SodaBitmap):
+        super().__init__()
         self.soda = soda
-        self.words = array("Q")
-        self._cells: list[GuideCell] = []
         self._free: list[int] = []
         self._graveyard: list[int] = []
-        self.stripes = [threading.Lock() for _ in range(LOCK_STRIPES)]
         self._lock = threading.Lock()
 
     def create(self, word: int) -> int:
@@ -59,13 +50,8 @@ class GuideRegistry:
             else:
                 index = len(self.words)
                 self.words.append(word)
-                self._cells.append(GuideCell(
-                    index, self.words, self.stripes[index % LOCK_STRIPES]))
         self.soda.set_bit(index)
         return index
-
-    def cell(self, index: int) -> GuideCell:
-        return self._cells[index]
 
     def retire(self, index: int) -> None:
         """Clear the SODA bit and park the index until its ATC drains.
@@ -77,11 +63,11 @@ class GuideRegistry:
             self._graveyard.append(index)
 
     def tombstone(self, index: int) -> int:
-        """CAS the cell to a tombstone; returns the replaced word."""
-        cell = self._cells[index]
+        """CAS the word to a tombstone; returns the replaced word."""
+        words = self.words
         while True:
-            word = cell.load()
-            if cell.compare_and_swap(word, tombstone_from(word)):
+            word = words[index]
+            if self.compare_and_swap(index, word, tombstone_from(word)):
                 return word
 
     def graveyard_mark(self) -> int:
@@ -107,9 +93,6 @@ class GuideRegistry:
     @property
     def live_count(self) -> int:
         return len(self.soda)
-
-    def live_indices(self):
-        return self.soda.indices()
 
 
 class TierRuntime:

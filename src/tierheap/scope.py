@@ -221,14 +221,14 @@ class ScopeManager:
             if not scope.outermost & SCOPE_SAMPLE_MASK:
                 scope.entered_at = time.monotonic()
 
-    def record_guide_use(self, cell_index: int) -> None:
+    def record_guide_use(self, index: int) -> None:
         scope = getattr(self._tls, "scope", None)
         if scope is None or scope.depth == 0:
             raise ScopeError("guide use outside any scope")
         used = scope.used
-        if used is not None and used.add(cell_index):
-            if self._registry.cell(cell_index).atc_increment():
-                scope.atc_recorded.append(cell_index)
+        if used is not None and used.add(index):
+            if self._registry.atc_increment(index):
+                scope.atc_recorded.append(index)
             # Saturated ATC: the object stays migration-ineligible this
             # epoch anyway, so the scope simply records no debt.
 
@@ -240,9 +240,9 @@ class ScopeManager:
         if scope.depth == 0:
             recorded = scope.atc_recorded
             if recorded:
-                cell = self._registry.cell
+                decrement = self._registry.atc_decrement
                 for index in recorded:
-                    cell(index).atc_decrement()
+                    decrement(index)
             scope.atc_recorded = None
             self.tai.exit(scope.tai_slot, scope.epoch)
             if not scope.outermost & SCOPE_SAMPLE_MASK:

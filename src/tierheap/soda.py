@@ -1,6 +1,6 @@
-"""Sparse two-level bitmap over the guide-cell arena.
+"""Sparse two-level bitmap over the guide arena.
 
-One bit per guide cell, grouped into lazily materialized fixed-size blocks so
+One bit per guide, grouped into lazily materialized fixed-size blocks so
 memory stays proportional to the populated index range.  The registry sets a
 guide's bit when it creates the guide and clears it when the guide is
 retired; the bitmap counts live guides and `TierRuntime.audit` checks it
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import threading
 
-DEFAULT_BLOCK_SIZE = 65536  # cells per block; 8 KiB of bits
+DEFAULT_BLOCK_SIZE = 65536  # guides per block; 8 KiB of bits
 
 
 class SodaError(RuntimeError):

@@ -3,7 +3,7 @@
 Two structures share the same guide discipline: a striped-lock hash map and
 a skip list whose readers take no lock and whose writers link under one
 lock, deleting logically.  Every public operation runs inside a scope guard,
-every key/value access goes through a guide cell, and inserted data is
+every key/value access goes through its guide word, and inserted data is
 deep-copied into region slots so the runtime owns the authoritative bytes.
 PlainStore is the untiered baseline for overhead comparisons: a locked dict
 with no guides, scopes or regions.
@@ -52,7 +52,7 @@ class _GuideOps:
     def _touch_key(self, entry: KvEntry, key_len: int) -> None:
         rt = self.runtime
         rt.scope.record_guide_use(entry.key_guide)
-        locator = rt.registry.cell(entry.key_guide).dereference()
+        locator = rt.registry.dereference(entry.key_guide)
         rt.record_access(locator, key_len)
 
     def _swing_value(self, entry: KvEntry, value: bytes) -> bool:
@@ -64,17 +64,18 @@ class _GuideOps:
         entry was deleted, so the fresh slot is freed and False returned.
         """
         rt = self.runtime
-        rt.scope.record_guide_use(entry.value_guide)
-        cell = rt.registry.cell(entry.value_guide)
+        guide, registry = entry.value_guide, rt.registry
+        rt.scope.record_guide_use(guide)
         new_loc = rt.regions.allocate(HeapId.NEW, len(value))
         rt.regions.write(new_loc, value)
         new_base = new_loc | ACCESSED_BIT  # heap=NEW, ciw=0, lock clear
         while True:
-            word = cell.load()
+            word = registry.words[guide]
             if (word & HEAP_FIELD) == HEAP_FIELD:
                 rt.regions.free(new_loc)
                 return False
-            if cell.compare_and_swap(word, new_base | (word & ATC_FIELD)):
+            if registry.compare_and_swap(guide, word,
+                                         new_base | (word & ATC_FIELD)):
                 rt.regions.free(word & LOCATOR_MASK)
                 break
         rt.record_access(new_loc, len(value))
@@ -83,7 +84,7 @@ class _GuideOps:
     def _read_value(self, entry: KvEntry) -> bytes | None:
         rt = self.runtime
         rt.scope.record_guide_use(entry.value_guide)
-        locator = rt.registry.cell(entry.value_guide).dereference()
+        locator = rt.registry.dereference(entry.value_guide)
         try:
             data = rt.regions.read(locator)
         except RegionError:
@@ -274,20 +275,20 @@ class GuideSkipList(_GuideOps):
         freed, reused elsewhere and then published for this guide again.
         """
         rt = self.runtime
-        rt.scope.record_guide_use(entry.value_guide)
-        cell = rt.registry.cell(entry.value_guide)
-        locator = cell.dereference()
+        guide, registry = entry.value_guide, rt.registry
+        rt.scope.record_guide_use(guide)
+        locator = registry.dereference(guide)
         while True:
             try:
                 data = rt.regions.read(locator)
             except RegionError:
                 data = None
-            word = cell.load()
+            word = registry.words[guide]
             if (word & HEAP_FIELD) == HEAP_FIELD:
                 return None  # lost a race with delete; entry is gone
             if word & LOCATOR_MASK == locator:
                 break
-            locator = cell.dereference()
+            locator = registry.dereference(guide)
         if data is not None:
             rt.record_access(locator, len(data))
         return data

@@ -1,8 +1,9 @@
 """The benchmark's entry point still runs against this checkout.
 
 `tierbench/` calls into the runtime by name (the region calls its tracer
-wraps, the registry's cells and SODA bitmap, the runtime's options), so a
-one-second run of each mode keeps that surface from breaking unnoticed.
+wraps, the guide-word methods it wraps on the `GuideCell` class, the
+registry's SODA bitmap, the runtime's options), so a one-second run of each
+mode keeps that surface from breaking unnoticed.
 """
 import json
 import subprocess
@@ -29,3 +30,8 @@ def test_benchmark_runs_and_is_correct(workload, trace):
     assert proc.returncode == 0, proc.stderr[-2000:]
     last = json.loads(proc.stdout.strip().splitlines()[-1])
     assert last["correct"] is True
+    if trace == "1":
+        # Zero when the mutator stops calling the methods the tracer wraps.
+        metrics = last["metrics"]
+        assert metrics["guideword.deref_ns"]["value"] > 0
+        assert metrics["guideword.cas_calls"]["value"] > 0

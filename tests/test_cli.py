@@ -188,8 +188,14 @@ class TestExitCodes:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
-    def test_invalid_windows_is_usage_error(self):
-        assert main(["--windows", "0"]) == 2
+    @pytest.mark.parametrize("args", [
+        ["--windows", "0"],
+        ["--ct-init", "0"], ["--ct-init", "40"],
+        ["--value-size", "0"], ["--value-size", "70000"],
+    ], ids="-".join)
+    def test_invalid_windows_is_usage_error(self, args):
+        assert main(["--keys", "50", "--ops", "100", "--windows", "1"]
+                    + args) == 2
 
     def test_malformed_trace_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"

@@ -158,7 +158,7 @@ class TestMigrate:
         index = add_object(runtime, payload=b"p" * 100)
         self.setup_active(runtime)
         assert runtime.collector.migrate(index, HeapId.HOT) == "moved"
-        word = runtime.registry.cell(index).word
+        word = runtime.registry.words[index]
         fields = unpack(word)
         assert fields.heap is HeapId.HOT
         assert fields.ciw == 0 and not fields.accessed
@@ -169,7 +169,7 @@ class TestMigrate:
     def test_nonzero_atc_skips_without_locking(self):
         runtime = make_runtime()
         index = add_object(runtime)
-        runtime.registry.cell(index).atc_increment()
+        runtime.registry.atc_increment(index)
         self.setup_active(runtime)
         assert runtime.collector.migrate(index, HeapId.HOT) == "skipped"
 
@@ -188,33 +188,32 @@ class TestMigrate:
             runtime.regions.allocate(HeapId.HOT, 1024)
         self.setup_active(runtime)
         assert runtime.collector.migrate(index, HeapId.HOT) == "skipped"
-        assert word_heap(runtime.registry.cell(index).word) is HeapId.NEW
+        assert word_heap(runtime.registry.words[index]) is HeapId.NEW
 
 
-def scalar_migrate(runtime, cell_index: int, target: HeapId) -> str:
+def scalar_migrate(runtime, index: int, target: HeapId) -> str:
     """The per-object migration the chunked batch path replaced."""
-    regions = runtime.regions
-    cell = runtime.registry.cell(cell_index)
-    word = cell.load()
+    regions, registry = runtime.regions, runtime.registry
+    word = registry.words[index]
     if word & (LOCK_BIT | ATC_FIELD) or (word & HEAP_FIELD) == HEAP_FIELD:
         return "skipped"
-    locked = cell.try_lock_for_migration(word)
+    locked = registry.try_lock_for_migration(index, word)
     if locked is None:
         return "skipped"
     old_locator = word & LOCATOR_MASK
     try:
         payload = regions.read(old_locator)
     except RegionError:
-        cell.compare_and_swap(locked, word)
+        registry.compare_and_swap(index, locked, word)
         return "aborted"
     try:
         new_locator = regions.allocate(target, len(payload))
     except RegionExhausted:
-        cell.compare_and_swap(locked, word)
+        registry.compare_and_swap(index, locked, word)
         return "skipped"
     regions.write(new_locator, payload)
     new_word = pack(new_locator, heap=target)
-    if cell.commit_migration(locked, new_word):
+    if registry.commit_migration(index, locked, new_word):
         regions.free(old_locator)
         return "moved"
     regions.free(new_locator)
@@ -260,7 +259,7 @@ def seeded_heap(seed, guides, sizes, page_size=4096,
         if roll < 0.05:
             registry.words[index] |= LOCK_BIT
         elif roll < 0.10:
-            registry.cell(index).atc_increment()
+            registry.atc_increment(index)
         elif roll < 0.15:
             runtime.regions.free(registry.tombstone(index) & LOCATOR_MASK)
             registry.retire(index)
@@ -371,7 +370,7 @@ class TestScanWindow:
         index = add_object(runtime, heap=HeapId.COLD, accessed=True)
         report = runtime.collector.run_scan_window()
         assert report.promoted_to_hot == 1
-        fields = unpack(runtime.registry.cell(index).word)
+        fields = unpack(runtime.registry.words[index])
         assert fields.heap is HeapId.HOT and fields.ciw == 0
 
     def test_accessed_new_object_promoted(self):
@@ -379,20 +378,20 @@ class TestScanWindow:
         index = add_object(runtime, heap=HeapId.NEW, accessed=True)
         report = runtime.collector.run_scan_window()
         assert report.new_to_hot == 1
-        assert word_heap(runtime.registry.cell(index).word) is HeapId.HOT
+        assert word_heap(runtime.registry.words[index]) is HeapId.HOT
 
     def test_untouched_object_demoted_at_threshold(self):
         runtime = make_runtime(ct_init=2)
         index = add_object(runtime, heap=HeapId.NEW)
         reports = [runtime.collector.run_scan_window() for _ in range(3)]
-        assert word_heap(runtime.registry.cell(index).word) is HeapId.COLD
+        assert word_heap(runtime.registry.words[index]) is HeapId.COLD
         assert sum(r.demoted_to_cold for r in reports) == 1
 
     def test_accessed_bit_cleared_by_scan(self):
         runtime = make_runtime()
         index = add_object(runtime, heap=HeapId.HOT, accessed=True)
         runtime.collector.run_scan_window()
-        assert not runtime.registry.cell(index).word & ACCESSED_BIT
+        assert not runtime.registry.words[index] & ACCESSED_BIT
 
     def test_ciw_saturates_at_31(self):
         runtime = make_runtime(ct_init=32, pr_target=0.0)
@@ -401,7 +400,7 @@ class TestScanWindow:
         index = add_object(runtime, heap=HeapId.HOT)
         for _ in range(40):
             runtime.collector.run_scan_window()
-        assert unpack(runtime.registry.cell(index).word).ciw == 31
+        assert unpack(runtime.registry.words[index]).ciw == 31
 
     def test_object_conservation_quiesced(self):
         runtime = make_runtime(ct_init=1)
@@ -467,6 +466,6 @@ class TestHintGating:
         hot = add_object(runtime, accessed=True)
         for _ in range(4):
             runtime.collector.run_scan_window()
-            runtime.registry.cell(hot).dereference()  # keep one object hot
+            runtime.registry.dereference(hot)  # keep one object hot
         assert runtime.collector.controller.stable_windows >= 2
         assert runtime.collector.hinted_cold_pages()

@@ -1,19 +1,17 @@
 """Guide-word packing, atomic transitions, and protocol edge cases."""
 import random
 import threading
-from array import array
+import tracemalloc
 
 import pytest
 
 from tierheap.guideword import (ACCESSED_BIT, ATC_MAX, ATC_ONE, CIW_MAX,
                                 LOCATOR_MASK, LOCK_BIT, EncodingError,
-                                GuideCell, GuideProtocolError, GuideWord,
+                                GuideArena, GuideProtocolError, GuideWord,
                                 HeapId, pack, pack_fields, tombstone_from,
                                 unpack, word_atc, word_heap)
-
-
-def one_word_cell(word: int) -> GuideCell:
-    return GuideCell(0, array("Q", [word]))
+from tierheap.runtime import GuideRegistry
+from tierheap.soda import SodaBitmap
 
 
 class TestPackUnpack:
@@ -75,45 +73,45 @@ class TestPackUnpack:
 
 class TestDereference:
     def test_sets_accessed_and_returns_locator(self):
-        cell = one_word_cell(pack(0x42, heap=HeapId.HOT))
-        assert cell.dereference() == 0x42
-        assert cell.word & ACCESSED_BIT
+        arena = GuideArena([pack(0x42, heap=HeapId.HOT)])
+        assert arena.dereference(0) == 0x42
+        assert arena.words[0] & ACCESSED_BIT
 
     def test_fast_path_is_a_plain_load(self):
         word = pack(0x42, accessed=True)
-        cell = one_word_cell(word)
-        assert cell.dereference() == 0x42
-        assert cell.word == word
+        arena = GuideArena([word])
+        assert arena.dereference(0) == 0x42
+        assert arena.words[0] == word
 
     def test_clears_migration_lock(self):
-        cell = one_word_cell(pack(0x42, migration_lock=True))
-        cell.dereference()
-        assert not cell.word & LOCK_BIT
-        assert cell.word & ACCESSED_BIT
+        arena = GuideArena([pack(0x42, migration_lock=True)])
+        arena.dereference(0)
+        assert not arena.words[0] & LOCK_BIT
+        assert arena.words[0] & ACCESSED_BIT
 
     def test_locator_bits_never_change(self):
         rng = random.Random(2)
-        cell = one_word_cell(pack(0xABCDE, heap=HeapId.NEW))
+        arena = GuideArena([pack(0xABCDE, heap=HeapId.NEW)])
         held = 0
         for _ in range(2_000):
             op = rng.randrange(3)
             if op == 0:
-                cell.dereference()
+                arena.dereference(0)
             elif op == 1:
-                if cell.atc_increment():
+                if arena.atc_increment(0):
                     held += 1
             elif held:
-                cell.atc_decrement()
+                arena.atc_decrement(0)
                 held -= 1
-            assert cell.word & LOCATOR_MASK == 0xABCDE
+            assert arena.words[0] & LOCATOR_MASK == 0xABCDE
 
     def test_concurrent_dereference_stress(self):
-        cell = one_word_cell(pack(0x77777, heap=HeapId.COLD))
+        arena = GuideArena([pack(0x77777, heap=HeapId.COLD)])
         n_threads, per_thread = 8, 12_500
         results = []
 
         def body():
-            ok = all(cell.dereference() == 0x77777
+            ok = all(arena.dereference(0) == 0x77777
                      for _ in range(per_thread))
             results.append(ok)
 
@@ -123,66 +121,82 @@ class TestDereference:
         for t in threads:
             t.join()
         assert all(results)
-        word = cell.word
+        word = arena.words[0]
         assert word & ACCESSED_BIT and not word & LOCK_BIT
         assert word & LOCATOR_MASK == 0x77777
 
 
 class TestAtcProtocol:
     def test_increment_decrement(self):
-        cell = one_word_cell(pack(1))
-        assert cell.atc_increment()
-        assert word_atc(cell.word) == 1
-        cell.atc_decrement()
-        assert word_atc(cell.word) == 0
+        arena = GuideArena([pack(1)])
+        assert arena.atc_increment(0)
+        assert word_atc(arena.words[0]) == 1
+        arena.atc_decrement(0)
+        assert word_atc(arena.words[0]) == 0
 
     def test_increment_clears_lock(self):
-        cell = one_word_cell(pack(1, migration_lock=True))
-        assert cell.atc_increment()
-        assert not cell.word & LOCK_BIT
+        arena = GuideArena([pack(1, migration_lock=True)])
+        assert arena.atc_increment(0)
+        assert not arena.words[0] & LOCK_BIT
 
     def test_saturation_returns_false(self):
-        cell = one_word_cell(pack(1, atc=ATC_MAX))
-        assert not cell.atc_increment()
-        assert word_atc(cell.word) == ATC_MAX
+        arena = GuideArena([pack(1, atc=ATC_MAX)])
+        assert not arena.atc_increment(0)
+        assert word_atc(arena.words[0]) == ATC_MAX
 
     def test_decrement_below_zero_raises(self):
-        cell = one_word_cell(pack(1))
+        arena = GuideArena([pack(1)])
         with pytest.raises(GuideProtocolError):
-            cell.atc_decrement()
+            arena.atc_decrement(0)
 
 
 class TestMigrationCas:
     def test_lock_from_quiescent_word(self):
         word = pack(0x100, heap=HeapId.NEW)
-        cell = one_word_cell(word)
-        locked = cell.try_lock_for_migration(word)
+        arena = GuideArena([word])
+        locked = arena.try_lock_for_migration(0, word)
         assert locked == word | LOCK_BIT
-        assert cell.word == locked
+        assert arena.words[0] == locked
 
     def test_lock_on_busy_word_raises(self):
-        cell = one_word_cell(pack(0x100, atc=1))
+        arena = GuideArena([pack(0x100, atc=1)])
         with pytest.raises(GuideProtocolError):
-            cell.try_lock_for_migration(cell.word)
+            arena.try_lock_for_migration(0, arena.words[0])
 
     def test_lock_fails_when_word_changed(self):
         word = pack(0x100)
-        cell = one_word_cell(word)
-        cell.dereference()  # word changed since the scan
-        assert cell.try_lock_for_migration(word) is None
+        arena = GuideArena([word])
+        arena.dereference(0)  # word changed since the scan
+        assert arena.try_lock_for_migration(0, word) is None
 
     def test_commit_after_clean_lock(self):
         word = pack(0x100, heap=HeapId.NEW)
-        cell = one_word_cell(word)
-        locked = cell.try_lock_for_migration(word)
+        arena = GuideArena([word])
+        locked = arena.try_lock_for_migration(0, word)
         new_word = pack(0x200, heap=HeapId.HOT)
-        assert cell.commit_migration(locked, new_word)
-        assert cell.word == new_word
+        assert arena.commit_migration(0, locked, new_word)
+        assert arena.words[0] == new_word
 
     def test_intervening_dereference_aborts_commit(self):
         word = pack(0x100, heap=HeapId.NEW)
-        cell = one_word_cell(word)
-        locked = cell.try_lock_for_migration(word)
-        assert cell.dereference() == 0x100  # clears the lock
-        assert not cell.commit_migration(locked, pack(0x200, heap=HeapId.HOT))
-        assert cell.word & LOCATOR_MASK == 0x100
+        arena = GuideArena([word])
+        locked = arena.try_lock_for_migration(0, word)
+        assert arena.dereference(0) == 0x100  # clears the lock
+        assert not arena.commit_migration(0, locked,
+                                          pack(0x200, heap=HeapId.HOT))
+        assert arena.words[0] & LOCATOR_MASK == 0x100
+
+
+def test_a_guide_costs_only_its_word():
+    registry = GuideRegistry(SodaBitmap())
+    word = pack(0x40, heap=HeapId.HOT)
+    guides = 50_000
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(guides):
+            registry.create(word)
+        allocated = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert allocated / guides < 32, f"{allocated / guides:.1f} B per guide"

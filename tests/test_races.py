@@ -35,20 +35,20 @@ def make_env():
 
 def begin_migration(runtime, index):
     """Collector steps t0-t1: lock CAS, then copy into the target heap."""
-    cell = runtime.registry.cell(index)
-    word = cell.load()
-    locked = cell.try_lock_for_migration(word)
+    registry = runtime.registry
+    word = registry.words[index]
+    locked = registry.try_lock_for_migration(index, word)
     assert locked is not None
     payload = runtime.regions.read(word & LOCATOR_MASK)
     new_loc = runtime.regions.allocate(HeapId.HOT, len(payload))
     runtime.regions.write(new_loc, payload)
-    return cell, word, locked, new_loc
+    return word, locked, new_loc
 
 
-def finish_migration(runtime, cell, word, locked, new_loc):
+def finish_migration(runtime, index, word, locked, new_loc):
     """Collector step t2: commit CAS; winner-frees either side."""
     new_word = pack(new_loc, heap=HeapId.HOT)
-    if cell.commit_migration(locked, new_word):
+    if runtime.registry.commit_migration(index, locked, new_word):
         runtime.regions.free(word & LOCATOR_MASK)
         return "committed"
     runtime.regions.free(new_loc)
@@ -58,10 +58,10 @@ def finish_migration(runtime, cell, word, locked, new_loc):
 class TestRaceTable:
     def test_no_intervention_both_cas_succeed(self):
         runtime, index, old_loc = make_env()
-        cell, word, locked, new_loc = begin_migration(runtime, index)
-        assert finish_migration(runtime, cell, word, locked, new_loc) \
+        word, locked, new_loc = begin_migration(runtime, index)
+        assert finish_migration(runtime, index, word, locked, new_loc) \
             == "committed"
-        fields = unpack(cell.word)
+        fields = unpack(runtime.registry.words[index])
         assert fields.heap is HeapId.HOT and fields.locator == new_loc
         assert runtime.regions.read(new_loc) == PAYLOAD
         with pytest.raises(RegionError):
@@ -70,23 +70,23 @@ class TestRaceTable:
 
     def test_lock_set_succeeds_from_quiescent_word(self):
         runtime, index, _ = make_env()
-        cell = runtime.registry.cell(index)
-        word = cell.load()
-        locked = cell.try_lock_for_migration(word)
+        registry = runtime.registry
+        word = registry.words[index]
+        locked = registry.try_lock_for_migration(index, word)
         assert locked == word | LOCK_BIT
-        assert cell.word & LOCK_BIT
+        assert registry.words[index] & LOCK_BIT
 
     def test_dereference_between_lock_and_commit_aborts(self):
         runtime, index, old_loc = make_env()
-        cell, word, locked, new_loc = begin_migration(runtime, index)
+        word, locked, new_loc = begin_migration(runtime, index)
         # Mutator dereferences at t1': lock cleared, accessed set, and the
         # returned locator is still the old object.
-        assert cell.dereference() == old_loc
-        assert not cell.word & LOCK_BIT
-        assert finish_migration(runtime, cell, word, locked, new_loc) \
+        assert runtime.registry.dereference(index) == old_loc
+        assert not runtime.registry.words[index] & LOCK_BIT
+        assert finish_migration(runtime, index, word, locked, new_loc) \
             == "aborted"
         # Old object remains authoritative; the copy was freed, not the old.
-        fields = unpack(cell.word)
+        fields = unpack(runtime.registry.words[index])
         assert fields.locator == old_loc and fields.accessed
         assert runtime.regions.read(old_loc) == PAYLOAD
         with pytest.raises(RegionError):
@@ -95,22 +95,23 @@ class TestRaceTable:
 
     def test_scope_registration_between_lock_and_commit_aborts(self):
         runtime, index, old_loc = make_env()
-        cell, word, locked, new_loc = begin_migration(runtime, index)
-        assert cell.atc_increment()  # scope use: clears lock, bumps ATC
-        assert finish_migration(runtime, cell, word, locked, new_loc) \
+        word, locked, new_loc = begin_migration(runtime, index)
+        # A scope use clears the lock and bumps the ATC.
+        assert runtime.registry.atc_increment(index)
+        assert finish_migration(runtime, index, word, locked, new_loc) \
             == "aborted"
-        fields = unpack(cell.word)
+        fields = unpack(runtime.registry.words[index])
         assert fields.locator == old_loc and fields.atc == 1
         assert runtime.regions.read(old_loc) == PAYLOAD
         runtime.audit()
 
     def test_word_changed_before_lock_is_skipped(self):
         runtime, index, old_loc = make_env()
-        cell = runtime.registry.cell(index)
-        scanned_word = cell.load()
-        cell.dereference()  # access lands between scan and lock attempt
-        assert cell.try_lock_for_migration(scanned_word) is None
-        assert cell.word & ACCESSED_BIT
+        registry = runtime.registry
+        scanned_word = registry.words[index]
+        registry.dereference(index)  # access lands between scan and lock
+        assert registry.try_lock_for_migration(index, scanned_word) is None
+        assert registry.words[index] & ACCESSED_BIT
         assert runtime.regions.read(old_loc) == PAYLOAD
 
 
@@ -123,11 +124,11 @@ class TestDeleteVersusMigrate:
 
     def test_delete_wins_between_lock_and_commit(self):
         runtime, index, old_loc = make_env()
-        cell, word, locked, new_loc = begin_migration(runtime, index)
+        word, locked, new_loc = begin_migration(runtime, index)
         self.delete_steps(runtime, index)  # frees the old slot
-        assert finish_migration(runtime, cell, word, locked, new_loc) \
+        assert finish_migration(runtime, index, word, locked, new_loc) \
             == "aborted"  # collector frees only its copy
-        assert unpack(cell.word).heap is HeapId.RESERVED
+        assert unpack(runtime.registry.words[index]).heap is HeapId.RESERVED
         for loc in (old_loc, new_loc):
             with pytest.raises(RegionError):
                 runtime.regions.read(loc)
@@ -136,8 +137,8 @@ class TestDeleteVersusMigrate:
 
     def test_migration_wins_then_delete_frees_new_copy(self):
         runtime, index, old_loc = make_env()
-        cell, word, locked, new_loc = begin_migration(runtime, index)
-        assert finish_migration(runtime, cell, word, locked, new_loc) \
+        word, locked, new_loc = begin_migration(runtime, index)
+        assert finish_migration(runtime, index, word, locked, new_loc) \
             == "committed"  # frees the old slot
         self.delete_steps(runtime, index)  # tombstones + frees the copy
         assert runtime.regions.live_slot_count() == 0
@@ -152,18 +153,18 @@ class TestDeleteVersusMigrate:
 
     def test_tombstone_preserves_atc_for_open_scopes(self):
         runtime, index, old_loc = make_env()
-        cell = runtime.registry.cell(index)
-        assert cell.atc_increment()  # an open scope recorded this guide
-        old = runtime.registry.tombstone(index)
+        registry = runtime.registry
+        assert registry.atc_increment(index)  # an open scope recorded it
+        old = registry.tombstone(index)
         runtime.regions.free(old & LOCATOR_MASK)
-        runtime.registry.retire(index)
-        assert unpack(cell.word).atc == 1
-        runtime.registry.reclaim_retired()
-        assert runtime.registry.live_count == 0
-        cell.atc_decrement()  # the scope exit still balances
-        runtime.registry.reclaim_retired()
+        registry.retire(index)
+        assert unpack(registry.words[index]).atc == 1
+        registry.reclaim_retired()
+        assert registry.live_count == 0
+        registry.atc_decrement(index)  # the scope exit still balances
+        registry.reclaim_retired()
         # index becomes reusable only after the ATC drained
-        assert runtime.registry.create(pack(1, heap=HeapId.NEW)) == index
+        assert registry.create(pack(1, heap=HeapId.NEW)) == index
 
     def test_tombstone_word_shape(self):
         word = pack(0x1234, atc=2, ciw=9, heap=HeapId.HOT, accessed=True,
@@ -175,11 +176,11 @@ class TestDeleteVersusMigrate:
 
 
 def dereference(runtime, index):
-    runtime.registry.cell(index).dereference()
+    runtime.registry.dereference(index)
 
 
 def atc_increment(runtime, index):
-    assert runtime.registry.cell(index).atc_increment()
+    assert runtime.registry.atc_increment(index)
 
 
 def tombstone_and_free(runtime, index):
@@ -190,13 +191,13 @@ def tombstone_and_free(runtime, index):
 
 def swing_value(runtime, index):
     """A set: publish a fresh NEW slot by CAS, then free the replaced one."""
-    regions, cell = runtime.regions, runtime.registry.cell(index)
+    regions, registry = runtime.regions, runtime.registry
     new_loc = regions.allocate(HeapId.NEW, len(PAYLOAD))
     regions.write(new_loc, PAYLOAD)
     while True:
-        word = cell.load()
-        if cell.compare_and_swap(word, new_loc | ACCESSED_BIT
-                                 | (word & ATC_FIELD)):
+        word = registry.words[index]
+        if registry.compare_and_swap(index, word, new_loc | ACCESSED_BIT
+                                     | (word & ATC_FIELD)):
             regions.free(word & LOCATOR_MASK)
             return
 

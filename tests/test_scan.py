@@ -24,9 +24,8 @@ def scalar_scan(registry, cold_threshold, page_size) -> ScanResult:
     cold_pages: set[int] = set()
     ws_pages: set[int] = set()
     for index in registry.soda.indices():
-        cell = registry.cell(index)
         while True:
-            word = cell.word
+            word = registry.words[index]
             heap = word_heap(word)
             if heap == HeapId.RESERVED:
                 break
@@ -35,7 +34,8 @@ def scalar_scan(registry, cold_threshold, page_size) -> ScanResult:
                 else min(((word >> CIW_SHIFT) & CIW_MAX) + 1, CIW_MAX)
             new_word = (word & ~(ACCESSED_BIT | CIW_FIELD)) \
                 | (new_ciw << CIW_SHIFT)
-            if new_word == word or cell.compare_and_swap(word, new_word):
+            if new_word == word \
+                    or registry.compare_and_swap(index, word, new_word):
                 break
         if heap == HeapId.RESERVED:
             continue
@@ -121,11 +121,10 @@ def test_dereferences_and_atc_increments_racing_scans_are_kept():
     scans = []
 
     def mutator(offset):
-        cells = [registry.cell(i) for i in guides]
         for _ in range(rounds):
-            for cell in cells[offset:] + cells[:offset]:
-                cell.dereference()
-                cell.atc_increment()
+            for index in guides[offset:] + guides[:offset]:
+                registry.dereference(index)
+                registry.atc_increment(index)
 
     def scanner():
         while not stop.is_set():

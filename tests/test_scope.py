@@ -196,16 +196,16 @@ class TestScopeManager:
         scope.enter_scope()
         for _ in range(5):
             scope.record_guide_use(index)
-        assert word_atc(registry.cell(index).word) == 1
+        assert word_atc(registry.words[index]) == 1
         scope.exit_scope()
-        assert word_atc(registry.cell(index).word) == 0
+        assert word_atc(registry.words[index]) == 0
 
     def test_atc_once_per_scope_across_nesting(self):
         registry, scope, _ = make_scope_env(tracking=True)
         guides = [registry.create(pack(0x10 * (i + 1))) for i in range(3)]
 
         def atcs():
-            return [word_atc(registry.cell(g).word) for g in guides]
+            return [word_atc(registry.words[g]) for g in guides]
 
         for _ in range(2):  # a second scope tracks afresh
             scope.enter_scope()
@@ -275,11 +275,11 @@ class TestScopeManager:
         scope.record_guide_use(index)
         if before_registration:
             assert outcome["converged"] and state.phase == Phase.ACTIVE
-            assert word_atc(registry.cell(index).word) == 1  # tracked
+            assert word_atc(registry.words[index]) == 1  # tracked
         else:
             assert not outcome["converged"]  # waited for the open scope
         scope.exit_scope()
-        assert word_atc(registry.cell(index).word) == 0
+        assert word_atc(registry.words[index]) == 0
         assert tai.converged(state.epoch)
 
     def test_no_atc_when_tracking_disabled(self):
@@ -287,7 +287,7 @@ class TestScopeManager:
         index = registry.create(pack(0x10))
         scope.enter_scope()
         scope.record_guide_use(index)
-        assert word_atc(registry.cell(index).word) == 0
+        assert word_atc(registry.words[index]) == 0
         scope.exit_scope()
 
     def test_tracking_sampled_at_outermost_entry(self):
@@ -296,7 +296,7 @@ class TestScopeManager:
         scope.enter_scope()
         state.tracking_enabled = True  # flipped mid-scope: entry view holds
         scope.record_guide_use(index)
-        assert word_atc(registry.cell(index).word) == 0
+        assert word_atc(registry.words[index]) == 0
         scope.exit_scope()
 
     def test_tai_registration_uses_entry_epoch(self):

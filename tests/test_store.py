@@ -67,11 +67,11 @@ class TestGuideDiscipline:
         runtime = store.runtime
         store.set(b"k", b"v")
         runtime.collector.run_scan_window()  # clears accessed bits
-        live = list(runtime.registry.live_indices())
-        assert all(not runtime.registry.cell(i).word & ACCESSED_BIT
+        live = list(runtime.registry.soda.indices())
+        assert all(not runtime.registry.words[i] & ACCESSED_BIT
                    for i in live)
         store.get(b"k")
-        assert any(runtime.registry.cell(i).word & ACCESSED_BIT
+        assert any(runtime.registry.words[i] & ACCESSED_BIT
                    for i in live)
 
     def test_every_op_is_one_outermost_scope(self, store, tai_calls):
