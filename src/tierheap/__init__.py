@@ -16,7 +16,6 @@ from .regions import (HeapRegion, HintEvent, HintKind, RegionExhausted,
                       RegionManager)
 from .runtime import GuideRegistry, TierRuntime
 from .scope import BaseDeltaSet, EpochState, ScopeManager, ThreadActivityIndex
-from .soda import SodaBitmap
 from .store import GuideSkipList, PlainStore, StripedGuideMap, make_store
 from .workload import (OpStream, TraceParseError, TraceRecord, WorkloadSpec,
                        ZipfianGenerator, read_trace, replay_trace,
@@ -29,8 +28,8 @@ __all__ = [
     "EpochState", "GuideArena", "GuideProtocolError", "GuideRegistry",
     "GuideSkipList", "GuideWord", "HeapId", "HeapRegion", "HintEvent",
     "HintKind", "OpStream", "PlainStore", "RegionExhausted",
-    "RegionManager", "RunConfig", "ScopeManager", "SodaBitmap",
-    "StripedGuideMap", "ThreadActivityIndex",
+    "RegionManager", "RunConfig", "ScopeManager", "StripedGuideMap",
+    "ThreadActivityIndex",
     "TierRuntime", "TraceParseError", "TraceRecord", "UtilizationReport",
     "WindowReport", "WorkloadSpec", "ZipfianGenerator",
     "compute_promotion_rate", "main", "make_store", "next_cold_threshold",

@@ -1,25 +1,28 @@
 """Guide registry and the wired-up runtime facade.
 
 TierRuntime owns one of everything: the three heap regions, the guide
-registry with its sparse bitmap, the thread activity index, the scope manager,
-the access log, and the collector.  Stores and the benchmark driver talk to
-their components through this object.
+registry, the thread activity index, the scope manager, the access log, and
+the collector.  Stores and the benchmark driver talk to their components
+through this object.  The registry is the only record of guide lifetimes: a
+guide is live exactly when its word's heap bits are not RESERVED.
 """
 from __future__ import annotations
 
 import threading
 
+import numpy as np
+
 from .collector import Collector, ControllerState
 from .guideword import (ATC_FIELD, HEAP_FIELD, LOCATOR_MASK, LOCK_STRIPES,
-                        GuideArena, tombstone_from, word_heap)
+                        GuideArena, GuideProtocolError, tombstone_from,
+                        word_heap)
 from .metrics import AccessLog
 from .regions import DEFAULT_PAGE_SIZE, DEFAULT_REGION_LENGTH, RegionManager
 from .scope import EpochState, ScopeManager, ThreadActivityIndex
-from .soda import SodaBitmap
 
 
 class GuideRegistry(GuideArena):
-    """Guide arena with stable indices and a mirrored SODA bitmap.
+    """Guide arena with stable indices and their lifetimes.
 
     The arena holds the words and runs the guide-word protocol by index;
     the registry adds lifetimes.  Deleted guides are tombstoned
@@ -29,15 +32,16 @@ class GuideRegistry(GuideArena):
     graveyard at the end of each window that converged, and only of the
     indices retired before the window began: convergence proves that every
     scope open at a retire, which may still hold the deleted entry, has
-    exited.  A word is live exactly when its heap bits are not RESERVED.
+    exited.  A word is live exactly when its heap bits are not RESERVED,
+    and every RESERVED word is parked on the free list or in the graveyard.
     """
 
-    def __init__(self, soda: SodaBitmap):
+    def __init__(self):
         super().__init__()
-        self.soda = soda
         self._free: list[int] = []
         self._graveyard: list[int] = []
         self._lock = threading.Lock()
+        self.live_count = 0
 
     def create(self, word: int) -> int:
         if (word & HEAP_FIELD) == HEAP_FIELD:
@@ -50,17 +54,21 @@ class GuideRegistry(GuideArena):
             else:
                 index = len(self.words)
                 self.words.append(word)
-        self.soda.set_bit(index)
+            self.live_count += 1
         return index
 
     def retire(self, index: int) -> None:
-        """Clear the SODA bit and park the index until its ATC drains.
+        """Park the tombstoned guide `index` until its ATC drains.
 
-        The caller must already have swung the word to a tombstone.
+        The caller must already have swung the word to a tombstone, and
+        retires each guide once.
         """
-        self.soda.clear_bit(index)
         with self._lock:
+            if (self.words[index] & HEAP_FIELD) != HEAP_FIELD:
+                raise GuideProtocolError(
+                    f"retire of guide {index}, which is not a tombstone")
             self._graveyard.append(index)
+            self.live_count -= 1
 
     def tombstone(self, index: int) -> int:
         """CAS the word to a tombstone; returns the replaced word."""
@@ -90,9 +98,45 @@ class GuideRegistry(GuideArena):
                     self._free.append(index)
             self._graveyard = still_parked + graveyard[mark:]
 
-    @property
-    def live_count(self) -> int:
-        return len(self.soda)
+    def indices(self):
+        """Yield the live guide indices in ascending order.
+
+        Walks a copy of the arena taken at the first step, so it holds no
+        buffer export on `words` (a concurrent `create` may append to it)
+        and yields every index that stays live throughout.
+        """
+        words = np.frombuffer(self.words[:], dtype=np.uint64)
+        yield from np.flatnonzero(
+            (words & HEAP_FIELD) != HEAP_FIELD).tolist()
+
+    def audit(self) -> None:
+        """Check the arena against the free list, graveyard and live count.
+
+        The parked indices must be exactly the RESERVED words, none parked
+        twice, and `live_count` must be the number of live words.
+        """
+        with self._lock:
+            parked = self._free + self._graveyard
+            reserved = [index for index, word in enumerate(self.words)
+                        if (word & HEAP_FIELD) == HEAP_FIELD]
+            live = len(self.words) - len(reserved)
+            live_count = self.live_count
+        parked.sort()
+        twice = sorted({a for a, b in zip(parked, parked[1:]) if a == b})
+        if twice:
+            raise AssertionError(f"guides {twice[:8]} are parked twice")
+        if parked != reserved:
+            raise AssertionError(
+                f"RESERVED words {reserved[:8]} but parked indices "
+                f"{parked[:8]}")
+        if live != live_count:
+            raise AssertionError(
+                f"{live} live words in the arena but a live count of "
+                f"{live_count}")
+
+    # tierbench/harness.py walks `registry.soda.indices()` for its traced
+    # `soda.walk_ns_per_guide` metric, so the registry answers to that name.
+    soda = property(lambda self: self)
 
 
 class TierRuntime:
@@ -104,8 +148,7 @@ class TierRuntime:
                  hinted: bool = False,
                  track_access_log: bool = True):
         self.regions = RegionManager(region_length, page_size)
-        self.soda = SodaBitmap()
-        self.registry = GuideRegistry(self.soda)
+        self.registry = GuideRegistry()
         self.epoch_state = EpochState()
         self.tai = ThreadActivityIndex()
         self.scope = ScopeManager(self.registry, self.tai, self.epoch_state)
@@ -129,23 +172,16 @@ class TierRuntime:
     def audit(self) -> None:
         """Full-system consistency walk; raises on any drift.
 
-        Checks region accounting, that the live words of the arena (heap
-        bits not RESERVED) are exactly the SODA bitmap's set bits, and that
-        every live guide's heap bits match the region its locator falls in.
-        Run it while no mutator is between a tombstone and its retire.
+        Checks region accounting, the registry's lifetimes against its word
+        arena (`GuideRegistry.audit`), and that every live guide's heap bits
+        match the region its locator falls in.  Run it while no mutator is
+        between a tombstone and its retire.
         """
         self.regions.audit()
-        registry = self.registry
-        soda = registry.soda
-        live = 0
-        for index, word in enumerate(registry.words):
+        self.registry.audit()
+        for index, word in enumerate(self.registry.words):
             if (word & HEAP_FIELD) == HEAP_FIELD:
                 continue
-            live += 1
-            if not soda.test(index):
-                raise AssertionError(
-                    f"guide {index} is live in the arena but its SODA bit "
-                    f"is clear")
             heap = word_heap(word)
             locator = word & LOCATOR_MASK
             actual = self.regions.heap_of(locator)
@@ -153,7 +189,3 @@ class TierRuntime:
                 raise AssertionError(
                     f"guide {index}: heap bits say {heap.name}, locator "
                     f"{locator:#x} lies in {actual.name}")
-        if live != registry.live_count:
-            raise AssertionError(
-                f"{live} live words in the arena but {registry.live_count} "
-                f"SODA bits set")

@@ -335,22 +335,37 @@ def test_criterion_6_encoding_suite():
 def test_criterion_7_overhead_bound():
     deref_ns = measure_deref_ns()
     base = dict(keys=5000, key_size=16, value_size=64, ops=120_000,
-                windows=2, threads=8, clock="logical", seed=3)
-    instrumented = run_benchmark(RunConfig(**base))
-    baseline = run_benchmark(RunConfig(baseline=True, **base))
-    through_i = instrumented.summary["throughputOpsPerSec"]
-    through_b = baseline.summary["throughputOpsPerSec"]
-    ratio = through_i / through_b if through_b else 0.0
+                windows=2, clock="logical", seed=3)
+
+    def throughput_ratio(threads):
+        instrumented = run_benchmark(RunConfig(threads=threads, **base))
+        baseline = run_benchmark(RunConfig(baseline=True, threads=threads,
+                                           **base))
+        through_i = instrumented.summary["throughputOpsPerSec"]
+        through_b = baseline.summary["throughputOpsPerSec"]
+        return through_i, through_b, \
+            through_i / through_b if through_b else 0.0
+
+    through_i, through_b, ratio = throughput_ratio(8)
+    # Only the 8-thread ratio is gated.  On a 2-core box it spread 16-53 %
+    # across runs, while the 1-thread ratio held at 23-26 %.
+    one_i, one_b, one_ratio = throughput_ratio(1)
+    throughput = (f"instrumented {through_i:,.0f} ops/s vs baseline "
+                  f"{through_b:,.0f} ops/s = {ratio:.1%} at 8 threads "
+                  f"(need >= 90%); {one_i:,.0f} vs {one_b:,.0f} ops/s = "
+                  f"{one_ratio:.1%} at 1 thread")
     ok = deref_ns < 20.0 and ratio >= 0.90
     announce(7, ok,
              f"dereference median {deref_ns:.0f} ns (need < 20 ns); "
-             f"instrumented {through_i:,.0f} ops/s vs baseline "
-             f"{through_b:,.0f} ops/s = {ratio:.1%} (need >= 90%)")
+             f"{throughput}")
     assert deref_ns < 20.0, (
         "An interpreted dereference costs ~100 ns of bytecode dispatch "
         "before any memory access; the 20 ns bound presumes a compiled "
-        "single-load fast path.")
-    assert ratio >= 0.90
+        f"single-load fast path.  Throughput: {throughput}.")
+    assert ratio >= 0.90, (
+        f"{throughput}.  The 1-thread ratio is the per-operation cost of "
+        "the guided path; the 8-thread ratio also carries interpreter-lock "
+        "hand-offs between the worker threads.")
 
 
 def test_criterion_8_formula_oracles():

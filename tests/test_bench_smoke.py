@@ -2,8 +2,8 @@
 
 `tierbench/` calls into the runtime by name (the region calls its tracer
 wraps, the guide-word methods it wraps on the `GuideCell` class, the
-registry's SODA bitmap, the runtime's options), so a one-second run of each
-mode keeps that surface from breaking unnoticed.
+registry's `soda.indices()` walk in traced runs, the runtime's options), so a
+one-second run of each mode keeps that surface from breaking unnoticed.
 """
 import json
 import subprocess

@@ -11,7 +11,6 @@ from tierheap.guideword import (ACCESSED_BIT, ATC_MAX, ATC_ONE, CIW_MAX,
                                 HeapId, pack, pack_fields, tombstone_from,
                                 unpack, word_atc, word_heap)
 from tierheap.runtime import GuideRegistry
-from tierheap.soda import SodaBitmap
 
 
 class TestPackUnpack:
@@ -188,7 +187,7 @@ class TestMigrationCas:
 
 
 def test_a_guide_costs_only_its_word():
-    registry = GuideRegistry(SodaBitmap())
+    registry = GuideRegistry()
     word = pack(0x40, heap=HeapId.HOT)
     guides = 50_000
     tracemalloc.start()

@@ -1,5 +1,6 @@
 """The guide-word arena: the vectorized scan against a scalar reference,
-its concurrency, and the audit of the arena against the SODA bitmap."""
+its concurrency, the registry's guide lifetimes, and the audit of the arena
+against the registry's free list and graveyard."""
 import random
 import sys
 import threading
@@ -8,9 +9,10 @@ import pytest
 
 from tierheap.collector import SCAN_CHUNK, ScanResult
 from tierheap.guideword import (ACCESSED_BIT, ATC_MAX, ATC_ONE, CIW_FIELD,
-                                CIW_MAX, CIW_SHIFT, LOCATOR_MASK, HeapId,
-                                pack, word_atc, word_heap)
-from tierheap.runtime import TierRuntime
+                                CIW_MAX, CIW_SHIFT, LOCATOR_MASK,
+                                GuideProtocolError, HeapId, pack, word_atc,
+                                word_heap)
+from tierheap.runtime import GuideRegistry, TierRuntime
 
 REGION_LENGTH = 1 << 30
 HEAPS = (HeapId.NEW, HeapId.HOT, HeapId.COLD)
@@ -23,7 +25,7 @@ def scalar_scan(registry, cold_threshold, page_size) -> ScanResult:
     demotions: list[int] = []
     cold_pages: set[int] = set()
     ws_pages: set[int] = set()
-    for index in registry.soda.indices():
+    for index in registry.indices():
         while True:
             word = registry.words[index]
             heap = word_heap(word)
@@ -179,6 +181,89 @@ def test_create_reuses_a_free_index_under_its_stripe_lock():
     assert created == [index] and registry.words[index] == pack(0x200)
 
 
+class TestGuideLifetimes:
+    def test_retire_of_a_live_guide_raises(self):
+        registry = GuideRegistry()
+        index = registry.create(pack(0x40, heap=HeapId.HOT))
+        with pytest.raises(GuideProtocolError, match="not a tombstone"):
+            registry.retire(index)
+        assert registry.live_count == 1 and list(registry.indices()) == [0]
+        registry.audit()
+
+    def test_fuzz_against_reference_set(self):
+        """Random creates, deletes (some held by an ATC) and reclaims: the
+        live indices and the live count follow a reference set."""
+        rng = random.Random(4)
+        registry = GuideRegistry()
+        live: set[int] = set()
+        held: set[int] = set()  # tombstoned with an ATC still counted
+        for _ in range(20_000):
+            roll = rng.random()
+            if roll < 0.5 or not live:
+                index = registry.create(pack(
+                    rng.randrange(1 << 20), atc=rng.choice((0, 0, 0, 1)),
+                    heap=rng.choice(HEAPS)))
+                assert index not in live
+                live.add(index)
+            elif roll < 0.85:
+                index = rng.choice(sorted(live))
+                if word_atc(registry.tombstone(index)):
+                    held.add(index)
+                registry.retire(index)
+                live.discard(index)
+            elif roll < 0.95 and held:
+                index = held.pop()
+                registry.atc_decrement(index)
+            else:
+                registry.reclaim_retired(
+                    rng.randrange(registry.graveyard_mark() + 1))
+        assert list(registry.indices()) == sorted(live)
+        assert registry.live_count == len(live)
+        registry.audit()
+
+    def test_walk_racing_creates_and_retires(self):
+        """A walk of `indices()` while another thread creates (appending to
+        the arena) and retires guides: it raises nothing, comes out
+        ascending, and yields every index live throughout."""
+        registry = GuideRegistry()
+        steady = [registry.create(pack(0x40 * i)) for i in range(5000)]
+        stop = threading.Event()
+        errors = []
+
+        def churn():
+            try:
+                rounds = 0
+                while not stop.is_set():
+                    first = registry.create(pack(0x80))
+                    registry.create(pack(0xC0))
+                    registry.tombstone(first)
+                    registry.retire(first)
+                    rounds += 1
+                    if not rounds % 64:
+                        registry.reclaim_retired()
+            except Exception as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        walks = []
+        try:
+            churner = threading.Thread(target=churn)
+            churner.start()
+            for _ in range(20):
+                walks.append(list(registry.indices()))
+            stop.set()
+            churner.join(60.0)
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert not churner.is_alive() and errors == []
+        assert len(registry.words) > len(steady)  # the churn appended
+        for walk in walks:
+            assert walk == sorted(set(walk))
+            assert set(steady) <= set(walk)
+        registry.audit()
+
+
 class TestArenaAudit:
     def make_runtime(self):
         runtime = TierRuntime(region_length=REGION_LENGTH)
@@ -189,17 +274,30 @@ class TestArenaAudit:
         runtime.audit()
         return runtime
 
-    def test_live_word_without_its_soda_bit_fails(self):
+    def test_live_word_parked_fails(self):
         runtime = self.make_runtime()
-        runtime.registry.soda.clear_bit(1)
-        with pytest.raises(AssertionError, match="SODA bit is clear"):
+        runtime.registry._free.append(1)  # free list claims a live guide
+        with pytest.raises(AssertionError, match=r"RESERVED words \[\] but "
+                                                 r"parked indices \[1\]"):
             runtime.audit()
 
-    def test_soda_bit_of_a_tombstone_fails(self):
+    def test_tombstone_not_retired_fails(self):
         runtime = self.make_runtime()
         registry = runtime.registry
         runtime.regions.free(registry.tombstone(1) & LOCATOR_MASK)
-        with pytest.raises(AssertionError, match="1 live words"):
-            runtime.audit()  # tombstoned but not retired: bit still set
+        with pytest.raises(AssertionError, match=r"RESERVED words \[1\]"):
+            runtime.audit()  # tombstoned but not retired
         registry.retire(1)
         runtime.audit()
+
+    def test_index_parked_twice_fails(self):
+        runtime = self.make_runtime()
+        registry = runtime.registry
+        runtime.regions.free(registry.tombstone(1) & LOCATOR_MASK)
+        registry.retire(1)
+        registry.reclaim_retired()
+        runtime.audit()
+        registry.retire(1)  # a second retire of the same delete
+        with pytest.raises(AssertionError, match=r"guides \[1\] are parked "
+                                                 r"twice"):
+            runtime.audit()

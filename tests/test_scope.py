@@ -11,7 +11,6 @@ from tierheap.guideword import pack, word_atc
 from tierheap.runtime import GuideRegistry
 from tierheap.scope import (BaseDeltaSet, EpochState, Phase, ScopeError,
                             ScopeManager, ThreadActivityIndex)
-from tierheap.soda import SodaBitmap
 
 
 class TestBaseDeltaSet:
@@ -109,7 +108,7 @@ class TestThreadActivityIndex:
         """Four threads open and close scopes under the new epoch on one
         shared slot while an older scope opens and closes among them; no
         converged() reading may miss the older scope."""
-        registry = GuideRegistry(SodaBitmap())
+        registry = GuideRegistry()
         state = EpochState()
         state.epoch = 2
         tai = ThreadActivityIndex(1)
@@ -158,8 +157,7 @@ class TestThreadActivityIndex:
 
 
 def make_scope_env(tracking=False, epoch=0):
-    soda = SodaBitmap()
-    registry = GuideRegistry(soda)
+    registry = GuideRegistry()
     state = EpochState()
     state.epoch = epoch
     state.tracking_enabled = tracking
@@ -246,7 +244,7 @@ class TestScopeManager:
         """A window that begins while a scope registers in the TAI either
         waits for that scope or sees it tracked, never converges past an
         untracked one."""
-        registry = GuideRegistry(SodaBitmap())
+        registry = GuideRegistry()
         state = EpochState()
         outcome = {}
 

@@ -67,7 +67,7 @@ class TestGuideDiscipline:
         runtime = store.runtime
         store.set(b"k", b"v")
         runtime.collector.run_scan_window()  # clears accessed bits
-        live = list(runtime.registry.soda.indices())
+        live = list(runtime.registry.indices())
         assert all(not runtime.registry.words[i] & ACCESSED_BIT
                    for i in live)
         store.get(b"k")
