@@ -41,8 +41,8 @@ class AccessLog:
     """Windowed record of which 64 B lines of which pages were touched.
 
     record() runs on mutator hot paths without a lock: it only extends a
-    flat pending list by the (offset, length) pair, in one list.extend, so
-    pairs from racing threads never interleave, and no object survives
+    flat pending list by its (offset, length) pairs, in one list.extend, so
+    records from racing threads never interleave, and no object survives
     that the cyclic garbage collector would have to track.  When the buffer
     holds FOLD_BATCH records, and before a window closes or is read, it is
     folded into a (pages, line masks) pair of arrays that is appended to
@@ -65,9 +65,12 @@ class AccessLog:
         self._fold_masks = (_fold_vectorized
                             if page_size <= 64 * LINE_SIZE else _fold_scalar)
 
-    def record(self, offset: int, length: int) -> None:
+    def record(self, *pairs: int) -> None:
+        """Log accesses given as offset, length, offset, length, ..."""
+        if len(pairs) & 1:
+            raise ValueError("record takes (offset, length) pairs")
         pending = self._pending
-        pending.extend((offset, length))
+        pending.extend(pairs)
         if len(pending) >= 2 * FOLD_BATCH:
             with self._fold_lock:
                 self._fold()

@@ -294,7 +294,14 @@ class RegionManager:
         self._region_of(locator).free(locator)
 
     def read(self, locator: int) -> bytes:
-        return self._region_of(locator).read(locator)
+        # HeapRegion.read inlined: this is the guided get's one region call.
+        index = locator // self._region_length
+        if 0 <= index < len(self._order):
+            payload = self._order[index]._live.get(
+                locator - index * self._region_length)
+            if payload is not None:
+                return payload
+        raise RegionError(f"read of non-live locator {locator:#x}")
 
     def write(self, locator: int, data: bytes) -> None:
         self._region_of(locator).write(locator, data)

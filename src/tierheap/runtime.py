@@ -165,10 +165,6 @@ class TierRuntime:
         # 10x the longest observed scope, floored at 100 ms.
         return max(0.1, 10.0 * self.scope.max_scope_seconds)
 
-    def record_access(self, locator: int, length: int) -> None:
-        if self.access_log is not None:
-            self.access_log.record(locator, length)
-
     def audit(self) -> None:
         """Full-system consistency walk; raises on any drift.
 

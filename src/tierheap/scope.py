@@ -5,7 +5,9 @@ registers the thread in the Thread Activity Index (TAI) under the global
 epoch and samples whether ATC tracking is on.  While it is, guide uses are
 collected in a base+delta set and increment the guide's active-thread count
 exactly once per scope; the matching decrements happen when the outermost
-scope exits.  With tracking off a scope keeps no used-guide set at all.
+scope exits.  With tracking off a scope keeps no used-guide set at all,
+and since `enter_scope` returns the thread's scope record, a caller that
+finds its `used` set None skips recording guide uses altogether.
 
 Registration takes no lock: a TAI slot is a list of the entry epochs of
 its open scopes, and entering or leaving one is a single list append or
@@ -192,7 +194,9 @@ class ScopeManager:
             scope = self._tls.scope = _ThreadScope(self.tai.assign_slot())
         return scope
 
-    def enter_scope(self) -> None:
+    def enter_scope(self) -> _ThreadScope:
+        """Enter a scope; returns the thread's scope record, whose `used`
+        is None unless the outermost scope tracks ATC."""
         scope = self._scope()
         scope.depth += 1
         if scope.depth == 1:
@@ -220,6 +224,7 @@ class ScopeManager:
                 scope.used = None
             if not scope.outermost & SCOPE_SAMPLE_MASK:
                 scope.entered_at = time.monotonic()
+        return scope
 
     def record_guide_use(self, index: int) -> None:
         scope = getattr(self._tls, "scope", None)

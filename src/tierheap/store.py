@@ -5,8 +5,10 @@ a skip list whose readers take no lock and whose writers link under one
 lock, deleting logically.  Every public operation runs inside a scope guard,
 every key/value access goes through its guide word, and inserted data is
 deep-copied into region slots so the runtime owns the authoritative bytes.
-PlainStore is the untiered baseline for overhead comparisons: a locked dict
-with no guides, scopes or regions.
+Both structures run an operation's guided work in one `_GuideOps` method,
+which logs the key and value slots in one access-log call.  PlainStore is
+the untiered baseline for overhead comparisons: a locked dict with no
+guides, scopes or regions.
 """
 from __future__ import annotations
 
@@ -15,11 +17,14 @@ import zlib
 from dataclasses import dataclass
 
 from .guideword import (ACCESSED_BIT, ATC_FIELD, HEAP_FIELD, LOCATOR_MASK,
-                        HeapId, pack)
+                        LOCK_BIT, HeapId)
 from .regions import RegionError
 from .runtime import TierRuntime
 
 MAP_STRIPES = 64
+
+# A word with exactly ACCESSED_BIT of these set dereferences by a plain load.
+_DEREF_BITS = ACCESSED_BIT | LOCK_BIT
 
 
 @dataclass
@@ -30,33 +35,86 @@ class KvEntry:
 
 
 class _GuideOps:
-    """Guide plumbing shared by both store structures."""
+    """The guided paths both store structures share, one call per
+    operation.  `tracked` says whether the caller's scope tracks ATC; only
+    then are guide uses recorded, each before its guide is dereferenced.
+    A word with the accessed bit set and no migration lock dereferences by
+    a plain load; any other goes through `registry.dereference`.
+    """
 
     def __init__(self, runtime: TierRuntime):
         self.runtime = runtime
 
-    def _make_entry(self, key: bytes, value: bytes) -> KvEntry:
+    def _make_entry(self, key: bytes, value: bytes, tracked: bool) -> KvEntry:
         rt = self.runtime
-        key_loc = rt.regions.allocate(HeapId.NEW, len(key))
-        rt.regions.write(key_loc, key)
-        key_guide = rt.registry.create(
-            pack(key_loc, heap=HeapId.NEW, accessed=True))
-        value_loc = rt.regions.allocate(HeapId.NEW, len(value))
-        rt.regions.write(value_loc, value)
-        value_guide = rt.registry.create(
-            pack(value_loc, heap=HeapId.NEW, accessed=True))
-        rt.record_access(key_loc, len(key))
-        rt.record_access(value_loc, len(value))
+        regions, registry = rt.regions, rt.registry
+        key_loc = regions.allocate(HeapId.NEW, len(key))
+        regions.write(key_loc, key)
+        key_guide = registry.create(key_loc | ACCESSED_BIT)  # heap=NEW
+        value_loc = regions.allocate(HeapId.NEW, len(value))
+        regions.write(value_loc, value)
+        value_guide = registry.create(value_loc | ACCESSED_BIT)
+        if tracked:
+            rt.scope.record_guide_use(key_guide)
+            rt.scope.record_guide_use(value_guide)
+        log = rt.access_log
+        if log is not None:
+            log.record(key_loc, len(key), value_loc, len(value))
         return KvEntry(key_guide, value_guide)
 
-    def _touch_key(self, entry: KvEntry, key_len: int) -> None:
-        rt = self.runtime
-        rt.scope.record_guide_use(entry.key_guide)
-        locator = rt.registry.dereference(entry.key_guide)
-        rt.record_access(locator, key_len)
+    def _read(self, entry: KvEntry, key_len: int,
+              tracked: bool) -> bytes | None:
+        """Touch the key, then read the value slot and confirm the guide
+        still names it.
 
-    def _swing_value(self, entry: KvEntry, value: bytes) -> bool:
-        """Publish a fresh NEW-heap slot for the value via guide CAS.
+        The hash map reads under the key's stripe lock, which keeps the
+        key's setters out, so for it the check costs one word load.  The
+        skip list takes no lock, so a racing set may publish a new slot and
+        free the one being read, and the next allocation may reuse it at
+        once.  If the word moved on, the read is repeated at the new
+        locator.  A setter writes its slot before its CAS publishes it, so
+        a slot the word still names after the read held this guide's
+        value, unless within that window the slot was freed, reused
+        elsewhere and then published for this guide again.
+        """
+        rt = self.runtime
+        registry = rt.registry
+        words = registry.words
+        key_guide, guide = entry.key_guide, entry.value_guide
+        if tracked:
+            rt.scope.record_guide_use(key_guide)
+            rt.scope.record_guide_use(guide)
+        word = words[key_guide]
+        key_loc = (word & LOCATOR_MASK if word & _DEREF_BITS == ACCESSED_BIT
+                   else registry.dereference(key_guide))
+        word = words[guide]
+        locator = (word & LOCATOR_MASK if word & _DEREF_BITS == ACCESSED_BIT
+                   else registry.dereference(guide))
+        read = rt.regions.read
+        while True:
+            try:
+                data = read(locator)
+            except RegionError:
+                data = None
+            word = words[guide]
+            if (word & HEAP_FIELD) == HEAP_FIELD:
+                data = None  # lost a race with delete; entry is gone
+                break
+            if word & LOCATOR_MASK == locator:
+                break
+            locator = registry.dereference(guide)
+        log = rt.access_log
+        if log is not None:
+            if data is None:
+                log.record(key_loc, key_len)
+            else:
+                log.record(key_loc, key_len, locator, len(data))
+        return data
+
+    def _update(self, entry: KvEntry, key_len: int, value: bytes,
+                tracked: bool) -> bool:
+        """Touch the key, then publish a fresh NEW-heap slot for the value
+        via guide CAS.
 
         Whoever succeeds a CAS frees exactly the slot named by the word it
         replaced, so racing setters and an in-flight migration can never
@@ -64,41 +122,43 @@ class _GuideOps:
         entry was deleted, so the fresh slot is freed and False returned.
         """
         rt = self.runtime
-        guide, registry = entry.value_guide, rt.registry
-        rt.scope.record_guide_use(guide)
-        new_loc = rt.regions.allocate(HeapId.NEW, len(value))
-        rt.regions.write(new_loc, value)
+        regions, registry = rt.regions, rt.registry
+        words = registry.words
+        key_guide, guide = entry.key_guide, entry.value_guide
+        if tracked:
+            rt.scope.record_guide_use(key_guide)
+            rt.scope.record_guide_use(guide)
+        word = words[key_guide]
+        key_loc = (word & LOCATOR_MASK if word & _DEREF_BITS == ACCESSED_BIT
+                   else registry.dereference(key_guide))
+        new_loc = regions.allocate(HeapId.NEW, len(value))
+        regions.write(new_loc, value)
         new_base = new_loc | ACCESSED_BIT  # heap=NEW, ciw=0, lock clear
+        log = rt.access_log
         while True:
-            word = registry.words[guide]
+            word = words[guide]
             if (word & HEAP_FIELD) == HEAP_FIELD:
-                rt.regions.free(new_loc)
+                regions.free(new_loc)
+                if log is not None:
+                    log.record(key_loc, key_len)
                 return False
             if registry.compare_and_swap(guide, word,
                                          new_base | (word & ATC_FIELD)):
-                rt.regions.free(word & LOCATOR_MASK)
+                regions.free(word & LOCATOR_MASK)
                 break
-        rt.record_access(new_loc, len(value))
+        if log is not None:
+            log.record(key_loc, key_len, new_loc, len(value))
         return True
 
-    def _read_value(self, entry: KvEntry) -> bytes | None:
+    def _retire_entry(self, entry: KvEntry, tracked: bool) -> None:
         rt = self.runtime
-        rt.scope.record_guide_use(entry.value_guide)
-        locator = rt.registry.dereference(entry.value_guide)
-        try:
-            data = rt.regions.read(locator)
-        except RegionError:
-            return None  # lost a race with delete; entry is gone
-        rt.record_access(locator, len(data))
-        return data
-
-    def _retire_entry(self, entry: KvEntry) -> None:
-        rt = self.runtime
+        regions, registry = rt.regions, rt.registry
         for guide in (entry.key_guide, entry.value_guide):
-            rt.scope.record_guide_use(guide)
-            old_word = rt.registry.tombstone(guide)
-            rt.regions.free(old_word & LOCATOR_MASK)
-            rt.registry.retire(guide)
+            if tracked:
+                rt.scope.record_guide_use(guide)
+            old_word = registry.tombstone(guide)
+            regions.free(old_word & LOCATOR_MASK)
+            registry.retire(guide)
 
 
 class StripedGuideMap(_GuideOps):
@@ -110,51 +170,44 @@ class StripedGuideMap(_GuideOps):
             [{} for _ in range(MAP_STRIPES)]
         self._locks = [threading.Lock() for _ in range(MAP_STRIPES)]
 
-    def _stripe(self, key: bytes) -> int:
-        return zlib.crc32(key) % MAP_STRIPES
-
     def set(self, key: bytes, value: bytes) -> None:
-        i = self._stripe(key)
+        i = zlib.crc32(key) % MAP_STRIPES
         scope = self.runtime.scope
-        scope.enter_scope()
+        tracked = scope.enter_scope().used is not None
         try:
             with self._locks[i]:
-                entry = self._stripes[i].get(key)
+                stripe = self._stripes[i]
+                entry = stripe.get(key)
                 if entry is None:
-                    entry = self._make_entry(key, value)
-                    self._stripes[i][key] = entry
-                    scope.record_guide_use(entry.key_guide)
-                    scope.record_guide_use(entry.value_guide)
+                    stripe[key] = self._make_entry(key, value, tracked)
                 else:
-                    self._touch_key(entry, len(key))
-                    self._swing_value(entry, value)
+                    self._update(entry, len(key), value, tracked)
         finally:
             scope.exit_scope()
 
     def get(self, key: bytes) -> bytes | None:
-        i = self._stripe(key)
+        i = zlib.crc32(key) % MAP_STRIPES
         scope = self.runtime.scope
-        scope.enter_scope()
+        tracked = scope.enter_scope().used is not None
         try:
             with self._locks[i]:
                 entry = self._stripes[i].get(key)
                 if entry is None:
                     return None
-                self._touch_key(entry, len(key))
-                return self._read_value(entry)
+                return self._read(entry, len(key), tracked)
         finally:
             scope.exit_scope()
 
     def delete(self, key: bytes) -> bool:
-        i = self._stripe(key)
+        i = zlib.crc32(key) % MAP_STRIPES
         scope = self.runtime.scope
-        scope.enter_scope()
+        tracked = scope.enter_scope().used is not None
         try:
             with self._locks[i]:
                 entry = self._stripes[i].pop(key, None)
                 if entry is None:
                     return False
-                self._retire_entry(entry)
+                self._retire_entry(entry, tracked)
                 return True
         finally:
             scope.exit_scope()
@@ -242,73 +295,39 @@ class GuideSkipList(_GuideOps):
 
     def set(self, key: bytes, value: bytes) -> None:
         scope = self.runtime.scope
-        scope.enter_scope()
+        tracked = scope.enter_scope().used is not None
         try:
             while True:
                 _, node = self._find(key)
                 entry = None if node is None else node.entry
                 if entry is None:
-                    fresh = self._make_entry(key, value)
-                    scope.record_guide_use(fresh.key_guide)
-                    scope.record_guide_use(fresh.value_guide)
+                    fresh = self._make_entry(key, value, tracked)
                     entry = self._install(key, fresh)
                     if entry is fresh:
                         return
-                    self._retire_entry(fresh)  # another set installed first
-                self._touch_key(entry, len(key))
-                if self._swing_value(entry, value):
+                    # Another set installed first.
+                    self._retire_entry(fresh, tracked)
+                if self._update(entry, len(key), value, tracked):
                     return
                 # A delete retired the entry after the search: insert anew.
         finally:
             scope.exit_scope()
 
-    def _read_value(self, entry: KvEntry) -> bytes | None:
-        """Read the value slot, then confirm the guide still names it.
-
-        The hash map reads under the key's stripe lock, which keeps the
-        key's setters out.  The skip list takes no lock, so a racing set
-        may publish a new slot and free the one being read, and the next
-        allocation may reuse it at once.  If the word moved on, the read is
-        repeated at the new locator.  A setter writes its slot before its
-        CAS publishes it, so a slot the word still names after the read
-        held this guide's value, unless within that window the slot was
-        freed, reused elsewhere and then published for this guide again.
-        """
-        rt = self.runtime
-        guide, registry = entry.value_guide, rt.registry
-        rt.scope.record_guide_use(guide)
-        locator = registry.dereference(guide)
-        while True:
-            try:
-                data = rt.regions.read(locator)
-            except RegionError:
-                data = None
-            word = registry.words[guide]
-            if (word & HEAP_FIELD) == HEAP_FIELD:
-                return None  # lost a race with delete; entry is gone
-            if word & LOCATOR_MASK == locator:
-                break
-            locator = registry.dereference(guide)
-        if data is not None:
-            rt.record_access(locator, len(data))
-        return data
-
     def get(self, key: bytes) -> bytes | None:
         scope = self.runtime.scope
-        scope.enter_scope()
+        tracked = scope.enter_scope().used is not None
         try:
             _, node = self._find(key)
             entry = None if node is None else node.entry
             if entry is None:
                 return None
-            self._touch_key(entry, len(key))
-            return self._read_value(entry)
+            return self._read(entry, len(key), tracked)
         finally:
             scope.exit_scope()
 
     def delete(self, key: bytes) -> bool:
         scope = self.runtime.scope
-        scope.enter_scope()
+        tracked = scope.enter_scope().used is not None
         try:
             _, node = self._find(key)
             if node is None:
@@ -318,7 +337,7 @@ class GuideSkipList(_GuideOps):
                 node.entry = None
             if entry is None:
                 return False
-            self._retire_entry(entry)
+            self._retire_entry(entry, tracked)
             return True
         finally:
             scope.exit_scope()

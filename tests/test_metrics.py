@@ -195,6 +195,38 @@ class TestFoldedAccessLog:
         got = [(e.page, e.line_mask) for e in log.entries(1)]
         assert got == list(masks.items())
 
+    def test_pairs_in_one_call_match_one_call_per_pair(self, monkeypatch):
+        """Logging two (offset, length) pairs in one call leaves the same
+        entries in every window as logging them in two calls: across fold
+        batches, a read mid-window, and a window merged early."""
+        monkeypatch.setattr(metrics, "MERGE_ROWS", 2000)
+        rng = random.Random(5)
+        paired, single = AccessLog(PAGE), AccessLog(PAGE)
+        # Window 2 stays under one fold batch; window 3 merges early.
+        for count in (FOLD_BATCH + 1, FOLD_BATCH // 3, 20 * FOLD_BATCH):
+            for i in range(count):
+                key = (rng.randrange(0, 3000 * PAGE), rng.randrange(0, 40))
+                value = (rng.randrange(0, 3000 * PAGE),
+                         rng.randrange(1, 2 * PAGE))
+                paired.record(*key, *value)
+                single.record(*key)
+                single.record(*value)
+                if i == count // 2:
+                    assert paired.entries() == single.entries()
+            paired.advance()
+            single.advance()
+        assert paired.windows() == single.windows() == [1, 2, 3, 4]
+        for window in paired.windows():
+            assert paired.entries(window) == single.entries(window)
+
+    def test_odd_length_record_raises(self):
+        log = AccessLog(PAGE)
+        log.record(0, 64)
+        with pytest.raises(ValueError):
+            log.record(PAGE, 64, 2 * PAGE)
+        log.record()  # no pairs: nothing logged
+        assert [(e.page, e.line_mask) for e in log.entries(1)] == [(0, 1)]
+
     def test_no_record_lost_to_concurrent_advance(self):
         log = AccessLog(PAGE)
         per_thread = 3 * FOLD_BATCH

@@ -7,10 +7,11 @@ from collections import Counter
 
 import pytest
 
-from tierheap.guideword import ACCESSED_BIT, HeapId, unpack, word_heap
+from tierheap.guideword import (ACCESSED_BIT, LOCATOR_MASK, LOCK_BIT, HeapId,
+                                unpack, word_atc, word_heap)
 from tierheap.runtime import TierRuntime
-from tierheap.store import (_MAX_LEVEL, GuideSkipList, PlainStore,
-                            StripedGuideMap, make_store)
+from tierheap.store import (_MAX_LEVEL, MAP_STRIPES, GuideSkipList,
+                            PlainStore, StripedGuideMap, make_store)
 
 
 def make_runtime():
@@ -70,9 +71,11 @@ class TestGuideDiscipline:
         live = list(runtime.registry.indices())
         assert all(not runtime.registry.words[i] & ACCESSED_BIT
                    for i in live)
-        store.get(b"k")
-        assert any(runtime.registry.words[i] & ACCESSED_BIT
-                   for i in live)
+        assert store.get(b"k") == b"v"
+        # Aged words miss the inline fast path; the slow path sets the bit
+        # on both the key's and the value's guide.
+        assert len(live) == 2
+        assert all(runtime.registry.words[i] & ACCESSED_BIT for i in live)
 
     def test_every_op_is_one_outermost_scope(self, store, tai_calls):
         calls = tai_calls(store.runtime.tai)
@@ -107,26 +110,86 @@ class TestGuideDiscipline:
             assert store.get(b"key-%03d" % i) == b"payload-%03d" % i
 
     def test_unique_guides_per_op_band(self, monkeypatch):
-        # A point get touches exactly its key and value guides.
+        # With ATC tracking on, a point get touches exactly its key and
+        # value guides.
         runtime = make_runtime()
         store = StripedGuideMap(runtime)
         for i in range(50):
             store.set(b"k%02d" % i, b"v")
-        scope = runtime.scope
-        record = scope.record_guide_use
-        used: list[int] = []
-
-        def counted(index):
-            used.append(index)
-            record(index)
-
-        monkeypatch.setattr(scope, "record_guide_use", counted)
+        runtime.epoch_state.tracking_enabled = True
+        used = record_uses(monkeypatch, runtime.scope)
         unique_per_op = []
         for i in range(50):
             used.clear()
             store.get(b"k%02d" % i)
             unique_per_op.append(len(set(used)))
         assert unique_per_op == [2] * 50
+
+    @pytest.mark.parametrize("role", ["key_guide", "value_guide"])
+    def test_get_on_a_locked_word_fails_the_migration(self, store, role):
+        """A get that meets a pending migration lock clears it, so the
+        migration's commit fails and the old slot stays authoritative."""
+        runtime = store.runtime
+        registry = runtime.registry
+        store.set(b"k", b"v")
+        guide = getattr(entry_of(store, b"k"), role)
+        locked = registry.try_lock_for_migration(guide,
+                                                 registry.words[guide])
+        assert locked is not None
+        assert store.get(b"k") == b"v"
+        assert not registry.commit_migration(guide, locked,
+                                             locked & ~LOCK_BIT)
+        assert registry.words[guide] & ACCESSED_BIT
+        assert not registry.words[guide] & LOCK_BIT
+
+    def test_each_op_makes_one_access_log_call(self, store, monkeypatch):
+        """A get logs its key and value slots, in that order, in one call;
+        so do an insert and an update."""
+        runtime = store.runtime
+        log = runtime.access_log
+        real_record = log.record
+        calls = []
+
+        def counted(*pairs):
+            calls.append(pairs)
+            real_record(*pairs)
+
+        monkeypatch.setattr(log, "record", counted)
+        store.set(b"key", b"value-1")  # insert
+        entry = entry_of(store, b"key")
+        store.set(b"key", b"value-22")  # update
+        assert store.get(b"key") == b"value-22"
+        words = runtime.registry.words
+        key_loc = words[entry.key_guide] & LOCATOR_MASK
+        value_loc = words[entry.value_guide] & LOCATOR_MASK
+        assert len(calls) == 3
+        assert calls[0][:2] == (key_loc, 3) and calls[0][3] == 7
+        assert calls[1] == calls[2] == (key_loc, 3, value_loc, 8)
+
+    @pytest.mark.parametrize("op", ["get", "update", "delete"])
+    def test_tracked_op_records_its_two_guides(self, store, monkeypatch, op):
+        runtime = store.runtime
+        store.set(b"k", b"v")
+        store.set(b"other", b"w")
+        entry = entry_of(store, b"k")
+        runtime.epoch_state.tracking_enabled = True
+        used = record_uses(monkeypatch, runtime.scope)
+        if op == "get":
+            assert store.get(b"k") == b"v"
+        elif op == "update":
+            store.set(b"k", b"v2")
+        else:
+            assert store.delete(b"k")
+        assert sorted(used) == sorted([entry.key_guide, entry.value_guide])
+        assert all(word_atc(w) == 0 for w in runtime.registry.words)
+
+    def test_untracked_ops_record_no_guide_use(self, store, monkeypatch):
+        used = record_uses(monkeypatch, store.runtime.scope)
+        store.set(b"k", b"v")
+        store.set(b"k", b"v2")
+        assert store.get(b"k") == b"v2"
+        assert store.delete(b"k")
+        assert used == []
 
 
 class TestConcurrency:
@@ -330,11 +393,11 @@ class TestSkipListSpecifics:
         real_make_entry = store._make_entry
         nested = []
 
-        def racing_make_entry(key, value):
+        def racing_make_entry(key, value, tracked):
             if not nested:
                 nested.append(key)
                 store.set(key, b"inner")
-            return real_make_entry(key, value)
+            return real_make_entry(key, value, tracked)
 
         monkeypatch.setattr(store, "_make_entry", racing_make_entry)
         store.set(b"k", b"outer")
@@ -354,15 +417,15 @@ class TestSkipListSpecifics:
         runtime = make_runtime()
         store = GuideSkipList(runtime)
         store.set(b"k", b"old")
-        real_touch_key = store._touch_key
+        real_update = store._update
         deleted = []
 
-        def racing_touch_key(entry, key_len):
+        def racing_update(entry, key_len, value, tracked):
             if not deleted:
                 deleted.append(store.delete(b"k"))
-            real_touch_key(entry, key_len)
+            return real_update(entry, key_len, value, tracked)
 
-        monkeypatch.setattr(store, "_touch_key", racing_touch_key)
+        monkeypatch.setattr(store, "_update", racing_update)
         store.set(b"k", b"new")
         assert deleted == [True]
         assert store.get(b"k") == b"new"
@@ -378,17 +441,17 @@ class TestSkipListSpecifics:
         runtime = make_runtime()
         store = GuideSkipList(runtime)
         store.set(b"k1", b"v1")
-        real_touch_key = store._touch_key
+        real_read = store._read
         reports = []
 
-        def racing_touch_key(entry, key_len):
+        def racing_read(entry, key_len, tracked):
             if not reports:
                 assert store.delete(b"k1")
                 reports.append(runtime.collector.run_scan_window())
                 store.set(b"k2", b"v2")
-            real_touch_key(entry, key_len)
+            return real_read(entry, key_len, tracked)
 
-        monkeypatch.setattr(store, "_touch_key", racing_touch_key)
+        monkeypatch.setattr(store, "_read", racing_read)
         assert store.get(b"k1") is None
         assert [r.converged for r in reports] == [False]
         assert store.get(b"k2") == b"v2"
@@ -417,6 +480,26 @@ class TestBaseline:
         assert store.delete(b"k") is True
         assert runtime.registry.live_count == 0
         assert calls == {"enter": 0, "exit": 0}
+
+
+def entry_of(store, key: bytes):
+    """The live KvEntry of `key` in either structure."""
+    if isinstance(store, StripedGuideMap):
+        return store._stripes[zlib.crc32(key) % MAP_STRIPES][key]
+    return store._find(key)[1].entry
+
+
+def record_uses(monkeypatch, scope) -> list[int]:
+    """Collect every guide index passed to `scope.record_guide_use`."""
+    record = scope.record_guide_use
+    used: list[int] = []
+
+    def counted(index):
+        used.append(index)
+        record(index)
+
+    monkeypatch.setattr(scope, "record_guide_use", counted)
+    return used
 
 
 def checksummed(i: int) -> bytes:
