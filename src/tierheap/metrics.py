@@ -31,6 +31,7 @@ class UtilizationReport:
 
 
 FOLD_BATCH = 4096  # pending records folded into line masks at once
+FOLD_LENGTH = 2 * FOLD_BATCH  # pending ints at which a writer folds
 # Folded rows a window keeps unmerged before they are merged early, which
 # bounds a long window's memory by its touched pages instead of its records.
 MERGE_ROWS = 1 << 18
@@ -40,14 +41,16 @@ _ALL_LINES = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
 class AccessLog:
     """Windowed record of which 64 B lines of which pages were touched.
 
-    record() runs on mutator hot paths without a lock: it only extends a
-    flat pending list by its (offset, length) pairs, in one list.extend, so
-    records from racing threads never interleave, and no object survives
-    that the cyclic garbage collector would have to track.  When the buffer
-    holds FOLD_BATCH records, and before a window closes or is read, it is
-    folded into a (pages, line masks) pair of arrays that is appended to
-    the current window's parts, under a lock that only folds take, so a
-    record racing a fold lands in the next fold instead of being lost.  A
+    record() runs on mutator hot paths without a lock: it only extends the
+    flat `pending` list by its (offset, length) pairs, in one list.extend,
+    so records from racing threads never interleave, and no object survives
+    that the cyclic garbage collector would have to track.  A hot path may
+    make that one extend itself, and call record() only once `pending`
+    holds FOLD_LENGTH ints.  When the buffer holds FOLD_BATCH records, and
+    before a window closes or is read, it is folded into a (pages, line
+    masks) pair of arrays that is appended to the current window's parts,
+    under a lock that only folds take, so a record racing a fold lands in
+    the next fold instead of being lost.  A
     window's parts are OR-merged per page into one pair, pages in order of
     first touch, when the window is read or closed, or once they hold more
     than MERGE_ROWS rows and more rows than the merged pair.
@@ -60,7 +63,7 @@ class AccessLog:
             {1: []}
         self._current = self._windows[1]
         self._loose_rows = 0  # rows folded into _current since its merge
-        self._pending: list[int] = []  # offset, length, offset, ...
+        self.pending: list[int] = []  # offset, length, offset, ...
         self._fold_lock = threading.Lock()
         self._fold_masks = (_fold_vectorized
                             if page_size <= 64 * LINE_SIZE else _fold_scalar)
@@ -69,15 +72,15 @@ class AccessLog:
         """Log accesses given as offset, length, offset, length, ..."""
         if len(pairs) & 1:
             raise ValueError("record takes (offset, length) pairs")
-        pending = self._pending
+        pending = self.pending
         pending.extend(pairs)
-        if len(pending) >= 2 * FOLD_BATCH:
+        if len(pending) >= FOLD_LENGTH:
             with self._fold_lock:
                 self._fold()
 
     def _fold(self) -> None:
         """Fold the pending records into the current window; lock held."""
-        pending = self._pending
+        pending = self.pending
         n = len(pending)
         if not n:
             return
@@ -154,7 +157,8 @@ def _fold_vectorized(batch: list[int], page_size: int):
     """_fold_scalar's rows OR-merged per page, for at most 64 lines a page,
     with the masks as uint64."""
     rec = np.fromiter(batch, np.int64, len(batch)).reshape(-1, 2)
-    rec = rec[rec[:, 1] > 0]
+    if len(rec) and rec[:, 1].min() <= 0:
+        rec = rec[rec[:, 1] > 0]
     offset, end = rec[:, 0], rec[:, 0] + rec[:, 1]
     first_page = offset // page_size
     spans = (end - 1) // page_size - first_page + 1

@@ -11,9 +11,17 @@ finds its `used` set None skips recording guide uses altogether.
 
 Registration takes no lock: a TAI slot is a list of the entry epochs of
 its open scopes, and entering or leaving one is a single list append or
-remove, which the interpreter lock makes atomic.  Scope durations, which
-size the collector's convergence wait, are timed on every 64th outermost
-scope of a thread only.
+remove, which the interpreter lock makes atomic.  Each thread's record
+holds its slot list, so `enter_scope` and `exit_scope` append and remove
+there directly.  Scope durations, which size the collector's convergence
+wait, are timed on every 64th outermost scope of a thread only.
+
+The guided stores run the common outermost scope inline instead of
+calling `enter_scope` and `exit_scope`: one that tracks no ATC, whose
+epoch holds across the registration, and that is not sampled for timing.
+They follow the same order (append to the slot, then read the tracking
+flag and the epoch again) and fall back to the two calls in any other
+case, so the two paths register identically.
 """
 from __future__ import annotations
 
@@ -124,37 +132,38 @@ class ThreadActivityIndex:
     list of the entry epochs of the scopes open on it.
 
     `assign_slot` hands slots out in order, so threads share one only when
-    more threads than slots have entered scopes.  `enter` appends the
-    scope's entry epoch and `exit` removes it, each one list call that the
-    interpreter lock makes atomic, so no slot needs a lock.  Equal epochs
-    are interchangeable, which keeps a shared slot exact: it holds the
-    epoch of every open scope and nothing else.  `converged` copies each
-    slot with `tuple()`, since iterating a list while another thread
-    removes from it can skip an element.
+    more threads than slots have entered scopes.  A scope's registration
+    appends its entry epoch to its slot and its exit removes it (`enter`
+    and `exit` here, or the same list calls made on a slot from `slots`),
+    each one list call that the interpreter lock makes atomic, so no slot
+    needs a lock.  Equal epochs are interchangeable, which keeps a shared
+    slot exact: it holds the epoch of every open scope and nothing else.
+    `converged` copies each slot with `tuple()`, since iterating a list
+    while another thread removes from it can skip an element.
     """
 
     def __init__(self, slot_count: int = 256):
         if slot_count <= 0 or slot_count & (slot_count - 1):
             raise ValueError("slot_count must be a power of two")
         self._mask = slot_count - 1
-        self._slots: list[list[int]] = [[] for _ in range(slot_count)]
+        self.slots: list[list[int]] = [[] for _ in range(slot_count)]
         self._next_slot = itertools.count()
 
     def assign_slot(self) -> int:
         return next(self._next_slot) & self._mask
 
     def enter(self, slot: int, epoch: int) -> None:
-        self._slots[slot & self._mask].append(epoch)
+        self.slots[slot & self._mask].append(epoch)
 
     def exit(self, slot: int, epoch: int) -> None:
         try:
-            self._slots[slot & self._mask].remove(epoch)
+            self.slots[slot & self._mask].remove(epoch)
         except ValueError:
             raise ScopeError("TAI exit without matching enter") from None
 
     def converged(self, epoch: int) -> bool:
         """True when every open scope entered under `epoch`."""
-        for slot in self._slots:
+        for slot in self.slots:
             if slot and any(entered != epoch for entered in tuple(slot)):
                 return False
         return True
@@ -163,17 +172,19 @@ class ThreadActivityIndex:
 SCOPE_SAMPLE_MASK = 63  # time one outermost scope in 64 per thread
 
 
-class _ThreadScope:
-    __slots__ = ("depth", "used", "atc_recorded", "tai_slot", "epoch",
+class ThreadScope:
+    """One thread's scope state, read and written by that thread only."""
+
+    __slots__ = ("depth", "used", "atc_recorded", "slot", "epoch",
                  "outermost", "entered_at")
 
-    def __init__(self, tai_slot: int):
+    def __init__(self, slot: list[int]):
         self.depth = 0
-        # Both stay None unless the scope tracks ATC.
+        # Both are None unless the open outermost scope tracks ATC.
         self.used: BaseDeltaSet | None = None
         self.atc_recorded: list[int] | None = None
-        self.tai_slot = tai_slot
-        self.epoch = 0  # the open scope's TAI registration
+        self.slot = slot  # the thread's TAI slot list
+        self.epoch = 0  # registration of a scope enter_scope opened
         self.outermost = 0  # outermost scopes exited so far
         self.entered_at = 0.0  # set only on sampled scopes
 
@@ -184,50 +195,47 @@ class ScopeManager:
         self._registry = registry
         self.tai = tai
         self.epoch_state = epoch_state
-        self._tls = threading.local()
+        # `tls.scope` is the calling thread's ThreadScope, once it has one.
+        self.tls = threading.local()
         # The longest sampled scope (see SCOPE_SAMPLE_MASK).
         self.max_scope_seconds = 0.0
 
-    def _scope(self) -> _ThreadScope:
-        scope = getattr(self._tls, "scope", None)
-        if scope is None:
-            scope = self._tls.scope = _ThreadScope(self.tai.assign_slot())
-        return scope
-
-    def enter_scope(self) -> _ThreadScope:
+    def enter_scope(self) -> ThreadScope:
         """Enter a scope; returns the thread's scope record, whose `used`
         is None unless the outermost scope tracks ATC."""
-        scope = self._scope()
-        scope.depth += 1
-        if scope.depth == 1:
-            state = self.epoch_state
+        try:
+            scope = self.tls.scope
+        except AttributeError:
             tai = self.tai
-            slot = scope.tai_slot
+            scope = self.tls.scope = ThreadScope(
+                tai.slots[tai.assign_slot()])
+        depth = scope.depth = scope.depth + 1
+        if depth == 1:
+            state = self.epoch_state
+            slot = scope.slot
             # Register before sampling tracking, then re-check the epoch: a
             # window that begins before the registration is seen here and
             # retried under its epoch, and one that begins after it must
             # wait for this scope to exit before it converges.
             epoch = state.epoch
             while True:
-                tai.enter(slot, epoch)
+                slot.append(epoch)
                 tracking = state.tracking_enabled
                 current = state.epoch
                 if current == epoch:
                     break
-                tai.exit(slot, epoch)
+                slot.remove(epoch)
                 epoch = current
             scope.epoch = epoch
             if tracking:
                 scope.used = BaseDeltaSet()
                 scope.atc_recorded = []
-            else:
-                scope.used = None
             if not scope.outermost & SCOPE_SAMPLE_MASK:
                 scope.entered_at = time.monotonic()
         return scope
 
     def record_guide_use(self, index: int) -> None:
-        scope = getattr(self._tls, "scope", None)
+        scope = getattr(self.tls, "scope", None)
         if scope is None or scope.depth == 0:
             raise ScopeError("guide use outside any scope")
         used = scope.used
@@ -238,18 +246,25 @@ class ScopeManager:
             # epoch anyway, so the scope simply records no debt.
 
     def exit_scope(self) -> None:
-        scope = getattr(self._tls, "scope", None)
-        if scope is None or scope.depth == 0:
+        try:
+            scope = self.tls.scope
+        except AttributeError:
+            raise ScopeError("unbalanced scope exit") from None
+        depth = scope.depth
+        if depth == 0:
             raise ScopeError("unbalanced scope exit")
-        scope.depth -= 1
-        if scope.depth == 0:
+        scope.depth = depth - 1
+        if depth == 1:
             recorded = scope.atc_recorded
-            if recorded:
+            if recorded is not None:
                 decrement = self._registry.atc_decrement
                 for index in recorded:
                     decrement(index)
-            scope.atc_recorded = None
-            self.tai.exit(scope.tai_slot, scope.epoch)
+                scope.used = scope.atc_recorded = None
+            try:
+                scope.slot.remove(scope.epoch)
+            except ValueError:
+                raise ScopeError("TAI exit without matching enter") from None
             if not scope.outermost & SCOPE_SAMPLE_MASK:
                 duration = time.monotonic() - scope.entered_at
                 if duration > self.max_scope_seconds:
@@ -258,7 +273,7 @@ class ScopeManager:
 
     @property
     def depth(self) -> int:
-        scope = getattr(self._tls, "scope", None)
+        scope = getattr(self.tls, "scope", None)
         return 0 if scope is None else scope.depth
 
     def in_scope(self) -> bool:

@@ -5,10 +5,12 @@ a skip list whose readers take no lock and whose writers link under one
 lock, deleting logically.  Every public operation runs inside a scope guard,
 every key/value access goes through its guide word, and inserted data is
 deep-copied into region slots so the runtime owns the authoritative bytes.
-Both structures run an operation's guided work in one `_GuideOps` method,
-which logs the key and value slots in one access-log call.  PlainStore is
-the untiered baseline for overhead comparisons: a locked dict with no
-guides, scopes or regions.
+Both structures share their public operations through `_GuideOps`: each
+registers its scope inline in the common case (see `tierheap.scope`), runs
+the structure's body, and does its guided work in one `_GuideOps` method,
+which appends the key and value slots to the access log's pending list in
+one call.  PlainStore is the untiered baseline for overhead comparisons: a
+locked dict with no guides, scopes or regions.
 """
 from __future__ import annotations
 
@@ -18,8 +20,10 @@ from dataclasses import dataclass
 
 from .guideword import (ACCESSED_BIT, ATC_FIELD, HEAP_FIELD, LOCATOR_MASK,
                         LOCK_BIT, HeapId)
+from .metrics import FOLD_LENGTH
 from .regions import RegionError
 from .runtime import TierRuntime
+from .scope import SCOPE_SAMPLE_MASK
 
 MAP_STRIPES = 64
 
@@ -35,15 +39,92 @@ class KvEntry:
 
 
 class _GuideOps:
-    """The guided paths both store structures share, one call per
-    operation.  `tracked` says whether the caller's scope tracks ATC; only
-    then are guide uses recorded, each before its guide is dereferenced.
-    A word with the accessed bit set and no migration lock dereferences by
-    a plain load; any other goes through `registry.dereference`.
+    """The public operations and guided paths both store structures share.
+
+    `get`, `set` and `delete` run the structure's `_get`, `_set` or
+    `_delete` inside one outermost scope.  In the common case (no scope
+    open on the thread, ATC tracking off, the epoch stable across the
+    registration, and not the thread's sampled scope) they register it
+    inline, in the order `ScopeManager.enter_scope` uses: append the epoch
+    to the thread's TAI slot, then read the tracking flag and the epoch
+    again.  Any other case goes through `enter_scope` and `exit_scope`.
+
+    The guided paths take one call per operation.  `tracked` says whether
+    the caller's scope tracks ATC; only then are guide uses recorded, each
+    before its guide is dereferenced.  A word with the accessed bit set and
+    no migration lock dereferences by a plain load; any other goes through
+    `registry.dereference`.  Access-log pairs are appended to the log's
+    pending list in one call, and the log is called only to fold it.
     """
 
     def __init__(self, runtime: TierRuntime):
         self.runtime = runtime
+        self._scopes = runtime.scope
+        self._tls = runtime.scope.tls
+        self._epoch_state = runtime.epoch_state
+
+    def get(self, key: bytes) -> bytes | None:
+        scope, state = getattr(self._tls, "scope", None), self._epoch_state
+        if (scope is not None and not scope.depth
+                and scope.outermost & SCOPE_SAMPLE_MASK
+                and not state.tracking_enabled):
+            slot, epoch = scope.slot, state.epoch
+            slot.append(epoch)
+            if not state.tracking_enabled and state.epoch == epoch:
+                scope.depth = 1
+                try:
+                    return self._get(key, False)
+                finally:
+                    slot.remove(epoch)
+                    scope.depth = 0
+                    scope.outermost += 1
+            slot.remove(epoch)
+        return self._scoped(self._get, key)
+
+    def set(self, key: bytes, value: bytes) -> None:
+        scope, state = getattr(self._tls, "scope", None), self._epoch_state
+        if (scope is not None and not scope.depth
+                and scope.outermost & SCOPE_SAMPLE_MASK
+                and not state.tracking_enabled):
+            slot, epoch = scope.slot, state.epoch
+            slot.append(epoch)
+            if not state.tracking_enabled and state.epoch == epoch:
+                scope.depth = 1
+                try:
+                    return self._set(key, value, False)
+                finally:
+                    slot.remove(epoch)
+                    scope.depth = 0
+                    scope.outermost += 1
+            slot.remove(epoch)
+        return self._scoped(self._set, key, value)
+
+    def delete(self, key: bytes) -> bool:
+        scope, state = getattr(self._tls, "scope", None), self._epoch_state
+        if (scope is not None and not scope.depth
+                and scope.outermost & SCOPE_SAMPLE_MASK
+                and not state.tracking_enabled):
+            slot, epoch = scope.slot, state.epoch
+            slot.append(epoch)
+            if not state.tracking_enabled and state.epoch == epoch:
+                scope.depth = 1
+                try:
+                    return self._delete(key, False)
+                finally:
+                    slot.remove(epoch)
+                    scope.depth = 0
+                    scope.outermost += 1
+            slot.remove(epoch)
+        return self._scoped(self._delete, key)
+
+    def _scoped(self, body, *args):
+        """`body(*args, tracked)` in a scope that `enter_scope` opens."""
+        scopes = self._scopes
+        tracked = scopes.enter_scope().used is not None
+        try:
+            return body(*args, tracked)
+        finally:
+            scopes.exit_scope()
 
     def _make_entry(self, key: bytes, value: bytes, tracked: bool) -> KvEntry:
         rt = self.runtime
@@ -59,7 +140,10 @@ class _GuideOps:
             rt.scope.record_guide_use(value_guide)
         log = rt.access_log
         if log is not None:
-            log.record(key_loc, len(key), value_loc, len(value))
+            pending = log.pending
+            pending.extend((key_loc, len(key), value_loc, len(value)))
+            if len(pending) >= FOLD_LENGTH:
+                log.record()  # no pairs: folds the full list
         return KvEntry(key_guide, value_guide)
 
     def _read(self, entry: KvEntry, key_len: int,
@@ -105,10 +189,11 @@ class _GuideOps:
             locator = registry.dereference(guide)
         log = rt.access_log
         if log is not None:
-            if data is None:
-                log.record(key_loc, key_len)
-            else:
-                log.record(key_loc, key_len, locator, len(data))
+            pending = log.pending
+            pending.extend((key_loc, key_len) if data is None
+                           else (key_loc, key_len, locator, len(data)))
+            if len(pending) >= FOLD_LENGTH:
+                log.record()
         return data
 
     def _update(self, entry: KvEntry, key_len: int, value: bytes,
@@ -134,21 +219,25 @@ class _GuideOps:
         new_loc = regions.allocate(HeapId.NEW, len(value))
         regions.write(new_loc, value)
         new_base = new_loc | ACCESSED_BIT  # heap=NEW, ciw=0, lock clear
-        log = rt.access_log
         while True:
             word = words[guide]
             if (word & HEAP_FIELD) == HEAP_FIELD:
                 regions.free(new_loc)
-                if log is not None:
-                    log.record(key_loc, key_len)
-                return False
+                updated = False
+                break
             if registry.compare_and_swap(guide, word,
                                          new_base | (word & ATC_FIELD)):
                 regions.free(word & LOCATOR_MASK)
+                updated = True
                 break
+        log = rt.access_log
         if log is not None:
-            log.record(key_loc, key_len, new_loc, len(value))
-        return True
+            pending = log.pending
+            pending.extend((key_loc, key_len, new_loc, len(value)) if updated
+                           else (key_loc, key_len))
+            if len(pending) >= FOLD_LENGTH:
+                log.record()
+        return updated
 
     def _retire_entry(self, entry: KvEntry, tracked: bool) -> None:
         rt = self.runtime
@@ -170,47 +259,32 @@ class StripedGuideMap(_GuideOps):
             [{} for _ in range(MAP_STRIPES)]
         self._locks = [threading.Lock() for _ in range(MAP_STRIPES)]
 
-    def set(self, key: bytes, value: bytes) -> None:
+    def _set(self, key: bytes, value: bytes, tracked: bool) -> None:
         i = zlib.crc32(key) % MAP_STRIPES
-        scope = self.runtime.scope
-        tracked = scope.enter_scope().used is not None
-        try:
-            with self._locks[i]:
-                stripe = self._stripes[i]
-                entry = stripe.get(key)
-                if entry is None:
-                    stripe[key] = self._make_entry(key, value, tracked)
-                else:
-                    self._update(entry, len(key), value, tracked)
-        finally:
-            scope.exit_scope()
+        with self._locks[i]:
+            stripe = self._stripes[i]
+            entry = stripe.get(key)
+            if entry is None:
+                stripe[key] = self._make_entry(key, value, tracked)
+            else:
+                self._update(entry, len(key), value, tracked)
 
-    def get(self, key: bytes) -> bytes | None:
+    def _get(self, key: bytes, tracked: bool) -> bytes | None:
         i = zlib.crc32(key) % MAP_STRIPES
-        scope = self.runtime.scope
-        tracked = scope.enter_scope().used is not None
-        try:
-            with self._locks[i]:
-                entry = self._stripes[i].get(key)
-                if entry is None:
-                    return None
-                return self._read(entry, len(key), tracked)
-        finally:
-            scope.exit_scope()
+        with self._locks[i]:
+            entry = self._stripes[i].get(key)
+            if entry is None:
+                return None
+            return self._read(entry, len(key), tracked)
 
-    def delete(self, key: bytes) -> bool:
+    def _delete(self, key: bytes, tracked: bool) -> bool:
         i = zlib.crc32(key) % MAP_STRIPES
-        scope = self.runtime.scope
-        tracked = scope.enter_scope().used is not None
-        try:
-            with self._locks[i]:
-                entry = self._stripes[i].pop(key, None)
-                if entry is None:
-                    return False
-                self._retire_entry(entry, tracked)
-                return True
-        finally:
-            scope.exit_scope()
+        with self._locks[i]:
+            entry = self._stripes[i].pop(key, None)
+            if entry is None:
+                return False
+            self._retire_entry(entry, tracked)
+            return True
 
     def __len__(self) -> int:
         return sum(len(s) for s in self._stripes)
@@ -293,54 +367,39 @@ class GuideSkipList(_GuideOps):
                 node.entry = fresh
             return node.entry
 
-    def set(self, key: bytes, value: bytes) -> None:
-        scope = self.runtime.scope
-        tracked = scope.enter_scope().used is not None
-        try:
-            while True:
-                _, node = self._find(key)
-                entry = None if node is None else node.entry
-                if entry is None:
-                    fresh = self._make_entry(key, value, tracked)
-                    entry = self._install(key, fresh)
-                    if entry is fresh:
-                        return
-                    # Another set installed first.
-                    self._retire_entry(fresh, tracked)
-                if self._update(entry, len(key), value, tracked):
-                    return
-                # A delete retired the entry after the search: insert anew.
-        finally:
-            scope.exit_scope()
-
-    def get(self, key: bytes) -> bytes | None:
-        scope = self.runtime.scope
-        tracked = scope.enter_scope().used is not None
-        try:
+    def _set(self, key: bytes, value: bytes, tracked: bool) -> None:
+        while True:
             _, node = self._find(key)
             entry = None if node is None else node.entry
             if entry is None:
-                return None
-            return self._read(entry, len(key), tracked)
-        finally:
-            scope.exit_scope()
+                fresh = self._make_entry(key, value, tracked)
+                entry = self._install(key, fresh)
+                if entry is fresh:
+                    return
+                # Another set installed first.
+                self._retire_entry(fresh, tracked)
+            if self._update(entry, len(key), value, tracked):
+                return
+            # A delete retired the entry after the search: insert anew.
 
-    def delete(self, key: bytes) -> bool:
-        scope = self.runtime.scope
-        tracked = scope.enter_scope().used is not None
-        try:
-            _, node = self._find(key)
-            if node is None:
-                return False
-            with self._lock:
-                entry = node.entry
-                node.entry = None
-            if entry is None:
-                return False
-            self._retire_entry(entry, tracked)
-            return True
-        finally:
-            scope.exit_scope()
+    def _get(self, key: bytes, tracked: bool) -> bytes | None:
+        _, node = self._find(key)
+        entry = None if node is None else node.entry
+        if entry is None:
+            return None
+        return self._read(entry, len(key), tracked)
+
+    def _delete(self, key: bytes, tracked: bool) -> bool:
+        _, node = self._find(key)
+        if node is None:
+            return False
+        with self._lock:
+            entry = node.entry
+            node.entry = None
+        if entry is None:
+            return False
+        self._retire_entry(entry, tracked)
+        return True
 
     def _live_nodes(self):
         node = self._head.nexts[0]

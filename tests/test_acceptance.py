@@ -337,22 +337,29 @@ def test_criterion_7_overhead_bound():
     base = dict(keys=5000, key_size=16, value_size=64, ops=120_000,
                 windows=2, clock="logical", seed=3)
 
-    def throughput_ratio(threads):
-        instrumented = run_benchmark(RunConfig(threads=threads, **base))
-        baseline = run_benchmark(RunConfig(baseline=True, threads=threads,
-                                           **base))
-        through_i = instrumented.summary["throughputOpsPerSec"]
-        through_b = baseline.summary["throughputOpsPerSec"]
+    def throughput_ratio(threads, baseline_first=False):
+        through = {}
+        for baseline in (baseline_first, not baseline_first):
+            through[baseline] = run_benchmark(RunConfig(
+                baseline=baseline, threads=threads,
+                **base)).summary["throughputOpsPerSec"]
+        through_i, through_b = through[False], through[True]
         return through_i, through_b, \
             through_i / through_b if through_b else 0.0
 
-    through_i, through_b, ratio = throughput_ratio(8)
-    # Only the 8-thread ratio is gated.  On a 2-core box it spread 16-53 %
-    # across runs, while the 1-thread ratio held at 23-26 %.
+    # Only the 8-thread ratio is gated, on the median of 3 pairs that
+    # alternate which store runs first.  On a 2-core box a single 8-thread
+    # pair spread 16-53 %, and the 8-thread baseline alone fell to about
+    # 105k ops/s in 3 of 8 runs, while the 1-thread ratio held at 23-26 %.
+    pairs = sorted((throughput_ratio(8, baseline_first=bool(i % 2))
+                    for i in range(3)), key=lambda pair: pair[2])
+    through_i, through_b, ratio = pairs[1]
     one_i, one_b, one_ratio = throughput_ratio(1)
     throughput = (f"instrumented {through_i:,.0f} ops/s vs baseline "
-                  f"{through_b:,.0f} ops/s = {ratio:.1%} at 8 threads "
-                  f"(need >= 90%); {one_i:,.0f} vs {one_b:,.0f} ops/s = "
+                  f"{through_b:,.0f} ops/s = {ratio:.1%} at 8 threads, the "
+                  f"median of 3 alternating pairs ("
+                  + ", ".join(f"{r:.1%}" for _, _, r in pairs)
+                  + f"; need >= 90%); {one_i:,.0f} vs {one_b:,.0f} ops/s = "
                   f"{one_ratio:.1%} at 1 thread")
     ok = deref_ns < 20.0 and ratio >= 0.90
     announce(7, ok,

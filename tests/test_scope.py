@@ -240,26 +240,16 @@ class TestScopeManager:
         assert len(created) == 1
 
     @pytest.mark.parametrize("before_registration", [True, False])
-    def test_window_racing_scope_entry_is_safe(self, before_registration):
+    def test_window_racing_scope_entry_is_safe(self, before_registration,
+                                               hook_slot_append):
         """A window that begins while a scope registers in the TAI either
         waits for that scope or sees it tracked, never converges past an
         untracked one."""
         registry = GuideRegistry()
         state = EpochState()
         outcome = {}
-
-        class HookedTAI(ThreadActivityIndex):
-            hook = None
-
-            def enter(self, thread_id, epoch):
-                hook, self.hook = self.hook, None  # fire once
-                if hook is not None and before_registration:
-                    hook()
-                super().enter(thread_id, epoch)
-                if hook is not None and not before_registration:
-                    hook()
-
-        tai = HookedTAI(16)
+        tai = ThreadActivityIndex(16)
+        arm = hook_slot_append(tai, before_registration)
         scope = ScopeManager(registry, tai, state)
         collector = Collector(registry, None, tai, state)
 
@@ -267,7 +257,7 @@ class TestScopeManager:
             collector.begin_epoch()
             outcome["converged"] = collector.await_convergence(0.05)
 
-        tai.hook = window_begins
+        arm(window_begins)
         index = registry.create(pack(0x10))
         scope.enter_scope()
         scope.record_guide_use(index)

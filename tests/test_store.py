@@ -10,6 +10,7 @@ import pytest
 from tierheap.guideword import (ACCESSED_BIT, LOCATOR_MASK, LOCK_BIT, HeapId,
                                 unpack, word_atc, word_heap)
 from tierheap.runtime import TierRuntime
+from tierheap.scope import SCOPE_SAMPLE_MASK, EpochState, Phase
 from tierheap.store import (_MAX_LEVEL, MAP_STRIPES, GuideSkipList,
                             PlainStore, StripedGuideMap, make_store)
 
@@ -143,18 +144,22 @@ class TestGuideDiscipline:
         assert not registry.words[guide] & LOCK_BIT
 
     def test_each_op_makes_one_access_log_call(self, store, monkeypatch):
-        """A get logs its key and value slots, in that order, in one call;
-        so do an insert and an update."""
+        """A get appends its key and value slots, in that order, to the
+        access log's pending list in one call; so do an insert and an
+        update.  None calls the log itself below the fold size."""
         runtime = store.runtime
         log = runtime.access_log
-        real_record = log.record
+        extends = []
+
+        class CountingPending(list):
+            def extend(self, pairs):
+                pairs = tuple(pairs)
+                extends.append(pairs)
+                super().extend(pairs)
+
+        log.pending = CountingPending()
         calls = []
-
-        def counted(*pairs):
-            calls.append(pairs)
-            real_record(*pairs)
-
-        monkeypatch.setattr(log, "record", counted)
+        monkeypatch.setattr(log, "record", lambda *pairs: calls.append(pairs))
         store.set(b"key", b"value-1")  # insert
         entry = entry_of(store, b"key")
         store.set(b"key", b"value-22")  # update
@@ -162,9 +167,11 @@ class TestGuideDiscipline:
         words = runtime.registry.words
         key_loc = words[entry.key_guide] & LOCATOR_MASK
         value_loc = words[entry.value_guide] & LOCATOR_MASK
-        assert len(calls) == 3
-        assert calls[0][:2] == (key_loc, 3) and calls[0][3] == 7
-        assert calls[1] == calls[2] == (key_loc, 3, value_loc, 8)
+        assert len(extends) == 3
+        assert extends[0][:2] == (key_loc, 3) and extends[0][3] == 7
+        assert extends[1] == extends[2] == (key_loc, 3, value_loc, 8)
+        assert log.pending == [*extends[0], *extends[1], *extends[2]]
+        assert calls == []
 
     @pytest.mark.parametrize("op", ["get", "update", "delete"])
     def test_tracked_op_records_its_two_guides(self, store, monkeypatch, op):
@@ -190,6 +197,155 @@ class TestGuideDiscipline:
         assert store.get(b"k") == b"v2"
         assert store.delete(b"k")
         assert used == []
+
+
+class TestInlineScope:
+    """The common outermost scope, which a store op registers inline, and
+    the cases that must leave it for `enter_scope` and `exit_scope`."""
+
+    def test_sampled_scope_still_times_itself(self, store):
+        scopes = store.runtime.scope
+        store.set(b"k", b"v")  # outermost scope 0: sampled
+        scopes.max_scope_seconds = 0.0
+        for _ in range(SCOPE_SAMPLE_MASK):  # scopes 1..63: inline
+            assert store.get(b"k") == b"v"
+        assert scopes.max_scope_seconds == 0.0
+        assert store.get(b"k") == b"v"  # scope 64: sampled
+        assert scopes.max_scope_seconds > 0.0
+        assert scopes.tls.scope.outermost == SCOPE_SAMPLE_MASK + 2
+
+    @pytest.mark.parametrize("op", ["get", "update"])
+    def test_tracking_turned_on_is_seen_by_the_next_op(self, store,
+                                                      monkeypatch, op):
+        runtime = store.runtime
+        store.set(b"k", b"v")
+        entry = entry_of(store, b"k")
+        atcs = []
+        used = record_uses(monkeypatch, runtime.scope)
+        real_update = store._update
+
+        def update_seeing_atcs(entry, key_len, value, tracked):
+            updated = real_update(entry, key_len, value, tracked)
+            atcs.append([word_atc(runtime.registry.words[g])
+                         for g in (entry.key_guide, entry.value_guide)])
+            return updated
+
+        monkeypatch.setattr(store, "_update", update_seeing_atcs)
+        assert store.get(b"k") == b"v"  # inline, untracked
+        assert used == []
+        runtime.epoch_state.tracking_enabled = True
+        if op == "get":
+            assert store.get(b"k") == b"v"
+        else:
+            store.set(b"k", b"v2")
+            assert atcs == [[1, 1]]  # held while the scope is open
+        assert sorted(used) == sorted([entry.key_guide, entry.value_guide])
+        assert all(word_atc(w) == 0 for w in runtime.registry.words)
+
+    @pytest.mark.parametrize("outer", ["enter_scope", "inline op"])
+    def test_op_inside_an_open_scope_registers_once(self, store, monkeypatch,
+                                                    tai_calls, outer):
+        """Ops nested in an open scope, whether `enter_scope` or an inline
+        op opened it, register nothing, track nothing and leave the depth
+        balanced, also right after a tracked scope."""
+        runtime = store.runtime
+        scopes = runtime.scope
+        calls = tai_calls(runtime.tai)
+        stripe = zlib.crc32(b"k") % MAP_STRIPES
+        other = next(key for key in (b"o%d" % i for i in range(MAP_STRIPES))
+                     if zlib.crc32(key) % MAP_STRIPES != stripe)
+        store.set(b"k", b"v")
+        store.set(other, b"w")
+        runtime.epoch_state.tracking_enabled = True
+        assert store.get(b"k") == b"v"  # tracked
+        runtime.epoch_state.tracking_enabled = False
+        used = record_uses(monkeypatch, scopes)
+        depths = []
+
+        def nested_ops():
+            assert store.get(other) == b"w"
+            store.set(other, b"w2")
+            assert store.delete(other)
+            depths.append(scopes.depth)
+
+        if outer == "enter_scope":
+            scopes.enter_scope()
+            nested_ops()
+            scopes.exit_scope()
+        else:
+            real_read = store._read
+
+            def read_with_nested_ops(entry, key_len, tracked):
+                monkeypatch.setattr(store, "_read", real_read)
+                nested_ops()
+                return real_read(entry, key_len, tracked)
+
+            monkeypatch.setattr(store, "_read", read_with_nested_ops)
+            assert store.get(b"k") == b"v"
+        assert depths == [1]
+        assert used == []
+        assert scopes.depth == 0
+        assert calls == {"enter": 4, "exit": 4}
+        assert runtime.tai.converged(-1)  # every slot is empty
+
+    def test_raising_op_leaves_no_scope_open(self, store, monkeypatch):
+        runtime = store.runtime
+        store.set(b"k", b"v")
+
+        def broken(*args):
+            raise RuntimeError("read failed")
+
+        monkeypatch.setattr(store, "_read", broken)
+        # Scopes 1..63 are inline, scope 64 is sampled and goes through
+        # enter_scope and exit_scope.
+        for _ in range(SCOPE_SAMPLE_MASK + 1):
+            with pytest.raises(RuntimeError):
+                store.get(b"k")
+            assert runtime.scope.depth == 0
+            assert runtime.tai.converged(-1)  # every slot is empty
+        assert runtime.scope.tls.scope.outermost == SCOPE_SAMPLE_MASK + 2
+
+    @pytest.mark.parametrize("moment", ["epoch read", "before registration",
+                                        "after registration"])
+    @pytest.mark.parametrize("op", ["get", "set"])
+    def test_window_racing_inline_registration_is_safe(
+            self, store, monkeypatch, hook_slot_append, op, moment):
+        """A window that begins while an op registers its scope inline
+        either waits for that scope or sees the op tracked, never converges
+        past an untracked one.  The window begins as the op reads the
+        epoch (after its check that tracking is off), or just before or
+        just after the op appends to its TAI slot."""
+        runtime = store.runtime
+        state, collector = runtime.epoch_state, runtime.collector
+        if moment == "epoch read":
+            arm = hook_epoch_read(monkeypatch, state)
+        else:
+            arm = hook_slot_append(runtime.tai,
+                                   moment == "before registration")
+        store.set(b"k", b"v")  # the thread's first scope, which is sampled
+        entry = entry_of(store, b"k")
+        outcome = {}
+
+        def window_begins():
+            collector.begin_epoch()
+            outcome["converged"] = collector.await_convergence(0.05)
+
+        used = record_uses(monkeypatch, runtime.scope)
+        arm(window_begins)
+        if op == "get":
+            assert store.get(b"k") == b"v"
+        else:
+            store.set(b"k", b"v2")
+            assert store.get(b"k") == b"v2"
+        if moment == "after registration":
+            assert not outcome["converged"]  # waited for the open scope
+        else:
+            assert outcome["converged"] and state.phase == Phase.ACTIVE
+            assert set(used) == {entry.key_guide, entry.value_guide}
+        assert runtime.scope.depth == 0
+        assert all(word_atc(w) == 0 for w in runtime.registry.words)
+        assert runtime.tai.converged(state.epoch)
+        runtime.audit()
 
 
 class TestConcurrency:
@@ -500,6 +656,28 @@ def record_uses(monkeypatch, scope) -> list[int]:
 
     monkeypatch.setattr(scope, "record_guide_use", counted)
     return used
+
+
+def hook_epoch_read(monkeypatch, state):
+    """Run a hook once, on the next read of `state.epoch`, before the read
+    returns; returns `arm(hook)`."""
+    armed = []
+
+    class HookedEpochState(EpochState):
+        __slots__ = ()
+
+        @property
+        def epoch(self):
+            if armed:
+                armed.pop()()
+            return EpochState.epoch.__get__(self)
+
+        @epoch.setter
+        def epoch(self, value):
+            EpochState.epoch.__set__(self, value)
+
+    monkeypatch.setattr(state, "__class__", HookedEpochState)
+    return armed.append
 
 
 def checksummed(i: int) -> bytes:
