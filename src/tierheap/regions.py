@@ -40,6 +40,14 @@ _CLASS_OF = [next(c for c in SIZE_CLASSES if c >= (i + 1) << 4)
              for i in range(SIZE_CLASSES[-1] >> 4)]
 
 
+def _check_length(length: int) -> None:
+    if length <= 0:
+        raise RegionError("allocation length must be positive")
+    if length > SIZE_CLASSES[-1]:
+        raise RegionError(f"payload of {length} B exceeds the largest "
+                          f"size class ({SIZE_CLASSES[-1]} B)")
+
+
 class HintKind(str, Enum):
     COLD_ADVICE = "COLD_ADVICE"
     PAGEOUT_ADVICE = "PAGEOUT_ADVICE"
@@ -149,22 +157,23 @@ class HeapRegion:
         self._account(locator, length, -1)
         heapq.heappush(self._free[_CLASS_OF[(length - 1) >> 4]], offset)
 
+    def install(self, payload: bytes) -> int:
+        """Put `payload` itself in a fresh slot and return its locator: the
+        slot `allocate(len(payload))` would return, already written."""
+        _check_length(len(payload))
+        with self._lock:
+            locator = self._install(payload)
+        if locator is None:
+            raise RegionExhausted(f"{self.heap.name} region exhausted")
+        return locator
+
     def allocate(self, length: int) -> int:
         """Return the absolute locator of a slot holding `length` bytes.
 
         The slot reads as `length` zero bytes until it is written.
         """
-        if length <= 0:
-            raise RegionError("allocation length must be positive")
-        if length > SIZE_CLASSES[-1]:
-            raise RegionError(f"payload of {length} B exceeds the largest "
-                              f"size class ({SIZE_CLASSES[-1]} B)")
-        placeholder = bytes(length)
-        with self._lock:
-            locator = self._install(placeholder)
-        if locator is None:
-            raise RegionExhausted(f"{self.heap.name} region exhausted")
-        return locator
+        _check_length(length)
+        return self.install(bytes(length))
 
     def allocate_batch(self, payloads: list[bytes]) -> list[int | None]:
         """Install each live payload object in a fresh slot, all under one
@@ -277,9 +286,13 @@ class RegionManager:
                              page_size)
             for i, heap in enumerate((HeapId.NEW, HeapId.HOT, HeapId.COLD))
         }
-        self._region_length = region_length
+        self.region_length = region_length
         self._order = [self.regions[h] for h in
                        (HeapId.NEW, HeapId.HOT, HeapId.COLD)]
+        # Each region's live slots, region-relative offset -> payload, in
+        # locator order: the slot at `locator` is
+        # `slots[locator // region_length].get(locator % region_length)`.
+        self.slots = tuple(region._live for region in self._order)
 
     def region(self, heap: HeapId) -> HeapRegion:
         return self.regions[heap]
@@ -290,15 +303,18 @@ class RegionManager:
     def allocate(self, heap: HeapId, length: int) -> int:
         return self.regions[heap].allocate(length)
 
+    def install(self, heap: HeapId, payload: bytes) -> int:
+        return self.regions[heap].install(payload)
+
     def free(self, locator: int) -> None:
         self._region_of(locator).free(locator)
 
     def read(self, locator: int) -> bytes:
-        # HeapRegion.read inlined: this is the guided get's one region call.
-        index = locator // self._region_length
-        if 0 <= index < len(self._order):
-            payload = self._order[index]._live.get(
-                locator - index * self._region_length)
+        # HeapRegion.read inlined: this is a guided read's one region call.
+        index = locator // self.region_length
+        if 0 <= index < len(self.slots):
+            payload = self.slots[index].get(
+                locator - index * self.region_length)
             if payload is not None:
                 return payload
         raise RegionError(f"read of non-live locator {locator:#x}")
@@ -307,7 +323,7 @@ class RegionManager:
         self._region_of(locator).write(locator, data)
 
     def _region_of(self, locator: int) -> HeapRegion:
-        index = locator // self._region_length
+        index = locator // self.region_length
         if not 0 <= index < len(self._order):
             raise RegionError(f"locator {locator:#x} outside every region")
         return self._order[index]

@@ -3,13 +3,15 @@
 Two structures share the same guide discipline: a striped-lock hash map and
 a skip list whose readers take no lock and whose writers link under one
 lock, deleting logically.  Every public operation runs inside a scope guard,
-every key/value access goes through its guide word, and inserted data is
-deep-copied into region slots so the runtime owns the authoritative bytes.
+every key/value access goes through its guide word, and keys and values are
+handed over to region slots as immutable `bytes` (a `bytes` argument itself,
+anything else converted), so the runtime owns the authoritative bytes.
 Both structures share their public operations through `_GuideOps`: each
 registers its scope inline in the common case (see `tierheap.scope`), runs
 the structure's body, and does its guided work in one `_GuideOps` method,
 which appends the key and value slots to the access log's pending list in
-one call.  PlainStore is the untiered baseline for overhead comparisons: a
+one call.  The hash map's `get` runs all of that in one frame in the common
+case.  PlainStore is the untiered baseline for overhead comparisons: a
 locked dict with no guides, scopes or regions.
 """
 from __future__ import annotations
@@ -25,6 +27,10 @@ from .regions import RegionError
 from .runtime import TierRuntime
 from .scope import SCOPE_SAMPLE_MASK
 
+# A hash-map key's stripe is `hash(key) % MAP_STRIPES`: the stripe dict's
+# lookup computes that hash anyway and `bytes` caches it, where a CRC-32 of a
+# 30 B key costs about 100 ns more.  Stripes only pick a lock, so the
+# per-process hash seed changes no layout.
 MAP_STRIPES = 64
 
 # A word with exactly ACCESSED_BIT of these set dereferences by a plain load.
@@ -54,7 +60,10 @@ class _GuideOps:
     before its guide is dereferenced.  A word with the accessed bit set and
     no migration lock dereferences by a plain load; any other goes through
     `registry.dereference`.  Access-log pairs are appended to the log's
-    pending list in one call, and the log is called only to fold it.
+    pending list in one call, and the log is called only to fold it.  New
+    slots are installed with their payload in one region call.
+    `StripedGuideMap.get` runs the common case of `get`, `_get` and `_read`
+    in one frame of its own.
     """
 
     def __init__(self, runtime: TierRuntime):
@@ -62,6 +71,10 @@ class _GuideOps:
         self._scopes = runtime.scope
         self._tls = runtime.scope.tls
         self._epoch_state = runtime.epoch_state
+        self._registry = runtime.registry
+        self._words = runtime.registry.words
+        self._regions = runtime.regions
+        self._log = runtime.access_log
 
     def get(self, key: bytes) -> bytes | None:
         scope, state = getattr(self._tls, "scope", None), self._epoch_state
@@ -82,6 +95,10 @@ class _GuideOps:
         return self._scoped(self._get, key)
 
     def set(self, key: bytes, value: bytes) -> None:
+        if type(key) is not bytes:
+            key = bytes(key)
+        if type(value) is not bytes:
+            value = bytes(value)
         scope, state = getattr(self._tls, "scope", None), self._epoch_state
         if (scope is not None and not scope.depth
                 and scope.outermost & SCOPE_SAMPLE_MASK
@@ -127,18 +144,15 @@ class _GuideOps:
             scopes.exit_scope()
 
     def _make_entry(self, key: bytes, value: bytes, tracked: bool) -> KvEntry:
-        rt = self.runtime
-        regions, registry = rt.regions, rt.registry
-        key_loc = regions.allocate(HeapId.NEW, len(key))
-        regions.write(key_loc, key)
+        regions, registry = self._regions, self._registry
+        key_loc = regions.install(HeapId.NEW, key)
         key_guide = registry.create(key_loc | ACCESSED_BIT)  # heap=NEW
-        value_loc = regions.allocate(HeapId.NEW, len(value))
-        regions.write(value_loc, value)
+        value_loc = regions.install(HeapId.NEW, value)
         value_guide = registry.create(value_loc | ACCESSED_BIT)
         if tracked:
-            rt.scope.record_guide_use(key_guide)
-            rt.scope.record_guide_use(value_guide)
-        log = rt.access_log
+            self._scopes.record_guide_use(key_guide)
+            self._scopes.record_guide_use(value_guide)
+        log = self._log
         if log is not None:
             pending = log.pending
             pending.extend((key_loc, len(key), value_loc, len(value)))
@@ -161,20 +175,18 @@ class _GuideOps:
         value, unless within that window the slot was freed, reused
         elsewhere and then published for this guide again.
         """
-        rt = self.runtime
-        registry = rt.registry
-        words = registry.words
+        registry, words = self._registry, self._words
         key_guide, guide = entry.key_guide, entry.value_guide
         if tracked:
-            rt.scope.record_guide_use(key_guide)
-            rt.scope.record_guide_use(guide)
+            self._scopes.record_guide_use(key_guide)
+            self._scopes.record_guide_use(guide)
         word = words[key_guide]
         key_loc = (word & LOCATOR_MASK if word & _DEREF_BITS == ACCESSED_BIT
                    else registry.dereference(key_guide))
         word = words[guide]
         locator = (word & LOCATOR_MASK if word & _DEREF_BITS == ACCESSED_BIT
                    else registry.dereference(guide))
-        read = rt.regions.read
+        read = self._regions.read
         while True:
             try:
                 data = read(locator)
@@ -187,7 +199,7 @@ class _GuideOps:
             if word & LOCATOR_MASK == locator:
                 break
             locator = registry.dereference(guide)
-        log = rt.access_log
+        log = self._log
         if log is not None:
             pending = log.pending
             pending.extend((key_loc, key_len) if data is None
@@ -206,18 +218,15 @@ class _GuideOps:
         free the same slot twice.  A tombstoned word is never replaced: the
         entry was deleted, so the fresh slot is freed and False returned.
         """
-        rt = self.runtime
-        regions, registry = rt.regions, rt.registry
-        words = registry.words
+        regions, registry, words = self._regions, self._registry, self._words
         key_guide, guide = entry.key_guide, entry.value_guide
         if tracked:
-            rt.scope.record_guide_use(key_guide)
-            rt.scope.record_guide_use(guide)
+            self._scopes.record_guide_use(key_guide)
+            self._scopes.record_guide_use(guide)
         word = words[key_guide]
         key_loc = (word & LOCATOR_MASK if word & _DEREF_BITS == ACCESSED_BIT
                    else registry.dereference(key_guide))
-        new_loc = regions.allocate(HeapId.NEW, len(value))
-        regions.write(new_loc, value)
+        new_loc = regions.install(HeapId.NEW, value)
         new_base = new_loc | ACCESSED_BIT  # heap=NEW, ciw=0, lock clear
         while True:
             word = words[guide]
@@ -230,7 +239,7 @@ class _GuideOps:
                 regions.free(word & LOCATOR_MASK)
                 updated = True
                 break
-        log = rt.access_log
+        log = self._log
         if log is not None:
             pending = log.pending
             pending.extend((key_loc, key_len, new_loc, len(value)) if updated
@@ -240,11 +249,10 @@ class _GuideOps:
         return updated
 
     def _retire_entry(self, entry: KvEntry, tracked: bool) -> None:
-        rt = self.runtime
-        regions, registry = rt.regions, rt.registry
+        regions, registry = self._regions, self._registry
         for guide in (entry.key_guide, entry.value_guide):
             if tracked:
-                rt.scope.record_guide_use(guide)
+                self._scopes.record_guide_use(guide)
             old_word = registry.tombstone(guide)
             regions.free(old_word & LOCATOR_MASK)
             registry.retire(guide)
@@ -258,9 +266,69 @@ class StripedGuideMap(_GuideOps):
         self._stripes: list[dict[bytes, KvEntry]] = \
             [{} for _ in range(MAP_STRIPES)]
         self._locks = [threading.Lock() for _ in range(MAP_STRIPES)]
+        self._slots = runtime.regions.slots
+        self._region_length = runtime.regions.region_length
+
+    def get(self, key: bytes) -> bytes | None:
+        """`_GuideOps.get` with `_get` and the common case of `_read` in
+        this one frame.
+
+        It registers the scope inline as `_GuideOps.get` does and, under
+        the key's stripe lock, reads the value slot straight from its
+        region's slot dict when both words dereference by a plain load, then
+        re-checks the value word as `_read` does and appends `_read`'s
+        access-log pairs.  Any other case (a word without the accessed bit
+        or with the migration lock, a missing slot, a word that moved) runs
+        `_read`, still under the lock; a tracked, sampled or nested scope
+        runs `_get` through `_scoped`.
+        """
+        scope, state = getattr(self._tls, "scope", None), self._epoch_state
+        if (scope is not None and not scope.depth
+                and scope.outermost & SCOPE_SAMPLE_MASK
+                and not state.tracking_enabled):
+            slot, epoch = scope.slot, state.epoch
+            slot.append(epoch)
+            if not state.tracking_enabled and state.epoch == epoch:
+                scope.depth = 1
+                try:
+                    i = hash(key) % MAP_STRIPES
+                    with self._locks[i]:
+                        entry = self._stripes[i].get(key)
+                        if entry is None:
+                            return None
+                        words = self._words
+                        key_word = words[entry.key_guide]
+                        guide = entry.value_guide
+                        word = words[guide]
+                        if (key_word & _DEREF_BITS == ACCESSED_BIT
+                                and word & _DEREF_BITS == ACCESSED_BIT):
+                            locator = word & LOCATOR_MASK
+                            length = self._region_length
+                            data = self._slots[locator // length].get(
+                                locator % length)
+                            word = words[guide]
+                            if (data is not None
+                                    and word & LOCATOR_MASK == locator
+                                    and word & HEAP_FIELD != HEAP_FIELD):
+                                log = self._log
+                                if log is not None:
+                                    pending = log.pending
+                                    pending.extend((key_word & LOCATOR_MASK,
+                                                    len(key), locator,
+                                                    len(data)))
+                                    if len(pending) >= FOLD_LENGTH:
+                                        log.record()
+                                return data
+                        return self._read(entry, len(key), False)
+                finally:
+                    slot.remove(epoch)
+                    scope.depth = 0
+                    scope.outermost += 1
+            slot.remove(epoch)
+        return self._scoped(self._get, key)
 
     def _set(self, key: bytes, value: bytes, tracked: bool) -> None:
-        i = zlib.crc32(key) % MAP_STRIPES
+        i = hash(key) % MAP_STRIPES
         with self._locks[i]:
             stripe = self._stripes[i]
             entry = stripe.get(key)
@@ -270,7 +338,7 @@ class StripedGuideMap(_GuideOps):
                 self._update(entry, len(key), value, tracked)
 
     def _get(self, key: bytes, tracked: bool) -> bytes | None:
-        i = zlib.crc32(key) % MAP_STRIPES
+        i = hash(key) % MAP_STRIPES
         with self._locks[i]:
             entry = self._stripes[i].get(key)
             if entry is None:
@@ -278,7 +346,7 @@ class StripedGuideMap(_GuideOps):
             return self._read(entry, len(key), tracked)
 
     def _delete(self, key: bytes, tracked: bool) -> bool:
-        i = zlib.crc32(key) % MAP_STRIPES
+        i = hash(key) % MAP_STRIPES
         with self._locks[i]:
             entry = self._stripes[i].pop(key, None)
             if entry is None:

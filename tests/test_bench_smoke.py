@@ -19,9 +19,11 @@ ROOT = Path(__file__).resolve().parent.parent
     "workload,trace",
     [("zipf-update-skiplist", "0"), ("zipf-update-skiplist", "1"),
      # The only run whose mutator scopes race the collector's convergence
-     # wait: its scan windows run on a second thread.
-     ("churn-concurrent-hashmap", "0")],
-    ids=["0", "1", "churn-concurrent-hashmap-0"])
+     # wait: its scan windows run on a second thread.  Traced, it is also
+     # the only one whose tracked scopes the tracer's wrappers see.
+     ("churn-concurrent-hashmap", "0"), ("churn-concurrent-hashmap", "1")],
+    ids=["0", "1", "churn-concurrent-hashmap-0",
+         "churn-concurrent-hashmap-1"])
 def test_benchmark_runs_and_is_correct(workload, trace):
     proc = subprocess.run(
         [sys.executable, str(ROOT / "tierbench" / "run.py"),

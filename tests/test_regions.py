@@ -113,6 +113,72 @@ class TestDataAndAccounting:
         region.audit()
 
 
+class TestInstall:
+    """`install` places a payload where `allocate` of its length would,
+    and rejects what `allocate` rejects."""
+
+    def test_places_slots_where_allocate_does(self):
+        import random
+        rng = random.Random(11)
+        allocated = small_region(pages=1024)
+        installed = small_region(pages=1024)
+        live = []
+        for i in range(2000):
+            if live and rng.random() < 0.45:
+                loc = live.pop(rng.randrange(len(live)))
+                allocated.free(loc)
+                installed.free(loc)
+                continue
+            payload = bytes([i & 0xFF]) * rng.choice([1, 16, 17, 100, 1024,
+                                                      1025, 5000])
+            loc = allocated.allocate(len(payload))
+            allocated.write(loc, payload)
+            assert installed.install(payload) == loc
+            assert installed.read(loc) is payload  # the object itself
+            live.append(loc)
+        assert installed._live == allocated._live
+        assert installed._free == allocated._free
+        assert installed._bump == allocated._bump
+        assert installed.live_bytes == allocated.live_bytes
+        assert {p: (r.live_bytes, r.live_slots, r.resident)
+                for p, r in installed._pages.items()} == \
+            {p: (r.live_bytes, r.live_slots, r.resident)
+             for p, r in allocated._pages.items()}
+        installed.audit()
+
+    @pytest.mark.parametrize("length", [0, (64 << 10) + 1])
+    def test_rejects_what_allocate_rejects(self, length):
+        region = small_region(pages=64)
+        with pytest.raises(RegionError) as allocated:
+            region.allocate(length)
+        with pytest.raises(RegionError) as installed:
+            region.install(b"x" * length)
+        assert type(installed.value) is type(allocated.value)
+        assert str(installed.value) == str(allocated.value)
+        assert region.live_slot_count == 0 and region._bump == 0
+
+    def test_exhaustion(self):
+        region = HeapRegion(HeapId.HOT, 0, DEFAULT_PAGE_SIZE)
+        for _ in range(4):
+            region.install(b"x" * 1024)
+        for payload in (b"y" * 1024, b"z" * 16):
+            with pytest.raises(RegionExhausted) as installed:
+                region.install(payload)
+            with pytest.raises(RegionExhausted) as allocated:
+                region.allocate(len(payload))
+            assert str(installed.value) == str(allocated.value)
+        assert region.live_slot_count == 4
+        assert region.live_bytes == DEFAULT_PAGE_SIZE
+        region.audit()
+
+    def test_manager_installs_into_the_named_heap(self):
+        mgr = RegionManager(region_length=1 << 20)
+        loc = mgr.install(HeapId.COLD, b"abcde")
+        assert mgr.heap_of(loc) is HeapId.COLD
+        assert mgr.read(loc) == b"abcde"
+        assert mgr.slots[HeapId.COLD][loc - (2 << 20)] == b"abcde"
+
+
 class TestHints:
     def test_whole_region_hint(self):
         region = small_region(HeapId.HOT, pages=8)

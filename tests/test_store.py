@@ -1,4 +1,5 @@
 """Guide-managed KV stores: hash map and skip list."""
+import random
 import sys
 import threading
 import time
@@ -8,11 +9,13 @@ from collections import Counter
 import pytest
 
 from tierheap.guideword import (ACCESSED_BIT, LOCATOR_MASK, LOCK_BIT, HeapId,
-                                unpack, word_atc, word_heap)
+                                pack, unpack, word_atc, word_heap)
+from tierheap.metrics import FOLD_LENGTH
 from tierheap.runtime import TierRuntime
 from tierheap.scope import SCOPE_SAMPLE_MASK, EpochState, Phase
 from tierheap.store import (_MAX_LEVEL, MAP_STRIPES, GuideSkipList,
-                            PlainStore, StripedGuideMap, make_store)
+                            PlainStore, StripedGuideMap, _GuideOps,
+                            make_store)
 
 
 def make_runtime():
@@ -62,6 +65,28 @@ class TestBasicOps:
         store.set(b"k", bytes(value))
         value[0] = 0x58
         assert store.get(b"k") == b"mutable"
+
+    def test_set_hands_over_immutable_bytes(self, store):
+        """A mutable key or value given to an insert or an update is
+        converted: changing it afterwards changes nothing stored."""
+        key, value = bytearray(b"key"), bytearray(b"abcd")
+        store.set(key, value)
+        value[0] = ord("Z")
+        assert store.get(b"key") == b"abcd"
+        assert type(store.get(b"key")) is bytes
+        store.set(b"key", value)  # update
+        value[0] = ord("Y")
+        assert store.get(b"key") == b"Zbcd"
+        key[0] = ord("X")
+        assert store.get(b"key") == b"Zbcd"
+        assert store.get(b"Xey") is None
+        if isinstance(store, GuideSkipList):
+            assert store.keys() == [b"key"]
+            assert type(store.keys()[0]) is bytes
+        words = store.runtime.registry.words
+        entry = entry_of(store, b"key")
+        assert store.runtime.regions.read(
+            words[entry.key_guide] & LOCATOR_MASK) == b"key"
 
 
 class TestGuideDiscipline:
@@ -251,9 +276,9 @@ class TestInlineScope:
         runtime = store.runtime
         scopes = runtime.scope
         calls = tai_calls(runtime.tai)
-        stripe = zlib.crc32(b"k") % MAP_STRIPES
+        stripe = hash(b"k") % MAP_STRIPES
         other = next(key for key in (b"o%d" % i for i in range(MAP_STRIPES))
-                     if zlib.crc32(key) % MAP_STRIPES != stripe)
+                     if hash(key) % MAP_STRIPES != stripe)
         store.set(b"k", b"v")
         store.set(other, b"w")
         runtime.epoch_state.tracking_enabled = True
@@ -273,14 +298,14 @@ class TestInlineScope:
             nested_ops()
             scopes.exit_scope()
         else:
-            real_read = store._read
+            hooked = []
 
-            def read_with_nested_ops(entry, key_len, tracked):
-                monkeypatch.setattr(store, "_read", real_read)
-                nested_ops()
-                return real_read(entry, key_len, tracked)
+            def nested_ops_once():
+                if not hooked:
+                    hooked.append(True)
+                    nested_ops()
 
-            monkeypatch.setattr(store, "_read", read_with_nested_ops)
+            hook_lookup(monkeypatch, store, b"k", nested_ops_once)
             assert store.get(b"k") == b"v"
         assert depths == [1]
         assert used == []
@@ -292,10 +317,10 @@ class TestInlineScope:
         runtime = store.runtime
         store.set(b"k", b"v")
 
-        def broken(*args):
+        def broken():
             raise RuntimeError("read failed")
 
-        monkeypatch.setattr(store, "_read", broken)
+        hook_lookup(monkeypatch, store, b"k", broken)
         # Scopes 1..63 are inline, scope 64 is sampled and goes through
         # enter_scope and exit_scope.
         for _ in range(SCOPE_SAMPLE_MASK + 1):
@@ -346,6 +371,161 @@ class TestInlineScope:
         assert all(word_atc(w) == 0 for w in runtime.registry.words)
         assert runtime.tai.converged(state.epoch)
         runtime.audit()
+
+
+class TestOneFrameGet:
+    """The hash map's `get` looks up the entry, loads both words, reads the
+    value slot and appends the access-log pairs in one frame, under the
+    key's stripe lock.  Every other case runs `_read`, still under it."""
+
+    def setup(self, monkeypatch, **options):
+        runtime = TierRuntime(region_length=1 << 24, scan_interval_s=120.0,
+                              **options)
+        store = StripedGuideMap(runtime)
+        store.set(b"k", b"value")  # the thread's first scope: sampled
+        store.set(b"other", b"w")
+        reads = []
+        real_read = store._read
+
+        def counted_read(entry, key_len, tracked):
+            reads.append(entry)
+            return real_read(entry, key_len, tracked)
+
+        monkeypatch.setattr(store, "_read", counted_read)
+        return runtime, store, reads
+
+    def test_warm_get_reads_the_slot_under_the_stripe_lock(self,
+                                                           monkeypatch):
+        runtime, store, reads = self.setup(monkeypatch)
+        lock = store._locks[hash(b"k") % MAP_STRIPES]
+        held = []
+        hook_slots(monkeypatch, store, lambda: held.append(lock.locked()))
+        assert store.get(b"k") == b"value"
+        assert reads == [] and held == [True]
+        entry, words = entry_of(store, b"k"), runtime.registry.words
+        assert runtime.access_log.pending[-4:] == [
+            words[entry.key_guide] & LOCATOR_MASK, 1,
+            words[entry.value_guide] & LOCATOR_MASK, 5]
+
+    def test_first_get_after_a_scan_window_dereferences(self, monkeypatch):
+        """The window clears the accessed bits, so the next get goes
+        through `registry.dereference`, which sets them again; the next
+        window sees that access, and the get after it is warm again."""
+        runtime, store, reads = self.setup(monkeypatch)
+        registry = runtime.registry
+        entry, other = entry_of(store, b"k"), entry_of(store, b"other")
+        runtime.collector.run_scan_window()
+        derefs = []
+        real_dereference = registry.dereference
+
+        def counted_dereference(index):
+            derefs.append(index)
+            return real_dereference(index)
+
+        monkeypatch.setattr(registry, "dereference", counted_dereference)
+        assert store.get(b"k") == b"value"
+        assert len(reads) == 1
+        assert derefs == [entry.key_guide, entry.value_guide]
+        assert store.get(b"k") == b"value"  # warm: no second `_read`
+        assert len(reads) == 1 and len(derefs) == 2
+        runtime.collector.run_scan_window()
+        words = registry.words
+        assert unpack(words[entry.value_guide]).ciw == 0  # seen accessed
+        assert unpack(words[other.value_guide]).ciw == 1
+        runtime.audit()
+
+    @pytest.mark.parametrize("role", ["key_guide", "value_guide"])
+    def test_locked_word_runs_read(self, monkeypatch, role):
+        runtime, store, reads = self.setup(monkeypatch)
+        registry = runtime.registry
+        guide = getattr(entry_of(store, b"k"), role)
+        assert registry.try_lock_for_migration(guide, registry.words[guide])
+        assert store.get(b"k") == b"value"
+        assert len(reads) == 1
+        assert not registry.words[guide] & LOCK_BIT
+
+    @pytest.mark.parametrize("moment", ["before lookup", "after lookup"])
+    def test_value_moved_mid_read_runs_read(self, monkeypatch, moment):
+        """A migration commits the value word to HOT while the get reads
+        its slot dict: before the lookup the slot is gone, after it the
+        re-check finds the word moved.  Either way `_read` reads the new
+        slot, and the log names it."""
+        runtime, store, reads = self.setup(monkeypatch)
+        entry = entry_of(store, b"k")
+        moved = []
+        hook_slots(monkeypatch, store,
+                   lambda: moved.append(move_to_hot(runtime,
+                                                    entry.value_guide)),
+                   after=moment == "after lookup")
+        assert store.get(b"k") == b"value"
+        assert len(moved) == 1 and len(reads) == 1
+        assert runtime.access_log.pending[-2:] == [moved[0], 5]
+        assert word_heap(runtime.registry.words[entry.value_guide]) \
+            is HeapId.HOT
+        runtime.audit()
+
+    def test_warm_get_folds_a_full_access_log(self, monkeypatch):
+        runtime, store, reads = self.setup(monkeypatch)
+        log = runtime.access_log
+        log.pending.extend([0, 1] * ((FOLD_LENGTH - 4 - len(log.pending))
+                                     // 2))
+        folds = []
+        real_record = log.record
+
+        def counted_record(*pairs):
+            folds.append((pairs, len(log.pending)))
+            real_record(*pairs)
+
+        monkeypatch.setattr(log, "record", counted_record)
+        assert store.get(b"k") == b"value"
+        assert reads == [] and folds == [((), FOLD_LENGTH)]
+        assert log.pending == []
+
+    def test_missing_key_logs_nothing(self, monkeypatch):
+        runtime, store, reads = self.setup(monkeypatch)
+        pending = list(runtime.access_log.pending)
+        assert store.get(b"missing") is None
+        assert reads == []
+        assert runtime.access_log.pending == pending
+
+    def test_without_an_access_log(self, monkeypatch):
+        runtime, store, reads = self.setup(monkeypatch,
+                                           track_access_log=False)
+        assert runtime.access_log is None
+        assert store.get(b"k") == b"value"
+        assert reads == []
+        runtime.collector.run_scan_window()
+        assert store.get(b"k") == b"value"
+        assert len(reads) == 1
+        runtime.audit()
+
+    def test_read_stream_logs_as_the_read_path(self):
+        """A stream of gets, sets and deletes with scan windows between
+        them gives the same results, words and access-log entries whether
+        its gets run the one-frame `get` or `_GuideOps.get`, which runs
+        `_get` and `_read`."""
+        outcomes = []
+        for get in (StripedGuideMap.get, _GuideOps.get):
+            runtime = make_runtime()
+            store = StripedGuideMap(runtime)
+            rng = random.Random(7)
+            results = []
+            for i in range(3000):
+                key = b"key-%03d" % rng.randrange(80)
+                roll = rng.random()
+                if roll < 0.8:
+                    results.append(get(store, key))
+                elif roll < 0.95:
+                    store.set(key, key * rng.randrange(1, 40))
+                else:
+                    results.append(store.delete(key))
+                if i % 400 == 399:
+                    runtime.collector.run_scan_window()
+            runtime.audit()
+            outcomes.append((results, list(runtime.registry.words),
+                             runtime.access_log.entries()))
+        assert outcomes[0] == outcomes[1]
+        assert sum(r is not None for r in outcomes[0][0]) > 1000
 
 
 class TestConcurrency:
@@ -641,8 +821,67 @@ class TestBaseline:
 def entry_of(store, key: bytes):
     """The live KvEntry of `key` in either structure."""
     if isinstance(store, StripedGuideMap):
-        return store._stripes[zlib.crc32(key) % MAP_STRIPES][key]
+        return store._stripes[hash(key) % MAP_STRIPES][key]
     return store._find(key)[1].entry
+
+
+def hook_lookup(monkeypatch, store, key: bytes, hook) -> None:
+    """Run `hook()` each time an op looks up `key`'s entry to read it: in
+    the hash map, as its stripe dict's `get` (which the one-frame get
+    passes), and in the skip list, as `_read` begins."""
+    if isinstance(store, StripedGuideMap):
+        stripes, i = store._stripes, hash(key) % MAP_STRIPES
+
+        class HookedStripe(dict):
+            def get(self, k, default=None):
+                hook()
+                return super().get(k, default)
+
+        stripes[i] = HookedStripe(stripes[i])
+        return
+    real_read = store._read
+
+    def hooked_read(entry, key_len, tracked):
+        hook()
+        return real_read(entry, key_len, tracked)
+
+    monkeypatch.setattr(store, "_read", hooked_read)
+
+
+def hook_slots(monkeypatch, store, hook, after: bool = False) -> None:
+    """Run `hook()` once, as the hash map's one-frame get next reads a
+    region's slot dict: before the dict lookup, or after it."""
+    armed = [hook]
+
+    class HookedSlots:
+        def __init__(self, slots):
+            self.slots = slots
+
+        def get(self, offset):
+            run = armed.pop() if armed else None
+            if run is not None and not after:
+                run()
+            data = self.slots.get(offset)
+            if run is not None and after:
+                run()
+            return data
+
+    monkeypatch.setattr(store, "_slots",
+                        tuple(HookedSlots(slots) for slots in store._slots))
+
+
+def move_to_hot(runtime, guide: int) -> int:
+    """The collector's two-CAS move of `guide`'s slot into HOT; returns the
+    new locator."""
+    registry, regions = runtime.registry, runtime.regions
+    word = registry.words[guide]
+    locked = registry.try_lock_for_migration(guide, word)
+    old = word & LOCATOR_MASK
+    new = regions.install(HeapId.HOT, regions.read(old))
+    assert registry.commit_migration(guide, locked,
+                                     pack(new, heap=HeapId.HOT))
+    regions.free(old)
+    return new
 
 
 def record_uses(monkeypatch, scope) -> list[int]:
