@@ -14,13 +14,15 @@ import itertools
 import json
 import statistics
 import sys
+import tempfile
 import threading
 import time
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .collector import CT_MAX, CT_MIN
-from .guideword import GuideArena, HeapId, pack
+from .guideword import ACCESSED_BIT, DEREF_BITS, LOCATOR_MASK, HeapId, pack
 from .metrics import page_utilization, write_cdf_csv
 from .regions import SIZE_CLASSES, write_hint_log
 from .runtime import TierRuntime
@@ -105,15 +107,25 @@ class BenchmarkResult:
 
 
 def measure_deref_ns(samples: int = 64, batch: int = 2000) -> float:
-    """Median per-call latency of a fast-path dereference, in nanoseconds."""
-    arena = GuideArena([pack(0x1000, heap=HeapId.HOT, accessed=True)])
-    deref = arena.dereference
+    """Median cost of the stores' inline dereference, in nanoseconds.
+
+    Times the word load and plain-load test that `tierheap.store` runs on
+    each guide, net of the same loop left empty.
+    """
+    words = array("Q", [pack(0x1000, heap=HeapId.HOT, accessed=True)])
+    guide = 0
+    perf = time.perf_counter_ns
     medians = []
     for _ in range(samples):
-        t0 = time.perf_counter_ns()
+        t0 = perf()
         for _ in range(batch):
-            deref(0)
-        medians.append((time.perf_counter_ns() - t0) / batch)
+            pass
+        t1 = perf()
+        for _ in range(batch):
+            word = words[guide]
+            if word & DEREF_BITS == ACCESSED_BIT:
+                locator = word & LOCATOR_MASK  # noqa: F841 - the store's use
+        medians.append((perf() - 2 * t1 + t0) / batch)
     return statistics.median(medians)
 
 
@@ -237,6 +249,26 @@ def run_benchmark(config: RunConfig) -> BenchmarkResult:
     if config.report is not None:
         _write_reports(config, result)
     return result
+
+
+def layout_digest(config: RunConfig) -> str:
+    """sha256 of the layout a logical-clock run of `config` leaves: its
+    `windows.jsonl`, `utilization_cdf.csv` and `hints.log`, every
+    `access_log.entries()` row and the final word arena, and no timing."""
+    import hashlib  # loading OpenSSL costs every importer about 3.5 MB RSS
+
+    digest = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as out:
+        result = run_benchmark(replace(config, clock="logical", report=out))
+        for name in ("windows.jsonl", "utilization_cdf.csv", "hints.log"):
+            digest.update(Path(out, name).read_bytes())
+    runtime = result.runtime
+    if runtime.access_log is not None:
+        for row in runtime.access_log.entries():
+            digest.update(b"%d %d %d\n" % (row.window, row.page,
+                                           row.line_mask))
+    digest.update(runtime.registry.words.tobytes())
+    return digest.hexdigest()
 
 
 def _utilization_for(runtime: TierRuntime, access_window: int):

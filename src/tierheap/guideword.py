@@ -47,10 +47,8 @@ LOCK_BIT = 1 << 63
 
 WORD_MASK = (1 << 64) - 1
 
-# Bounded retry budget for the dereference read-modify-write.  After this many
-# failed CAS attempts the reader falls back to a plain load; a missed flag
-# update only delays hotness classification by one window.
-DEREF_MAX_RETRIES = 64
+# A word with exactly ACCESSED_BIT of these set dereferences by a plain load.
+DEREF_BITS = ACCESSED_BIT | LOCK_BIT
 
 # Locks that emulate CAS on the arena; guide i uses stripe i % LOCK_STRIPES.
 LOCK_STRIPES = 256
@@ -176,20 +174,18 @@ class GuideArena:
         """Resolve guide `index` to its current locator, recording the access.
 
         If the accessed bit is already set and no migration lock is pending,
-        this is a plain load and no store is issued.  Otherwise a bounded CAS
-        loop installs accessed=1, lock=0.  The locator bits are never modified.
+        this is a plain load and no store is issued.  Otherwise one store
+        under the guide's stripe lock, which every store to a word takes,
+        installs accessed=1, lock=0; the locator bits are never modified.
         """
-        w = self.words[index]
-        if (w & ACCESSED_BIT) and not (w & LOCK_BIT):
+        words = self.words
+        w = words[index]
+        if w & DEREF_BITS == ACCESSED_BIT:
             return w & LOCATOR_MASK
-        for _ in range(DEREF_MAX_RETRIES):
-            updated = (w | ACCESSED_BIT) & ~LOCK_BIT
-            if self.compare_and_swap(index, w, updated):
-                return updated & LOCATOR_MASK
-            w = self.words[index]
-            if (w & ACCESSED_BIT) and not (w & LOCK_BIT):
-                return w & LOCATOR_MASK
-        return self.words[index] & LOCATOR_MASK
+        with self.stripes[index % LOCK_STRIPES]:
+            w = (words[index] | ACCESSED_BIT) & ~LOCK_BIT
+            words[index] = w
+        return w & LOCATOR_MASK
 
     def atc_increment(self, index: int) -> bool:
         """atc += 1, clearing the migration lock (an increment is a use).
@@ -240,5 +236,7 @@ class GuideArena:
 
 # The benchmark's tracer imports the class under this name and replaces
 # `dereference`, `compare_and_swap` and `atc_increment` in its `__dict__`.
-# GuideRegistry inherits them unchanged, so the wrappers see every call.
+# GuideRegistry inherits them unchanged, so the wrappers see every call of
+# those methods.  A store's untracked get calls none of them: it
+# dereferences inline, first touches included.
 GuideCell = GuideArena

@@ -1,18 +1,19 @@
 """Guide-managed concurrent key-value stores.
 
 Two structures share the same guide discipline: a striped-lock hash map and
-a skip list whose readers take no lock and whose writers link under one
-lock, deleting logically.  Every public operation runs inside a scope guard,
-every key/value access goes through its guide word, and keys and values are
-handed over to region slots as immutable `bytes` (a `bytes` argument itself,
-anything else converted), so the runtime owns the authoritative bytes.
-Both structures share their public operations through `_GuideOps`: each
-registers its scope inline in the common case (see `tierheap.scope`), runs
-the structure's body, and does its guided work in one `_GuideOps` method,
-which appends the key and value slots to the access log's pending list in
-one call.  The hash map's `get` runs all of that in one frame in the common
-case.  PlainStore is the untiered baseline for overhead comparisons: a
-locked dict with no guides, scopes or regions.
+a skip list whose writers link under one lock, deleting logically.  Readers
+of both take no store lock.  Every public operation runs inside a scope
+guard, every key/value access goes through its guide word, and keys and
+values are handed over to region slots as immutable `bytes` (a `bytes`
+argument itself, anything else converted), so the runtime owns the
+authoritative bytes.  Both structures share their public operations through
+`_GuideOps`: each registers its scope inline in the common case (see
+`tierheap.scope`), runs the structure's body, and does its guided work in
+one `_GuideOps` method, which appends the key and value slots to the access
+log's pending list in one call.  `get` runs all of that in one frame in the
+common case, the structure adding only its `_entry` lookup.  PlainStore is
+the untiered baseline for overhead comparisons: a locked dict with no
+guides, scopes or regions.
 """
 from __future__ import annotations
 
@@ -20,10 +21,9 @@ import threading
 import zlib
 from dataclasses import dataclass
 
-from .guideword import (ACCESSED_BIT, ATC_FIELD, HEAP_FIELD, LOCATOR_MASK,
-                        LOCK_BIT, HeapId)
+from .guideword import (ACCESSED_BIT, ATC_FIELD, DEREF_BITS, HEAP_FIELD,
+                        LOCATOR_MASK, LOCK_BIT, LOCK_STRIPES, HeapId)
 from .metrics import FOLD_LENGTH
-from .regions import RegionError
 from .runtime import TierRuntime
 from .scope import SCOPE_SAMPLE_MASK
 
@@ -32,9 +32,6 @@ from .scope import SCOPE_SAMPLE_MASK
 # 30 B key costs about 100 ns more.  Stripes only pick a lock, so the
 # per-process hash seed changes no layout.
 MAP_STRIPES = 64
-
-# A word with exactly ACCESSED_BIT of these set dereferences by a plain load.
-_DEREF_BITS = ACCESSED_BIT | LOCK_BIT
 
 
 @dataclass
@@ -55,15 +52,18 @@ class _GuideOps:
     to the thread's TAI slot, then read the tracking flag and the epoch
     again.  Any other case goes through `enter_scope` and `exit_scope`.
 
-    The guided paths take one call per operation.  `tracked` says whether
-    the caller's scope tracks ATC; only then are guide uses recorded, each
-    before its guide is dereferenced.  A word with the accessed bit set and
-    no migration lock dereferences by a plain load; any other goes through
-    `registry.dereference`.  Access-log pairs are appended to the log's
+    The guided paths take one call per operation; `get` runs the common
+    case of `_get` and `_read` in its own frame, and only a missing slot, a
+    moved word or a tombstone falls back to `_read`.  `tracked` says
+    whether the caller's scope tracks ATC; only then are guide uses
+    recorded, each before its guide is dereferenced.  A word with the
+    accessed bit set and no migration lock dereferences by a plain load.
+    Any other, such as a first touch after a scan window, is stored back as
+    `(word | ACCESSED_BIT) & ~LOCK_BIT` under its arena stripe lock, the
+    store `GuideArena.dereference` makes; clearing the lock makes a racing
+    migration's commit fail.  Access-log pairs are appended to the log's
     pending list in one call, and the log is called only to fold it.  New
     slots are installed with their payload in one region call.
-    `StripedGuideMap.get` runs the common case of `get`, `_get` and `_read`
-    in one frame of its own.
     """
 
     def __init__(self, runtime: TierRuntime):
@@ -73,7 +73,10 @@ class _GuideOps:
         self._epoch_state = runtime.epoch_state
         self._registry = runtime.registry
         self._words = runtime.registry.words
+        self._word_locks = runtime.registry.stripes
         self._regions = runtime.regions
+        self._slots = runtime.regions.slots
+        self._region_length = runtime.regions.region_length
         self._log = runtime.access_log
 
     def get(self, key: bytes) -> bytes | None:
@@ -86,7 +89,38 @@ class _GuideOps:
             if not state.tracking_enabled and state.epoch == epoch:
                 scope.depth = 1
                 try:
-                    return self._get(key, False)
+                    entry = self._entry(key)
+                    if entry is None:
+                        return None
+                    words = self._words
+                    key_guide, guide = entry.key_guide, entry.value_guide
+                    key_word = words[key_guide]
+                    if key_word & DEREF_BITS != ACCESSED_BIT:
+                        with self._word_locks[key_guide % LOCK_STRIPES]:
+                            key_word = (words[key_guide] | ACCESSED_BIT) \
+                                & ~LOCK_BIT
+                            words[key_guide] = key_word
+                    word = words[guide]
+                    if word & DEREF_BITS != ACCESSED_BIT:
+                        with self._word_locks[guide % LOCK_STRIPES]:
+                            word = (words[guide] | ACCESSED_BIT) & ~LOCK_BIT
+                            words[guide] = word
+                    locator = word & LOCATOR_MASK
+                    length = self._region_length
+                    data = self._slots[locator // length].get(
+                        locator % length)
+                    word = words[guide]
+                    if (data is not None and word & LOCATOR_MASK == locator
+                            and word & HEAP_FIELD != HEAP_FIELD):
+                        log = self._log
+                        if log is not None:
+                            pending = log.pending
+                            pending.extend((key_word & LOCATOR_MASK, len(key),
+                                            locator, len(data)))
+                            if len(pending) >= FOLD_LENGTH:
+                                log.record()
+                        return data
+                    return self._read(entry, len(key), False)
                 finally:
                     slot.remove(epoch)
                     scope.depth = 0
@@ -143,6 +177,12 @@ class _GuideOps:
         finally:
             scopes.exit_scope()
 
+    def _get(self, key: bytes, tracked: bool) -> bytes | None:
+        entry = self._entry(key)
+        if entry is None:
+            return None
+        return self._read(entry, len(key), tracked)
+
     def _make_entry(self, key: bytes, value: bytes, tracked: bool) -> KvEntry:
         regions, registry = self._regions, self._registry
         key_loc = regions.install(HeapId.NEW, key)
@@ -165,40 +205,41 @@ class _GuideOps:
         """Touch the key, then read the value slot and confirm the guide
         still names it.
 
-        The hash map reads under the key's stripe lock, which keeps the
-        key's setters out, so for it the check costs one word load.  The
-        skip list takes no lock, so a racing set may publish a new slot and
-        free the one being read, and the next allocation may reuse it at
-        once.  If the word moved on, the read is repeated at the new
-        locator.  A setter writes its slot before its CAS publishes it, so
-        a slot the word still names after the read held this guide's
-        value, unless within that window the slot was freed, reused
-        elsewhere and then published for this guide again.
+        Neither structure holds a lock while it reads, so a racing set may
+        publish a new slot and free the one being read, and the next
+        allocation may reuse it at once.  If the word moved on, the read is
+        repeated at the new locator, touching the word again.  A setter
+        writes its slot before its CAS publishes it, so a slot the word
+        still names after the read held this guide's value, unless within
+        that window the slot was freed, reused elsewhere and then published
+        for this guide again.  A tombstoned word reads as a missing key.
         """
-        registry, words = self._registry, self._words
+        words, word_locks = self._words, self._word_locks
         key_guide, guide = entry.key_guide, entry.value_guide
         if tracked:
             self._scopes.record_guide_use(key_guide)
             self._scopes.record_guide_use(guide)
-        word = words[key_guide]
-        key_loc = (word & LOCATOR_MASK if word & _DEREF_BITS == ACCESSED_BIT
-                   else registry.dereference(key_guide))
+        key_word = words[key_guide]
+        if key_word & DEREF_BITS != ACCESSED_BIT:
+            with word_locks[key_guide % LOCK_STRIPES]:
+                key_word = (words[key_guide] | ACCESSED_BIT) & ~LOCK_BIT
+                words[key_guide] = key_word
+        key_loc = key_word & LOCATOR_MASK
+        slots, length = self._slots, self._region_length
         word = words[guide]
-        locator = (word & LOCATOR_MASK if word & _DEREF_BITS == ACCESSED_BIT
-                   else registry.dereference(guide))
-        read = self._regions.read
         while True:
-            try:
-                data = read(locator)
-            except RegionError:
-                data = None
+            if word & DEREF_BITS != ACCESSED_BIT:
+                with word_locks[guide % LOCK_STRIPES]:
+                    word = (words[guide] | ACCESSED_BIT) & ~LOCK_BIT
+                    words[guide] = word
+            locator = word & LOCATOR_MASK
+            data = slots[locator // length].get(locator % length)
             word = words[guide]
             if (word & HEAP_FIELD) == HEAP_FIELD:
                 data = None  # lost a race with delete; entry is gone
                 break
             if word & LOCATOR_MASK == locator:
                 break
-            locator = registry.dereference(guide)
         log = self._log
         if log is not None:
             pending = log.pending
@@ -213,6 +254,11 @@ class _GuideOps:
         """Touch the key, then publish a fresh NEW-heap slot for the value
         via guide CAS.
 
+        A key word that fails the plain-load test goes through
+        `registry.dereference`, the same locked store `get` makes inline;
+        a set's first touch is off the get path, and it keeps the mutator's
+        one call the benchmark's tracer times as `guideword.deref`.
+
         Whoever succeeds a CAS frees exactly the slot named by the word it
         replaced, so racing setters and an in-flight migration can never
         free the same slot twice.  A tombstoned word is never replaced: the
@@ -224,7 +270,7 @@ class _GuideOps:
             self._scopes.record_guide_use(key_guide)
             self._scopes.record_guide_use(guide)
         word = words[key_guide]
-        key_loc = (word & LOCATOR_MASK if word & _DEREF_BITS == ACCESSED_BIT
+        key_loc = (word & LOCATOR_MASK if word & DEREF_BITS == ACCESSED_BIT
                    else registry.dereference(key_guide))
         new_loc = regions.install(HeapId.NEW, value)
         new_base = new_loc | ACCESSED_BIT  # heap=NEW, ciw=0, lock clear
@@ -259,73 +305,21 @@ class _GuideOps:
 
 
 class StripedGuideMap(_GuideOps):
-    """Hash map with per-stripe locks; guide CAS arbitrates with migration."""
+    """Hash map with per-stripe locks; guide CAS arbitrates with migration.
+
+    Writers of a key serialize on its stripe's lock.  Readers take none:
+    `_entry` is one dict lookup, and guide lifetimes outlive a reader's
+    scope by the graveyard protocol, as in the skip list.
+    """
 
     def __init__(self, runtime: TierRuntime):
         super().__init__(runtime)
         self._stripes: list[dict[bytes, KvEntry]] = \
             [{} for _ in range(MAP_STRIPES)]
         self._locks = [threading.Lock() for _ in range(MAP_STRIPES)]
-        self._slots = runtime.regions.slots
-        self._region_length = runtime.regions.region_length
 
-    def get(self, key: bytes) -> bytes | None:
-        """`_GuideOps.get` with `_get` and the common case of `_read` in
-        this one frame.
-
-        It registers the scope inline as `_GuideOps.get` does and, under
-        the key's stripe lock, reads the value slot straight from its
-        region's slot dict when both words dereference by a plain load, then
-        re-checks the value word as `_read` does and appends `_read`'s
-        access-log pairs.  Any other case (a word without the accessed bit
-        or with the migration lock, a missing slot, a word that moved) runs
-        `_read`, still under the lock; a tracked, sampled or nested scope
-        runs `_get` through `_scoped`.
-        """
-        scope, state = getattr(self._tls, "scope", None), self._epoch_state
-        if (scope is not None and not scope.depth
-                and scope.outermost & SCOPE_SAMPLE_MASK
-                and not state.tracking_enabled):
-            slot, epoch = scope.slot, state.epoch
-            slot.append(epoch)
-            if not state.tracking_enabled and state.epoch == epoch:
-                scope.depth = 1
-                try:
-                    i = hash(key) % MAP_STRIPES
-                    with self._locks[i]:
-                        entry = self._stripes[i].get(key)
-                        if entry is None:
-                            return None
-                        words = self._words
-                        key_word = words[entry.key_guide]
-                        guide = entry.value_guide
-                        word = words[guide]
-                        if (key_word & _DEREF_BITS == ACCESSED_BIT
-                                and word & _DEREF_BITS == ACCESSED_BIT):
-                            locator = word & LOCATOR_MASK
-                            length = self._region_length
-                            data = self._slots[locator // length].get(
-                                locator % length)
-                            word = words[guide]
-                            if (data is not None
-                                    and word & LOCATOR_MASK == locator
-                                    and word & HEAP_FIELD != HEAP_FIELD):
-                                log = self._log
-                                if log is not None:
-                                    pending = log.pending
-                                    pending.extend((key_word & LOCATOR_MASK,
-                                                    len(key), locator,
-                                                    len(data)))
-                                    if len(pending) >= FOLD_LENGTH:
-                                        log.record()
-                                return data
-                        return self._read(entry, len(key), False)
-                finally:
-                    slot.remove(epoch)
-                    scope.depth = 0
-                    scope.outermost += 1
-            slot.remove(epoch)
-        return self._scoped(self._get, key)
+    def _entry(self, key: bytes) -> KvEntry | None:
+        return self._stripes[hash(key) % MAP_STRIPES].get(key)
 
     def _set(self, key: bytes, value: bytes, tracked: bool) -> None:
         i = hash(key) % MAP_STRIPES
@@ -336,14 +330,6 @@ class StripedGuideMap(_GuideOps):
                 stripe[key] = self._make_entry(key, value, tracked)
             else:
                 self._update(entry, len(key), value, tracked)
-
-    def _get(self, key: bytes, tracked: bool) -> bytes | None:
-        i = hash(key) % MAP_STRIPES
-        with self._locks[i]:
-            entry = self._stripes[i].get(key)
-            if entry is None:
-                return None
-            return self._read(entry, len(key), tracked)
 
     def _delete(self, key: bytes, tracked: bool) -> bool:
         i = hash(key) % MAP_STRIPES
@@ -403,8 +389,25 @@ class GuideSkipList(_GuideOps):
         self._head = _Node(None, _MAX_LEVEL)
         self._lock = threading.Lock()
 
+    def _search(self, key: bytes) -> _Node | None:
+        """The key's node, if any, found without predecessors."""
+        node = self._head
+        for level in range(_MAX_LEVEL - 1, -1, -1):
+            nxt = node.nexts[level]
+            while nxt is not None and nxt.key < key:
+                node = nxt
+                nxt = node.nexts[level]
+        if nxt is not None and nxt.key == key:
+            return nxt
+        return None
+
+    def _entry(self, key: bytes) -> KvEntry | None:
+        node = self._search(key)
+        return None if node is None else node.entry
+
     def _find(self, key: bytes):
-        """Predecessors per level plus the matching node, if any."""
+        """Predecessors per level plus the matching node, if any; only
+        `_install` needs the predecessors."""
         preds = [self._head] * _MAX_LEVEL
         node = self._head
         for level in range(_MAX_LEVEL - 1, -1, -1):
@@ -437,8 +440,7 @@ class GuideSkipList(_GuideOps):
 
     def _set(self, key: bytes, value: bytes, tracked: bool) -> None:
         while True:
-            _, node = self._find(key)
-            entry = None if node is None else node.entry
+            entry = self._entry(key)
             if entry is None:
                 fresh = self._make_entry(key, value, tracked)
                 entry = self._install(key, fresh)
@@ -450,15 +452,8 @@ class GuideSkipList(_GuideOps):
                 return
             # A delete retired the entry after the search: insert anew.
 
-    def _get(self, key: bytes, tracked: bool) -> bytes | None:
-        _, node = self._find(key)
-        entry = None if node is None else node.entry
-        if entry is None:
-            return None
-        return self._read(entry, len(key), tracked)
-
     def _delete(self, key: bytes, tracked: bool) -> bool:
-        _, node = self._find(key)
+        node = self._search(key)
         if node is None:
             return False
         with self._lock:

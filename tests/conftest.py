@@ -62,3 +62,32 @@ def hook_slot_append():
         tai.slots[:] = [HookedSlot(slot) for slot in tai.slots]
         return armed.append
     return install
+
+
+@pytest.fixture
+def hook_slots(monkeypatch):
+    """Run a hook once, as a store's get or `_read` next reads a region's
+    slot dict: before the dict lookup, or after it.
+
+    `install(store, hook, after=False)` swaps the store's `_slots` for
+    hooked views of the same dicts.
+    """
+    def install(store, hook, after: bool = False) -> None:
+        armed = [hook]
+
+        class HookedSlots:
+            def __init__(self, slots):
+                self.slots = slots
+
+            def get(self, offset):
+                run = armed.pop() if armed else None
+                if run is not None and not after:
+                    run()
+                data = self.slots.get(offset)
+                if run is not None and after:
+                    run()
+                return data
+
+        hooked = tuple(HookedSlots(slots) for slots in store._slots)
+        monkeypatch.setattr(store, "_slots", hooked)
+    return install

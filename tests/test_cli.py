@@ -76,6 +76,32 @@ class TestRunBenchmark:
             [r.to_json() for r in b.reports]
         assert a.summary["prSeries"] == b.summary["prSeries"]
 
+    def test_layout_digest_agrees_across_hash_seeds(self):
+        """Two small mixes with inserts and deletes, one per structure,
+        give the same layout digests in processes with different hash
+        seeds (the hash map picks stripes by `hash(key)`)."""
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        path = os.environ.get("PYTHONPATH")
+        script = (
+            "from tierheap.cli import RunConfig, layout_digest\n"
+            "for structure, seed in (('hashmap', 7), ('skiplist', 8)):\n"
+            "    print(layout_digest(RunConfig(\n"
+            "        keys=2000, key_size=30, value_size=200, ops=12000,\n"
+            "        windows=4, read_pct=55, update_pct=25, insert_pct=10,\n"
+            "        delete_pct=10, ct_init=1, seed=seed,\n"
+            "        structure=structure)))\n")
+        digests = []
+        for hash_seed in ("1", "2"):
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+                   "PYTHONPATH": src + (os.pathsep + path if path else "")}
+            proc = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, text=True,
+                                  timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            digests.append(proc.stdout.split())
+        assert digests[0] == digests[1]
+        assert len(set(digests[0])) == 2  # the digest tells runs apart
+
     def test_baseline_same_seed_runs_clean(self):
         instrumented = run_benchmark(small_config())
         baseline = run_benchmark(small_config(baseline=True))

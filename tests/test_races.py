@@ -319,3 +319,58 @@ class TestChunkedMigration:
                 + report.skipped_migrations
             assert outcomes == (candidates if report.converged else 0)
         runtime.audit()
+
+
+class TestRacesThroughTheStores:
+    """The race table's rows, reached through a store's own get."""
+
+    @pytest.mark.parametrize("role", ["key_guide", "value_guide"])
+    @pytest.mark.parametrize("structure", ["hashmap", "skiplist"])
+    def test_first_touch_get_between_lock_and_commit_aborts(
+            self, monkeypatch, structure, role):
+        """The deref-aborts-commit row: a get that first touches the word
+        after a scan window, between a migration's lock and its commit,
+        stores the word back unlocked in its own frame, so the commit
+        fails and the old slot stays authoritative."""
+        runtime = TierRuntime(region_length=1 << 22)
+        store = make_store(runtime, structure)
+        store.set(b"key", PAYLOAD)
+        runtime.collector.run_scan_window()  # clears the accessed bits
+        index = getattr(store._entry(b"key"), role)
+        reads = []
+        monkeypatch.setattr(store, "_read", lambda *args: reads.append(args))
+        word, locked, new_loc = begin_migration(runtime, index)
+        assert store.get(b"key") == PAYLOAD
+        assert reads == []  # the first touch stayed on the one-frame path
+        assert finish_migration(runtime, index, word, locked, new_loc) \
+            == "aborted"
+        fields = unpack(runtime.registry.words[index])
+        assert fields.locator == word & LOCATOR_MASK
+        assert fields.accessed and not fields.migration_lock
+        with pytest.raises(RegionError):
+            runtime.regions.read(new_loc)  # the copy was freed, not the old
+        assert store.get(b"key") == PAYLOAD
+        runtime.audit()
+
+    @pytest.mark.parametrize("after", [False, True], ids=["before", "after"])
+    def test_hash_map_get_racing_a_set_on_another_thread(self, hook_slots,
+                                                         after):
+        """A set of the same key runs to completion on a second thread
+        while a hash-map get reads the value slot (before or after the
+        slot lookup): the get holds no lock the set waits for, and it
+        returns the new value, never None."""
+        runtime = TierRuntime(region_length=1 << 22)
+        store = make_store(runtime, "hashmap")
+        store.set(b"key", b"old-value")
+        setter = threading.Thread(target=store.set,
+                                  args=(b"key", b"new-value"))
+
+        def race():
+            setter.start()
+            setter.join(10.0)
+
+        hook_slots(store, race, after=after)
+        got = store.get(b"key")
+        assert not setter.is_alive()
+        assert got == b"new-value"
+        runtime.audit()

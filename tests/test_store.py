@@ -14,8 +14,7 @@ from tierheap.metrics import FOLD_LENGTH
 from tierheap.runtime import TierRuntime
 from tierheap.scope import SCOPE_SAMPLE_MASK, EpochState, Phase
 from tierheap.store import (_MAX_LEVEL, MAP_STRIPES, GuideSkipList,
-                            PlainStore, StripedGuideMap, _GuideOps,
-                            make_store)
+                            PlainStore, StripedGuideMap, make_store)
 
 
 def make_runtime():
@@ -98,7 +97,7 @@ class TestGuideDiscipline:
         assert all(not runtime.registry.words[i] & ACCESSED_BIT
                    for i in live)
         assert store.get(b"k") == b"v"
-        # Aged words miss the inline fast path; the slow path sets the bit
+        # Aged words miss the plain-load test; the get stores the bit back
         # on both the key's and the value's guide.
         assert len(live) == 2
         assert all(runtime.registry.words[i] & ACCESSED_BIT for i in live)
@@ -276,9 +275,7 @@ class TestInlineScope:
         runtime = store.runtime
         scopes = runtime.scope
         calls = tai_calls(runtime.tai)
-        stripe = hash(b"k") % MAP_STRIPES
-        other = next(key for key in (b"o%d" % i for i in range(MAP_STRIPES))
-                     if hash(key) % MAP_STRIPES != stripe)
+        other = b"other"
         store.set(b"k", b"v")
         store.set(other, b"w")
         runtime.epoch_state.tracking_enabled = True
@@ -374,14 +371,19 @@ class TestInlineScope:
 
 
 class TestOneFrameGet:
-    """The hash map's `get` looks up the entry, loads both words, reads the
-    value slot and appends the access-log pairs in one frame, under the
-    key's stripe lock.  Every other case runs `_read`, still under it."""
+    """`get` looks up the entry, loads both words, reads the value slot and
+    appends the access-log pairs in one frame, holding no store lock.  A
+    word without the accessed bit, or with a migration lock, it stores back
+    inline with the bit set and the lock clear.  Only a missing slot, a
+    moved word or a tombstone runs `_read`.  Runs on the hash map; the
+    subclass below runs every test on the skip list."""
+
+    structure = "hashmap"
 
     def setup(self, monkeypatch, **options):
         runtime = TierRuntime(region_length=1 << 24, scan_interval_s=120.0,
                               **options)
-        store = StripedGuideMap(runtime)
+        store = make_store(runtime, self.structure)
         store.set(b"k", b"value")  # the thread's first scope: sampled
         store.set(b"other", b"w")
         reads = []
@@ -394,58 +396,68 @@ class TestOneFrameGet:
         monkeypatch.setattr(store, "_read", counted_read)
         return runtime, store, reads
 
-    def test_warm_get_reads_the_slot_under_the_stripe_lock(self,
-                                                           monkeypatch):
+    def test_warm_get_reads_the_slot_holding_no_store_lock(self, monkeypatch,
+                                                           hook_slots):
         runtime, store, reads = self.setup(monkeypatch)
-        lock = store._locks[hash(b"k") % MAP_STRIPES]
+        lock = (store._locks[hash(b"k") % MAP_STRIPES]
+                if isinstance(store, StripedGuideMap) else store._lock)
         held = []
-        hook_slots(monkeypatch, store, lambda: held.append(lock.locked()))
+        hook_slots(store, lambda: held.append(lock.locked()))
         assert store.get(b"k") == b"value"
-        assert reads == [] and held == [True]
+        assert reads == [] and held == [False]
         entry, words = entry_of(store, b"k"), runtime.registry.words
         assert runtime.access_log.pending[-4:] == [
             words[entry.key_guide] & LOCATOR_MASK, 1,
             words[entry.value_guide] & LOCATOR_MASK, 5]
 
-    def test_first_get_after_a_scan_window_dereferences(self, monkeypatch):
-        """The window clears the accessed bits, so the next get goes
-        through `registry.dereference`, which sets them again; the next
-        window sees that access, and the get after it is warm again."""
+    def test_first_touch_sets_the_accessed_bit_inline(self, monkeypatch):
+        """The window clears the accessed bits, so the next get stores
+        them back itself, with no `_read` and no `registry.dereference`,
+        and returns the value; the next window sees that access, and the
+        get after it is warm again."""
         runtime, store, reads = self.setup(monkeypatch)
         registry = runtime.registry
         entry, other = entry_of(store, b"k"), entry_of(store, b"other")
-        runtime.collector.run_scan_window()
-        derefs = []
-        real_dereference = registry.dereference
-
-        def counted_dereference(index):
-            derefs.append(index)
-            return real_dereference(index)
-
-        monkeypatch.setattr(registry, "dereference", counted_dereference)
-        assert store.get(b"k") == b"value"
-        assert len(reads) == 1
-        assert derefs == [entry.key_guide, entry.value_guide]
-        assert store.get(b"k") == b"value"  # warm: no second `_read`
-        assert len(reads) == 1 and len(derefs) == 2
+        guides = (entry.key_guide, entry.value_guide)
         runtime.collector.run_scan_window()
         words = registry.words
-        assert unpack(words[entry.value_guide]).ciw == 0  # seen accessed
+        aged = [words[guide] for guide in guides]
+        assert not any(word & ACCESSED_BIT for word in aged)
+        derefs = []
+        monkeypatch.setattr(registry, "dereference", derefs.append)
+        assert store.get(b"k") == b"value"
+        assert reads == [] and derefs == []
+        assert [words[guide] for guide in guides] == [
+            word | ACCESSED_BIT for word in aged]
+        assert store.get(b"k") == b"value"
+        runtime.collector.run_scan_window()
+        assert [unpack(words[guide]).ciw for guide in guides] == [0, 0]
         assert unpack(words[other.value_guide]).ciw == 1
+        assert reads == [] and derefs == []
         runtime.audit()
 
     @pytest.mark.parametrize("role", ["key_guide", "value_guide"])
-    def test_locked_word_runs_read(self, monkeypatch, role):
+    def test_locked_word_is_unlocked_inline(self, monkeypatch, role):
+        """A first touch of a word under a migration lock sets the
+        accessed bit, clears the lock and returns the value, in the get's
+        own frame."""
         runtime, store, reads = self.setup(monkeypatch)
         registry = runtime.registry
         guide = getattr(entry_of(store, b"k"), role)
-        assert registry.try_lock_for_migration(guide, registry.words[guide])
+        runtime.collector.run_scan_window()
+        word = registry.words[guide]
+        locked = registry.try_lock_for_migration(guide, word)
+        assert locked is not None
         assert store.get(b"k") == b"value"
-        assert len(reads) == 1
-        assert not registry.words[guide] & LOCK_BIT
+        assert reads == []
+        assert registry.words[guide] == (word | ACCESSED_BIT)
+        assert not registry.commit_migration(guide, locked,
+                                             locked & ~LOCK_BIT)
+        runtime.audit()
 
     @pytest.mark.parametrize("moment", ["before lookup", "after lookup"])
-    def test_value_moved_mid_read_runs_read(self, monkeypatch, moment):
+    def test_value_moved_mid_read_runs_read(self, monkeypatch, hook_slots,
+                                            moment):
         """A migration commits the value word to HOT while the get reads
         its slot dict: before the lookup the slot is gone, after it the
         re-check finds the word moved.  Either way `_read` reads the new
@@ -453,7 +465,7 @@ class TestOneFrameGet:
         runtime, store, reads = self.setup(monkeypatch)
         entry = entry_of(store, b"k")
         moved = []
-        hook_slots(monkeypatch, store,
+        hook_slots(store,
                    lambda: moved.append(move_to_hot(runtime,
                                                     entry.value_guide)),
                    after=moment == "after lookup")
@@ -493,28 +505,29 @@ class TestOneFrameGet:
                                            track_access_log=False)
         assert runtime.access_log is None
         assert store.get(b"k") == b"value"
-        assert reads == []
         runtime.collector.run_scan_window()
-        assert store.get(b"k") == b"value"
-        assert len(reads) == 1
+        assert store.get(b"k") == b"value"  # a first touch
+        assert reads == []
         runtime.audit()
 
     def test_read_stream_logs_as_the_read_path(self):
         """A stream of gets, sets and deletes with scan windows between
         them gives the same results, words and access-log entries whether
-        its gets run the one-frame `get` or `_GuideOps.get`, which runs
-        `_get` and `_read`."""
+        its gets run the one-frame `get` or `_get` and `_read` in a scope
+        that `_scoped` opens."""
         outcomes = []
-        for get in (StripedGuideMap.get, _GuideOps.get):
+        for inline in (True, False):
             runtime = make_runtime()
-            store = StripedGuideMap(runtime)
+            store = make_store(runtime, self.structure)
+            get = store.get if inline else \
+                (lambda key: store._scoped(store._get, key))
             rng = random.Random(7)
             results = []
             for i in range(3000):
                 key = b"key-%03d" % rng.randrange(80)
                 roll = rng.random()
                 if roll < 0.8:
-                    results.append(get(store, key))
+                    results.append(get(key))
                 elif roll < 0.95:
                     store.set(key, key * rng.randrange(1, 40))
                 else:
@@ -528,8 +541,16 @@ class TestOneFrameGet:
         assert sum(r is not None for r in outcomes[0][0]) > 1000
 
 
+class TestOneFrameGetSkipList(TestOneFrameGet):
+    structure = "skiplist"
+
+
 class TestConcurrency:
     def test_concurrent_set_get_returns_intact_values(self, store):
+        """Three readers get one key that a writer keeps setting, while a
+        collector thread runs scan windows, so gets also meet first
+        touches, moved words and migrations: every get returns an intact
+        value, never None."""
         key = b"shared"
         store.set(key, checksummed(0))
         stop = threading.Event()
@@ -544,19 +565,30 @@ class TestConcurrency:
         def reader():
             while not stop.is_set():
                 value = store.get(key)
-                if value is not None and not verify(value):
+                if value is None or not verify(value):
                     failures.append(value)
 
-        threads = [threading.Thread(target=writer)] + \
+        def collector():
+            while not stop.is_set():
+                store.runtime.collector.run_scan_window()
+
+        threads = [threading.Thread(target=writer),
+                   threading.Thread(target=collector)] + \
             [threading.Thread(target=reader) for _ in range(3)]
-        for t in threads:
-            t.start()
-        timer = threading.Timer(1.0, stop.set)
-        timer.start()
-        for t in threads:
-            t.join()
-        timer.cancel()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            time.sleep(1.0)
+        finally:
+            stop.set()
+            for t in threads:
+                t.join(30.0)
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
         assert failures == []
+        assert len(store.runtime.collector.reports) >= 2
         store.runtime.audit()
 
     def test_concurrent_distinct_keys(self, store):
@@ -599,7 +631,7 @@ class TestSkipListSpecifics:
         assert store.get(b"k") == b"two"
         assert len(store) == 1
 
-    def test_get_rereads_a_value_slot_reused_mid_read(self, monkeypatch):
+    def test_get_rereads_a_value_slot_reused_mid_read(self, hook_slots):
         """While get reads the value slot, a set of the same key frees it
         and the next allocation reuses it for other bytes: get still
         returns the intact current value."""
@@ -607,21 +639,18 @@ class TestSkipListSpecifics:
         store = GuideSkipList(runtime)
         store.set(b"k", b"old-value")
         regions = runtime.regions
-        real_read = regions.read
+        locator = runtime.registry.words[
+            entry_of(store, b"k").value_guide] & LOCATOR_MASK
         raced = []
 
-        def racing_read(locator):
-            if not raced:
-                raced.append(locator)
-                store.set(b"k", b"new-value")  # frees the slot being read
-                reused = regions.allocate(HeapId.NEW, len(b"other-key"))
-                assert reused == locator
-                regions.write(reused, b"other-key")
-            return real_read(locator)
+        def racing_set():
+            store.set(b"k", b"new-value")  # frees the slot being read
+            raced.append(regions.install(HeapId.NEW, b"other-key"))
 
-        monkeypatch.setattr(regions, "read", racing_read)
+        hook_slots(store, racing_set)
         assert store.get(b"k") == b"new-value"
-        assert raced
+        assert raced == [locator]
+        assert regions.read(locator) == b"other-key"
 
     def test_concurrent_writers_keep_every_level_linked(self):
         """Four threads insert, delete and re-insert interleaved keys, each
@@ -769,7 +798,7 @@ class TestSkipListSpecifics:
         assert runtime.regions.live_slot_count() == 2
         runtime.audit()
 
-    def test_open_scope_keeps_a_deleted_entry_from_reuse(self, monkeypatch):
+    def test_open_scope_keeps_a_deleted_entry_from_reuse(self, hook_slots):
         """A get holds an entry that is deleted while its scope is open,
         and a scan window that cannot converge past that scope runs: the
         window must not recycle the entry's guides, or a later insert would
@@ -777,17 +806,14 @@ class TestSkipListSpecifics:
         runtime = make_runtime()
         store = GuideSkipList(runtime)
         store.set(b"k1", b"v1")
-        real_read = store._read
         reports = []
 
-        def racing_read(entry, key_len, tracked):
-            if not reports:
-                assert store.delete(b"k1")
-                reports.append(runtime.collector.run_scan_window())
-                store.set(b"k2", b"v2")
-            return real_read(entry, key_len, tracked)
+        def racing_delete():
+            assert store.delete(b"k1")
+            reports.append(runtime.collector.run_scan_window())
+            store.set(b"k2", b"v2")
 
-        monkeypatch.setattr(store, "_read", racing_read)
+        hook_slots(store, racing_delete)
         assert store.get(b"k1") is None
         assert [r.converged for r in reports] == [False]
         assert store.get(b"k2") == b"v2"
@@ -820,54 +846,20 @@ class TestBaseline:
 
 def entry_of(store, key: bytes):
     """The live KvEntry of `key` in either structure."""
-    if isinstance(store, StripedGuideMap):
-        return store._stripes[hash(key) % MAP_STRIPES][key]
-    return store._find(key)[1].entry
+    return store._entry(key)
 
 
 def hook_lookup(monkeypatch, store, key: bytes, hook) -> None:
-    """Run `hook()` each time an op looks up `key`'s entry to read it: in
-    the hash map, as its stripe dict's `get` (which the one-frame get
-    passes), and in the skip list, as `_read` begins."""
-    if isinstance(store, StripedGuideMap):
-        stripes, i = store._stripes, hash(key) % MAP_STRIPES
+    """Run `hook()` each time an op looks up `key`'s entry through the
+    structure's `_entry`, before the lookup."""
+    real_entry = store._entry
 
-        class HookedStripe(dict):
-            def get(self, k, default=None):
-                hook()
-                return super().get(k, default)
+    def hooked_entry(k):
+        if k == key:
+            hook()
+        return real_entry(k)
 
-        stripes[i] = HookedStripe(stripes[i])
-        return
-    real_read = store._read
-
-    def hooked_read(entry, key_len, tracked):
-        hook()
-        return real_read(entry, key_len, tracked)
-
-    monkeypatch.setattr(store, "_read", hooked_read)
-
-
-def hook_slots(monkeypatch, store, hook, after: bool = False) -> None:
-    """Run `hook()` once, as the hash map's one-frame get next reads a
-    region's slot dict: before the dict lookup, or after it."""
-    armed = [hook]
-
-    class HookedSlots:
-        def __init__(self, slots):
-            self.slots = slots
-
-        def get(self, offset):
-            run = armed.pop() if armed else None
-            if run is not None and not after:
-                run()
-            data = self.slots.get(offset)
-            if run is not None and after:
-                run()
-            return data
-
-    monkeypatch.setattr(store, "_slots",
-                        tuple(HookedSlots(slots) for slots in store._slots))
+    monkeypatch.setattr(store, "_entry", hooked_entry)
 
 
 def move_to_hot(runtime, guide: int) -> int:
