@@ -310,7 +310,9 @@ class RegionManager:
         self._region_of(locator).free(locator)
 
     def read(self, locator: int) -> bytes:
-        # HeapRegion.read inlined: this is a guided read's one region call.
+        # No store op calls this: a get reads `slots` itself.  It is kept as
+        # the checked read of a live locator for callers off the mutator
+        # path, such as tests and the benchmark's tracer.
         index = locator // self.region_length
         if 0 <= index < len(self.slots):
             payload = self.slots[index].get(

@@ -133,8 +133,7 @@ class ThreadActivityIndex:
 
     `assign_slot` hands slots out in order, so threads share one only when
     more threads than slots have entered scopes.  A scope's registration
-    appends its entry epoch to its slot and its exit removes it (`enter`
-    and `exit` here, or the same list calls made on a slot from `slots`),
+    appends its entry epoch to its slot in `slots` and its exit removes it,
     each one list call that the interpreter lock makes atomic, so no slot
     needs a lock.  Equal epochs are interchangeable, which keeps a shared
     slot exact: it holds the epoch of every open scope and nothing else.
@@ -151,15 +150,6 @@ class ThreadActivityIndex:
 
     def assign_slot(self) -> int:
         return next(self._next_slot) & self._mask
-
-    def enter(self, slot: int, epoch: int) -> None:
-        self.slots[slot & self._mask].append(epoch)
-
-    def exit(self, slot: int, epoch: int) -> None:
-        try:
-            self.slots[slot & self._mask].remove(epoch)
-        except ValueError:
-            raise ScopeError("TAI exit without matching enter") from None
 
     def converged(self, epoch: int) -> bool:
         """True when every open scope entered under `epoch`."""

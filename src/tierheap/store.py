@@ -10,10 +10,10 @@ authoritative bytes.  Both structures share their public operations through
 `_GuideOps`: each registers its scope inline in the common case (see
 `tierheap.scope`), runs the structure's body, and does its guided work in
 one `_GuideOps` method, which appends the key and value slots to the access
-log's pending list in one call.  `get` runs all of that in one frame in the
-common case, the structure adding only its `_entry` lookup.  PlainStore is
-the untiered baseline for overhead comparisons: a locked dict with no
-guides, scopes or regions.
+log's pending list in one call.  `get` runs all of that in its own frame,
+whichever way its scope registers, the structure adding only its `_entry`
+lookup.  PlainStore is the untiered baseline for overhead comparisons: a
+locked dict with no guides, scopes or regions.
 """
 from __future__ import annotations
 
@@ -44,20 +44,19 @@ class KvEntry:
 class _GuideOps:
     """The public operations and guided paths both store structures share.
 
-    `get`, `set` and `delete` run the structure's `_get`, `_set` or
-    `_delete` inside one outermost scope.  In the common case (no scope
-    open on the thread, ATC tracking off, the epoch stable across the
-    registration, and not the thread's sampled scope) they register it
-    inline, in the order `ScopeManager.enter_scope` uses: append the epoch
-    to the thread's TAI slot, then read the tracking flag and the epoch
-    again.  Any other case goes through `enter_scope` and `exit_scope`.
+    `get` reads in its own frame; `set` and `delete` run the structure's
+    `_set` or `_delete`.  Each runs inside one outermost scope.  In the
+    common case (no scope open on the thread, ATC tracking off, the epoch
+    stable across the registration, and not the thread's sampled scope)
+    they register it inline, in the order `ScopeManager.enter_scope` uses:
+    append the epoch to the thread's TAI slot, then read the tracking flag
+    and the epoch again.  Any other case goes through `enter_scope` and
+    `exit_scope`; `get` runs the same body after either.
 
-    The guided paths take one call per operation; `get` runs the common
-    case of `_get` and `_read` in its own frame, and only a missing slot, a
-    moved word or a tombstone falls back to `_read`.  `tracked` says
-    whether the caller's scope tracks ATC; only then are guide uses
-    recorded, each before its guide is dereferenced.  A word with the
-    accessed bit set and no migration lock dereferences by a plain load.
+    The guided paths take one call per operation.  Guide uses are recorded
+    only when the caller's scope tracks ATC (`tracked`, or a `used` set on
+    the scope record), each before its guide is dereferenced.  A word with
+    the accessed bit set and no migration lock dereferences by a plain load.
     Any other, such as a first touch after a scan window, is stored back as
     `(word | ACCESSED_BIT) & ~LOCK_BIT` under its arena stripe lock, the
     store `GuideArena.dereference` makes; clearing the lock makes a racing
@@ -80,7 +79,20 @@ class _GuideOps:
         self._log = runtime.access_log
 
     def get(self, key: bytes) -> bytes | None:
+        """The key's value, or None: touch the key, then read the value
+        slot and confirm the guide still names it.
+
+        Neither structure holds a lock while it reads, so a racing set may
+        publish a new slot and free the one being read, and the next
+        allocation may reuse it at once.  If the word moved on, the read is
+        repeated at the new locator, touching the word again.  A setter
+        writes its slot before its CAS publishes it, so a slot the word
+        still names after the read held this guide's value, unless within
+        that window the slot was freed, reused elsewhere and then published
+        for this guide again.  A tombstoned word reads as a missing key.
+        """
         scope, state = getattr(self._tls, "scope", None), self._epoch_state
+        inline = False
         if (scope is not None and not scope.depth
                 and scope.outermost & SCOPE_SAMPLE_MASK
                 and not state.tracking_enabled):
@@ -88,45 +100,56 @@ class _GuideOps:
             slot.append(epoch)
             if not state.tracking_enabled and state.epoch == epoch:
                 scope.depth = 1
-                try:
-                    entry = self._entry(key)
-                    if entry is None:
-                        return None
-                    words = self._words
-                    key_guide, guide = entry.key_guide, entry.value_guide
-                    key_word = words[key_guide]
-                    if key_word & DEREF_BITS != ACCESSED_BIT:
-                        with self._word_locks[key_guide % LOCK_STRIPES]:
-                            key_word = (words[key_guide] | ACCESSED_BIT) \
-                                & ~LOCK_BIT
-                            words[key_guide] = key_word
-                    word = words[guide]
-                    if word & DEREF_BITS != ACCESSED_BIT:
-                        with self._word_locks[guide % LOCK_STRIPES]:
-                            word = (words[guide] | ACCESSED_BIT) & ~LOCK_BIT
-                            words[guide] = word
-                    locator = word & LOCATOR_MASK
-                    length = self._region_length
-                    data = self._slots[locator // length].get(
-                        locator % length)
-                    word = words[guide]
-                    if (data is not None and word & LOCATOR_MASK == locator
-                            and word & HEAP_FIELD != HEAP_FIELD):
-                        log = self._log
-                        if log is not None:
-                            pending = log.pending
-                            pending.extend((key_word & LOCATOR_MASK, len(key),
-                                            locator, len(data)))
-                            if len(pending) >= FOLD_LENGTH:
-                                log.record()
-                        return data
-                    return self._read(entry, len(key), False)
-                finally:
-                    slot.remove(epoch)
-                    scope.depth = 0
-                    scope.outermost += 1
-            slot.remove(epoch)
-        return self._scoped(self._get, key)
+                inline = True
+            else:
+                slot.remove(epoch)
+        if not inline:
+            scope = self._scopes.enter_scope()
+        try:
+            entry = self._entry(key)
+            if entry is None:
+                return None
+            words, word_locks = self._words, self._word_locks
+            key_guide, guide = entry.key_guide, entry.value_guide
+            if scope.used is not None:
+                self._scopes.record_guide_use(key_guide)
+                self._scopes.record_guide_use(guide)
+            key_word = words[key_guide]
+            if key_word & DEREF_BITS != ACCESSED_BIT:
+                with word_locks[key_guide % LOCK_STRIPES]:
+                    key_word = (words[key_guide] | ACCESSED_BIT) & ~LOCK_BIT
+                    words[key_guide] = key_word
+            slots, length = self._slots, self._region_length
+            word = words[guide]
+            while True:
+                if word & DEREF_BITS != ACCESSED_BIT:
+                    with word_locks[guide % LOCK_STRIPES]:
+                        word = (words[guide] | ACCESSED_BIT) & ~LOCK_BIT
+                        words[guide] = word
+                locator = word & LOCATOR_MASK
+                data = slots[locator // length].get(locator % length)
+                word = words[guide]
+                if word & HEAP_FIELD == HEAP_FIELD:
+                    data = None  # lost a race with delete; entry is gone
+                    break
+                if word & LOCATOR_MASK == locator:
+                    break
+            log = self._log
+            if log is not None:
+                pending = log.pending
+                key_loc = key_word & LOCATOR_MASK
+                pending.extend((key_loc, len(key)) if data is None
+                               else (key_loc, len(key), locator, len(data)))
+                if len(pending) >= FOLD_LENGTH:
+                    log.record()
+            return data
+        finally:
+            if inline:
+                slot.remove(epoch)
+                scope.depth = 0
+                scope.outermost += 1
+            else:
+                self._scopes.exit_scope()
 
     def set(self, key: bytes, value: bytes) -> None:
         if type(key) is not bytes:
@@ -177,12 +200,6 @@ class _GuideOps:
         finally:
             scopes.exit_scope()
 
-    def _get(self, key: bytes, tracked: bool) -> bytes | None:
-        entry = self._entry(key)
-        if entry is None:
-            return None
-        return self._read(entry, len(key), tracked)
-
     def _make_entry(self, key: bytes, value: bytes, tracked: bool) -> KvEntry:
         regions, registry = self._regions, self._registry
         key_loc = regions.install(HeapId.NEW, key)
@@ -199,55 +216,6 @@ class _GuideOps:
             if len(pending) >= FOLD_LENGTH:
                 log.record()  # no pairs: folds the full list
         return KvEntry(key_guide, value_guide)
-
-    def _read(self, entry: KvEntry, key_len: int,
-              tracked: bool) -> bytes | None:
-        """Touch the key, then read the value slot and confirm the guide
-        still names it.
-
-        Neither structure holds a lock while it reads, so a racing set may
-        publish a new slot and free the one being read, and the next
-        allocation may reuse it at once.  If the word moved on, the read is
-        repeated at the new locator, touching the word again.  A setter
-        writes its slot before its CAS publishes it, so a slot the word
-        still names after the read held this guide's value, unless within
-        that window the slot was freed, reused elsewhere and then published
-        for this guide again.  A tombstoned word reads as a missing key.
-        """
-        words, word_locks = self._words, self._word_locks
-        key_guide, guide = entry.key_guide, entry.value_guide
-        if tracked:
-            self._scopes.record_guide_use(key_guide)
-            self._scopes.record_guide_use(guide)
-        key_word = words[key_guide]
-        if key_word & DEREF_BITS != ACCESSED_BIT:
-            with word_locks[key_guide % LOCK_STRIPES]:
-                key_word = (words[key_guide] | ACCESSED_BIT) & ~LOCK_BIT
-                words[key_guide] = key_word
-        key_loc = key_word & LOCATOR_MASK
-        slots, length = self._slots, self._region_length
-        word = words[guide]
-        while True:
-            if word & DEREF_BITS != ACCESSED_BIT:
-                with word_locks[guide % LOCK_STRIPES]:
-                    word = (words[guide] | ACCESSED_BIT) & ~LOCK_BIT
-                    words[guide] = word
-            locator = word & LOCATOR_MASK
-            data = slots[locator // length].get(locator % length)
-            word = words[guide]
-            if (word & HEAP_FIELD) == HEAP_FIELD:
-                data = None  # lost a race with delete; entry is gone
-                break
-            if word & LOCATOR_MASK == locator:
-                break
-        log = self._log
-        if log is not None:
-            pending = log.pending
-            pending.extend((key_loc, key_len) if data is None
-                           else (key_loc, key_len, locator, len(data)))
-            if len(pending) >= FOLD_LENGTH:
-                log.record()
-        return data
 
     def _update(self, entry: KvEntry, key_len: int, value: bytes,
                 tracked: bool) -> bool:

@@ -66,8 +66,8 @@ def hook_slot_append():
 
 @pytest.fixture
 def hook_slots(monkeypatch):
-    """Run a hook once, as a store's get or `_read` next reads a region's
-    slot dict: before the dict lookup, or after it.
+    """Run a hook once, as a store's get next reads a region's slot dict:
+    before the dict lookup, or after it.
 
     `install(store, hook, after=False)` swaps the store's `_slots` for
     hooked views of the same dicts.

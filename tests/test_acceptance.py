@@ -347,10 +347,12 @@ def test_criterion_7_overhead_bound():
         return through_i, through_b, \
             through_i / through_b if through_b else 0.0
 
-    # Only the 8-thread ratio is gated, on the median of 3 pairs that
-    # alternate which store runs first.  On a 2-core box a single 8-thread
-    # pair spread 16-53 %, and the 8-thread baseline alone fell to about
-    # 105k ops/s in 3 of 8 runs, while the 1-thread ratio held at 23-26 %.
+    # The 8-thread ratio is gated on the median of 3 pairs that alternate
+    # which store runs first: on a 2-core box a single 8-thread pair spread
+    # 16-53 %, and the 8-thread baseline alone fell to about 105k ops/s in
+    # 3 of 8 runs, while the 1-thread ratio held at 23-26 %.  The 1-thread
+    # ratio is gated too, on one pair: it tracks the per-operation cost,
+    # which a collapsed 8-thread baseline can hide.
     pairs = sorted((throughput_ratio(8, baseline_first=bool(i % 2))
                     for i in range(3)), key=lambda pair: pair[2])
     through_i, through_b, ratio = pairs[1]
@@ -361,7 +363,7 @@ def test_criterion_7_overhead_bound():
                   + ", ".join(f"{r:.1%}" for _, _, r in pairs)
                   + f"; need >= 90%); {one_i:,.0f} vs {one_b:,.0f} ops/s = "
                   f"{one_ratio:.1%} at 1 thread")
-    ok = deref_ns < 20.0 and ratio >= 0.90
+    ok = deref_ns < 20.0 and ratio >= 0.90 and one_ratio >= 0.90
     announce(7, ok,
              f"dereference median {deref_ns:.0f} ns (need < 20 ns); "
              f"{throughput}")
@@ -373,6 +375,9 @@ def test_criterion_7_overhead_bound():
         f"{throughput}.  The 1-thread ratio is the per-operation cost of "
         "the guided path; the 8-thread ratio also carries interpreter-lock "
         "hand-offs between the worker threads.")
+    assert one_ratio >= 0.90, (
+        f"{throughput}.  The 1-thread ratio is the per-operation cost of "
+        "the guided path against a locked dict.")
 
 
 def test_criterion_8_formula_oracles():

@@ -79,7 +79,9 @@ class TestRunBenchmark:
     def test_layout_digest_agrees_across_hash_seeds(self):
         """Two small mixes with inserts and deletes, one per structure,
         give the same layout digests in processes with different hash
-        seeds (the hash map picks stripes by `hash(key)`)."""
+        seeds (the hash map picks stripes by `hash(key)`), and the digests
+        committed here.  A change that alters the layout on purpose updates
+        these constants and says so."""
         src = str(Path(cli.__file__).resolve().parent.parent)
         path = os.environ.get("PYTHONPATH")
         script = (
@@ -101,6 +103,10 @@ class TestRunBenchmark:
             digests.append(proc.stdout.split())
         assert digests[0] == digests[1]
         assert len(set(digests[0])) == 2  # the digest tells runs apart
+        assert digests[0] == [
+            "7ec29b9cd470caefa7b4209590bba3b195dcb9696af936e7477dda4731fa8fc8",
+            "a529506d344b7f5e9ab0ca0b1450184d32fc516a055b60a8c05fef70caaf04fa",
+        ]
 
     def test_baseline_same_seed_runs_clean(self):
         instrumented = run_benchmark(small_config())

@@ -98,7 +98,8 @@ class TestEpochMachine:
 
     def test_stale_tai_slot_times_out(self):
         runtime = make_runtime()
-        runtime.tai.enter(1, runtime.epoch_state.epoch)  # never re-registers
+        # A scope that never exits, so never re-registers.
+        runtime.tai.slots[1].append(runtime.epoch_state.epoch)
         col = runtime.collector
         col.begin_epoch()
         assert not col.await_convergence(timeout_s=0.05)

@@ -72,36 +72,38 @@ class TestBaseDeltaSet:
 class TestThreadActivityIndex:
     def test_enter_exit_counts(self):
         tai = ThreadActivityIndex(16)
-        tai.enter(1, 5)
+        tai.slots[1].append(5)
         assert not tai.converged(6)
-        tai.exit(1, 5)
+        tai.slots[1].remove(5)
         assert tai.converged(6)  # empty slots are ignored
 
     def test_exit_without_enter_raises(self):
-        tai = ThreadActivityIndex(16)
+        """`exit_scope` raises ScopeError when the slot no longer holds the
+        scope's epoch, and leaves the slot's other epochs alone."""
+        _, scopes, _ = make_scope_env(epoch=7)
+        scope = scopes.enter_scope()
+        scope.slot.remove(7)
+        scope.slot.append(8)  # an epoch the scope never entered
         with pytest.raises(ScopeError):
-            tai.exit(1, 0)
-        tai.enter(1, 7)
-        with pytest.raises(ScopeError):
-            tai.exit(1, 8)  # an epoch the slot never entered
-        tai.exit(1, 7)
+            scopes.exit_scope()
+        assert scope.slot == [8]
 
     def test_collision_merge_waits_for_all(self):
         """A shared slot holds back a window exactly as long as one of its
         scopes entered under an older epoch."""
         tai = ThreadActivityIndex(1)  # every thread collides
-        tai.enter(1, 7)
-        tai.enter(2, 7)
+        slot = tai.slots[0]
+        slot.append(7)
+        slot.append(7)
         assert tai.converged(7)
-        tai.enter(3, 8)
+        slot.append(8)
         assert not tai.converged(8)
-        tai.exit(1, 7)
+        slot.remove(7)
         assert not tai.converged(8)  # one scope of epoch 7 is still open
-        tai.exit(2, 7)
+        slot.remove(7)
         assert tai.converged(8)  # no need to wait for the slot to drain
-        with pytest.raises(ScopeError):
-            tai.exit(3, 7)
-        tai.exit(3, 8)
+        assert slot == [8]
+        slot.remove(8)
         assert tai.converged(9)
 
     def test_shared_slot_under_thread_switches(self):
@@ -132,10 +134,10 @@ class TestThreadActivityIndex:
             for t in threads:
                 t.start()
             for _ in range(400):
-                tai.enter(0, 1)  # a scope of the old epoch, among theirs
+                tai.slots[0].append(1)  # an old-epoch scope, among theirs
                 for _ in range(1000):
                     early += tai.converged(2)
-                tai.exit(0, 1)
+                tai.slots[0].remove(1)
                 assert tai.converged(2)  # only new-epoch scopes are open
         finally:
             stop.set()

@@ -8,6 +8,7 @@ from collections import Counter
 
 import pytest
 
+import tierheap.store
 from tierheap.guideword import (ACCESSED_BIT, LOCATOR_MASK, LOCK_BIT, HeapId,
                                 pack, unpack, word_atc, word_heap)
 from tierheap.metrics import FOLD_LENGTH
@@ -374,37 +375,28 @@ class TestOneFrameGet:
     """`get` looks up the entry, loads both words, reads the value slot and
     appends the access-log pairs in one frame, holding no store lock.  A
     word without the accessed bit, or with a migration lock, it stores back
-    inline with the bit set and the lock clear.  Only a missing slot, a
-    moved word or a tombstone runs `_read`.  Runs on the hash map; the
+    inline with the bit set and the lock clear, and a missing slot or a
+    moved word it reads again in the same frame.  Runs on the hash map; the
     subclass below runs every test on the skip list."""
 
     structure = "hashmap"
 
-    def setup(self, monkeypatch, **options):
+    def setup(self, **options):
         runtime = TierRuntime(region_length=1 << 24, scan_interval_s=120.0,
                               **options)
         store = make_store(runtime, self.structure)
         store.set(b"k", b"value")  # the thread's first scope: sampled
         store.set(b"other", b"w")
-        reads = []
-        real_read = store._read
+        return runtime, store
 
-        def counted_read(entry, key_len, tracked):
-            reads.append(entry)
-            return real_read(entry, key_len, tracked)
-
-        monkeypatch.setattr(store, "_read", counted_read)
-        return runtime, store, reads
-
-    def test_warm_get_reads_the_slot_holding_no_store_lock(self, monkeypatch,
-                                                           hook_slots):
-        runtime, store, reads = self.setup(monkeypatch)
+    def test_warm_get_reads_the_slot_holding_no_store_lock(self, hook_slots):
+        runtime, store = self.setup()
         lock = (store._locks[hash(b"k") % MAP_STRIPES]
                 if isinstance(store, StripedGuideMap) else store._lock)
         held = []
         hook_slots(store, lambda: held.append(lock.locked()))
         assert store.get(b"k") == b"value"
-        assert reads == [] and held == [False]
+        assert held == [False]
         entry, words = entry_of(store, b"k"), runtime.registry.words
         assert runtime.access_log.pending[-4:] == [
             words[entry.key_guide] & LOCATOR_MASK, 1,
@@ -412,10 +404,10 @@ class TestOneFrameGet:
 
     def test_first_touch_sets_the_accessed_bit_inline(self, monkeypatch):
         """The window clears the accessed bits, so the next get stores
-        them back itself, with no `_read` and no `registry.dereference`,
-        and returns the value; the next window sees that access, and the
-        get after it is warm again."""
-        runtime, store, reads = self.setup(monkeypatch)
+        them back itself, with no `registry.dereference`, and returns the
+        value; the next window sees that access, and the get after it is
+        warm again."""
+        runtime, store = self.setup()
         registry = runtime.registry
         entry, other = entry_of(store, b"k"), entry_of(store, b"other")
         guides = (entry.key_guide, entry.value_guide)
@@ -426,22 +418,22 @@ class TestOneFrameGet:
         derefs = []
         monkeypatch.setattr(registry, "dereference", derefs.append)
         assert store.get(b"k") == b"value"
-        assert reads == [] and derefs == []
+        assert derefs == []
         assert [words[guide] for guide in guides] == [
             word | ACCESSED_BIT for word in aged]
         assert store.get(b"k") == b"value"
         runtime.collector.run_scan_window()
         assert [unpack(words[guide]).ciw for guide in guides] == [0, 0]
         assert unpack(words[other.value_guide]).ciw == 1
-        assert reads == [] and derefs == []
+        assert derefs == []
         runtime.audit()
 
     @pytest.mark.parametrize("role", ["key_guide", "value_guide"])
-    def test_locked_word_is_unlocked_inline(self, monkeypatch, role):
+    def test_locked_word_is_unlocked_inline(self, role):
         """A first touch of a word under a migration lock sets the
         accessed bit, clears the lock and returns the value, in the get's
         own frame."""
-        runtime, store, reads = self.setup(monkeypatch)
+        runtime, store = self.setup()
         registry = runtime.registry
         guide = getattr(entry_of(store, b"k"), role)
         runtime.collector.run_scan_window()
@@ -449,20 +441,36 @@ class TestOneFrameGet:
         locked = registry.try_lock_for_migration(guide, word)
         assert locked is not None
         assert store.get(b"k") == b"value"
-        assert reads == []
         assert registry.words[guide] == (word | ACCESSED_BIT)
         assert not registry.commit_migration(guide, locked,
                                              locked & ~LOCK_BIT)
         runtime.audit()
 
-    @pytest.mark.parametrize("moment", ["before lookup", "after lookup"])
+    @pytest.mark.parametrize(
+        "moment, registration",
+        [(moment, registration) for registration in ("inline", "enter_scope")
+         for moment in ("before lookup", "after lookup")],
+        # The inline cases keep the ids they had before `registration`.
+        ids=["before lookup", "after lookup", "before lookup-enter_scope",
+             "after lookup-enter_scope"])
     def test_value_moved_mid_read_runs_read(self, monkeypatch, hook_slots,
-                                            moment):
+                                            moment, registration):
         """A migration commits the value word to HOT while the get reads
         its slot dict: before the lookup the slot is gone, after it the
-        re-check finds the word moved.  Either way `_read` reads the new
-        slot, and the log names it."""
-        runtime, store, reads = self.setup(monkeypatch)
+        re-check finds the word moved.  Either way the get reads the new
+        slot, and the log names it, whether its scope registers inline or
+        through `enter_scope`."""
+        runtime, store = self.setup()
+        if registration == "enter_scope":
+            monkeypatch.setattr(tierheap.store, "SCOPE_SAMPLE_MASK", 0)
+        entries = []
+        real_enter = runtime.scope.enter_scope
+
+        def counted_enter():
+            entries.append(1)
+            return real_enter()
+
+        monkeypatch.setattr(runtime.scope, "enter_scope", counted_enter)
         entry = entry_of(store, b"k")
         moved = []
         hook_slots(store,
@@ -470,14 +478,15 @@ class TestOneFrameGet:
                                                     entry.value_guide)),
                    after=moment == "after lookup")
         assert store.get(b"k") == b"value"
-        assert len(moved) == 1 and len(reads) == 1
+        assert len(moved) == 1
+        assert len(entries) == (registration == "enter_scope")
         assert runtime.access_log.pending[-2:] == [moved[0], 5]
         assert word_heap(runtime.registry.words[entry.value_guide]) \
             is HeapId.HOT
         runtime.audit()
 
     def test_warm_get_folds_a_full_access_log(self, monkeypatch):
-        runtime, store, reads = self.setup(monkeypatch)
+        runtime, store = self.setup()
         log = runtime.access_log
         log.pending.extend([0, 1] * ((FOLD_LENGTH - 4 - len(log.pending))
                                      // 2))
@@ -490,37 +499,35 @@ class TestOneFrameGet:
 
         monkeypatch.setattr(log, "record", counted_record)
         assert store.get(b"k") == b"value"
-        assert reads == [] and folds == [((), FOLD_LENGTH)]
+        assert folds == [((), FOLD_LENGTH)]
         assert log.pending == []
 
-    def test_missing_key_logs_nothing(self, monkeypatch):
-        runtime, store, reads = self.setup(monkeypatch)
+    def test_missing_key_logs_nothing(self):
+        runtime, store = self.setup()
         pending = list(runtime.access_log.pending)
         assert store.get(b"missing") is None
-        assert reads == []
         assert runtime.access_log.pending == pending
 
-    def test_without_an_access_log(self, monkeypatch):
-        runtime, store, reads = self.setup(monkeypatch,
-                                           track_access_log=False)
+    def test_without_an_access_log(self):
+        runtime, store = self.setup(track_access_log=False)
         assert runtime.access_log is None
         assert store.get(b"k") == b"value"
         runtime.collector.run_scan_window()
         assert store.get(b"k") == b"value"  # a first touch
-        assert reads == []
         runtime.audit()
 
-    def test_read_stream_logs_as_the_read_path(self):
+    def test_read_stream_logs_as_the_read_path(self, monkeypatch):
         """A stream of gets, sets and deletes with scan windows between
         them gives the same results, words and access-log entries whether
-        its gets run the one-frame `get` or `_get` and `_read` in a scope
-        that `_scoped` opens."""
+        its operations register their scopes inline or through
+        `enter_scope`."""
         outcomes = []
         for inline in (True, False):
+            if not inline:
+                monkeypatch.setattr(tierheap.store, "SCOPE_SAMPLE_MASK", 0)
             runtime = make_runtime()
             store = make_store(runtime, self.structure)
-            get = store.get if inline else \
-                (lambda key: store._scoped(store._get, key))
+            get = store.get
             rng = random.Random(7)
             results = []
             for i in range(3000):
