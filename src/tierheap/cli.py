@@ -378,22 +378,33 @@ def build_parser() -> argparse.ArgumentParser:
     add("--seed", type=int, default=42)
     add("--baseline", action="store_true")
     add("--structure", choices=("hashmap", "skiplist"), default="hashmap")
+    add("--digest", action="store_true",
+        help="print the layout digest of a logical-clock run of these "
+             "arguments (see layout_digest) instead of its summary")
     return parser
 
 
+def _parse(argv) -> tuple[RunConfig, bool]:
+    args = vars(build_parser().parse_args(argv))
+    digest = args.pop("digest")
+    return RunConfig(**args), digest
+
+
 def config_from_args(argv=None) -> RunConfig:
-    args = build_parser().parse_args(argv)
-    return RunConfig(**vars(args))
+    return _parse(argv)[0]
 
 
 def main(argv=None) -> int:
     try:
-        config = config_from_args(argv)
+        config, digest = _parse(argv)
         config.validate()
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
+        if digest:
+            print(layout_digest(config))
+            return 0
         result = run_benchmark(config)
     except (ConfigError, TraceParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -8,9 +8,14 @@ then queues, in ascending guide index, promotions (accessed objects in NEW
 or COLD move to HOT) and demotions (objects inactive for at least the cold
 threshold move to COLD).  It adjusts the cold threshold from the observed
 promotion rate and runs one epoch cycle in which queued candidates are
-migrated with the two-CAS optimistic protocol, a chunk of guides at a time:
-each chunk takes its target region's lock once for all its new slots and
-each source region's lock once for all its freed ones.
+migrated with the two-CAS optimistic protocol, a chunk of guides at a time.
+Each chunk runs in two passes that each hold all the arena's stripe locks:
+a lock pass that locks every idle word, and a commit pass that publishes
+every copy whose word is still as locked.  Between them, with no stripe
+held, the payloads are read from the source regions' slot dicts and the
+target region places all the copies with one numpy-vectorized batch
+allocation; after the commit pass each source region frees its moved slots
+in one batch.
 """
 from __future__ import annotations
 
@@ -24,7 +29,7 @@ import numpy as np
 from .guideword import (ACCESSED_BIT, ATC_FIELD, CIW_FIELD, CIW_MAX,
                         CIW_SHIFT, HEAP_FIELD, HEAP_SHIFT, LOCATOR_MASK,
                         LOCK_BIT, WORD_MASK, HeapId)
-from .regions import HintEvent, HintKind, RegionError
+from .regions import HintEvent, HintKind
 from .scope import Phase
 
 CT_MIN = 1
@@ -34,14 +39,17 @@ DEFAULT_SCAN_INTERVAL_S = 120.0
 DEFAULT_CONVERGENCE_FLOOR_S = 0.1
 HINT_STABILITY_WINDOWS = 2
 SCAN_CHUNK = 16384  # guides classified per numpy pass
-# Guides migrated per region-lock pass.  A 200k-move window took about the
-# same time at 16 to 4,096 guides per chunk (1.3-1.7 s against 2.8-3.0 s
-# per object, 2-core box): the saving comes from dropping per-object layers,
-# not from long batches.  A short chunk bounds each object's lock-to-commit
-# window, where a mutator's access aborts the move, to ~0.3 ms (~5 us of
-# lock, read and allocate work per guide), and the time mutators wait for
-# the target region's lock.
-MIGRATE_CHUNK = 64
+# Guides migrated per chunk (two all-stripes passes, one batch allocate, one
+# batch free per source region).  On a 2-core box, seeds 1-3, 460k moves per
+# run: zipf-read-hashmap's collector_s read medians of 1.14 s at 256 guides
+# per chunk, 1.23 s at 512, 1.12 s at 1,024 and 0.83 s at 4,096 (1.7-2.4 s
+# with the earlier per-word stripe locks and 64-guide chunks); churn-
+# concurrent-hashmap aborted about 240, 340, 600 and 1,570 moves per run of
+# about 123,700 committed at any chunk.  A longer chunk spreads the 512 lock
+# calls of each pass and the numpy calls over more guides, but lengthens
+# each guide's lock-to-commit window (about 1 ms at 1,024), where a
+# mutator's access aborts the move.
+MIGRATE_CHUNK = 1024
 
 _AGE_KEEP = WORD_MASK & ~(ACCESSED_BIT | CIW_FIELD)
 _BUSY = LOCK_BIT | ATC_FIELD  # a word with either set is not migrated
@@ -216,88 +224,103 @@ class Collector:
         if self.epoch_state.phase != Phase.ACTIVE:
             raise CollectorError("migrate outside ACTIVE")
         counts = MigrationCounts()
+        indices = np.asarray(indices, dtype=np.int64)
         for lo in range(0, len(indices), MIGRATE_CHUNK):
             self._migrate_chunk(indices[lo:lo + MIGRATE_CHUNK], target,
                                 counts)
         return counts
 
-    def _migrate_chunk(self, chunk: list[int], target: HeapId,
+    def _migrate_chunk(self, chunk: np.ndarray, target: HeapId,
                        counts: MigrationCounts) -> None:
-        """The two-CAS protocol over a chunk of guides.
+        """The two-CAS protocol over a chunk of guides, in two passes that
+        each hold every arena stripe lock.
 
-        Each word that is idle (no lock, no ATC, not RESERVED) is locked by
-        a CAS under its stripe lock and its payload is read; a slot already
-        freed aborts the move.  The target region then takes every payload
-        object itself into a new slot under one lock acquisition.  Each
-        commit CAS that finds its locked word unchanged publishes the new
-        slot; one that finds it changed (an access, a scope registration, a
-        delete or a set since the lock) aborts, and its copy is freed.  The
-        committed objects' old slots are freed with one lock acquisition
-        per source region.
+        The lock pass locks each word that is idle (no lock, no ATC, not
+        RESERVED) by storing `word | LOCK_BIT`; the others are skipped.
+        With the stripes released, each locked payload is read from its
+        source region's slot dict, and the target region takes every
+        payload object itself into a new slot under one lock acquisition.
+        A payload already freed aborts its move.  The commit pass then
+        compares each word with its locked value: one unchanged publishes
+        the new slot, or is unlocked when the move aborted at the read or
+        found no room; one changed (an access, a scope registration, a
+        delete or a set since the lock) is left alone, and its copy is
+        freed.  The committed objects' old slots are freed with one lock
+        acquisition per source region.
+
+        Deadlock rule: while it holds the stripes, the collector takes no
+        other lock and no numpy view of `registry.words`.  Mutators take at
+        most one stripe, and `GuideRegistry.create` takes the registry lock
+        and then a stripe and may append to `words`, which a buffer export
+        would forbid; so no thread blocked on a stripe holds anything the
+        collector waits for.
         """
         words, stripes = self.registry.words, self.registry.stripes
-        n_stripes = len(stripes)
-        regions = [self.regions.region(heap)
-                   for heap in (HeapId.NEW, HeapId.HOT, HeapId.COLD)]
-        locked: list[int] = []
-        olds: list[int] = []
-        payloads: list[bytes] = []
-        for index in chunk:
-            word = words[index]
-            if word & _BUSY or (word & HEAP_FIELD) == HEAP_FIELD:
-                counts.skipped += 1
-                continue
-            lock = stripes[index % n_stripes]
-            with lock:
-                if words[index] != word:
-                    counts.skipped += 1
-                    continue
-                words[index] = word | LOCK_BIT
-            try:
-                payload = regions[(word >> HEAP_SHIFT) & 3].read(
-                    word & LOCATOR_MASK)
-            except RegionError:
-                # Freed by a delete or a set after the lock CAS, so the
-                # word changed too; undo the lock only if it still stands.
-                with lock:
-                    if words[index] == word | LOCK_BIT:
-                        words[index] = word
-                counts.aborted += 1
-                continue
-            locked.append(index)
-            olds.append(word)
-            payloads.append(payload)
+        for lock in stripes:
+            lock.acquire()
+        try:
+            seen = np.array([words[index] for index in chunk.tolist()],
+                            dtype=np.uint64)
+            idle = ((seen & _BUSY) == 0) & ((seen & HEAP_FIELD) != HEAP_FIELD)
+            guides = chunk[idle]
+            olds = seen[idle]
+            locked = guides.tolist()
+            locked_words = (olds | LOCK_BIT).tolist()
+            for index, word in zip(locked, locked_words):
+                words[index] = word
+        finally:
+            for lock in stripes:
+                lock.release()
+        counts.skipped += len(chunk) - len(locked)
         if not locked:
             return
-        target_region = regions[target]
-        new_locators = target_region.allocate_batch(payloads)
-        heap_bits = int(target) << HEAP_SHIFT
-        freed: list[list[int]] = [[], [], []]  # old slots by source heap
-        copies: list[int] = []
-        for index, word, payload, new_locator in zip(locked, olds, payloads,
-                                                     new_locators):
-            lock = stripes[index % n_stripes]
-            with lock:
-                if words[index] != word | LOCK_BIT:
-                    committed = False
-                elif new_locator is None:  # no room: unlock
+
+        regions = self.regions
+        locators = olds & LOCATOR_MASK
+        source = (olds >> HEAP_SHIFT) & 3
+        gets = [slots.get for slots in regions.slots]
+        payloads = [gets[heap](offset, b"") for heap, offset in zip(
+            source.tolist(),
+            (locators - source * regions.region_length).tolist())]
+        lengths = np.fromiter(map(len, payloads), np.int64, len(payloads))
+        read = lengths > 0  # b"": freed by a delete or a set after the lock
+        target_region = regions.region(target)
+        placed = target_region.allocate_batch(
+            payloads if read.all() else [p for p in payloads if p])
+        if None in placed:  # no room in the payload's class
+            placed = [-1 if locator is None else locator
+                      for locator in placed]
+        new = np.full(len(payloads), -1, dtype=np.int64)
+        new[read] = placed
+        copied = new >= 0
+        counts.aborted += int(np.count_nonzero(~read))
+        counts.skipped += int(np.count_nonzero(read & ~copied))
+        published = np.where(
+            copied, new.astype(np.uint64) | (int(target) << HEAP_SHIFT),
+            olds).tolist()  # the new slot, or the word unlocked
+
+        changed: list[int] = []
+        for lock in stripes:
+            lock.acquire()
+        try:
+            for index, expected, word in zip(locked, locked_words,
+                                             published):
+                if words[index] == expected:
                     words[index] = word
-                    committed = False
                 else:
-                    words[index] = new_locator | heap_bits
-                    committed = True
-            if committed:
-                freed[(word >> HEAP_SHIFT) & 3].append(word & LOCATOR_MASK)
-                counts.bytes_moved += len(payload)
-            elif new_locator is None:
-                counts.skipped += 1
-            else:
-                copies.append(new_locator)
-        for heap, locators in enumerate(freed):
-            if locators:
-                regions[heap].free_batch(locators)
-                counts.moved_from[heap] += len(locators)
-        if copies:
+                    changed.append(index)
+        finally:
+            for lock in stripes:
+                lock.release()
+        committed = copied & ~np.isin(guides, changed) if changed else copied
+        counts.bytes_moved += int(lengths[committed].sum())
+        for heap in range(3):
+            freed = locators[committed & (source == heap)]
+            if len(freed):
+                regions.region(HeapId(heap)).free_batch(freed)
+                counts.moved_from[heap] += len(freed)
+        copies = new[copied & ~committed]
+        if len(copies):
             target_region.free_batch(copies)
             counts.aborted += len(copies)
 

@@ -3,9 +3,12 @@
 Each heap temperature (NEW, HOT, COLD) gets one contiguous reserved range of
 the 48-bit managed space and sub-allocates object slots from power-of-two
 size classes.  A live slot holds only its payload bytes; its length and size
-class follow from them.  Pages are materialized lazily; each carries
-live-byte and live-slot counts plus a simulated residency flag, so reclaim
-advice can be modeled without touching the OS.
+class follow from them.  Page accounting is three flat per-region arrays
+indexed by region-relative page and grown with the bump pointer: live bytes
+and live slots (lists of ints) and a simulated residency flag
+(`bytearray`), so reclaim advice can be modeled without touching the OS.
+Single-slot `install` and `free` index them directly; the batch paths,
+`audit` and `emit_hints` compute over them with numpy.
 """
 from __future__ import annotations
 
@@ -13,6 +16,8 @@ import heapq
 import threading
 from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 from .guideword import LOCATOR_MASK, HeapId
 
@@ -38,14 +43,18 @@ class DoubleFreeError(RegionError):
 # multiple of 16 share a class.
 _CLASS_OF = [next(c for c in SIZE_CLASSES if c >= (i + 1) << 4)
              for i in range(SIZE_CLASSES[-1] >> 4)]
+# The same table as ranks into SIZE_CLASSES, for numpy lookups.
+_RANK_OF = np.array([SIZE_CLASSES.index(c) for c in _CLASS_OF], np.int64)
+_SIZE_CLASSES_NP = np.array(SIZE_CLASSES, np.int64)
+_MAX_LENGTH = SIZE_CLASSES[-1]
 
 
 def _check_length(length: int) -> None:
     if length <= 0:
         raise RegionError("allocation length must be positive")
-    if length > SIZE_CLASSES[-1]:
+    if length > _MAX_LENGTH:
         raise RegionError(f"payload of {length} B exceeds the largest "
-                          f"size class ({SIZE_CLASSES[-1]} B)")
+                          f"size class ({_MAX_LENGTH} B)")
 
 
 class HintKind(str, Enum):
@@ -67,21 +76,13 @@ class HintEvent:
                 f"{self.start_page},{self.end_page}")
 
 
-class _Page:
-    __slots__ = ("live_bytes", "live_slots", "resident")
-
-    def __init__(self):
-        self.live_bytes = 0
-        self.live_slots = 0
-        self.resident = False
-
-
 class HeapRegion:
     """One heap's reserved range with size-class free lists.
 
     Free slots are kept in per-class min-heaps so allocation always returns
     the lowest-addressed free slot of the smallest sufficient class, falling
-    back to bump allocation at the end of the used prefix.
+    back to bump allocation at the end of the used prefix.  The page
+    counters cover exactly the pages the bump pointer has reached.
     """
 
     def __init__(self, heap: HeapId, base: int, length: int,
@@ -97,39 +98,76 @@ class HeapRegion:
         self._free: dict[int, list[int]] = {c: [] for c in SIZE_CLASSES}
         self._bump = 0
         self._live: dict[int, bytes] = {}  # region-relative offset -> payload
-        self._pages: dict[int, _Page] = {}  # absolute page index
+        # Per region-relative page: live bytes, live slots, residency.
+        # Counters are lists: `install` and `free` update them in place,
+        # and a list item costs about half of an `array("q")` item.
+        self._page_bytes: list[int] = []
+        self._page_slots: list[int] = []
+        self._resident = bytearray()
+        self._page_end = 0  # offsets below this have counters
         self._lock = threading.Lock()
         self.live_bytes = 0
 
-    def _account(self, locator: int, length: int, sign: int) -> None:
+    def _grow(self, end: int) -> None:
+        """Extend the page counters to cover offsets below `end`."""
         ps = self.page_size
-        end = locator + length
-        page = locator // ps
-        if (end - 1) // ps == page:  # the common case: one page
-            rec = self._pages.get(page)
-            if rec is None:
-                rec = self._pages[page] = _Page()
-            rec.live_bytes += sign * length
-            rec.live_slots += sign
+        extra = (end + ps - 1) // ps - len(self._resident)
+        self._page_bytes += [0] * extra
+        self._page_slots += [0] * extra
+        self._resident += bytes(extra)
+        self._page_end = len(self._resident) * ps
+
+    def _account(self, offset: int, length: int, sign: int) -> None:
+        """Add (`sign` +1) or remove (-1) a slot's bytes page by page."""
+        ps = self.page_size
+        end = offset + length
+        for page in range(offset // ps, (end - 1) // ps + 1):
+            self._page_bytes[page] += sign * (
+                min(end, (page + 1) * ps) - max(offset, page * ps))
+            self._page_slots[page] += sign
             if sign > 0:
-                rec.resident = True
-            self.live_bytes += sign * length
-            return
-        for page in range(page, (end - 1) // ps + 1):
-            rec = self._pages.get(page)
-            if rec is None:
-                rec = self._pages[page] = _Page()
-            overlap = min(end, (page + 1) * ps) - max(locator, page * ps)
-            rec.live_bytes += sign * overlap
-            rec.live_slots += sign
-            if sign > 0:
-                rec.resident = True
+                self._resident[page] = 1
         self.live_bytes += sign * length
 
+    def _page_spans(self, offsets: np.ndarray, lengths: np.ndarray):
+        """The pages slots [offset, offset + length) touch, one entry per
+        (slot, page) pair, and the bytes each pair holds."""
+        ps = self.page_size
+        first = offsets // ps
+        spans = (offsets + lengths - 1) // ps - first + 1
+        if not len(spans) or spans.max() == 1:
+            return first, lengths
+        slot = np.repeat(np.arange(len(spans)), spans)
+        pages = first[slot] + np.arange(len(slot)) \
+            - np.repeat(np.cumsum(spans) - spans, spans)
+        starts = offsets[slot]
+        overlaps = np.minimum(starts + lengths[slot], (pages + 1) * ps) \
+            - np.maximum(starts, pages * ps)
+        return pages, overlaps
+
+    def _account_batch(self, offsets: np.ndarray, lengths: np.ndarray,
+                       sign: int) -> None:
+        """`_account` for many slots: numpy sums each page's change, and
+        each touched page's counters are updated once."""
+        pages, overlaps = self._page_spans(offsets, lengths)
+        order = pages.argsort(kind="stable")
+        pages = pages[order]
+        starts = np.flatnonzero(np.diff(pages, prepend=-1))
+        touched = pages[starts]
+        page_bytes, page_slots = self._page_bytes, self._page_slots
+        for page, nbytes, nslots in zip(
+                touched.tolist(),
+                np.add.reduceat(overlaps[order], starts).tolist(),
+                np.diff(starts, append=len(pages)).tolist()):
+            page_bytes[page] += sign * nbytes
+            page_slots[page] += sign * nslots
+        if sign > 0:
+            np.frombuffer(self._resident, np.uint8)[touched] = 1
+        self.live_bytes += sign * int(lengths.sum())
+
     def _install(self, payload: bytes) -> int | None:
-        """Put `payload` itself in the lowest free slot of its class, or at
-        the bump pointer, and account for it.  Returns the slot's locator,
-        or None when the class has no room.  The caller holds the lock."""
+        """`install` for a payload of valid length, with the lock held;
+        None when its class has no room."""
         length = len(payload)
         size_class = _CLASS_OF[(length - 1) >> 4]
         free = self._free[size_class]
@@ -137,35 +175,51 @@ class HeapRegion:
             offset = heapq.heappop(free)
         else:
             offset = self._bump
-            if offset + size_class > self.length:
+            end = offset + size_class
+            if end > self.length:
                 return None
-            self._bump = offset + size_class
+            if end > self._page_end:
+                self._grow(end)
+            self._bump = end
         self._live[offset] = payload
-        locator = self.base + offset
-        self._account(locator, length, +1)
-        return locator
-
-    def _release(self, locator: int) -> None:
-        """Free a live slot into its class's free list; caller holds the
-        lock."""
-        offset = locator - self.base
-        payload = self._live.pop(offset, None)
-        if payload is None:
-            raise DoubleFreeError(
-                f"free of non-live locator {locator:#x} in {self.heap.name}")
-        length = len(payload)
-        self._account(locator, length, -1)
-        heapq.heappush(self._free[_CLASS_OF[(length - 1) >> 4]], offset)
+        self._account(offset, length, +1)
+        return self.base + offset
 
     def install(self, payload: bytes) -> int:
         """Put `payload` itself in a fresh slot and return its locator: the
-        slot `allocate(len(payload))` would return, already written."""
-        _check_length(len(payload))
+        slot `allocate(len(payload))` would return, already written.
+
+        The lowest free slot of the payload's class is taken, else the one
+        at the bump pointer.  A slot on one page is accounted inline.
+        """
+        length = len(payload)
+        if not 0 < length <= _MAX_LENGTH:
+            _check_length(length)
+        size_class = _CLASS_OF[(length - 1) >> 4]
         with self._lock:
-            locator = self._install(payload)
-        if locator is None:
-            raise RegionExhausted(f"{self.heap.name} region exhausted")
-        return locator
+            free = self._free[size_class]
+            if free:
+                offset = heapq.heappop(free)
+            else:
+                offset = self._bump
+                end = offset + size_class
+                if end > self._page_end:
+                    if end > self.length:
+                        raise RegionExhausted(
+                            f"{self.heap.name} region exhausted")
+                    self._grow(end)
+                self._bump = end
+            self._live[offset] = payload
+            ps = self.page_size
+            page = offset // ps
+            if (offset + length - 1) // ps == page:
+                self._page_bytes[page] += length
+                self._page_slots[page] += 1
+                self._resident[page] = 1
+                self.live_bytes += length
+            else:
+                self._account(offset, length, +1)
+        return self.base + offset
 
     def allocate(self, length: int) -> int:
         """Return the absolute locator of a slot holding `length` bytes.
@@ -177,24 +231,111 @@ class HeapRegion:
 
     def allocate_batch(self, payloads: list[bytes]) -> list[int | None]:
         """Install each live payload object in a fresh slot, all under one
-        lock acquisition.
+        lock acquisition, in the slots a sequence of `install` calls would
+        take.
 
         Returns each slot's locator in order, or None for a payload whose
         size class has no room; a later payload of a smaller class may
-        still get a slot.
+        still get a slot.  Each class's free slots go, lowest first, to its
+        first payloads; the others are bump-allocated in payload order.  A
+        batch that would run past the region's end takes the slots one at
+        a time instead.
         """
+        n = len(payloads)
+        if not n:
+            return []
+        lengths = np.fromiter(map(len, payloads), np.int64, n)
+        if lengths.min() <= 0 or lengths.max() > _MAX_LENGTH:
+            _check_length(int(lengths[(lengths <= 0)
+                                      | (lengths > _MAX_LENGTH)][0]))
+        ranks = _RANK_OF[(lengths - 1) >> 4]
+        classes = _SIZE_CLASSES_NP[ranks]
+        counts = np.bincount(ranks, minlength=len(SIZE_CLASSES)).tolist()
         with self._lock:
-            return [self._install(payload) for payload in payloads]
+            free = self._free
+            taken: list[tuple[int, int]] = []  # (class, free slots popped)
+            bumped_bytes = 0
+            for size_class, count in zip(SIZE_CLASSES, counts):
+                take = min(count, len(free[size_class]))
+                if take:
+                    taken.append((size_class, take))
+                bumped_bytes += (count - take) * size_class
+            if self._bump + bumped_bytes > self.length:
+                return [self._install(payload) for payload in payloads]
+            offsets = np.empty(n, np.int64)
+            bumped = np.ones(n, bool)
+            for size_class, take in taken:
+                members = np.flatnonzero(classes == size_class)[:take]
+                heap = free[size_class]
+                offsets[members] = [heapq.heappop(heap) for _ in range(take)]
+                bumped[members] = False
+            if bumped_bytes:
+                sizes = classes[bumped]
+                ends = self._bump + np.cumsum(sizes)
+                offsets[bumped] = ends - sizes
+                end = self._bump + bumped_bytes
+                if end > self._page_end:
+                    self._grow(end)
+                self._bump = end
+            self._live.update(zip(offsets.tolist(), payloads))
+            self._account_batch(offsets, lengths, +1)
+        return (offsets + self.base).tolist()
 
     def free(self, locator: int) -> None:
+        """Return a live slot to its class's free list."""
+        offset = locator - self.base
         with self._lock:
-            self._release(locator)
+            payload = self._live.pop(offset, None)
+            if payload is None:
+                raise DoubleFreeError(f"free of non-live locator "
+                                      f"{locator:#x} in {self.heap.name}")
+            length = len(payload)
+            ps = self.page_size
+            page = offset // ps
+            if (offset + length - 1) // ps == page:
+                self._page_bytes[page] -= length
+                self._page_slots[page] -= 1
+                self.live_bytes -= length
+            else:
+                self._account(offset, length, -1)
+            heapq.heappush(self._free[_CLASS_OF[(length - 1) >> 4]], offset)
 
-    def free_batch(self, locators: list[int]) -> None:
-        """Free many live slots under one lock acquisition."""
+    def free_batch(self, locators) -> None:
+        """Free many live slots, given as a list or an integer array, under
+        one lock acquisition, as a sequence of `free` calls would.
+
+        Every locator is checked first: one that is not live, or that the
+        batch names twice, raises DoubleFreeError with the region left
+        untouched.
+        """
+        n = len(locators)
+        if not n:
+            return
+        offsets = np.asarray(locators, dtype=np.int64) - self.base
+        relative = offsets.tolist()
         with self._lock:
-            for locator in locators:
-                self._release(locator)
+            live = self._live
+            payloads = list(map(live.get, relative))
+            if None in payloads or len(set(relative)) != n:
+                seen: set[int] = set()
+                for locator, offset, payload in zip(locators, relative,
+                                                    payloads):
+                    if payload is None or offset in seen:
+                        raise DoubleFreeError(
+                            f"free of non-live locator {locator:#x} in "
+                            f"{self.heap.name}")
+                    seen.add(offset)
+            for offset in relative:
+                del live[offset]
+            lengths = np.fromiter(map(len, payloads), np.int64, n)
+            self._account_batch(offsets, lengths, -1)
+            ranks = _RANK_OF[(lengths - 1) >> 4]
+            push = heapq.heappush
+            for rank, count in enumerate(np.bincount(ranks).tolist()):
+                if count:
+                    free = self._free[SIZE_CLASSES[rank]]
+                    for offset in offsets[ranks == rank].tolist():
+                        push(free, offset)
 
     def write(self, locator: int, data: bytes) -> None:
         """Fill a slot; only its allocator writes it, before publishing it."""
@@ -216,9 +357,18 @@ class HeapRegion:
     def live_slot_count(self) -> int:
         return len(self._live)
 
+    def page_table(self) -> dict[int, tuple[int, int, bool]]:
+        """Absolute page index -> (live bytes, live slots, resident) for
+        every page below the bump pointer."""
+        first = self.base // self.page_size
+        with self._lock:
+            return {first + page: (live_bytes, live_slots, bool(resident))
+                    for page, (live_bytes, live_slots, resident) in
+                    enumerate(zip(self._page_bytes, self._page_slots,
+                                  self._resident))}
+
     def resident_bytes(self) -> int:
-        return sum(1 for r in self._pages.values() if r.resident) \
-            * self.page_size
+        return self._resident.count(1) * self.page_size
 
     def emit_hints(self, kind: HintKind, window: int = 0) -> list[HintEvent]:
         """Hint events for this region.
@@ -228,49 +378,49 @@ class HeapRegion:
         reclamation).  Any other kind is one event covering the whole region.
         """
         ps = self.page_size
+        first = self.base // ps
         if kind is not HintKind.PAGEOUT_ADVICE:
-            start = self.base // ps
-            return [HintEvent(kind, self.heap, start,
-                              start + self.length // ps, window)]
+            return [HintEvent(kind, self.heap, first,
+                              first + self.length // ps, window)]
         with self._lock:
-            pages = sorted(p for p, rec in self._pages.items()
-                           if rec.live_slots > 0)
-            events: list[HintEvent] = []
-            for page in pages:
-                if events and events[-1].end_page == page:
-                    events[-1].end_page = page + 1
-                else:
-                    events.append(HintEvent(kind, self.heap, page,
-                                            page + 1, window))
-                self._pages[page].resident = False
-            return events
+            pages = np.flatnonzero(np.array(self._page_slots) > 0)
+            np.frombuffer(self._resident, np.uint8)[pages] = 0
+        if not len(pages):
+            return []
+        breaks = np.flatnonzero(np.diff(pages) != 1) + 1
+        starts = pages[np.r_[0, breaks]]
+        ends = pages[np.r_[breaks - 1, len(pages) - 1]] + 1
+        return [HintEvent(kind, self.heap, first + start, first + end, window)
+                for start, end in zip(starts.tolist(), ends.tolist())]
 
     def audit(self) -> None:
         """Recompute page accounting from live slots and compare."""
-        expected_bytes: dict[int, int] = {}
-        expected_slots: dict[int, int] = {}
-        ps = self.page_size
         with self._lock:
-            total = 0
-            for offset, payload in self._live.items():
-                locator = self.base + offset
-                end = locator + len(payload)
-                total += len(payload)
-                for page in range(locator // ps, (end - 1) // ps + 1):
-                    overlap = min(end, (page + 1) * ps) \
-                        - max(locator, page * ps)
-                    expected_bytes[page] = expected_bytes.get(page, 0) + overlap
-                    expected_slots[page] = expected_slots.get(page, 0) + 1
-            if total != self.live_bytes:
+            live = self._live
+            n = len(live)
+            lengths = np.fromiter(map(len, live.values()), np.int64, n)
+            if int(lengths.sum()) != self.live_bytes:
                 raise RegionError("live byte accounting drifted")
-            for page, rec in self._pages.items():
-                if rec.live_bytes != expected_bytes.get(page, 0) \
-                        or rec.live_slots != expected_slots.get(page, 0):
-                    raise RegionError(f"page {page} accounting drifted")
-            # Empty materialized pages lose simulated residency on audit.
-            for page, rec in self._pages.items():
-                if rec.live_slots == 0:
-                    rec.resident = False
+            pages, overlaps = self._page_spans(
+                np.fromiter(live, np.int64, n), lengths)
+            count = len(self._resident)
+            expected_bytes = np.zeros(max(count, int(pages.max(initial=0))
+                                          + 1), np.int64)
+            np.add.at(expected_bytes, pages, overlaps)
+            expected_slots = np.bincount(pages, minlength=len(expected_bytes))
+            page_bytes = np.zeros_like(expected_bytes)
+            page_slots = np.zeros_like(expected_bytes)
+            page_bytes[:count] = self._page_bytes
+            page_slots[:count] = self._page_slots
+            drifted = np.flatnonzero((page_bytes != expected_bytes)
+                                     | (page_slots != expected_slots))
+            if len(drifted):
+                raise RegionError(
+                    f"page {self.base // self.page_size + int(drifted[0])} "
+                    f"accounting drifted")
+            # Empty pages lose simulated residency on audit.
+            np.frombuffer(self._resident, np.uint8)[page_slots[:count]
+                                                    == 0] = 0
 
 
 class RegionManager:

@@ -13,9 +13,9 @@ import threading
 import numpy as np
 
 from .collector import Collector, ControllerState
-from .guideword import (ATC_FIELD, HEAP_FIELD, LOCATOR_MASK, LOCK_STRIPES,
-                        GuideArena, GuideProtocolError, tombstone_from,
-                        word_heap)
+from .guideword import (ATC_FIELD, HEAP_FIELD, HEAP_SHIFT, LOCATOR_MASK,
+                        LOCK_STRIPES, GuideArena, GuideProtocolError,
+                        tombstone_from, word_heap)
 from .metrics import AccessLog
 from .regions import DEFAULT_PAGE_SIZE, DEFAULT_REGION_LENGTH, RegionManager
 from .scope import EpochState, ScopeManager, ThreadActivityIndex
@@ -117,10 +117,11 @@ class GuideRegistry(GuideArena):
         """
         with self._lock:
             parked = self._free + self._graveyard
-            reserved = [index for index, word in enumerate(self.words)
-                        if (word & HEAP_FIELD) == HEAP_FIELD]
-            live = len(self.words) - len(reserved)
+            words = np.frombuffer(self.words[:], dtype=np.uint64)
             live_count = self.live_count
+        reserved = np.flatnonzero(
+            (words & HEAP_FIELD) == HEAP_FIELD).tolist()
+        live = len(words) - len(reserved)
         parked.sort()
         twice = sorted({a for a, b in zip(parked, parked[1:]) if a == b})
         if twice:
@@ -175,13 +176,16 @@ class TierRuntime:
         """
         self.regions.audit()
         self.registry.audit()
-        for index, word in enumerate(self.registry.words):
-            if (word & HEAP_FIELD) == HEAP_FIELD:
-                continue
-            heap = word_heap(word)
+        words = np.frombuffer(self.registry.words[:], dtype=np.uint64)
+        heaps = (words & HEAP_FIELD) >> HEAP_SHIFT
+        located = (words & LOCATOR_MASK) // self.regions.region_length
+        wrong = np.flatnonzero(((words & HEAP_FIELD) != HEAP_FIELD)
+                               & (heaps != located))
+        if len(wrong):
+            index = int(wrong[0])
+            word = int(words[index])
             locator = word & LOCATOR_MASK
-            actual = self.regions.heap_of(locator)
-            if actual != heap:
-                raise AssertionError(
-                    f"guide {index}: heap bits say {heap.name}, locator "
-                    f"{locator:#x} lies in {actual.name}")
+            actual = self.regions.heap_of(locator)  # raises outside them
+            raise AssertionError(
+                f"guide {index}: heap bits say {word_heap(word).name}, "
+                f"locator {locator:#x} lies in {actual.name}")

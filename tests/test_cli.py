@@ -108,6 +108,30 @@ class TestRunBenchmark:
             "a529506d344b7f5e9ab0ca0b1450184d32fc516a055b60a8c05fef70caaf04fa",
         ]
 
+    def test_digest_flag_prints_the_layout_digest(self):
+        """`python -m tierheap --digest` prints `layout_digest` of the
+        configuration its other flags give (here the small hash-map mix
+        above) and exits 0; a bad configuration exits 2 as a run does."""
+        args = ["--keys", "2000", "--value-size", "200", "--ops", "12000",
+                "--windows", "4", "--read-pct", "55", "--update-pct", "25",
+                "--insert-pct", "10", "--delete-pct", "10", "--ct-init", "1",
+                "--seed", "7"]
+        config = config_from_args(args)
+        assert config == RunConfig(
+            keys=2000, key_size=30, value_size=200, ops=12000, windows=4,
+            read_pct=55, update_pct=25, insert_pct=10, delete_pct=10,
+            ct_init=1, seed=7, structure="hashmap")
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ,
+               "PYTHONPATH": src + (os.pathsep + path if path else "")}
+        proc = subprocess.run([sys.executable, "-m", "tierheap", "--digest",
+                               *args], env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == cli.layout_digest(config) + "\n"
+        assert main(["--digest", "--read-pct", "50"]) == 2
+
     def test_baseline_same_seed_runs_clean(self):
         instrumented = run_benchmark(small_config())
         baseline = run_benchmark(small_config(baseline=True))

@@ -228,8 +228,7 @@ def heap_state(runtime):
         region = runtime.regions.region(heap)
         regions.append((
             dict(region._live),
-            {page: (rec.live_bytes, rec.live_slots, rec.resident)
-             for page, rec in region._pages.items()},
+            region.page_table(),
             {c: sorted(free) for c, free in region._free.items()},
             region._bump, region.live_bytes))
     return list(runtime.registry.words), regions

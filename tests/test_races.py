@@ -244,6 +244,71 @@ class TestChunkedMigration:
         assert hot.live_slot_count == MIGRATE_CHUNK - 1
         runtime.audit()
 
+    def test_mutator_thread_between_the_stripe_passes(self):
+        """A second thread runs a `registry.create` that reuses a freed
+        index, a set of a chunk member and a first-touch get of another
+        while the chunk sits between its lock and commit passes.  Each
+        takes a stripe (the create under the registry lock), so none may
+        wait on the collector; the two touched guides' commits abort and
+        their copies are freed."""
+        runtime = TierRuntime(region_length=1 << 24)
+        store = make_store(runtime, "hashmap")
+        keys = [b"key-%05d" % i for i in range(MIGRATE_CHUNK)]
+        for key in keys:
+            store.set(key, PAYLOAD)
+        store.set(b"gone", PAYLOAD)
+        gone = store._entry(b"gone")
+        store.delete(b"gone")
+        collector = runtime.collector
+        collector.run_scan_window()  # clears every accessed bit
+        registry = runtime.registry
+        assert sorted(registry._free) == sorted(
+            (gone.key_guide, gone.value_guide))
+        guides = [store._entry(key).value_guide for key in keys]
+        set_guide, get_guide = guides[3], guides[MIGRATE_CHUNK // 2]
+        cold = runtime.regions.region(HeapId.COLD)
+        allocate_batch = cold.allocate_batch
+        copies, created, got, errors = [], [], [], []
+
+        def mutate():
+            try:
+                loc = runtime.regions.install(HeapId.NEW, b"fresh")
+                created.append(registry.create(loc | ACCESSED_BIT))
+                store.set(keys[3], b"new-value")
+                got.append(store.get(keys[MIGRATE_CHUNK // 2]))
+            except Exception as exc:  # noqa: BLE001 - collected for assert
+                errors.append(exc)
+
+        def hooked(payloads):
+            assert all(registry.words[i] & LOCK_BIT for i in guides)
+            copies.extend(allocate_batch(payloads))
+            mutator = threading.Thread(target=mutate, daemon=True)
+            mutator.start()
+            mutator.join(10.0)
+            assert not mutator.is_alive(), "mutator blocked on the collector"
+            return copies
+
+        cold.allocate_batch = hooked
+        collector.begin_epoch()
+        assert collector.await_convergence()
+        counts = collector.migrate_batch(guides, HeapId.COLD)
+        collector.end_epoch()
+        assert errors == []
+        assert created[0] in (gone.key_guide, gone.value_guide)
+        assert got == [PAYLOAD]
+        assert (counts.moved, counts.aborted, counts.skipped) \
+            == (MIGRATE_CHUNK - 2, 2, 0)
+        for index, copy in zip(guides, copies):
+            if index in (set_guide, get_guide):
+                assert word_heap(registry.words[index]) is not HeapId.COLD
+                with pytest.raises(RegionError):
+                    cold.read(copy)  # the copy was freed
+            else:
+                assert registry.words[index] == pack(copy, heap=HeapId.COLD)
+        assert store.get(keys[3]) == b"new-value"
+        assert store.get(keys[MIGRATE_CHUNK // 2]) == PAYLOAD
+        runtime.audit()
+
     def test_stress_against_mutators_on_disjoint_keys(self):
         """Three mutators own disjoint thirds of a 2k-key map while a
         collector thread runs windows; every get matches the thread's own

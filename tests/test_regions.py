@@ -1,4 +1,6 @@
 """Temperature-segregated regions: size classes, accounting, hints."""
+import random
+
 import pytest
 
 from tierheap.guideword import HeapId
@@ -101,7 +103,6 @@ class TestDataAndAccounting:
         assert region.resident_bytes() == 0
 
     def test_audit_passes_on_random_churn(self):
-        import random
         rng = random.Random(5)
         region = small_region(pages=256)
         live = []
@@ -118,7 +119,6 @@ class TestInstall:
     and rejects what `allocate` rejects."""
 
     def test_places_slots_where_allocate_does(self):
-        import random
         rng = random.Random(11)
         allocated = small_region(pages=1024)
         installed = small_region(pages=1024)
@@ -140,10 +140,7 @@ class TestInstall:
         assert installed._free == allocated._free
         assert installed._bump == allocated._bump
         assert installed.live_bytes == allocated.live_bytes
-        assert {p: (r.live_bytes, r.live_slots, r.resident)
-                for p, r in installed._pages.items()} == \
-            {p: (r.live_bytes, r.live_slots, r.resident)
-             for p, r in allocated._pages.items()}
+        assert installed.page_table() == allocated.page_table()
         installed.audit()
 
     @pytest.mark.parametrize("length", [0, (64 << 10) + 1])
@@ -177,6 +174,143 @@ class TestInstall:
         assert mgr.heap_of(loc) is HeapId.COLD
         assert mgr.read(loc) == b"abcde"
         assert mgr.slots[HeapId.COLD][loc - (2 << 20)] == b"abcde"
+
+
+def region_state(region):
+    """Everything a placement changes: slots, free lists, bump pointer,
+    page table and live bytes."""
+    return (dict(region._live), {c: list(f) for c, f in region._free.items()},
+            region._bump, region.page_table(), region.live_bytes)
+
+
+def install_or_none(region, payload):
+    try:
+        return region.install(payload)
+    except RegionExhausted:
+        return None
+
+
+# Lengths across the size classes and at their boundaries, with slots that
+# span up to six 4 KiB pages.
+BATCH_LENGTHS = (1, 16, 17, 30, 100, 1000, 1024, 1025, 3000, 4097, 5000,
+                 20000)
+
+
+class TestBatchesMatchSingleSlotCalls:
+    """`allocate_batch` and `free_batch` leave a region exactly as the
+    same sequence of `install` or `free` calls leaves a twin region."""
+
+    def churn(self, seed, pages, rounds):
+        """Drive twin regions through random batches: each round frees a
+        random share of the live slots (leaving free-list holes) and then
+        places a batch of mixed classes, one region by batch calls and the
+        other by single-slot calls, asserting equal results and state."""
+        rng = random.Random(seed)
+        batch, single = (small_region(pages=pages) for _ in range(2))
+        live = []
+        for _ in range(rounds):
+            rng.shuffle(live)
+            cut = rng.randrange(len(live) + 1) // 2
+            freed, live = live[:cut], live[cut:]
+            batch.free_batch(freed)
+            for locator in freed:
+                single.free(locator)
+            assert region_state(batch) == region_state(single)
+            payloads = [bytes([rng.randrange(256)]) * rng.choice(BATCH_LENGTHS)
+                        for _ in range(rng.randrange(1, 80))]
+            got = batch.allocate_batch(payloads)
+            assert got == [install_or_none(single, p) for p in payloads]
+            assert all(batch.read(loc) is p
+                       for loc, p in zip(got, payloads) if loc is not None)
+            assert region_state(batch) == region_state(single)
+            live += [loc for loc in got if loc is not None]
+        batch.audit()
+        single.audit()
+        return batch
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_class_mixes_with_holes(self, seed):
+        region = self.churn(seed, pages=4096, rounds=40)
+        assert region.live_slot_count and any(region._free.values())
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_batches_that_exhaust_the_region(self, seed):
+        region = self.churn(seed, pages=48, rounds=40)
+        assert region.length - region._bump < max(BATCH_LENGTHS)
+
+    def test_exhaustion_mid_batch_where_a_smaller_class_fits(self):
+        regions = [small_region(pages=1) for _ in range(2)]
+        for region in regions:
+            for length in (2048, 1024, 512, 256):
+                region.install(b"f" * length)  # 256 B remain
+            hole = region.install(b"h" * 64)
+            region.install(b"t" * 64)
+            region.free(hole)  # a 64 B hole and 128 B at the bump
+        batch, single = regions
+        payloads = [b"a" * 1024, b"b" * 60, b"c" * 300, b"d" * 20,
+                    b"e" * 100, b"f" * 16]
+        got = batch.allocate_batch(payloads)
+        assert got == [install_or_none(single, p) for p in payloads]
+        assert got == [None, hole, None, 3968, None, 4000]
+        assert region_state(batch) == region_state(single)
+        batch.audit()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_free_batch_frees_as_frees(self, seed):
+        rng = random.Random(seed)
+        batch, single = (small_region(pages=2048) for _ in range(2))
+        for _ in range(30):
+            payloads = [bytes([rng.randrange(256)]) * rng.choice(BATCH_LENGTHS)
+                        for _ in range(rng.randrange(1, 60))]
+            batch.allocate_batch(payloads)
+            for payload in payloads:
+                single.install(payload)
+            live = sorted(batch._live)
+            freed = [batch.base + o
+                     for o in rng.sample(live, rng.randrange(len(live) + 1))]
+            batch.free_batch(freed)
+            for locator in freed:
+                single.free(locator)
+            assert region_state(batch) == region_state(single)
+        batch.audit()
+
+    def test_rejects_what_install_rejects(self):
+        region = small_region()
+        for bad in (b"", b"x" * ((64 << 10) + 1)):
+            before = region_state(region)
+            with pytest.raises(RegionError) as batched:
+                region.allocate_batch([b"ok", bad])
+            with pytest.raises(RegionError) as installed:
+                region.install(bad)
+            assert str(batched.value) == str(installed.value)
+            assert region_state(region) == before
+
+
+class TestFreeBatchChecksFirst:
+    """A free_batch naming a locator twice, or one that is not live, raises
+    DoubleFreeError before it frees anything."""
+
+    def populated(self):
+        region = small_region(pages=64)
+        locators = region.allocate_batch(
+            [bytes([i]) * length for i, length in
+             enumerate((30, 100, 1024, 5000, 16, 3000))])
+        region.free(locators[1])
+        return region, locators
+
+    @pytest.mark.parametrize("bad", ["repeated", "non-live"])
+    def test_region_untouched(self, bad):
+        region, locators = self.populated()
+        before = region_state(region)
+        batch = [locators[0], locators[2], locators[3]]
+        batch.insert(2, locators[2] if bad == "repeated" else locators[1])
+        with pytest.raises(DoubleFreeError, match=f"{batch[2]:#x}"):
+            region.free_batch(batch)
+        assert region_state(region) == before
+        region.audit()
+        region.free_batch([locators[0], locators[2], locators[3]])
+        region.audit()
+        assert region.live_slot_count == 2
 
 
 class TestHints:

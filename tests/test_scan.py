@@ -9,9 +9,10 @@ import pytest
 
 from tierheap.collector import SCAN_CHUNK, ScanResult
 from tierheap.guideword import (ACCESSED_BIT, ATC_MAX, ATC_ONE, CIW_FIELD,
-                                CIW_MAX, CIW_SHIFT, LOCATOR_MASK,
+                                CIW_MAX, CIW_SHIFT, HEAP_SHIFT, LOCATOR_MASK,
                                 GuideProtocolError, HeapId, pack, word_atc,
                                 word_heap)
+from tierheap.regions import RegionError
 from tierheap.runtime import GuideRegistry, TierRuntime
 
 REGION_LENGTH = 1 << 30
@@ -300,4 +301,21 @@ class TestArenaAudit:
         registry.retire(1)  # a second retire of the same delete
         with pytest.raises(AssertionError, match=r"guides \[1\] are parked "
                                                  r"twice"):
+            runtime.audit()
+
+    def test_heap_bits_naming_another_region_fail(self):
+        runtime = self.make_runtime()
+        word = runtime.registry.words[1]
+        runtime.registry.words[1] = word | (int(HeapId.HOT) << HEAP_SHIFT)
+        with pytest.raises(AssertionError, match=(
+                rf"guide 1: heap bits say HOT, locator "
+                rf"{word & LOCATOR_MASK:#x} lies in NEW")):
+            runtime.audit()
+        runtime.registry.words[1] = word
+        runtime.audit()
+
+    def test_locator_outside_every_region_fails(self):
+        runtime = self.make_runtime()
+        runtime.registry.words[0] = pack(3 * REGION_LENGTH, heap=HeapId.COLD)
+        with pytest.raises(RegionError, match="outside every region"):
             runtime.audit()
