@@ -155,7 +155,9 @@ class GuideArena:
     CPython has no 64-bit CAS primitive, so compare_and_swap is emulated
     with that stripe lock; plain loads read `words[i]` directly, which is
     atomic under the GIL and matches the intended single-word load
-    semantics.
+    semantics.  The migration protocol's lock and commit stores are not
+    methods here: `Collector._migrate_chunk` makes them for a chunk of
+    guides at a time while it holds every stripe.
     """
 
     def __init__(self, words=()):
@@ -208,30 +210,6 @@ class GuideArena:
                     f"ATC decrement below zero on guide {index}")
             if self.compare_and_swap(index, w, w - ATC_ONE):
                 return
-
-    def try_lock_for_migration(self, index: int, expected: int) -> int | None:
-        """First CAS of the migration protocol: expected -> expected|lock.
-
-        `expected` must have atc=0 and the lock clear.  Returns the locked
-        word on success, None when the stored word changed since the scan
-        (the candidate is skipped this round).
-        """
-        if expected & LOCK_BIT or (expected >> ATC_SHIFT) & ATC_MAX:
-            raise GuideProtocolError("lock attempt on busy word")
-        locked = expected | LOCK_BIT
-        if self.compare_and_swap(index, expected, locked):
-            return locked
-        return None
-
-    def commit_migration(self, index: int, locked_word: int,
-                         new_word: int) -> bool:
-        """Second CAS: publish the relocated word.
-
-        Fails (returns False) when any access-path operation touched the
-        guide between lock and commit; the old object then remains
-        authoritative.
-        """
-        return self.compare_and_swap(index, locked_word, new_word)
 
 
 # The benchmark's tracer imports the class under this name and replaces

@@ -16,6 +16,7 @@ import heapq
 import threading
 from dataclasses import dataclass
 from enum import Enum
+from itertools import compress
 
 import numpy as np
 
@@ -165,29 +166,8 @@ class HeapRegion:
             np.frombuffer(self._resident, np.uint8)[touched] = 1
         self.live_bytes += sign * int(lengths.sum())
 
-    def _install(self, payload: bytes) -> int | None:
-        """`install` for a payload of valid length, with the lock held;
-        None when its class has no room."""
-        length = len(payload)
-        size_class = _CLASS_OF[(length - 1) >> 4]
-        free = self._free[size_class]
-        if free:
-            offset = heapq.heappop(free)
-        else:
-            offset = self._bump
-            end = offset + size_class
-            if end > self.length:
-                return None
-            if end > self._page_end:
-                self._grow(end)
-            self._bump = end
-        self._live[offset] = payload
-        self._account(offset, length, +1)
-        return self.base + offset
-
     def install(self, payload: bytes) -> int:
-        """Put `payload` itself in a fresh slot and return its locator: the
-        slot `allocate(len(payload))` would return, already written.
+        """Put `payload` itself in a fresh slot and return its locator.
 
         The lowest free slot of the payload's class is taken, else the one
         at the bump pointer.  A slot on one page is accounted inline.
@@ -221,14 +201,6 @@ class HeapRegion:
                 self._account(offset, length, +1)
         return self.base + offset
 
-    def allocate(self, length: int) -> int:
-        """Return the absolute locator of a slot holding `length` bytes.
-
-        The slot reads as `length` zero bytes until it is written.
-        """
-        _check_length(length)
-        return self.install(bytes(length))
-
     def allocate_batch(self, payloads: list[bytes]) -> list[int | None]:
         """Install each live payload object in a fresh slot, all under one
         lock acquisition, in the slots a sequence of `install` calls would
@@ -237,9 +209,10 @@ class HeapRegion:
         Returns each slot's locator in order, or None for a payload whose
         size class has no room; a later payload of a smaller class may
         still get a slot.  Each class's free slots go, lowest first, to its
-        first payloads; the others are bump-allocated in payload order.  A
-        batch that would run past the region's end takes the slots one at
-        a time instead.
+        first payloads; the others are bump-allocated in payload order.  If
+        those would run past the region's end, the bumped payloads are
+        walked in order: one that fits takes the bump pointer, and one that
+        does not gets None and leaves the pointer where it is.
         """
         n = len(payloads)
         if not n:
@@ -253,33 +226,46 @@ class HeapRegion:
         counts = np.bincount(ranks, minlength=len(SIZE_CLASSES)).tolist()
         with self._lock:
             free = self._free
-            taken: list[tuple[int, int]] = []  # (class, free slots popped)
-            bumped_bytes = 0
+            offsets = np.empty(n, np.int64)
+            bumped = np.ones(n, bool)
             for size_class, count in zip(SIZE_CLASSES, counts):
                 take = min(count, len(free[size_class]))
                 if take:
-                    taken.append((size_class, take))
-                bumped_bytes += (count - take) * size_class
-            if self._bump + bumped_bytes > self.length:
-                return [self._install(payload) for payload in payloads]
-            offsets = np.empty(n, np.int64)
-            bumped = np.ones(n, bool)
-            for size_class, take in taken:
-                members = np.flatnonzero(classes == size_class)[:take]
-                heap = free[size_class]
-                offsets[members] = [heapq.heappop(heap) for _ in range(take)]
-                bumped[members] = False
-            if bumped_bytes:
-                sizes = classes[bumped]
+                    members = np.flatnonzero(classes == size_class)[:take]
+                    heap = free[size_class]
+                    offsets[members] = [heapq.heappop(heap)
+                                        for _ in range(take)]
+                    bumped[members] = False
+            room = None  # None: every payload has a slot
+            sizes = classes[bumped]
+            if len(sizes):
                 ends = self._bump + np.cumsum(sizes)
-                offsets[bumped] = ends - sizes
-                end = self._bump + bumped_bytes
+                end = int(ends[-1])
+                if end <= self.length:
+                    offsets[bumped] = ends - sizes
+                else:
+                    starts = []
+                    end = self._bump
+                    for size in sizes.tolist():
+                        if end + size > self.length:
+                            starts.append(-1)  # no room
+                        else:
+                            starts.append(end)
+                            end += size
+                    offsets[bumped] = starts
+                    room = offsets >= 0
                 if end > self._page_end:
                     self._grow(end)
                 self._bump = end
-            self._live.update(zip(offsets.tolist(), payloads))
-            self._account_batch(offsets, lengths, +1)
-        return (offsets + self.base).tolist()
+            if room is None:
+                self._live.update(zip(offsets.tolist(), payloads))
+                self._account_batch(offsets, lengths, +1)
+                return (offsets + self.base).tolist()
+            self._live.update(zip(offsets[room].tolist(),
+                                  compress(payloads, room.tolist())))
+            self._account_batch(offsets[room], lengths[room], +1)
+        return [self.base + offset if placed else None
+                for offset, placed in zip(offsets.tolist(), room.tolist())]
 
     def free(self, locator: int) -> None:
         """Return a live slot to its class's free list."""
@@ -451,7 +437,11 @@ class RegionManager:
         return self._region_of(locator).heap
 
     def allocate(self, heap: HeapId, length: int) -> int:
-        return self.regions[heap].allocate(length)
+        # A slot of `length` zero bytes.  No store op calls this or
+        # `write`, since `install` places a slot with its payload; both are
+        # kept because the benchmark's tracer wraps them.
+        _check_length(length)
+        return self.regions[heap].install(bytes(length))
 
     def install(self, heap: HeapId, payload: bytes) -> int:
         return self.regions[heap].install(payload)
@@ -472,6 +462,7 @@ class RegionManager:
         raise RegionError(f"read of non-live locator {locator:#x}")
 
     def write(self, locator: int, data: bytes) -> None:
+        # Kept, like `allocate`, for the benchmark's tracer, which wraps it.
         self._region_of(locator).write(locator, data)
 
     def _region_of(self, locator: int) -> HeapRegion:

@@ -43,8 +43,11 @@ class WorkloadSpec:
                 f"operation percentages sum to {total}, expected 100")
         if self.keys <= 0 or self.ops < 0:
             raise ValueError("keys must be positive and ops non-negative")
-        if self.key_size < 8:
-            raise ValueError("key_size must be at least 8 bytes")
+        if self.key_size < 20:
+            raise ValueError("key_size must be at least 20 bytes, the "
+                             "length of make_key's id prefix")
+        if self.zipf_alpha < 0:
+            raise ValueError("zipf_alpha must be non-negative")
 
 
 def make_key(key_id: int, key_size: int) -> bytes:

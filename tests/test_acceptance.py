@@ -29,6 +29,7 @@ from tierheap.store import StripedGuideMap
 from tierheap.workload import synthesize_phase_shift_trace, write_trace
 
 from test_metrics import brute_force_utilization, log_of
+from test_races import dereference, migrate_one
 
 
 RESULTS: list[str] = []  # re-emitted by conftest in the terminal summary
@@ -140,32 +141,30 @@ def test_criterion_3_controller_convergence(tmp_path):
 
 
 def test_criterion_4_race_table_fidelity():
+    """Each row drives the collector's chunked migration of one guide to
+    HOT (`migrate_one`) and observes it through the HOT region's
+    `allocate_batch`, which runs between the lock pass and the commit
+    pass."""
     payload = b"race-table-object" * 3
     outcomes = {}
 
     def fresh():
         runtime = TierRuntime(region_length=1 << 22)
-        loc = runtime.regions.allocate(HeapId.NEW, len(payload))
-        runtime.regions.write(loc, payload)
+        loc = runtime.regions.install(HeapId.NEW, payload)
         index = runtime.registry.create(pack(loc, heap=HeapId.NEW))
         return runtime, runtime.registry, index, loc
 
     # Row: lock-set CAS succeeds from {atc=0, lock=0}.
     runtime, registry, index, loc = fresh()
     word = registry.words[index]
-    locked = registry.try_lock_for_migration(index, word)
+    _, locked, _ = migrate_one(runtime, index)
     outcomes["lock-set"] = locked == word | LOCK_BIT
 
     # Row: intervening dereference clears the lock; commit CAS fails and
     # the old object stays authoritative with nothing freed.
     runtime, registry, index, loc = fresh()
-    word = registry.words[index]
-    locked = registry.try_lock_for_migration(index, word)
-    new_loc = runtime.regions.allocate(HeapId.HOT, len(payload))
-    runtime.regions.write(new_loc, payload)
-    registry.dereference(index)
-    commit = registry.commit_migration(index, locked,
-                                       pack(new_loc, heap=HeapId.HOT))
+    counts, _, _ = migrate_one(runtime, index, dereference)
+    commit = counts.moved == 1
     outcomes["deref-aborts-commit"] = (
         not commit
         and registry.words[index] & LOCATOR_MASK == loc
@@ -174,15 +173,10 @@ def test_criterion_4_race_table_fidelity():
 
     # Row: no intervention — both CAS operations succeed, old slot freed.
     runtime, registry, index, loc = fresh()
-    word = registry.words[index]
-    locked = registry.try_lock_for_migration(index, word)
-    new_loc = runtime.regions.allocate(HeapId.HOT, len(payload))
-    runtime.regions.write(new_loc, payload)
-    commit = registry.commit_migration(index, locked,
-                                       pack(new_loc, heap=HeapId.HOT))
+    counts, _, new_loc = migrate_one(runtime, index)
+    commit = counts.moved == 1
     freed = False
     if commit:
-        runtime.regions.free(loc)
         try:
             runtime.regions.read(loc)
         except RegionError:
@@ -334,7 +328,7 @@ def test_criterion_6_encoding_suite():
 
 def test_criterion_7_overhead_bound():
     deref_ns = measure_deref_ns()
-    base = dict(keys=5000, key_size=16, value_size=64, ops=120_000,
+    base = dict(keys=5000, key_size=20, value_size=64, ops=120_000,
                 windows=2, clock="logical", seed=3)
 
     def throughput_ratio(threads, baseline_first=False):

@@ -248,6 +248,7 @@ class TestExitCodes:
         ["--windows", "0"],
         ["--ct-init", "0"], ["--ct-init", "40"],
         ["--value-size", "0"], ["--value-size", "70000"],
+        ["--zipf-alpha", "-1"], ["--key-size", "19"],
     ], ids="-".join)
     def test_invalid_windows_is_usage_error(self, args):
         assert main(["--keys", "50", "--ops", "100", "--windows", "1"]

@@ -22,8 +22,7 @@ def make_runtime(**kwargs):
 
 
 def add_object(runtime, payload=b"x" * 64, heap=HeapId.NEW, accessed=False):
-    loc = runtime.regions.allocate(heap, len(payload))
-    runtime.regions.write(loc, payload)
+    loc = runtime.regions.install(heap, payload)
     return runtime.registry.create(pack(loc, heap=heap, accessed=accessed))
 
 
@@ -193,13 +192,14 @@ class TestMigrate:
 
 
 def scalar_migrate(runtime, index: int, target: HeapId) -> str:
-    """The per-object migration the chunked batch path replaced."""
+    """Scalar reference for the chunked batch path: the two-CAS protocol,
+    one object at a time."""
     regions, registry = runtime.regions, runtime.registry
     word = registry.words[index]
     if word & (LOCK_BIT | ATC_FIELD) or (word & HEAP_FIELD) == HEAP_FIELD:
         return "skipped"
-    locked = registry.try_lock_for_migration(index, word)
-    if locked is None:
+    locked = word | LOCK_BIT
+    if not registry.compare_and_swap(index, word, locked):
         return "skipped"
     old_locator = word & LOCATOR_MASK
     try:
@@ -208,13 +208,12 @@ def scalar_migrate(runtime, index: int, target: HeapId) -> str:
         registry.compare_and_swap(index, locked, word)
         return "aborted"
     try:
-        new_locator = regions.allocate(target, len(payload))
+        new_locator = regions.install(target, payload)
     except RegionExhausted:
         registry.compare_and_swap(index, locked, word)
         return "skipped"
-    regions.write(new_locator, payload)
     new_word = pack(new_locator, heap=target)
-    if registry.commit_migration(index, locked, new_word):
+    if registry.compare_and_swap(index, locked, new_word):
         regions.free(old_locator)
         return "moved"
     regions.free(new_locator)

@@ -150,38 +150,28 @@ class TestAtcProtocol:
 
 
 class TestMigrationCas:
+    """The two stores of the migration protocol, made as the collector's
+    lock and commit passes make them: a compare against the word they
+    loaded or locked."""
+
     def test_lock_from_quiescent_word(self):
         word = pack(0x100, heap=HeapId.NEW)
         arena = GuideArena([word])
-        locked = arena.try_lock_for_migration(0, word)
-        assert locked == word | LOCK_BIT
-        assert arena.words[0] == locked
-
-    def test_lock_on_busy_word_raises(self):
-        arena = GuideArena([pack(0x100, atc=1)])
-        with pytest.raises(GuideProtocolError):
-            arena.try_lock_for_migration(0, arena.words[0])
-
-    def test_lock_fails_when_word_changed(self):
-        word = pack(0x100)
-        arena = GuideArena([word])
-        arena.dereference(0)  # word changed since the scan
-        assert arena.try_lock_for_migration(0, word) is None
+        assert arena.compare_and_swap(0, word, word | LOCK_BIT)
+        assert arena.words[0] == word | LOCK_BIT
 
     def test_commit_after_clean_lock(self):
-        word = pack(0x100, heap=HeapId.NEW)
-        arena = GuideArena([word])
-        locked = arena.try_lock_for_migration(0, word)
+        locked = pack(0x100, heap=HeapId.NEW, migration_lock=True)
+        arena = GuideArena([locked])
         new_word = pack(0x200, heap=HeapId.HOT)
-        assert arena.commit_migration(0, locked, new_word)
+        assert arena.compare_and_swap(0, locked, new_word)
         assert arena.words[0] == new_word
 
     def test_intervening_dereference_aborts_commit(self):
-        word = pack(0x100, heap=HeapId.NEW)
-        arena = GuideArena([word])
-        locked = arena.try_lock_for_migration(0, word)
+        locked = pack(0x100, heap=HeapId.NEW, migration_lock=True)
+        arena = GuideArena([locked])
         assert arena.dereference(0) == 0x100  # clears the lock
-        assert not arena.commit_migration(0, locked,
+        assert not arena.compare_and_swap(0, locked,
                                           pack(0x200, heap=HeapId.HOT))
         assert arena.words[0] & LOCATOR_MASK == 0x100
 

@@ -1,10 +1,12 @@
 """Deterministic interleavings of the migration protocol's race table.
 
-Each test replays one exact schedule by invoking the protocol's individual
-CAS steps in a fixed order from a single thread, so outcomes are checked
-with zero tolerance rather than stochastically.  The chunked collector path
-gets the same schedules through a hook between its lock and commit passes,
-plus one time-bounded stress run against concurrent mutators.
+Each test replays one exact schedule through the collector's chunked
+migration from a single thread: the target region's `allocate_batch` is
+wrapped, so a mutator step runs between the lock pass and the commit pass,
+and outcomes are checked with zero tolerance rather than stochastically.
+Single-guide runs replay the race table's rows; whole chunks get the same
+steps, a second thread between the passes, and one time-bounded stress run
+against concurrent mutators.
 """
 import random
 import sys
@@ -27,40 +29,50 @@ PAYLOAD = b"migrating-object-payload" * 4
 
 def make_env():
     runtime = TierRuntime(region_length=1 << 22)
-    loc = runtime.regions.allocate(HeapId.NEW, len(PAYLOAD))
-    runtime.regions.write(loc, PAYLOAD)
+    loc = runtime.regions.install(HeapId.NEW, PAYLOAD)
     index = runtime.registry.create(pack(loc, heap=HeapId.NEW))
     return runtime, index, loc
 
 
-def begin_migration(runtime, index):
-    """Collector steps t0-t1: lock CAS, then copy into the target heap."""
-    registry = runtime.registry
-    word = registry.words[index]
-    locked = registry.try_lock_for_migration(index, word)
-    assert locked is not None
-    payload = runtime.regions.read(word & LOCATOR_MASK)
-    new_loc = runtime.regions.allocate(HeapId.HOT, len(payload))
-    runtime.regions.write(new_loc, payload)
-    return word, locked, new_loc
+def migrate_one(runtime, index, step=None):
+    """Move guide `index` to HOT by a one-guide `migrate_batch`, running
+    `step(runtime, index)` between its lock pass and its commit pass.
+
+    Returns the counts, the word as the lock pass left it, and the
+    locator of the HOT copy.
+    """
+    hot = runtime.regions.region(HeapId.HOT)
+    allocate_batch = hot.allocate_batch
+    seen = []
+
+    def hooked(payloads):
+        placed = allocate_batch(payloads)
+        seen.extend((runtime.registry.words[index], *placed))
+        if step is not None:
+            step(runtime, index)
+        return placed
+
+    hot.allocate_batch = hooked
+    collector = runtime.collector
+    collector.begin_epoch()
+    assert collector.await_convergence()
+    counts = collector.migrate_batch([index], HeapId.HOT)
+    collector.end_epoch()
+    del hot.allocate_batch
+    locked, copy = seen
+    return counts, locked, copy
 
 
-def finish_migration(runtime, index, word, locked, new_loc):
-    """Collector step t2: commit CAS; winner-frees either side."""
-    new_word = pack(new_loc, heap=HeapId.HOT)
-    if runtime.registry.commit_migration(index, locked, new_word):
-        runtime.regions.free(word & LOCATOR_MASK)
-        return "committed"
-    runtime.regions.free(new_loc)
-    return "aborted"
+def outcome(counts):
+    return ("committed" if counts.moved else
+            "aborted" if counts.aborted else "skipped")
 
 
 class TestRaceTable:
     def test_no_intervention_both_cas_succeed(self):
         runtime, index, old_loc = make_env()
-        word, locked, new_loc = begin_migration(runtime, index)
-        assert finish_migration(runtime, index, word, locked, new_loc) \
-            == "committed"
+        counts, _, new_loc = migrate_one(runtime, index)
+        assert outcome(counts) == "committed"
         fields = unpack(runtime.registry.words[index])
         assert fields.heap is HeapId.HOT and fields.locator == new_loc
         assert runtime.regions.read(new_loc) == PAYLOAD
@@ -70,21 +82,23 @@ class TestRaceTable:
 
     def test_lock_set_succeeds_from_quiescent_word(self):
         runtime, index, _ = make_env()
-        registry = runtime.registry
-        word = registry.words[index]
-        locked = registry.try_lock_for_migration(index, word)
+        word = runtime.registry.words[index]
+        _, locked, _ = migrate_one(runtime, index)
         assert locked == word | LOCK_BIT
-        assert registry.words[index] & LOCK_BIT
 
     def test_dereference_between_lock_and_commit_aborts(self):
         runtime, index, old_loc = make_env()
-        word, locked, new_loc = begin_migration(runtime, index)
-        # Mutator dereferences at t1': lock cleared, accessed set, and the
-        # returned locator is still the old object.
-        assert runtime.registry.dereference(index) == old_loc
-        assert not runtime.registry.words[index] & LOCK_BIT
-        assert finish_migration(runtime, index, word, locked, new_loc) \
-            == "aborted"
+        derefs = []
+
+        def deref(runtime, index):
+            # Mutator dereferences at t1': lock cleared, accessed set, and
+            # the returned locator is still the old object.
+            derefs.append(runtime.registry.dereference(index))
+            assert not runtime.registry.words[index] & LOCK_BIT
+
+        counts, _, new_loc = migrate_one(runtime, index, deref)
+        assert derefs == [old_loc]
+        assert outcome(counts) == "aborted"
         # Old object remains authoritative; the copy was freed, not the old.
         fields = unpack(runtime.registry.words[index])
         assert fields.locator == old_loc and fields.accessed
@@ -95,39 +109,21 @@ class TestRaceTable:
 
     def test_scope_registration_between_lock_and_commit_aborts(self):
         runtime, index, old_loc = make_env()
-        word, locked, new_loc = begin_migration(runtime, index)
         # A scope use clears the lock and bumps the ATC.
-        assert runtime.registry.atc_increment(index)
-        assert finish_migration(runtime, index, word, locked, new_loc) \
-            == "aborted"
+        counts, _, _ = migrate_one(runtime, index, atc_increment)
+        assert outcome(counts) == "aborted"
         fields = unpack(runtime.registry.words[index])
         assert fields.locator == old_loc and fields.atc == 1
         assert runtime.regions.read(old_loc) == PAYLOAD
         runtime.audit()
 
-    def test_word_changed_before_lock_is_skipped(self):
-        runtime, index, old_loc = make_env()
-        registry = runtime.registry
-        scanned_word = registry.words[index]
-        registry.dereference(index)  # access lands between scan and lock
-        assert registry.try_lock_for_migration(index, scanned_word) is None
-        assert registry.words[index] & ACCESSED_BIT
-        assert runtime.regions.read(old_loc) == PAYLOAD
-
 
 class TestDeleteVersusMigrate:
-    def delete_steps(self, runtime, index):
-        """Mutator delete: tombstone CAS wins the word, then frees."""
-        old = runtime.registry.tombstone(index)
-        runtime.regions.free(old & LOCATOR_MASK)
-        runtime.registry.retire(index)
-
     def test_delete_wins_between_lock_and_commit(self):
         runtime, index, old_loc = make_env()
-        word, locked, new_loc = begin_migration(runtime, index)
-        self.delete_steps(runtime, index)  # frees the old slot
-        assert finish_migration(runtime, index, word, locked, new_loc) \
-            == "aborted"  # collector frees only its copy
+        # The delete's tombstone CAS wins the word, then frees the old slot.
+        counts, _, new_loc = migrate_one(runtime, index, tombstone_and_free)
+        assert outcome(counts) == "aborted"  # collector frees only its copy
         assert unpack(runtime.registry.words[index]).heap is HeapId.RESERVED
         for loc in (old_loc, new_loc):
             with pytest.raises(RegionError):
@@ -137,10 +133,9 @@ class TestDeleteVersusMigrate:
 
     def test_migration_wins_then_delete_frees_new_copy(self):
         runtime, index, old_loc = make_env()
-        word, locked, new_loc = begin_migration(runtime, index)
-        assert finish_migration(runtime, index, word, locked, new_loc) \
-            == "committed"  # frees the old slot
-        self.delete_steps(runtime, index)  # tombstones + frees the copy
+        counts, _, _ = migrate_one(runtime, index)
+        assert outcome(counts) == "committed"  # frees the old slot
+        tombstone_and_free(runtime, index)  # tombstones + frees the copy
         assert runtime.regions.live_slot_count() == 0
         runtime.audit()
 
@@ -192,8 +187,7 @@ def tombstone_and_free(runtime, index):
 def swing_value(runtime, index):
     """A set: publish a fresh NEW slot by CAS, then free the replaced one."""
     regions, registry = runtime.regions, runtime.registry
-    new_loc = regions.allocate(HeapId.NEW, len(PAYLOAD))
-    regions.write(new_loc, PAYLOAD)
+    new_loc = regions.install(HeapId.NEW, PAYLOAD)
     while True:
         word = registry.words[index]
         if registry.compare_and_swap(index, word, new_loc | ACCESSED_BIT
@@ -210,8 +204,7 @@ class TestChunkedMigration:
         runtime = TierRuntime(region_length=1 << 22)
         guides = []
         for _ in range(MIGRATE_CHUNK):
-            loc = runtime.regions.allocate(HeapId.NEW, len(PAYLOAD))
-            runtime.regions.write(loc, PAYLOAD)
+            loc = runtime.regions.install(HeapId.NEW, PAYLOAD)
             guides.append(runtime.registry.create(pack(loc, heap=HeapId.NEW)))
         victim = guides[MIGRATE_CHUNK // 2]
         hot = runtime.regions.region(HeapId.HOT)
@@ -394,18 +387,22 @@ class TestRacesThroughTheStores:
     def test_first_touch_get_between_lock_and_commit_aborts(
             self, structure, role):
         """The deref-aborts-commit row: a get that first touches the word
-        after a scan window, between a migration's lock and its commit,
-        stores the word back unlocked in its own frame, so the commit
-        fails and the old slot stays authoritative."""
+        after a scan window, between a migration's lock pass and its commit
+        pass, leaves it unlocked and accessed (ATC tracking is on during
+        the epoch, so its scope's guide use clears the lock before its own
+        frame sets the accessed bit), so the commit fails and the old slot
+        stays authoritative."""
         runtime = TierRuntime(region_length=1 << 22)
         store = make_store(runtime, structure)
         store.set(b"key", PAYLOAD)
         runtime.collector.run_scan_window()  # clears the accessed bits
         index = getattr(store._entry(b"key"), role)
-        word, locked, new_loc = begin_migration(runtime, index)
-        assert store.get(b"key") == PAYLOAD
-        assert finish_migration(runtime, index, word, locked, new_loc) \
-            == "aborted"
+        word = runtime.registry.words[index]
+        got = []
+        counts, _, new_loc = migrate_one(
+            runtime, index, lambda *_: got.append(store.get(b"key")))
+        assert got == [PAYLOAD]
+        assert outcome(counts) == "aborted"
         fields = unpack(runtime.registry.words[index])
         assert fields.locator == word & LOCATOR_MASK
         assert fields.accessed and not fields.migration_lock

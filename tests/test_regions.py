@@ -16,47 +16,47 @@ def small_region(heap=HeapId.NEW, pages=16):
 class TestAllocation:
     def test_size_class_rounding(self):
         region = small_region()
-        loc = region.allocate(30)
-        assert region.allocate(30) == loc + 32  # bump past a 32 B class
-        assert region.read(loc) == bytes(30)  # unwritten: zeros, own length
+        loc = region.install(bytes(30))
+        assert region.install(bytes(30)) == loc + 32  # past a 32 B class
+        assert region.read(loc) == bytes(30)  # the payload, at its length
         region.free(loc)
-        assert region.allocate(17) == loc  # freed into the 32 B class
+        assert region.install(bytes(17)) == loc  # freed into the 32 B class
 
     def test_exact_class_boundary(self):
         region = small_region()
-        a = region.allocate(1024)
-        b = region.allocate(1025)
+        a = region.install(bytes(1024))
+        b = region.install(bytes(1025))
         assert b == a + 1024
-        assert region.allocate(16) == b + 2048
+        assert region.install(bytes(16)) == b + 2048
 
     def test_oversized_payload_rejected(self):
         region = small_region(pages=64)
         with pytest.raises(RegionError):
-            region.allocate((64 << 10) + 1)
+            region.install(bytes((64 << 10) + 1))
 
     def test_non_positive_length_rejected(self):
         region = small_region()
         with pytest.raises(RegionError):
-            region.allocate(0)
+            region.install(bytes(0))
 
     def test_lowest_address_reuse(self):
         region = small_region()
-        locs = [region.allocate(100) for _ in range(8)]
+        locs = [region.install(bytes(100)) for _ in range(8)]
         region.free(locs[2])
         region.free(locs[5])
-        assert region.allocate(100) == locs[2]
-        assert region.allocate(100) == locs[5]
+        assert region.install(bytes(100)) == locs[2]
+        assert region.install(bytes(100)) == locs[5]
 
     def test_exhaustion(self):
         region = HeapRegion(HeapId.HOT, 0, DEFAULT_PAGE_SIZE)
         for _ in range(4):
-            region.allocate(1024)
+            region.install(bytes(1024))
         with pytest.raises(RegionExhausted):
-            region.allocate(1024)
+            region.install(bytes(1024))
 
     def test_double_free_raises(self):
         region = small_region()
-        loc = region.allocate(64)
+        loc = region.install(bytes(64))
         region.free(loc)
         with pytest.raises(DoubleFreeError):
             region.free(loc)
@@ -65,27 +65,27 @@ class TestAllocation:
 class TestDataAndAccounting:
     def test_write_read_roundtrip(self):
         region = small_region()
-        loc = region.allocate(11)
+        loc = region.install(bytes(11))
         region.write(loc, b"hello world")
         assert region.read(loc) == b"hello world"
 
     def test_write_wrong_length_rejected(self):
         region = small_region()
-        loc = region.allocate(4)
+        loc = region.install(bytes(4))
         with pytest.raises(RegionError):
             region.write(loc, b"too long")
 
     def test_read_after_free_raises(self):
         region = small_region()
-        loc = region.allocate(4)
+        loc = region.install(bytes(4))
         region.free(loc)
         with pytest.raises(RegionError):
             region.read(loc)
 
     def test_live_bytes_tracks_payload(self):
         region = small_region()
-        a = region.allocate(100)
-        b = region.allocate(1000)
+        a = region.install(bytes(100))
+        b = region.install(bytes(1000))
         assert region.live_bytes == 1100
         region.free(a)
         assert region.live_bytes == 1000
@@ -95,7 +95,7 @@ class TestDataAndAccounting:
     def test_page_accounting_spans_pages(self):
         region = small_region()
         # 16 KiB slot spans 4 pages exactly
-        loc = region.allocate(16 << 10)
+        loc = region.install(bytes(16 << 10))
         assert region.resident_bytes() == 4 * DEFAULT_PAGE_SIZE
         assert region.live_bytes == 16 << 10
         region.free(loc)
@@ -110,18 +110,20 @@ class TestDataAndAccounting:
             if live and rng.random() < 0.4:
                 region.free(live.pop(rng.randrange(len(live))))
             else:
-                live.append(region.allocate(rng.choice([16, 100, 1024])))
+                live.append(region.install(bytes(rng.choice([16, 100,
+                                                              1024]))))
         region.audit()
 
 
 class TestInstall:
-    """`install` places a payload where `allocate` of its length would,
-    and rejects what `allocate` rejects."""
+    """`install` places a payload where the manager's `allocate` of its
+    length and a `write` would, and rejects what `allocate` rejects."""
 
     def test_places_slots_where_allocate_does(self):
         rng = random.Random(11)
-        allocated = small_region(pages=1024)
-        installed = small_region(pages=1024)
+        managers = [RegionManager(region_length=1024 * DEFAULT_PAGE_SIZE)
+                    for _ in range(2)]
+        allocated, installed = (mgr.region(HeapId.NEW) for mgr in managers)
         live = []
         for i in range(2000):
             if live and rng.random() < 0.45:
@@ -131,8 +133,8 @@ class TestInstall:
                 continue
             payload = bytes([i & 0xFF]) * rng.choice([1, 16, 17, 100, 1024,
                                                       1025, 5000])
-            loc = allocated.allocate(len(payload))
-            allocated.write(loc, payload)
+            loc = managers[0].allocate(HeapId.NEW, len(payload))
+            managers[0].write(loc, payload)
             assert installed.install(payload) == loc
             assert installed.read(loc) is payload  # the object itself
             live.append(loc)
@@ -145,9 +147,10 @@ class TestInstall:
 
     @pytest.mark.parametrize("length", [0, (64 << 10) + 1])
     def test_rejects_what_allocate_rejects(self, length):
-        region = small_region(pages=64)
+        mgr = RegionManager(region_length=64 * DEFAULT_PAGE_SIZE)
+        region = mgr.region(HeapId.NEW)
         with pytest.raises(RegionError) as allocated:
-            region.allocate(length)
+            mgr.allocate(HeapId.NEW, length)
         with pytest.raises(RegionError) as installed:
             region.install(b"x" * length)
         assert type(installed.value) is type(allocated.value)
@@ -155,14 +158,15 @@ class TestInstall:
         assert region.live_slot_count == 0 and region._bump == 0
 
     def test_exhaustion(self):
-        region = HeapRegion(HeapId.HOT, 0, DEFAULT_PAGE_SIZE)
+        mgr = RegionManager(region_length=DEFAULT_PAGE_SIZE)
+        region = mgr.region(HeapId.HOT)
         for _ in range(4):
             region.install(b"x" * 1024)
         for payload in (b"y" * 1024, b"z" * 16):
             with pytest.raises(RegionExhausted) as installed:
                 region.install(payload)
             with pytest.raises(RegionExhausted) as allocated:
-                region.allocate(len(payload))
+                mgr.allocate(HeapId.HOT, len(payload))
             assert str(installed.value) == str(allocated.value)
         assert region.live_slot_count == 4
         assert region.live_bytes == DEFAULT_PAGE_SIZE
@@ -322,7 +326,7 @@ class TestHints:
 
     def test_pageout_coalesces_and_clears_residency(self):
         region = small_region(HeapId.COLD, pages=16)
-        locs = [region.allocate(4096) for _ in range(5)]
+        locs = [region.install(bytes(4096)) for _ in range(5)]
         region.free(locs[2])  # hole at page 2
         events = region.emit_hints(HintKind.PAGEOUT_ADVICE, window=1)
         spans = [(e.start_page, e.end_page) for e in events]

@@ -159,12 +159,11 @@ class TestGuideDiscipline:
         registry = runtime.registry
         store.set(b"k", b"v")
         guide = getattr(entry_of(store, b"k"), role)
-        locked = registry.try_lock_for_migration(guide,
-                                                 registry.words[guide])
-        assert locked is not None
+        word = registry.words[guide]
+        locked = word | LOCK_BIT
+        assert registry.compare_and_swap(guide, word, locked)
         assert store.get(b"k") == b"v"
-        assert not registry.commit_migration(guide, locked,
-                                             locked & ~LOCK_BIT)
+        assert not registry.compare_and_swap(guide, locked, word)
         assert registry.words[guide] & ACCESSED_BIT
         assert not registry.words[guide] & LOCK_BIT
 
@@ -438,12 +437,11 @@ class TestOneFrameGet:
         guide = getattr(entry_of(store, b"k"), role)
         runtime.collector.run_scan_window()
         word = registry.words[guide]
-        locked = registry.try_lock_for_migration(guide, word)
-        assert locked is not None
+        locked = word | LOCK_BIT
+        assert registry.compare_and_swap(guide, word, locked)
         assert store.get(b"k") == b"value"
         assert registry.words[guide] == (word | ACCESSED_BIT)
-        assert not registry.commit_migration(guide, locked,
-                                             locked & ~LOCK_BIT)
+        assert not registry.compare_and_swap(guide, locked, word)
         runtime.audit()
 
     @pytest.mark.parametrize(
@@ -874,10 +872,11 @@ def move_to_hot(runtime, guide: int) -> int:
     new locator."""
     registry, regions = runtime.registry, runtime.regions
     word = registry.words[guide]
-    locked = registry.try_lock_for_migration(guide, word)
+    locked = word | LOCK_BIT
+    assert registry.compare_and_swap(guide, word, locked)
     old = word & LOCATOR_MASK
     new = regions.install(HeapId.HOT, regions.read(old))
-    assert registry.commit_migration(guide, locked,
+    assert registry.compare_and_swap(guide, locked,
                                      pack(new, heap=HeapId.HOT))
     regions.free(old)
     return new

@@ -71,6 +71,15 @@ class TestWorkloadSpec:
         value = make_value(17, 3, 1024)
         assert len(value) == 1024
 
+    def test_key_size_covers_the_id_prefix(self):
+        assert len(make_key(5, 20)) == 20
+        with pytest.raises(ValueError):
+            WorkloadSpec(key_size=19)
+
+    def test_negative_zipf_alpha_rejected(self):
+        with pytest.raises(ValueError):
+            WorkloadSpec(zipf_alpha=-0.5)
+
 
 class TestOpStream:
     def test_deterministic_given_seed(self):
