@@ -1,18 +1,19 @@
 """The object collector: scan windows, classification, epochs, migration.
 
-Once per scan window the collector ages the guide-word arena one lock stripe
-at a time with numpy: under the stripe's lock it copies the stripe's words,
-clears the accessed flag and updates the consecutive-inactive-window count
-(CIW) of every live word, and writes the stripe back.  From the copies it
-then queues, in ascending guide index, promotions (accessed objects in NEW
-or COLD move to HOT) and demotions (objects inactive for at least the cold
+Once per scan window the collector ages the guide-word arena with numpy in
+one exclusive section of the registry (`GuideRegistry.exclusive`: the
+registry lock, then every stripe lock): it copies the arena's words into a
+snapshot, clears the accessed flag and updates the consecutive-inactive-
+window count (CIW) of every live word in place.  From the snapshot it then
+queues, in ascending guide index, promotions (accessed objects in NEW or
+COLD move to HOT) and demotions (objects inactive for at least the cold
 threshold move to COLD).  It adjusts the cold threshold from the observed
 promotion rate and runs one epoch cycle in which queued candidates are
 migrated with the two-CAS optimistic protocol, a chunk of guides at a time.
-Each chunk runs in two passes that each hold all the arena's stripe locks:
-a lock pass that locks every idle word, and a commit pass that publishes
-every copy whose word is still as locked.  Between them, with no stripe
-held, the payloads are read from the source regions' slot dicts and the
+Each chunk runs in two passes, each one exclusive section over a numpy view
+of the arena: a lock pass that locks every idle word, and a commit pass that
+publishes every copy whose word is still as locked.  Between them, with no
+lock held, the payloads are read from the source regions' slot dicts and the
 target region places all the copies with one numpy-vectorized batch
 allocation; after the commit pass each source region frees its moved slots
 in one batch.
@@ -21,8 +22,8 @@ from __future__ import annotations
 
 import json
 import time
-from array import array
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -38,21 +39,20 @@ DEFAULT_PR_TARGET = 0.01       # fraction of the working set per minute
 DEFAULT_SCAN_INTERVAL_S = 120.0
 DEFAULT_CONVERGENCE_FLOOR_S = 0.1
 HINT_STABILITY_WINDOWS = 2
-SCAN_CHUNK = 16384  # guides classified per numpy pass
-# Guides migrated per chunk (two all-stripes passes, one batch allocate, one
+SCAN_CHUNK = 16384  # guides aged, classified or audited per numpy pass
+# Guides migrated per chunk (two exclusive sections, one batch allocate, one
 # batch free per source region).  On a 2-core box, seeds 1-3, 460k moves per
-# run: zipf-read-hashmap's collector_s read medians of 1.14 s at 256 guides
-# per chunk, 1.23 s at 512, 1.12 s at 1,024 and 0.83 s at 4,096 (1.7-2.4 s
-# with the earlier per-word stripe locks and 64-guide chunks); churn-
-# concurrent-hashmap aborted about 240, 340, 600 and 1,570 moves per run of
-# about 123,700 committed at any chunk.  A longer chunk spreads the 512 lock
-# calls of each pass and the numpy calls over more guides, but lengthens
-# each guide's lock-to-commit window (about 1 ms at 1,024), where a
-# mutator's access aborts the move.
+# run: zipf-read-hashmap's collector_s read medians of 1.02 s at 256 guides
+# per chunk, 0.83 s at 512, 0.78 s at 1,024 and 0.76 s at 4,096; churn-
+# concurrent-hashmap aborted about 245, 270, 530 and 1,570 moves per run of
+# about 120,000 committed.  A longer chunk spreads the 514 lock calls of
+# each section and the numpy calls over more guides, but lengthens each
+# guide's lock-to-commit window, where a mutator's access aborts the move.
 MIGRATE_CHUNK = 1024
 
 _AGE_KEEP = WORD_MASK & ~(ACCESSED_BIT | CIW_FIELD)
-_BUSY = LOCK_BIT | ATC_FIELD  # a word with either set is not migrated
+# A word with either set is not migrated; nor, to COLD, an accessed one.
+_BUSY = LOCK_BIT | ATC_FIELD
 _HOT, _COLD, _RESERVED = (int(h) for h in
                           (HeapId.HOT, HeapId.COLD, HeapId.RESERVED))
 
@@ -140,6 +140,14 @@ class MigrationCounts:
         return sum(self.moved_from)
 
 
+def _aged(old: np.ndarray) -> np.ndarray:
+    """Words `old` aged by one window; RESERVED words are kept as they are."""
+    ciw = np.where(old & ACCESSED_BIT, 0,
+                   np.minimum(((old >> CIW_SHIFT) & CIW_MAX) + 1, CIW_MAX))
+    return np.where((old & HEAP_FIELD) != HEAP_FIELD,
+                    (old & _AGE_KEEP) | (ciw << CIW_SHIFT), old)
+
+
 def _count_unique(chunks: list[np.ndarray]) -> int:
     return len(np.unique(np.concatenate(chunks))) if chunks else 0
 
@@ -225,6 +233,10 @@ class Collector:
             raise CollectorError("migrate outside ACTIVE")
         counts = MigrationCounts()
         indices = np.asarray(indices, dtype=np.int64)
+        # The scan's lists ascend strictly, which settles most calls.
+        if len(indices) > 1 and not (np.diff(indices) > 0).all() \
+                and len(np.unique(indices)) < len(indices):
+            raise ValueError("migrate_batch names a guide twice")
         for lo in range(0, len(indices), MIGRATE_CHUNK):
             self._migrate_chunk(indices[lo:lo + MIGRATE_CHUNK], target,
                                 counts)
@@ -232,56 +244,61 @@ class Collector:
 
     def _migrate_chunk(self, chunk: np.ndarray, target: HeapId,
                        counts: MigrationCounts) -> None:
-        """The two-CAS protocol over a chunk of guides, in two passes that
-        each hold every arena stripe lock.
+        """The two-CAS protocol over a chunk of guides, in a lock pass and
+        a commit pass that each run in one exclusive section of the
+        registry (`GuideRegistry.exclusive`) on a numpy view of the arena.
 
         The lock pass locks each word that is idle (no lock, no ATC, not
-        RESERVED) by storing `word | LOCK_BIT`; the others are skipped.
-        With the stripes released, each locked payload is read from its
-        source region's slot dict, and the target region takes every
-        payload object itself into a new slot under one lock acquisition.
-        A payload already freed aborts its move.  The commit pass then
-        compares each word with its locked value: one unchanged publishes
-        the new slot, or is unlocked when the move aborted at the read or
-        found no room; one changed (an access, a scope registration, a
-        delete or a set since the lock) is left alone, and its copy is
-        freed.  The committed objects' old slots are freed with one lock
-        acquisition per source region.
+        RESERVED and, for a move to COLD, not accessed since the scan) by
+        storing `word | LOCK_BIT`; the others are skipped.  Outside the
+        section, each locked payload is read from its source region's slot
+        dict, and the target region takes every payload object itself into
+        a new slot under one lock acquisition.  A payload already freed
+        aborts its move.  The commit pass then compares each word with its
+        locked value: one unchanged publishes the new slot, or is unlocked
+        when the move aborted at the read or found no room; one changed (an
+        access, a scope registration, a delete or a set since the lock) is
+        left alone, and its copy is freed.  The committed objects' old
+        slots are freed with one lock acquisition per source region.
 
-        Deadlock rule: while it holds the stripes, the collector takes no
-        other lock and no numpy view of `registry.words`.  Mutators take at
-        most one stripe, and `GuideRegistry.create` takes the registry lock
-        and then a stripe and may append to `words`, which a buffer export
-        would forbid; so no thread blocked on a stripe holds anything the
-        collector waits for.
+        Deadlock rule: the lock order is the registry lock, then the
+        stripes.  `GuideRegistry.create` takes them in that order, mutators
+        take at most one stripe, and inside the section the collector takes
+        no other lock, so no thread blocked on the section holds anything
+        the collector waits for.  A numpy view of `registry.words` exists
+        only inside the section, where `words` cannot grow; a view that
+        outlived it would make the next appending `create` raise
+        BufferError.
         """
-        words, stripes = self.registry.words, self.registry.stripes
-        for lock in stripes:
-            lock.acquire()
-        try:
-            seen = np.array([words[index] for index in chunk.tolist()],
-                            dtype=np.uint64)
-            idle = ((seen & _BUSY) == 0) & ((seen & HEAP_FIELD) != HEAP_FIELD)
-            guides = chunk[idle]
-            olds = seen[idle]
-            locked = guides.tolist()
-            locked_words = (olds | LOCK_BIT).tolist()
-            for index, word in zip(locked, locked_words):
-                words[index] = word
-        finally:
-            for lock in stripes:
-                lock.release()
-        counts.skipped += len(chunk) - len(locked)
-        if not locked:
+        busy = _BUSY | ACCESSED_BIT if target == HeapId.COLD else _BUSY
+        registry = self.registry
+        with registry.exclusive() as view:
+            try:
+                seen = view[chunk]
+                idle = ((seen & busy) == 0) \
+                    & ((seen & HEAP_FIELD) != HEAP_FIELD)
+                guides = chunk[idle]
+                olds = seen[idle]
+                locked_words = olds | LOCK_BIT
+                view[guides] = locked_words
+            finally:
+                view = None
+        counts.skipped += len(chunk) - len(guides)
+        if not len(guides):
             return
 
         regions = self.regions
         locators = olds & LOCATOR_MASK
         source = (olds >> HEAP_SHIFT) & 3
-        gets = [slots.get for slots in regions.slots]
-        payloads = [gets[heap](offset, b"") for heap, offset in zip(
-            source.tolist(),
-            (locators - source * regions.region_length).tolist())]
+        offsets = (locators - source * regions.region_length).tolist()
+        first = int(source[0])
+        if (source == first).all():  # one source heap, as most chunks have
+            payloads = list(map(regions.slots[first].get, offsets,
+                                repeat(b"")))
+        else:
+            gets = [slots.get for slots in regions.slots]
+            payloads = [gets[heap](offset, b"") for heap, offset in
+                        zip(source.tolist(), offsets)]
         lengths = np.fromiter(map(len, payloads), np.int64, len(payloads))
         read = lengths > 0  # b"": freed by a delete or a set after the lock
         target_region = regions.region(target)
@@ -295,24 +312,17 @@ class Collector:
         copied = new >= 0
         counts.aborted += int(np.count_nonzero(~read))
         counts.skipped += int(np.count_nonzero(read & ~copied))
+        # The new slot, or the word unlocked.
         published = np.where(
-            copied, new.astype(np.uint64) | (int(target) << HEAP_SHIFT),
-            olds).tolist()  # the new slot, or the word unlocked
+            copied, new.astype(np.uint64) | (int(target) << HEAP_SHIFT), olds)
 
-        changed: list[int] = []
-        for lock in stripes:
-            lock.acquire()
-        try:
-            for index, expected, word in zip(locked, locked_words,
-                                             published):
-                if words[index] == expected:
-                    words[index] = word
-                else:
-                    changed.append(index)
-        finally:
-            for lock in stripes:
-                lock.release()
-        committed = copied & ~np.isin(guides, changed) if changed else copied
+        with registry.exclusive() as view:
+            try:
+                same = view[guides] == locked_words
+                view[guides[same]] = published[same]
+            finally:
+                view = None
+        committed = copied & same
         counts.bytes_moved += int(lengths[committed].sum())
         for heap in range(3):
             freed = locators[committed & (source == heap)]
@@ -327,36 +337,28 @@ class Collector:
     # -- scan window ---------------------------------------------------------
 
     def _age_words(self) -> np.ndarray:
-        """Age every live word, one lock stripe at a time.
+        """Age every live word in one exclusive section of the registry.
 
-        Under a stripe's lock, the lock every CAS on its words takes, the
-        stripe is copied out of the arena, aged (accessed cleared; CIW reset
-        to 0 if it was set, else raised by one up to CIW_MAX) and written
-        back with one extended-slice assignment, so no concurrent update is
-        lost.  RESERVED words and guides created after the scan began are
-        left alone.  No view of the arena outlives the stripe copy, so
-        mutators may append to it meanwhile.  Returns the words as they were
-        before aging, in guide-index order, in a buffer reused across
-        windows.
+        Inside the section no word is stored and the arena cannot grow.
+        The arena is copied into the snapshot buffer, reused across
+        windows, and aged in place (accessed cleared; CIW reset to 0 if it
+        was set, else raised by one up to CIW_MAX), SCAN_CHUNK guides at a
+        time so no temporary grows with the arena.  RESERVED words are left
+        alone, and guides created after the section are not aged.  Returns
+        the words as they were before aging, in guide-index order.
         """
-        registry = self.registry
-        words = registry.words
-        n = len(words)
-        if len(self._snapshot) < n:
-            self._snapshot = np.empty(n + n // 4, dtype=np.uint64)
-        snapshot = self._snapshot[:n]
-        step = len(registry.stripes)
-        for s, lock in enumerate(registry.stripes[:n]):
-            with lock:
-                old = np.frombuffer(words[s:n:step], dtype=np.uint64)
-                ciw = np.where(
-                    old & ACCESSED_BIT, 0,
-                    np.minimum(((old >> CIW_SHIFT) & CIW_MAX) + 1, CIW_MAX))
-                aged = (old & _AGE_KEEP) | (ciw << CIW_SHIFT)
-                live = (old & HEAP_FIELD) != HEAP_FIELD
-                aged = np.where(live, aged, old)
-                words[s:n:step] = array("Q", aged.tobytes())
-            snapshot[s::step] = old
+        with self.registry.exclusive() as view:
+            try:
+                n = len(view)
+                if len(self._snapshot) < n:
+                    self._snapshot = np.empty(n + n // 4, dtype=np.uint64)
+                snapshot = self._snapshot[:n]
+                for lo in range(0, n, SCAN_CHUNK):
+                    old = snapshot[lo:lo + SCAN_CHUNK]
+                    old[:] = view[lo:lo + SCAN_CHUNK]
+                    view[lo:lo + SCAN_CHUNK] = _aged(old)
+            finally:
+                view = None
         return snapshot
 
     def scan(self, cold_threshold: int) -> ScanResult:

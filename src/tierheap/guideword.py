@@ -150,14 +150,14 @@ class GuideArena:
     """Guide words stored unboxed in one `array("Q")`, addressed by index.
 
     `words[i]` is guide i's word.  Every store to an existing word happens
-    under the guide's stripe lock, `stripes[i % LOCK_STRIPES]`, so the
-    collector can read and age a whole stripe under one acquisition.
-    CPython has no 64-bit CAS primitive, so compare_and_swap is emulated
-    with that stripe lock; plain loads read `words[i]` directly, which is
-    atomic under the GIL and matches the intended single-word load
-    semantics.  The migration protocol's lock and commit stores are not
-    methods here: `Collector._migrate_chunk` makes them for a chunk of
-    guides at a time while it holds every stripe.
+    under the guide's stripe lock, `stripes[i % LOCK_STRIPES]`, so a
+    holder of every stripe sees no word change: the collector ages the
+    whole arena, and makes the migration protocol's lock and commit
+    stores for a chunk of guides, in one such section
+    (`GuideRegistry.exclusive`, which also holds off appends).  CPython
+    has no 64-bit CAS primitive, so compare_and_swap is emulated with the
+    stripe lock; plain loads read `words[i]` directly, which is atomic
+    under the GIL and matches the intended single-word load semantics.
     """
 
     def __init__(self, words=()):

@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import heapq
 import threading
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from itertools import compress
+from itertools import compress, repeat
 
 import numpy as np
 
@@ -233,8 +234,8 @@ class HeapRegion:
                 if take:
                     members = np.flatnonzero(classes == size_class)[:take]
                     heap = free[size_class]
-                    offsets[members] = [heapq.heappop(heap)
-                                        for _ in range(take)]
+                    offsets[members] = list(map(heapq.heappop,
+                                                repeat(heap, take)))
                     bumped[members] = False
             room = None  # None: every payload has a slot
             sizes = classes[bumped]
@@ -301,27 +302,24 @@ class HeapRegion:
         relative = offsets.tolist()
         with self._lock:
             live = self._live
-            payloads = list(map(live.get, relative))
-            if None in payloads or len(set(relative)) != n:
-                seen: set[int] = set()
-                for locator, offset, payload in zip(locators, relative,
-                                                    payloads):
-                    if payload is None or offset in seen:
-                        raise DoubleFreeError(
-                            f"free of non-live locator {locator:#x} in "
-                            f"{self.heap.name}")
-                    seen.add(offset)
-            for offset in relative:
-                del live[offset]
+            # One lookup per slot: each payload is popped, and all are put
+            # back if one is missing (not live, or named twice).
+            payloads = list(map(live.pop, relative, repeat(None)))
+            if None in payloads:
+                live.update(pair for pair in zip(relative, payloads)
+                            if pair[1] is not None)
+                raise DoubleFreeError(
+                    f"free of non-live locator "
+                    f"{locators[payloads.index(None)]:#x} in "
+                    f"{self.heap.name}")
             lengths = np.fromiter(map(len, payloads), np.int64, n)
             self._account_batch(offsets, lengths, -1)
             ranks = _RANK_OF[(lengths - 1) >> 4]
-            push = heapq.heappush
             for rank, count in enumerate(np.bincount(ranks).tolist()):
                 if count:
-                    free = self._free[SIZE_CLASSES[rank]]
-                    for offset in offsets[ranks == rank].tolist():
-                        push(free, offset)
+                    deque(map(heapq.heappush,  # a C-speed loop
+                              repeat(self._free[SIZE_CLASSES[rank]]),
+                              offsets[ranks == rank].tolist()), 0)
 
     def write(self, locator: int, data: bytes) -> None:
         """Fill a slot; only its allocator writes it, before publishing it."""

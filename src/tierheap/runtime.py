@@ -9,16 +9,21 @@ guide is live exactly when its word's heap bits are not RESERVED.
 from __future__ import annotations
 
 import threading
+from collections import deque
+from contextlib import contextmanager
 
 import numpy as np
 
-from .collector import Collector, ControllerState
+from .collector import SCAN_CHUNK, Collector, ControllerState
 from .guideword import (ATC_FIELD, HEAP_FIELD, HEAP_SHIFT, LOCATOR_MASK,
                         LOCK_STRIPES, GuideArena, GuideProtocolError,
                         tombstone_from, word_heap)
 from .metrics import AccessLog
 from .regions import DEFAULT_PAGE_SIZE, DEFAULT_REGION_LENGTH, RegionManager
 from .scope import EpochState, ScopeManager, ThreadActivityIndex
+
+_LOCK = type(threading.Lock())
+_ACQUIRE, _RELEASE = _LOCK.acquire, _LOCK.release
 
 
 class GuideRegistry(GuideArena):
@@ -34,6 +39,11 @@ class GuideRegistry(GuideArena):
     scope open at a retire, which may still hold the deleted entry, has
     exited.  A word is live exactly when its heap bits are not RESERVED,
     and every RESERVED word is parked on the free list or in the graveyard.
+
+    The registry lock guards the arena's growth: `create` appends to
+    `words` only under it.  The lock order is the registry lock, then
+    stripes; `exclusive` takes both, so the collector can work on a numpy
+    view of the whole arena.
     """
 
     def __init__(self):
@@ -56,6 +66,29 @@ class GuideRegistry(GuideArena):
                 self.words.append(word)
             self.live_count += 1
         return index
+
+    @contextmanager
+    def exclusive(self):
+        """Hold the registry lock, then every stripe, and yield the arena
+        as a writable uint64 numpy view.
+
+        Inside the section no word is stored and `words` cannot grow, so
+        the view stays valid.  It must not outlive the section: a view
+        still exported at an appending `create` makes it raise
+        BufferError.  So the caller deletes its reference before leaving
+        the section, in a `finally` that runs on an exception too, whose
+        traceback would otherwise keep the caller's frame, and the view,
+        alive.
+        """
+        stripes = self.stripes
+        with self._lock:
+            deque(map(_ACQUIRE, stripes), 0)  # a C-speed loop over them
+            try:
+                view = np.frombuffer(self.words, dtype=np.uint64)
+                yield view
+            finally:
+                view = None
+                deque(map(_RELEASE, stripes), 0)
 
     def retire(self, index: int) -> None:
         """Park the tombstoned guide `index` until its ATC drains.
@@ -170,9 +203,11 @@ class TierRuntime:
         """Full-system consistency walk; raises on any drift.
 
         Checks region accounting, the registry's lifetimes against its word
-        arena (`GuideRegistry.audit`), and that every live guide's heap bits
-        match the region its locator falls in.  Run it while no mutator is
-        between a tombstone and its retire.
+        arena (`GuideRegistry.audit`), that every live guide's heap bits
+        match the region its locator falls in, and that its locator is a
+        live slot there that no other live guide names.  Slots no guide
+        names are allowed.  Run it while no mutator is between a tombstone
+        and its retire.
         """
         self.regions.audit()
         self.registry.audit()
@@ -189,3 +224,35 @@ class TierRuntime:
             raise AssertionError(
                 f"guide {index}: heap bits say {word_heap(word).name}, "
                 f"locator {locator:#x} lies in {actual.name}")
+        del heaps, located
+        # Slice by slice, each live locator is looked up in its region's
+        # slot dict and packed into the front of `words`, which is then
+        # sorted in place: no other temporary grows with the arena.
+        slots, length = self.regions.slots, self.regions.region_length
+        packed = 0
+        for lo in range(0, len(words), SCAN_CHUNK):
+            chunk = words[lo:lo + SCAN_CHUNK]
+            live = np.flatnonzero((chunk & HEAP_FIELD) != HEAP_FIELD)
+            locators = chunk[live] & LOCATOR_MASK
+            found = np.fromiter(
+                map(dict.__contains__,
+                    map(slots.__getitem__, (locators // length).tolist()),
+                    (locators % length).tolist()), bool, len(live))
+            if not found.all():
+                bad = int(np.argmin(found))
+                raise AssertionError(
+                    f"guide {lo + int(live[bad])}: locator "
+                    f"{int(locators[bad]):#x} is not a live slot")
+            words[packed:packed + len(live)] = locators
+            packed += len(live)
+        located = words[:packed]
+        located.sort()
+        twice = np.flatnonzero(located[1:] == located[:-1])
+        if len(twice):
+            locator = int(located[twice[0]])
+            words = np.frombuffer(self.registry.words[:], dtype=np.uint64)
+            guides = np.flatnonzero(((words & HEAP_FIELD) != HEAP_FIELD)
+                                    & ((words & LOCATOR_MASK) == locator))
+            raise AssertionError(
+                f"guides {guides.tolist()} name the same slot "
+                f"{locator:#x}")

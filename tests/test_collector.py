@@ -13,6 +13,7 @@ from tierheap.guideword import (ACCESSED_BIT, ATC_FIELD, HEAP_FIELD,
 from tierheap.regions import HintKind, RegionError, RegionExhausted
 from tierheap.runtime import TierRuntime
 from tierheap.scope import Phase
+from tierheap.store import make_store
 
 
 def make_runtime(**kwargs):
@@ -190,13 +191,62 @@ class TestMigrate:
         assert runtime.collector.migrate(index, HeapId.HOT) == "skipped"
         assert word_heap(runtime.registry.words[index]) is HeapId.NEW
 
+    def test_a_guide_named_twice_raises_before_any_lock(self):
+        """Named twice in one batch, a guide would be locked, copied twice
+        and published once, and both copies freed: its word would name a
+        freed HOT slot.  The batch is refused before any word is locked."""
+        runtime = make_runtime()
+        store = make_store(runtime, "hashmap")
+        store.set(b"k", b"value")
+        value_guide = store._entry(b"k").value_guide
+        words = list(runtime.registry.words)
+        self.setup_active(runtime)
+        with pytest.raises(ValueError, match="names a guide twice"):
+            runtime.collector.migrate_batch([value_guide, value_guide],
+                                            HeapId.HOT)
+        assert list(runtime.registry.words) == words
+        runtime.collector.end_epoch()
+        assert store.get(b"k") == b"value"
+        runtime.audit()
+
+    def test_descending_distinct_guides_still_move(self):
+        runtime = make_runtime()
+        guides = [add_object(runtime) for _ in range(3)]
+        self.setup_active(runtime)
+        counts = runtime.collector.migrate_batch(guides[::-1], HeapId.HOT)
+        assert counts.moved == 3
+        runtime.audit()
+
+    @pytest.mark.parametrize("target", [HeapId.COLD, HeapId.HOT])
+    def test_candidate_touched_after_the_scan(self, target):
+        """A demotion candidate a get touches between the scan and the
+        lock pass is busy for a move to COLD: it stays where it is, with
+        its accessed bit.  A move to HOT takes an accessed word."""
+        runtime = make_runtime(ct_init=1)
+        index = add_object(runtime)
+        scan = runtime.collector.scan(1)
+        assert scan.demotions == [index]
+        runtime.registry.dereference(index)
+        self.setup_active(runtime)
+        counts = runtime.collector.migrate_batch(scan.demotions, target)
+        fields = unpack(runtime.registry.words[index])
+        if target is HeapId.COLD:
+            assert (counts.moved, counts.skipped) == (0, 1)
+            assert fields.heap is HeapId.NEW and fields.accessed
+        else:
+            assert counts.moved == 1 and fields.heap is HeapId.HOT
+        runtime.audit()
+
 
 def scalar_migrate(runtime, index: int, target: HeapId) -> str:
     """Scalar reference for the chunked batch path: the two-CAS protocol,
     one object at a time."""
     regions, registry = runtime.regions, runtime.registry
     word = registry.words[index]
-    if word & (LOCK_BIT | ATC_FIELD) or (word & HEAP_FIELD) == HEAP_FIELD:
+    busy = LOCK_BIT | ATC_FIELD
+    if target == HeapId.COLD:
+        busy |= ACCESSED_BIT  # touched since the scan
+    if word & busy or (word & HEAP_FIELD) == HEAP_FIELD:
         return "skipped"
     locked = word | LOCK_BIT
     if not registry.compare_and_swap(index, word, locked):
@@ -242,7 +292,9 @@ def seeded_heap(seed, guides, sizes, page_size=4096,
     and some keep a live word whose slot was freed behind its back, so a
     migration of it aborts at the read.  Returns the runtime and seeded
     promotion (heap not HOT) and demotion (heap not COLD) lists, disjoint
-    and in ascending guide order.
+    and in ascending guide order.  As after a scan, most demotion
+    candidates have the accessed bit clear; the fifth that keep it stand
+    for words touched since the scan, which a move to COLD skips.
     """
     rng = random.Random(seed)
     runtime = TierRuntime(page_size=page_size, region_length=region_length,
@@ -271,6 +323,8 @@ def seeded_heap(seed, guides, sizes, page_size=4096,
             promotions.append(index)
         elif heap != HeapId.COLD and rng.random() < 0.7:
             demotions.append(index)
+            if rng.random() < 0.8:
+                registry.words[index] &= ~ACCESSED_BIT
     return runtime, promotions, demotions
 
 

@@ -15,6 +15,7 @@ import time
 
 import pytest
 
+from tierheap import collector as collector_module
 from tierheap.collector import MIGRATE_CHUNK
 from tierheap.guideword import (ACCESSED_BIT, ATC_FIELD, LOCATOR_MASK,
                                 LOCK_BIT, HeapId, pack, tombstone_from,
@@ -237,13 +238,19 @@ class TestChunkedMigration:
         assert hot.live_slot_count == MIGRATE_CHUNK - 1
         runtime.audit()
 
-    def test_mutator_thread_between_the_stripe_passes(self):
-        """A second thread runs a `registry.create` that reuses a freed
-        index, a set of a chunk member and a first-touch get of another
-        while the chunk sits between its lock and commit passes.  Each
-        takes a stripe (the create under the registry lock), so none may
-        wait on the collector; the two touched guides' commits abort and
-        their copies are freed."""
+    def test_mutator_thread_between_the_stripe_passes(self, monkeypatch):
+        """A second thread races the aging section and then the passes.
+
+        During the scan window that clears the accessed bits, a racer
+        thread appends a guide through `registry.create` (the free list is
+        empty), sets a new key and gets an old one while the arena is being
+        aged: the create and the set wait for the section, so neither meets
+        a buffer export, and the appended word is not aged.  Then a `registry.create` that
+        reuses a freed index, a set of a chunk member and a first-touch get
+        of another run while the chunk sits between its lock and commit
+        passes.  Each takes a stripe (the create under the registry lock),
+        so none may wait on the collector; the two touched guides' commits
+        abort and their copies are freed."""
         runtime = TierRuntime(region_length=1 << 24)
         store = make_store(runtime, "hashmap")
         keys = [b"key-%05d" % i for i in range(MIGRATE_CHUNK)]
@@ -253,8 +260,48 @@ class TestChunkedMigration:
         gone = store._entry(b"gone")
         store.delete(b"gone")
         collector = runtime.collector
-        collector.run_scan_window()  # clears every accessed bit
         registry = runtime.registry
+        arena_length = len(registry.words)
+        waiting = threading.Event()
+        raced, racer_errors = [], []
+
+        def race():
+            try:
+                loc = runtime.regions.install(HeapId.NEW, b"raced")
+                waiting.set()
+                raced.append((registry.create(loc | ACCESSED_BIT), loc))
+                store.set(b"raced", PAYLOAD)
+                raced.append(store.get(keys[0]))
+            except Exception as exc:  # noqa: BLE001 - collected for assert
+                racer_errors.append(exc)
+
+        racer = threading.Thread(target=race, daemon=True)
+        aged = collector_module._aged
+
+        def aged_while_racing(old):
+            if racer.ident is None:  # the first slice: start the racer
+                racer.start()
+                assert waiting.wait(10.0)
+                time.sleep(0.02)  # the racer now waits for the section
+                assert len(registry.words) == arena_length
+            return aged(old)
+
+        scan = collector.scan
+
+        def scan_then_join(cold_threshold):
+            result = scan(cold_threshold)
+            racer.join(10.0)
+            assert not racer.is_alive(), "racer blocked after the section"
+            return result
+
+        monkeypatch.setattr(collector_module, "_aged", aged_while_racing)
+        monkeypatch.setattr(collector, "scan", scan_then_join)
+        collector.run_scan_window()  # clears every accessed bit
+        monkeypatch.undo()
+        assert racer_errors == []
+        (appended, loc), warm = raced
+        assert appended == arena_length and warm == PAYLOAD
+        assert registry.words[appended] == loc | ACCESSED_BIT  # not aged
         assert sorted(registry._free) == sorted(
             (gone.key_guide, gone.value_guide))
         guides = [store._entry(key).value_guide for key in keys]
@@ -300,6 +347,7 @@ class TestChunkedMigration:
                 assert registry.words[index] == pack(copy, heap=HeapId.COLD)
         assert store.get(keys[3]) == b"new-value"
         assert store.get(keys[MIGRATE_CHUNK // 2]) == PAYLOAD
+        assert store.get(b"raced") == PAYLOAD
         runtime.audit()
 
     def test_stress_against_mutators_on_disjoint_keys(self):
@@ -377,6 +425,94 @@ class TestChunkedMigration:
                 + report.skipped_migrations
             assert outcomes == (candidates if report.converged else 0)
         runtime.audit()
+
+
+class TestExclusiveSection:
+    """The collector's passes run in `GuideRegistry.exclusive`: the
+    registry lock, then every stripe, around a numpy view of the arena."""
+
+    def test_appending_creates_racing_scan_windows(self):
+        """One thread appends guides through `create`, with the free list
+        empty, while another runs scan windows with promotions and
+        demotions queued: both finish, no create meets a buffer export,
+        and the audit holds."""
+        runtime = TierRuntime(region_length=1 << 24, ct_init=1)
+        registry, regions = runtime.registry, runtime.regions
+        for i in range(4096):
+            loc = regions.install(HeapId.NEW, PAYLOAD)
+            registry.create(pack(loc, heap=HeapId.NEW, accessed=i % 2 == 0))
+        stop = threading.Event()
+        appended, reports, errors = [], [], []
+
+        def append():
+            try:
+                while not stop.is_set() and len(appended) < 20_000:
+                    loc = regions.install(HeapId.NEW, PAYLOAD)
+                    appended.append(registry.create(
+                        pack(loc, heap=HeapId.NEW, accessed=True)))
+            except Exception as exc:  # noqa: BLE001 - collected for assert
+                errors.append(exc)
+
+        def collect():
+            try:
+                for _ in range(4):
+                    reports.append(runtime.collector.run_scan_window())
+            except Exception as exc:  # noqa: BLE001 - collected for assert
+                errors.append(exc)
+
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            appender = threading.Thread(target=append)
+            collector = threading.Thread(target=collect)
+            appender.start()
+            collector.start()
+            collector.join(60.0)
+            stop.set()
+            appender.join(60.0)
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert not collector.is_alive() and not appender.is_alive()
+        assert errors == []
+        assert len(reports) == 4
+        assert reports[0].new_to_hot >= 2048
+        assert reports[0].demoted_to_cold >= 2048
+        assert appended == list(range(4096, 4096 + len(appended)))
+        assert reports[-1].scanned_guides > 4096  # saw appended guides
+        runtime.audit()
+
+    @pytest.mark.parametrize("section", ["aging", "lock pass"])
+    def test_a_pass_that_raises_leaves_the_section(self, monkeypatch,
+                                                   section):
+        """A pass that raises inside the section releases the registry
+        lock and every stripe, and keeps no view of the arena alive, not
+        even through the traceback: an appending `create` succeeds while
+        the exception is still held."""
+        runtime = TierRuntime(region_length=1 << 22)
+        registry, collector = runtime.registry, runtime.collector
+        loc = runtime.regions.install(HeapId.NEW, PAYLOAD)
+        index = registry.create(pack(loc, heap=HeapId.NEW))
+        word = registry.words[index]
+        if section == "aging":
+            def broken(old):
+                raise RuntimeError("aging failed")
+
+            monkeypatch.setattr(collector_module, "_aged", broken)
+            with pytest.raises(RuntimeError) as failure:
+                collector.scan(1)
+        else:
+            collector.begin_epoch()
+            assert collector.await_convergence()
+            with pytest.raises(IndexError) as failure:
+                collector.migrate_batch([index + 5], HeapId.HOT)
+        assert not registry._lock.locked()
+        for lock in registry.stripes:
+            assert lock.acquire(blocking=False)
+            lock.release()
+        loc = runtime.regions.install(HeapId.NEW, PAYLOAD)
+        assert registry.create(pack(loc, heap=HeapId.NEW)) == index + 1
+        assert failure.value.__traceback__ is not None
+        assert registry.words[index] == word
 
 
 class TestRacesThroughTheStores:

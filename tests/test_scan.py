@@ -319,3 +319,41 @@ class TestArenaAudit:
         runtime.registry.words[0] = pack(3 * REGION_LENGTH, heap=HeapId.COLD)
         with pytest.raises(RegionError, match="outside every region"):
             runtime.audit()
+
+    def test_locator_of_a_freed_slot_fails(self):
+        runtime = self.make_runtime()
+        locator = runtime.registry.words[1] & LOCATOR_MASK
+        runtime.regions.free(locator)  # freed behind the live guide's back
+        with pytest.raises(AssertionError, match=(
+                rf"guide 1: locator {locator:#x} is not a live slot")):
+            runtime.audit()
+
+    def test_two_guides_naming_one_slot_fail(self):
+        runtime = self.make_runtime()
+        words = runtime.registry.words
+        locator = words[0] & LOCATOR_MASK
+        words[1] = words[0]  # guide 1's slot is left with no guide: allowed
+        with pytest.raises(AssertionError, match=(
+                rf"guides \[0, 1\] name the same slot {locator:#x}")):
+            runtime.audit()
+
+    def test_slot_checks_span_many_scan_slices(self):
+        runtime = TierRuntime(region_length=REGION_LENGTH)
+        registry = runtime.registry
+        for i in range(2 * SCAN_CHUNK + 3):
+            heap = HEAPS[i % 3]
+            registry.create(pack(runtime.regions.install(heap, b"s" * 16),
+                                 heap=heap))
+        registry.tombstone(5)  # a RESERVED word is not a guide
+        registry.retire(5)
+        runtime.audit()
+        last = len(registry.words) - 1
+        word = registry.words[last]
+        registry.words[last] = registry.words[SCAN_CHUNK + 7]
+        with pytest.raises(AssertionError, match=(
+                rf"guides \[{SCAN_CHUNK + 7}, {last}\] name the same slot")):
+            runtime.audit()
+        registry.words[last] = word
+        runtime.regions.free(word & LOCATOR_MASK)
+        with pytest.raises(AssertionError, match=rf"guide {last}: locator"):
+            runtime.audit()
