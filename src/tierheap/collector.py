@@ -291,14 +291,9 @@ class Collector:
         locators = olds & LOCATOR_MASK
         source = (olds >> HEAP_SHIFT) & 3
         offsets = (locators - source * regions.region_length).tolist()
-        first = int(source[0])
-        if (source == first).all():  # one source heap, as most chunks have
-            payloads = list(map(regions.slots[first].get, offsets,
-                                repeat(b"")))
-        else:
-            gets = [slots.get for slots in regions.slots]
-            payloads = [gets[heap](offset, b"") for heap, offset in
-                        zip(source.tolist(), offsets)]
+        # Each guide's source slot dict, gathered by one object-array index.
+        dicts = np.array(regions.slots, dtype=object)[source].tolist()
+        payloads = list(map(dict.get, dicts, offsets, repeat(b"")))
         lengths = np.fromiter(map(len, payloads), np.int64, len(payloads))
         read = lengths > 0  # b"": freed by a delete or a set after the lock
         target_region = regions.region(target)

@@ -283,6 +283,8 @@ class TestChunkedMigration:
                 racer.start()
                 assert waiting.wait(10.0)
                 time.sleep(0.02)  # the racer now waits for the section
+                assert racer.is_alive() and raced == [], \
+                    "the racer's create did not wait for the section"
                 assert len(registry.words) == arena_length
             return aged(old)
 
