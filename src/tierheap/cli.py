@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import statistics
 import sys
 import tempfile
@@ -73,8 +74,10 @@ class RunConfig:
             raise ConfigError(f"unknown structure {self.structure!r}")
         if self.windows <= 0 or self.threads <= 0:
             raise ConfigError("windows and threads must be positive")
-        if self.scan_interval <= 0:
-            raise ConfigError("scan interval must be positive")
+        if not 0 < self.scan_interval < math.inf:
+            raise ConfigError("scan interval must be positive and finite")
+        if not 0 <= self.pr_target < math.inf:
+            raise ConfigError("pr-target must be non-negative and finite")
         if not CT_MIN <= self.ct_init <= CT_MAX:
             raise ConfigError(f"ct-init must lie in [{CT_MIN}, {CT_MAX}]")
         largest = SIZE_CLASSES[-1]
@@ -272,8 +275,7 @@ def layout_digest(config: RunConfig) -> str:
 
 
 def _utilization_for(runtime: TierRuntime, access_window: int):
-    return page_utilization(runtime.access_log.entries(access_window),
-                            runtime.regions.page_size)
+    return page_utilization(runtime.access_log.entries(access_window))
 
 
 def _build_summary(config: RunConfig, runtime: TierRuntime,

@@ -30,7 +30,7 @@ import numpy as np
 from .guideword import (ACCESSED_BIT, ATC_FIELD, CIW_FIELD, CIW_MAX,
                         CIW_SHIFT, HEAP_FIELD, HEAP_SHIFT, LOCATOR_MASK,
                         LOCK_BIT, WORD_MASK, HeapId)
-from .regions import HintEvent, HintKind
+from .regions import PAGE_SIZE, HintEvent, HintKind
 from .scope import Phase
 
 CT_MIN = 1
@@ -359,7 +359,6 @@ class Collector:
     def scan(self, cold_threshold: int) -> ScanResult:
         """Age the arena and classify every live guide from its old word."""
         snapshot = self._age_words()
-        page_size = self.regions.page_size
         promotions: list[int] = []
         demotions: list[int] = []
         ws_pages: list[np.ndarray] = []
@@ -372,7 +371,7 @@ class Collector:
             accessed = (old & ACCESSED_BIT) != 0
             scanned += int(np.count_nonzero(live))
             hit = live & accessed
-            pages = (old[hit] & LOCATOR_MASK) // page_size
+            pages = (old[hit] & LOCATOR_MASK) // PAGE_SIZE
             ws_pages.append(np.unique(pages))
             cold_pages.append(np.unique(pages[heap[hit] == _COLD]))
             promote = np.flatnonzero(hit & (heap != _HOT))

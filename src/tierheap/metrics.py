@@ -3,7 +3,8 @@
 Utilization is counted at 64-byte line granularity: for a scan window T, the
 aggregate is sum over touched pages of unique-lines-touched*64 divided by the
 combined capacity of those pages.  Pages with no access in the window are
-excluded from both sums.
+excluded from both sums.  Pages are `regions.PAGE_SIZE` (4 KiB), so the
+access log keeps each page's 64 lines as one uint64 mask.
 """
 from __future__ import annotations
 
@@ -12,6 +13,8 @@ import threading
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .regions import PAGE_SIZE, page_rows
 
 LINE_SIZE = 64
 
@@ -56,8 +59,7 @@ class AccessLog:
     than MERGE_ROWS rows and more rows than the merged pair.
     """
 
-    def __init__(self, page_size: int = 4096):
-        self.page_size = page_size
+    def __init__(self):
         self.window = 1
         self._windows: dict[int, list[tuple[np.ndarray, np.ndarray]]] = \
             {1: []}
@@ -65,8 +67,6 @@ class AccessLog:
         self._loose_rows = 0  # rows folded into _current since its merge
         self.pending: list[int] = []  # offset, length, offset, ...
         self._fold_lock = threading.Lock()
-        self._fold_masks = (_fold_vectorized
-                            if page_size <= 64 * LINE_SIZE else _fold_scalar)
 
     def record(self, *pairs: int) -> None:
         """Log accesses given as offset, length, offset, length, ..."""
@@ -87,7 +87,7 @@ class AccessLog:
         # Copy then delete the prefix: records racing the fold stay behind.
         batch = pending[:n]
         del pending[:n]
-        part = self._fold_masks(batch, self.page_size)
+        part = _fold_masks(batch)
         current = self._current
         current.append(part)
         self._loose_rows += len(part[0])
@@ -101,7 +101,7 @@ class AccessLog:
                                     np.concatenate([m for _, m in parts]))]
         if parts is self._current:
             self._loose_rows = 0
-        return parts[0] if parts else self._fold_masks([], self.page_size)
+        return parts[0] if parts else _fold_masks([])
 
     def advance(self) -> int:
         """Close the current window and start the next; returns its index."""
@@ -129,50 +129,19 @@ class AccessLog:
         return sorted(self._windows)
 
 
-def _fold_scalar(batch: list[int], page_size: int):
-    """(pages, line masks) of every page each record of a flat (offset,
-    length) list touches, one row per record and page, in record order.
-
-    Masks are Python ints in an object array, as a page may have more than
-    64 lines.
-    """
-    pages, masks = [], []
-    for offset, length in zip(batch[::2], batch[1::2]):
-        if length <= 0:
-            continue
-        end = offset + length
-        for page in range(offset // page_size, (end - 1) // page_size + 1):
-            page_start = page * page_size
-            a = max(offset, page_start) - page_start
-            b = min(end, page_start + page_size) - page_start
-            first = a // LINE_SIZE
-            last = (b - 1) // LINE_SIZE
-            pages.append(page)
-            masks.append(((1 << (last - first + 1)) - 1) << first)
-    return (np.array(pages, dtype=np.int64),
-            np.array(masks, dtype=object))
-
-
-def _fold_vectorized(batch: list[int], page_size: int):
-    """_fold_scalar's rows OR-merged per page, for at most 64 lines a page,
-    with the masks as uint64."""
+def _fold_masks(batch: list[int]):
+    """(pages, uint64 line masks) of the pages a flat (offset, length, ...)
+    list of records touches, OR-merged per page, pages in the order of
+    their first touch.  Records of length 0 or less touch nothing."""
     rec = np.fromiter(batch, np.int64, len(batch)).reshape(-1, 2)
     if len(rec) and rec[:, 1].min() <= 0:
         rec = rec[rec[:, 1] > 0]
-    offset, end = rec[:, 0], rec[:, 0] + rec[:, 1]
-    first_page = offset // page_size
-    spans = (end - 1) // page_size - first_page + 1
-    if len(spans) and spans.max() > 1:  # one row per (record, page) pair
-        row = np.repeat(np.arange(len(rec)), spans)
-        step = np.arange(len(row)) - np.repeat(np.cumsum(spans) - spans,
-                                               spans)
-        page = first_page[row] + step
-        offset, end = offset[row], end[row]
-    else:
-        page = first_page
-    page_start = page * page_size
+    row, page = page_rows(rec[:, 0], rec[:, 1])
+    offset = rec[:, 0][row]
+    end = offset + rec[:, 1][row]
+    page_start = page * PAGE_SIZE
     first = (np.maximum(offset, page_start) - page_start) // LINE_SIZE
-    last = (np.minimum(end, page_start + page_size) - page_start - 1) \
+    last = (np.minimum(end, page_start + PAGE_SIZE) - page_start - 1) \
         // LINE_SIZE
     masks = (_ALL_LINES >> (63 - last).astype(np.uint64)) \
         & (_ALL_LINES << first.astype(np.uint64))
@@ -193,7 +162,7 @@ def _or_by_page(pages: np.ndarray, masks: np.ndarray):
 
 
 def page_utilization(entries: list[AccessLogEntry],
-                     page_size: int = 4096) -> UtilizationReport:
+                     page_size: int = PAGE_SIZE) -> UtilizationReport:
     """Aggregate and per-page utilization over one window's access log."""
     merged: dict[int, int] = {}
     for entry in entries:

@@ -3,9 +3,10 @@
 Each heap temperature (NEW, HOT, COLD) gets one contiguous reserved range of
 the 48-bit managed space and sub-allocates object slots from power-of-two
 size classes.  A live slot holds only its payload bytes; its length and size
-class follow from them.  Page accounting is three flat per-region arrays
-indexed by region-relative page and grown with the bump pointer: live bytes
-and live slots (lists of ints) and a simulated residency flag
+class follow from them.  The page is a fixed 4 KiB (`PAGE_SIZE`), so a
+page's 64-byte lines fit one 64-bit mask.  Page accounting is two flat
+per-region arrays indexed by region-relative page and grown with the bump
+pointer: live slots (a list of ints) and a simulated residency flag
 (`bytearray`), so reclaim advice can be modeled without touching the OS.
 Single-slot `install` and `free` index them directly; the batch paths,
 `audit` and `emit_hints` compute over them with numpy.
@@ -23,7 +24,7 @@ import numpy as np
 
 from .guideword import LOCATOR_MASK, HeapId
 
-DEFAULT_PAGE_SIZE = 4096
+PAGE_SIZE = 4096
 DEFAULT_REGION_LENGTH = 4 << 30  # 4 GiB per heap
 SIZE_CLASSES = tuple(1 << i for i in range(4, 17))  # 16 B .. 64 KiB
 
@@ -49,6 +50,17 @@ _CLASS_OF = [next(c for c in SIZE_CLASSES if c >= (i + 1) << 4)
 _RANK_OF = np.array([SIZE_CLASSES.index(c) for c in _CLASS_OF], np.int64)
 _SIZE_CLASSES_NP = np.array(SIZE_CLASSES, np.int64)
 _MAX_LENGTH = SIZE_CLASSES[-1]
+
+
+def page_rows(offsets: np.ndarray, lengths: np.ndarray):
+    """One row per (slot, page) pair that the byte ranges [offset, offset +
+    length) touch: each row's slot index and page, slot by slot and each
+    slot's pages in order.  Every length must be positive."""
+    first = offsets // PAGE_SIZE
+    spans = (offsets + lengths - 1) // PAGE_SIZE - first + 1
+    slot = np.repeat(np.arange(len(spans)), spans)
+    return slot, first[slot] + np.arange(len(slot)) \
+        - np.repeat(np.cumsum(spans) - spans, spans)
 
 
 def _check_length(length: int) -> None:
@@ -83,27 +95,25 @@ class HeapRegion:
 
     Free slots are kept in per-class min-heaps so allocation always returns
     the lowest-addressed free slot of the smallest sufficient class, falling
-    back to bump allocation at the end of the used prefix.  The page
-    counters cover exactly the pages the bump pointer has reached.
+    back to bump allocation at the end of the used prefix.  Per page it
+    keeps the count of live slots that touch the page and a residency
+    flag, for exactly the pages the bump pointer has reached.
     """
 
-    def __init__(self, heap: HeapId, base: int, length: int,
-                 page_size: int = DEFAULT_PAGE_SIZE):
-        if length % page_size:
+    def __init__(self, heap: HeapId, base: int, length: int):
+        if length % PAGE_SIZE:
             raise RegionError("region length must be page aligned")
         if base + length - 1 > LOCATOR_MASK:
             raise RegionError("region exceeds the 48-bit managed space")
         self.heap = heap
         self.base = base
         self.length = length
-        self.page_size = page_size
         self._free: dict[int, list[int]] = {c: [] for c in SIZE_CLASSES}
         self._bump = 0
         self._live: dict[int, bytes] = {}  # region-relative offset -> payload
-        # Per region-relative page: live bytes, live slots, residency.
-        # Counters are lists: `install` and `free` update them in place,
-        # and a list item costs about half of an `array("q")` item.
-        self._page_bytes: list[int] = []
+        # Per region-relative page: live slots, residency.  The counter is
+        # a list: `install` and `free` update it in place, and a list item
+        # costs about half of an `array("q")` item.
         self._page_slots: list[int] = []
         self._resident = bytearray()
         self._page_end = 0  # offsets below this have counters
@@ -112,56 +122,28 @@ class HeapRegion:
 
     def _grow(self, end: int) -> None:
         """Extend the page counters to cover offsets below `end`."""
-        ps = self.page_size
-        extra = (end + ps - 1) // ps - len(self._resident)
-        self._page_bytes += [0] * extra
+        extra = (end + PAGE_SIZE - 1) // PAGE_SIZE - len(self._resident)
         self._page_slots += [0] * extra
         self._resident += bytes(extra)
-        self._page_end = len(self._resident) * ps
+        self._page_end = len(self._resident) * PAGE_SIZE
 
     def _account(self, offset: int, length: int, sign: int) -> None:
-        """Add (`sign` +1) or remove (-1) a slot's bytes page by page."""
-        ps = self.page_size
-        end = offset + length
-        for page in range(offset // ps, (end - 1) // ps + 1):
-            self._page_bytes[page] += sign * (
-                min(end, (page + 1) * ps) - max(offset, page * ps))
+        """Add (`sign` +1) or remove (-1) a slot on each page it touches."""
+        for page in range(offset // PAGE_SIZE,
+                          (offset + length - 1) // PAGE_SIZE + 1):
             self._page_slots[page] += sign
             if sign > 0:
                 self._resident[page] = 1
         self.live_bytes += sign * length
 
-    def _page_spans(self, offsets: np.ndarray, lengths: np.ndarray):
-        """The pages slots [offset, offset + length) touch, one entry per
-        (slot, page) pair, and the bytes each pair holds."""
-        ps = self.page_size
-        first = offsets // ps
-        spans = (offsets + lengths - 1) // ps - first + 1
-        if not len(spans) or spans.max() == 1:
-            return first, lengths
-        slot = np.repeat(np.arange(len(spans)), spans)
-        pages = first[slot] + np.arange(len(slot)) \
-            - np.repeat(np.cumsum(spans) - spans, spans)
-        starts = offsets[slot]
-        overlaps = np.minimum(starts + lengths[slot], (pages + 1) * ps) \
-            - np.maximum(starts, pages * ps)
-        return pages, overlaps
-
     def _account_batch(self, offsets: np.ndarray, lengths: np.ndarray,
                        sign: int) -> None:
-        """`_account` for many slots: numpy sums each page's change, and
-        each touched page's counters are updated once."""
-        pages, overlaps = self._page_spans(offsets, lengths)
-        order = pages.argsort(kind="stable")
-        pages = pages[order]
-        starts = np.flatnonzero(np.diff(pages, prepend=-1))
-        touched = pages[starts]
-        page_bytes, page_slots = self._page_bytes, self._page_slots
-        for page, nbytes, nslots in zip(
-                touched.tolist(),
-                np.add.reduceat(overlaps[order], starts).tolist(),
-                np.diff(starts, append=len(pages)).tolist()):
-            page_bytes[page] += sign * nbytes
+        """`_account` for many slots: numpy counts each page's slots, and
+        each touched page's counter is updated once."""
+        touched, counts = np.unique(page_rows(offsets, lengths)[1],
+                                    return_counts=True)
+        page_slots = self._page_slots
+        for page, nslots in zip(touched.tolist(), counts.tolist()):
             page_slots[page] += sign * nslots
         if sign > 0:
             np.frombuffer(self._resident, np.uint8)[touched] = 1
@@ -191,10 +173,8 @@ class HeapRegion:
                     self._grow(end)
                 self._bump = end
             self._live[offset] = payload
-            ps = self.page_size
-            page = offset // ps
-            if (offset + length - 1) // ps == page:
-                self._page_bytes[page] += length
+            page = offset // PAGE_SIZE
+            if (offset + length - 1) // PAGE_SIZE == page:
                 self._page_slots[page] += 1
                 self._resident[page] = 1
                 self.live_bytes += length
@@ -277,10 +257,8 @@ class HeapRegion:
                 raise DoubleFreeError(f"free of non-live locator "
                                       f"{locator:#x} in {self.heap.name}")
             length = len(payload)
-            ps = self.page_size
-            page = offset // ps
-            if (offset + length - 1) // ps == page:
-                self._page_bytes[page] -= length
+            page = offset // PAGE_SIZE
+            if (offset + length - 1) // PAGE_SIZE == page:
                 self._page_slots[page] -= 1
                 self.live_bytes -= length
             else:
@@ -341,18 +319,17 @@ class HeapRegion:
     def live_slot_count(self) -> int:
         return len(self._live)
 
-    def page_table(self) -> dict[int, tuple[int, int, bool]]:
-        """Absolute page index -> (live bytes, live slots, resident) for
-        every page below the bump pointer."""
-        first = self.base // self.page_size
+    def page_table(self) -> dict[int, tuple[int, bool]]:
+        """Absolute page index -> (live slots, resident) for every page
+        below the bump pointer."""
+        first = self.base // PAGE_SIZE
         with self._lock:
-            return {first + page: (live_bytes, live_slots, bool(resident))
-                    for page, (live_bytes, live_slots, resident) in
-                    enumerate(zip(self._page_bytes, self._page_slots,
-                                  self._resident))}
+            return {first + page: (live_slots, bool(resident))
+                    for page, (live_slots, resident) in
+                    enumerate(zip(self._page_slots, self._resident))}
 
     def resident_bytes(self) -> int:
-        return self._resident.count(1) * self.page_size
+        return self._resident.count(1) * PAGE_SIZE
 
     def emit_hints(self, kind: HintKind, window: int = 0) -> list[HintEvent]:
         """Hint events for this region.
@@ -361,11 +338,10 @@ class HeapRegion:
         maximal ranges, and clears their residency flag (simulated
         reclamation).  Any other kind is one event covering the whole region.
         """
-        ps = self.page_size
-        first = self.base // ps
+        first = self.base // PAGE_SIZE
         if kind is not HintKind.PAGEOUT_ADVICE:
             return [HintEvent(kind, self.heap, first,
-                              first + self.length // ps, window)]
+                              first + self.length // PAGE_SIZE, window)]
         with self._lock:
             pages = np.flatnonzero(np.array(self._page_slots) > 0)
             np.frombuffer(self._resident, np.uint8)[pages] = 0
@@ -385,22 +361,15 @@ class HeapRegion:
             lengths = np.fromiter(map(len, live.values()), np.int64, n)
             if int(lengths.sum()) != self.live_bytes:
                 raise RegionError("live byte accounting drifted")
-            pages, overlaps = self._page_spans(
-                np.fromiter(live, np.int64, n), lengths)
+            pages = page_rows(np.fromiter(live, np.int64, n), lengths)[1]
             count = len(self._resident)
-            expected_bytes = np.zeros(max(count, int(pages.max(initial=0))
-                                          + 1), np.int64)
-            np.add.at(expected_bytes, pages, overlaps)
-            expected_slots = np.bincount(pages, minlength=len(expected_bytes))
-            page_bytes = np.zeros_like(expected_bytes)
-            page_slots = np.zeros_like(expected_bytes)
-            page_bytes[:count] = self._page_bytes
+            expected = np.bincount(pages, minlength=count)
+            page_slots = np.zeros_like(expected)
             page_slots[:count] = self._page_slots
-            drifted = np.flatnonzero((page_bytes != expected_bytes)
-                                     | (page_slots != expected_slots))
+            drifted = np.flatnonzero(page_slots != expected)
             if len(drifted):
                 raise RegionError(
-                    f"page {self.base // self.page_size + int(drifted[0])} "
+                    f"page {self.base // PAGE_SIZE + int(drifted[0])} "
                     f"accounting drifted")
             # Empty pages lose simulated residency on audit.
             np.frombuffer(self._resident, np.uint8)[page_slots[:count]
@@ -410,14 +379,15 @@ class HeapRegion:
 class RegionManager:
     """The three temperature regions packed back to back in locator space."""
 
-    def __init__(self, region_length: int = DEFAULT_REGION_LENGTH,
-                 page_size: int = DEFAULT_PAGE_SIZE):
+    # Always PAGE_SIZE; kept because the benchmark harness reads the page
+    # size from `runtime.regions.page_size`.
+    page_size = PAGE_SIZE
+
+    def __init__(self, region_length: int = DEFAULT_REGION_LENGTH):
         if 3 * region_length - 1 > LOCATOR_MASK:
             raise RegionError("regions overflow the 48-bit managed space")
-        self.page_size = page_size
         self.regions = {
-            heap: HeapRegion(heap, i * region_length, region_length,
-                             page_size)
+            heap: HeapRegion(heap, i * region_length, region_length)
             for i, heap in enumerate((HeapId.NEW, HeapId.HOT, HeapId.COLD))
         }
         self.region_length = region_length

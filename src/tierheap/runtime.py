@@ -19,7 +19,7 @@ from .guideword import (ATC_FIELD, HEAP_FIELD, HEAP_SHIFT, LOCATOR_MASK,
                         LOCK_STRIPES, GuideArena, GuideProtocolError,
                         tombstone_from, word_heap)
 from .metrics import AccessLog
-from .regions import DEFAULT_PAGE_SIZE, DEFAULT_REGION_LENGTH, RegionManager
+from .regions import DEFAULT_REGION_LENGTH, RegionManager
 from .scope import EpochState, ScopeManager, ThreadActivityIndex
 
 _LOCK = type(threading.Lock())
@@ -174,19 +174,18 @@ class GuideRegistry(GuideArena):
 
 
 class TierRuntime:
-    def __init__(self, *, page_size: int = DEFAULT_PAGE_SIZE,
-                 region_length: int = DEFAULT_REGION_LENGTH,
+    def __init__(self, *, region_length: int = DEFAULT_REGION_LENGTH,
                  scan_interval_s: float = 120.0,
                  pr_target: float = 0.01,
                  ct_init: int = 3,
                  hinted: bool = False,
                  track_access_log: bool = True):
-        self.regions = RegionManager(region_length, page_size)
+        self.regions = RegionManager(region_length)
         self.registry = GuideRegistry()
         self.epoch_state = EpochState()
         self.tai = ThreadActivityIndex()
         self.scope = ScopeManager(self.registry, self.tai, self.epoch_state)
-        self.access_log = AccessLog(page_size) if track_access_log else None
+        self.access_log = AccessLog() if track_access_log else None
         controller = ControllerState(cold_threshold=ct_init,
                                      pr_target=pr_target,
                                      scan_interval_s=scan_interval_s)

@@ -9,10 +9,13 @@ insertion order.
 from __future__ import annotations
 
 import csv
+import math
 import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .regions import SIZE_CLASSES
 
 OPS = ("get", "set", "del")
 
@@ -36,8 +39,11 @@ class WorkloadSpec:
     seed: int = 42
 
     def __post_init__(self):
-        total = (self.read_pct + self.update_pct
-                 + self.insert_pct + self.delete_pct)
+        pcts = (self.read_pct, self.update_pct, self.insert_pct,
+                self.delete_pct)
+        if not all(0 <= pct <= 100 for pct in pcts):  # NaN fails too
+            raise ValueError("each operation percentage must lie in [0, 100]")
+        total = sum(pcts)
         if abs(total - 100.0) > 1e-6:
             raise ValueError(
                 f"operation percentages sum to {total}, expected 100")
@@ -46,8 +52,8 @@ class WorkloadSpec:
         if self.key_size < 20:
             raise ValueError("key_size must be at least 20 bytes, the "
                              "length of make_key's id prefix")
-        if self.zipf_alpha < 0:
-            raise ValueError("zipf_alpha must be non-negative")
+        if not 0 <= self.zipf_alpha < math.inf:
+            raise ValueError("zipf_alpha must be finite and non-negative")
 
 
 def make_key(key_id: int, key_size: int) -> bytes:
@@ -165,7 +171,9 @@ def write_trace(records, path) -> None:
 
 
 def read_trace(path) -> list[TraceRecord]:
-    """Parse a `ts_ms,op,key,size` CSV; errors carry 1-based line numbers."""
+    """Parse a `ts_ms,op,key,size` CSV; errors carry 1-based line numbers.
+    Keys and sizes must fit a size class, so that a set can store them."""
+    largest = SIZE_CLASSES[-1]
     records = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -187,11 +195,14 @@ def read_trace(path) -> list[TraceRecord]:
             except ValueError as exc:
                 raise TraceParseError(
                     f"{path}:{lineno}: non-integer field: {exc}") from None
-            if ts_ms < 0 or size < 0:
+            key = key.encode("latin-1")
+            if ts_ms < 0 or not 0 <= size <= largest \
+                    or not 0 < len(key) <= largest:
                 raise TraceParseError(
-                    f"{path}:{lineno}: negative ts_ms or size")
-            records.append(TraceRecord(ts_ms, op,
-                                       key.encode("latin-1"), size))
+                    f"{path}:{lineno}: ts_ms must be non-negative, size "
+                    f"in [0, {largest}] and the key 1 to {largest} bytes; "
+                    f"got {ts_ms}, {size} and {len(key)}")
+            records.append(TraceRecord(ts_ms, op, key, size))
     return records
 
 

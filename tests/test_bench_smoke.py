@@ -21,9 +21,12 @@ ROOT = Path(__file__).resolve().parent.parent
      # The only run whose mutator scopes race the collector's convergence
      # wait: its scan windows run on a second thread.  Traced, it is also
      # the only one whose tracked scopes the tracer's wrappers see.
-     ("churn-concurrent-hashmap", "0"), ("churn-concurrent-hashmap", "1")],
+     ("churn-concurrent-hashmap", "0"), ("churn-concurrent-hashmap", "1"),
+     # The 200k-guide scan: its windows move the most guides per chunk
+     # through the batch paths of the regions.
+     ("zipf-read-hashmap", "0")],
     ids=["0", "1", "churn-concurrent-hashmap-0",
-         "churn-concurrent-hashmap-1"])
+         "churn-concurrent-hashmap-1", "zipf-read-hashmap-0"])
 def test_benchmark_runs_and_is_correct(workload, trace):
     proc = subprocess.run(
         [sys.executable, str(ROOT / "tierbench" / "run.py"),

@@ -249,6 +249,10 @@ class TestExitCodes:
         ["--ct-init", "0"], ["--ct-init", "40"],
         ["--value-size", "0"], ["--value-size", "70000"],
         ["--zipf-alpha", "-1"], ["--key-size", "19"],
+        ["--read-pct", "150", "--update-pct", "-50"],
+        ["--read-pct", "nan", "--update-pct", "100"],
+        ["--zipf-alpha", "nan"], ["--scan-interval", "nan"],
+        ["--pr-target", "nan"], ["--pr-target", "-1"],
     ], ids="-".join)
     def test_invalid_windows_is_usage_error(self, args):
         assert main(["--keys", "50", "--ops", "100", "--windows", "1"]
@@ -260,6 +264,18 @@ class TestExitCodes:
         code = main(["--keys", "10", "--ops", "0", "--value-size", "64",
                      "--trace", str(path)])
         assert code == 2
+
+    @pytest.mark.parametrize("row", [
+        "0,set,,10", "0,get," + "k" * 65537 + ",0", "0,set,k1,70000",
+    ], ids=["empty-key", "long-key", "large-size"])
+    def test_unstorable_trace_row_is_usage_error(self, tmp_path, capsys,
+                                                 row):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"ts_ms,op,key,size\n0,set,k0,64\n{row}\n")
+        code = main(["--keys", "10", "--ops", "0", "--value-size", "64",
+                     "--trace", str(path)])
+        assert code == 2
+        assert ":3:" in capsys.readouterr().err
 
     def test_missing_trace_is_runtime_fault(self, tmp_path):
         code = main(["--keys", "10", "--ops", "0", "--value-size", "64",

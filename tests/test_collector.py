@@ -283,8 +283,7 @@ def heap_state(runtime):
     return list(runtime.registry.words), regions
 
 
-def seeded_heap(seed, guides, sizes, page_size=4096,
-                region_length=1 << 22):
+def seeded_heap(seed, guides, sizes, region_length=1 << 22):
     """A runtime with `guides` objects of random sizes in random heaps.
 
     Half the words carry the accessed bit, some carry the lock bit or an
@@ -297,8 +296,7 @@ def seeded_heap(seed, guides, sizes, page_size=4096,
     for words touched since the scan, which a move to COLD skips.
     """
     rng = random.Random(seed)
-    runtime = TierRuntime(page_size=page_size, region_length=region_length,
-                          scan_interval_s=120.0)
+    runtime = TierRuntime(region_length=region_length, scan_interval_s=120.0)
     registry = runtime.registry
     for _ in range(guides):
         heap = rng.choice((HeapId.NEW, HeapId.HOT, HeapId.COLD))
@@ -363,8 +361,8 @@ class TestBatchMatchesScalarReference:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_objects_spanning_two_pages(self, seed):
-        migrate_both_ways(seed, 3 * MIGRATE_CHUNK, (700, 1500, 3000),
-                          page_size=1024)
+        migrate_both_ways(seed, 3 * MIGRATE_CHUNK, (2800, 6000, 12000),
+                          region_length=1 << 26)
 
     def test_freed_cold_slot_is_reused_by_a_later_demotion(self):
         def build():

@@ -31,8 +31,8 @@ def brute_force_utilization(accesses, page_size=PAGE):
     return per_page, aggregate
 
 
-def log_of(accesses, page_size=PAGE):
-    log = AccessLog(page_size)
+def log_of(accesses):
+    log = AccessLog()
     for offset, length in accesses:
         log.record(offset, length)
     return log.entries(1)
@@ -95,7 +95,7 @@ class TestPageUtilization:
 
 class TestAccessLog:
     def test_windows_advance(self):
-        log = AccessLog(PAGE)
+        log = AccessLog()
         log.record(0, 64)
         log.advance()
         log.record(PAGE, 64)
@@ -104,14 +104,14 @@ class TestAccessLog:
         assert {e.page for e in log.entries(2)} == {1}
 
     def test_duplicate_touches_merge(self):
-        log = AccessLog(PAGE)
+        log = AccessLog()
         log.record(0, 64)
         log.record(0, 64)
         (entry,) = log.entries(1)
         assert entry.line_mask == 1
 
     def test_zero_length_ignored(self):
-        log = AccessLog(PAGE)
+        log = AccessLog()
         log.record(0, 0)
         assert log.entries(1) == []
 
@@ -135,10 +135,10 @@ def scalar_fold(records, page_size):
 
 
 class TestFoldedAccessLog:
-    @pytest.mark.parametrize("page_size", [1024, PAGE, 8192])
+    @pytest.mark.parametrize("page_size", [PAGE])
     def test_matches_scalar_fold(self, page_size):
         rng = random.Random(page_size)
-        log = AccessLog(page_size)
+        log = AccessLog()
         expected = {}
         for window in (1, 2, 3):
             records = []
@@ -178,7 +178,7 @@ class TestFoldedAccessLog:
         match the scalar fold."""
         monkeypatch.setattr(metrics, "MERGE_ROWS", 2000)
         rng = random.Random(11)
-        log = AccessLog(PAGE)
+        log = AccessLog()
         records = []
         peak_rows = 0
         for _ in range(40):  # ~2,200 pages per fold, 3,000 in all
@@ -201,7 +201,7 @@ class TestFoldedAccessLog:
         batches, a read mid-window, and a window merged early."""
         monkeypatch.setattr(metrics, "MERGE_ROWS", 2000)
         rng = random.Random(5)
-        paired, single = AccessLog(PAGE), AccessLog(PAGE)
+        paired, single = AccessLog(), AccessLog()
         # Window 2 stays under one fold batch; window 3 merges early.
         for count in (FOLD_BATCH + 1, FOLD_BATCH // 3, 20 * FOLD_BATCH):
             for i in range(count):
@@ -220,7 +220,7 @@ class TestFoldedAccessLog:
             assert paired.entries(window) == single.entries(window)
 
     def test_odd_length_record_raises(self):
-        log = AccessLog(PAGE)
+        log = AccessLog()
         log.record(0, 64)
         with pytest.raises(ValueError):
             log.record(PAGE, 64, 2 * PAGE)
@@ -228,7 +228,7 @@ class TestFoldedAccessLog:
         assert [(e.page, e.line_mask) for e in log.entries(1)] == [(0, 1)]
 
     def test_no_record_lost_to_concurrent_advance(self):
-        log = AccessLog(PAGE)
+        log = AccessLog()
         per_thread = 3 * FOLD_BATCH
         done = threading.Event()
 

@@ -4,13 +4,13 @@ import random
 import pytest
 
 from tierheap.guideword import HeapId
-from tierheap.regions import (DEFAULT_PAGE_SIZE, DoubleFreeError, HeapRegion,
+from tierheap.regions import (PAGE_SIZE, DoubleFreeError, HeapRegion,
                               HintEvent, HintKind, RegionError,
                               RegionExhausted, RegionManager, write_hint_log)
 
 
 def small_region(heap=HeapId.NEW, pages=16):
-    return HeapRegion(heap, 0, pages * DEFAULT_PAGE_SIZE)
+    return HeapRegion(heap, 0, pages * PAGE_SIZE)
 
 
 class TestAllocation:
@@ -48,7 +48,7 @@ class TestAllocation:
         assert region.install(bytes(100)) == locs[5]
 
     def test_exhaustion(self):
-        region = HeapRegion(HeapId.HOT, 0, DEFAULT_PAGE_SIZE)
+        region = HeapRegion(HeapId.HOT, 0, PAGE_SIZE)
         for _ in range(4):
             region.install(bytes(1024))
         with pytest.raises(RegionExhausted):
@@ -96,7 +96,7 @@ class TestDataAndAccounting:
         region = small_region()
         # 16 KiB slot spans 4 pages exactly
         loc = region.install(bytes(16 << 10))
-        assert region.resident_bytes() == 4 * DEFAULT_PAGE_SIZE
+        assert region.resident_bytes() == 4 * PAGE_SIZE
         assert region.live_bytes == 16 << 10
         region.free(loc)
         region.audit()  # audit clears residency of emptied pages
@@ -121,7 +121,7 @@ class TestInstall:
 
     def test_places_slots_where_allocate_does(self):
         rng = random.Random(11)
-        managers = [RegionManager(region_length=1024 * DEFAULT_PAGE_SIZE)
+        managers = [RegionManager(region_length=1024 * PAGE_SIZE)
                     for _ in range(2)]
         allocated, installed = (mgr.region(HeapId.NEW) for mgr in managers)
         live = []
@@ -147,7 +147,7 @@ class TestInstall:
 
     @pytest.mark.parametrize("length", [0, (64 << 10) + 1])
     def test_rejects_what_allocate_rejects(self, length):
-        mgr = RegionManager(region_length=64 * DEFAULT_PAGE_SIZE)
+        mgr = RegionManager(region_length=64 * PAGE_SIZE)
         region = mgr.region(HeapId.NEW)
         with pytest.raises(RegionError) as allocated:
             mgr.allocate(HeapId.NEW, length)
@@ -158,7 +158,7 @@ class TestInstall:
         assert region.live_slot_count == 0 and region._bump == 0
 
     def test_exhaustion(self):
-        mgr = RegionManager(region_length=DEFAULT_PAGE_SIZE)
+        mgr = RegionManager(region_length=PAGE_SIZE)
         region = mgr.region(HeapId.HOT)
         for _ in range(4):
             region.install(b"x" * 1024)
@@ -169,7 +169,7 @@ class TestInstall:
                 mgr.allocate(HeapId.HOT, len(payload))
             assert str(installed.value) == str(allocated.value)
         assert region.live_slot_count == 4
-        assert region.live_bytes == DEFAULT_PAGE_SIZE
+        assert region.live_bytes == PAGE_SIZE
         region.audit()
 
     def test_manager_installs_into_the_named_heap(self):
@@ -331,7 +331,7 @@ class TestHints:
         events = region.emit_hints(HintKind.PAGEOUT_ADVICE, window=1)
         spans = [(e.start_page, e.end_page) for e in events]
         assert spans == [(0, 2), (3, 5)]
-        assert region.resident_bytes() == DEFAULT_PAGE_SIZE  # only the hole
+        assert region.resident_bytes() == PAGE_SIZE  # only the hole
 
     def test_hint_line_format(self):
         event = HintEvent(HintKind.PAGEOUT_ADVICE, HeapId.COLD, 10, 14, 7)

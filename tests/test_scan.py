@@ -12,14 +12,14 @@ from tierheap.guideword import (ACCESSED_BIT, ATC_MAX, ATC_ONE, CIW_FIELD,
                                 CIW_MAX, CIW_SHIFT, HEAP_SHIFT, LOCATOR_MASK,
                                 GuideProtocolError, HeapId, pack, word_atc,
                                 word_heap)
-from tierheap.regions import RegionError
+from tierheap.regions import PAGE_SIZE, RegionError
 from tierheap.runtime import GuideRegistry, TierRuntime
 
 REGION_LENGTH = 1 << 30
 HEAPS = (HeapId.NEW, HeapId.HOT, HeapId.COLD)
 
 
-def scalar_scan(registry, cold_threshold, page_size) -> ScanResult:
+def scalar_scan(registry, cold_threshold) -> ScanResult:
     """The per-guide scan loop the vectorized scan replaced."""
     scanned = 0
     promotions: list[int] = []
@@ -43,7 +43,7 @@ def scalar_scan(registry, cold_threshold, page_size) -> ScanResult:
         if heap == HeapId.RESERVED:
             continue
         scanned += 1
-        page = (word & LOCATOR_MASK) // page_size
+        page = (word & LOCATOR_MASK) // PAGE_SIZE
         if accessed:
             ws_pages.add(page)
             if heap == HeapId.COLD:
@@ -57,20 +57,22 @@ def scalar_scan(registry, cold_threshold, page_size) -> ScanResult:
                       len(cold_pages))
 
 
-def random_arena(seed: int, guides: int, page_size: int) -> TierRuntime:
+def random_arena(seed: int, guides: int, spread: int) -> TierRuntime:
     """A runtime whose registry holds random words over all four heaps.
 
     Words carry the lock bit, nonzero ATC and CIW at 0, 30 and 31; about a
     quarter are tombstoned, some of those parked with ATC and the rest
-    freed.  Locators fall on few pages so objects share pages.
+    freed.  Locators fall in the first 64 * `spread` bytes of their heap's
+    range, on few pages, so objects share pages: a spread of 1024, 4096 or
+    8192 covers 16, 64 or 128 pages.
     """
     rng = random.Random(seed)
-    runtime = TierRuntime(page_size=page_size, region_length=REGION_LENGTH)
+    runtime = TierRuntime(region_length=REGION_LENGTH)
     registry = runtime.registry
     for _ in range(guides):
         heap = rng.choice(HEAPS)
         locator = int(heap) * REGION_LENGTH \
-            + rng.randrange(64 * page_size)
+            + rng.randrange(64 * spread)
         registry.create(pack(
             locator, atc=rng.choice((0, 0, 0, 1, 7, ATC_MAX)),
             ciw=rng.choice((0, 0, 1, 2, 5, 30, 31, 31)), heap=heap,
@@ -83,21 +85,20 @@ def random_arena(seed: int, guides: int, page_size: int) -> TierRuntime:
     return runtime
 
 
-CASES = [(seed, guides, page_size, ct)
-         for seed, (guides, page_size, ct) in enumerate([
+CASES = [(seed, guides, spread, ct)
+         for seed, (guides, spread, ct) in enumerate([
              (0, 4096, 3), (1, 4096, 1), (255, 1024, 32), (257, 8192, 2),
              (3000, 1024, 1), (3000, 4096, 3), (3000, 8192, 30),
              (3000, 4096, 31), (3000, 1024, 32), (3000, 8192, 16),
              (2 * SCAN_CHUNK + 5, 4096, 3), (SCAN_CHUNK, 1024, 31)])]
 
 
-@pytest.mark.parametrize("seed,guides,page_size,ct", CASES)
-def test_vectorized_scan_matches_scalar_reference(seed, guides, page_size,
-                                                  ct):
-    reference = random_arena(seed, guides, page_size)
-    vectorized = random_arena(seed, guides, page_size)
+@pytest.mark.parametrize("seed,guides,spread,ct", CASES)
+def test_vectorized_scan_matches_scalar_reference(seed, guides, spread, ct):
+    reference = random_arena(seed, guides, spread)
+    vectorized = random_arena(seed, guides, spread)
     assert reference.registry.words == vectorized.registry.words
-    expected = scalar_scan(reference.registry, ct, page_size)
+    expected = scalar_scan(reference.registry, ct)
     assert vectorized.collector.scan(ct) == expected
     assert vectorized.registry.words == reference.registry.words
 
@@ -107,7 +108,7 @@ def test_second_scan_matches_too():
     vectorized = random_arena(99, 3000, 4096)
     for ct in (2, 5):
         assert vectorized.collector.scan(ct) \
-            == scalar_scan(reference.registry, ct, 4096)
+            == scalar_scan(reference.registry, ct)
     assert vectorized.registry.words == reference.registry.words
 
 

@@ -143,6 +143,17 @@ class TestTraceFormat:
         with pytest.raises(TraceParseError, match=":1:"):
             read_trace(path)
 
+    @pytest.mark.parametrize("row,got", [
+        ("0,set,,10", "0, 10 and 0"),
+        ("0,set," + "k" * 65537 + ",10", "0, 10 and 65537"),
+        ("0,set,k1,70000", "0, 70000 and 2"),
+    ], ids=["empty-key", "long-key", "large-size"])
+    def test_row_a_set_cannot_store_rejected(self, tmp_path, row, got):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"0,set,k{'x' * 65535},65536\n{row}\n")
+        with pytest.raises(TraceParseError, match=f":2: .*got {got}$"):
+            read_trace(path)
+
 
 class TestReplay:
     def make_store(self):
