@@ -386,20 +386,20 @@ class RegionManager:
     def __init__(self, region_length: int = DEFAULT_REGION_LENGTH):
         if 3 * region_length - 1 > LOCATOR_MASK:
             raise RegionError("regions overflow the 48-bit managed space")
-        self.regions = {
-            heap: HeapRegion(heap, i * region_length, region_length)
-            for i, heap in enumerate((HeapId.NEW, HeapId.HOT, HeapId.COLD))
-        }
+        # The regions in locator order: `locator` lies in
+        # `heaps[locator // region_length]`, and `heaps[heap]` is the
+        # region of `heap`.  The stores install and free through these.
+        self.heaps = tuple(
+            HeapRegion(heap, i * region_length, region_length)
+            for i, heap in enumerate((HeapId.NEW, HeapId.HOT, HeapId.COLD)))
         self.region_length = region_length
-        self._order = [self.regions[h] for h in
-                       (HeapId.NEW, HeapId.HOT, HeapId.COLD)]
         # Each region's live slots, region-relative offset -> payload, in
         # locator order: the slot at `locator` is
         # `slots[locator // region_length].get(locator % region_length)`.
-        self.slots = tuple(region._live for region in self._order)
+        self.slots = tuple(region._live for region in self.heaps)
 
     def region(self, heap: HeapId) -> HeapRegion:
-        return self.regions[heap]
+        return self.heaps[heap]
 
     def heap_of(self, locator: int) -> HeapId:
         return self._region_of(locator).heap
@@ -409,10 +409,13 @@ class RegionManager:
         # `write`, since `install` places a slot with its payload; both are
         # kept because the benchmark's tracer wraps them.
         _check_length(length)
-        return self.regions[heap].install(bytes(length))
+        return self.heaps[heap].install(bytes(length))
 
+    # No store op calls `install` or `free`: a write calls its region's own
+    # method through `heaps`.  Both are kept for callers off the mutator
+    # path, and the benchmark's tracer wraps `free`.
     def install(self, heap: HeapId, payload: bytes) -> int:
-        return self.regions[heap].install(payload)
+        return self.heaps[heap].install(payload)
 
     def free(self, locator: int) -> None:
         self._region_of(locator).free(locator)
@@ -435,19 +438,19 @@ class RegionManager:
 
     def _region_of(self, locator: int) -> HeapRegion:
         index = locator // self.region_length
-        if not 0 <= index < len(self._order):
+        if not 0 <= index < len(self.heaps):
             raise RegionError(f"locator {locator:#x} outside every region")
-        return self._order[index]
+        return self.heaps[index]
 
     def emit_hints(self, heap: HeapId, kind: HintKind,
                    window: int = 0) -> list[HintEvent]:
-        return self.regions[heap].emit_hints(kind, window)
+        return self.heaps[heap].emit_hints(kind, window)
 
     def live_slot_count(self) -> int:
-        return sum(r.live_slot_count for r in self._order)
+        return sum(r.live_slot_count for r in self.heaps)
 
     def audit(self) -> None:
-        for region in self._order:
+        for region in self.heaps:
             region.audit()
 
 

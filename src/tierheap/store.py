@@ -12,7 +12,10 @@ authoritative bytes.  Both structures share their public operations through
 one `_GuideOps` method, which appends the key and value slots to the access
 log's pending list in one call.  `get` runs all of that in its own frame,
 whichever way its scope registers, the structure adding only its `_entry`
-lookup.  PlainStore is the untiered baseline for overhead comparisons: a
+lookup.  The write paths install and free slots through the heap regions
+themselves (`RegionManager.heaps`), and hand an entry's two guides to the
+registry in one call: `create_many` on an insert, `retire_many` on a
+delete.  PlainStore is the untiered baseline for overhead comparisons: a
 locked dict with no guides, scopes or regions.
 """
 from __future__ import annotations
@@ -22,8 +25,10 @@ import zlib
 from dataclasses import dataclass
 
 from .guideword import (ACCESSED_BIT, ATC_FIELD, DEREF_BITS, HEAP_FIELD,
-                        LOCATOR_MASK, LOCK_BIT, LOCK_STRIPES, HeapId)
+                        LOCATOR_MASK, LOCK_BIT, LOCK_STRIPES, TOMBSTONE_BASE,
+                        HeapId)
 from .metrics import FOLD_LENGTH
+from .regions import RegionError
 from .runtime import TierRuntime
 from .scope import SCOPE_SAMPLE_MASK
 
@@ -61,8 +66,16 @@ class _GuideOps:
     `(word | ACCESSED_BIT) & ~LOCK_BIT` under its arena stripe lock, the
     store `GuideArena.dereference` makes; clearing the lock makes a racing
     migration's commit fail.  Access-log pairs are appended to the log's
-    pending list in one call, and the log is called only to fold it.  New
-    slots are installed with their payload in one region call.
+    pending list in one call, and the log is called only to fold it.
+
+    Writes call the heap regions directly: a slot is installed with its
+    payload by `HeapRegion.install` on the NEW region, and freed by
+    `HeapRegion.free` on the region its locator lies in.  An insert
+    installs both slots, then creates both guides under one registry-lock
+    acquisition.  An update swings the value word by `compare_and_swap`.
+    A delete stores each word's tombstone inline under its stripe lock,
+    frees both slots, and retires both guides in one call that takes no
+    lock.
     """
 
     def __init__(self, runtime: TierRuntime):
@@ -73,7 +86,8 @@ class _GuideOps:
         self._registry = runtime.registry
         self._words = runtime.registry.words
         self._word_locks = runtime.registry.stripes
-        self._regions = runtime.regions
+        self._heaps = runtime.regions.heaps
+        self._new_heap = runtime.regions.heaps[HeapId.NEW]
         self._slots = runtime.regions.slots
         self._region_length = runtime.regions.region_length
         self._log = runtime.access_log
@@ -201,11 +215,15 @@ class _GuideOps:
             scopes.exit_scope()
 
     def _make_entry(self, key: bytes, value: bytes, tracked: bool) -> KvEntry:
-        regions, registry = self._regions, self._registry
-        key_loc = regions.install(HeapId.NEW, key)
-        key_guide = registry.create(key_loc | ACCESSED_BIT)  # heap=NEW
-        value_loc = regions.install(HeapId.NEW, value)
-        value_guide = registry.create(value_loc | ACCESSED_BIT)
+        new = self._new_heap
+        key_loc = new.install(key)
+        try:
+            value_loc = new.install(value)
+        except RegionError:  # e.g. a value past the largest size class
+            new.free(key_loc)
+            raise
+        key_guide, value_guide = self._registry.create_many(
+            key_loc | ACCESSED_BIT, value_loc | ACCESSED_BIT)  # heap=NEW
         if tracked:
             self._scopes.record_guide_use(key_guide)
             self._scopes.record_guide_use(value_guide)
@@ -232,7 +250,7 @@ class _GuideOps:
         free the same slot twice.  A tombstoned word is never replaced: the
         entry was deleted, so the fresh slot is freed and False returned.
         """
-        regions, registry, words = self._regions, self._registry, self._words
+        registry, words, new = self._registry, self._words, self._new_heap
         key_guide, guide = entry.key_guide, entry.value_guide
         if tracked:
             self._scopes.record_guide_use(key_guide)
@@ -240,17 +258,18 @@ class _GuideOps:
         word = words[key_guide]
         key_loc = (word & LOCATOR_MASK if word & DEREF_BITS == ACCESSED_BIT
                    else registry.dereference(key_guide))
-        new_loc = regions.install(HeapId.NEW, value)
+        new_loc = new.install(value)
         new_base = new_loc | ACCESSED_BIT  # heap=NEW, ciw=0, lock clear
         while True:
             word = words[guide]
             if (word & HEAP_FIELD) == HEAP_FIELD:
-                regions.free(new_loc)
+                new.free(new_loc)
                 updated = False
                 break
             if registry.compare_and_swap(guide, word,
                                          new_base | (word & ATC_FIELD)):
-                regions.free(word & LOCATOR_MASK)
+                old_loc = word & LOCATOR_MASK
+                self._heaps[old_loc // self._region_length].free(old_loc)
                 updated = True
                 break
         log = self._log
@@ -263,13 +282,25 @@ class _GuideOps:
         return updated
 
     def _retire_entry(self, entry: KvEntry, tracked: bool) -> None:
-        regions, registry = self._regions, self._registry
-        for guide in (entry.key_guide, entry.value_guide):
-            if tracked:
-                self._scopes.record_guide_use(guide)
-            old_word = registry.tombstone(guide)
-            regions.free(old_word & LOCATOR_MASK)
-            registry.retire(guide)
+        """Tombstone both words, each by the store a winning
+        `registry.tombstone` CAS makes, free both slots, and retire both
+        guides in one call."""
+        words, word_locks = self._words, self._word_locks
+        key_guide, guide = entry.key_guide, entry.value_guide
+        if tracked:
+            self._scopes.record_guide_use(key_guide)
+            self._scopes.record_guide_use(guide)
+        with word_locks[key_guide % LOCK_STRIPES]:
+            key_word = words[key_guide]
+            words[key_guide] = TOMBSTONE_BASE | (key_word & ATC_FIELD)
+        with word_locks[guide % LOCK_STRIPES]:
+            word = words[guide]
+            words[guide] = TOMBSTONE_BASE | (word & ATC_FIELD)
+        heaps, length = self._heaps, self._region_length
+        key_loc, loc = key_word & LOCATOR_MASK, word & LOCATOR_MASK
+        heaps[key_loc // length].free(key_loc)
+        heaps[loc // length].free(loc)
+        self._registry.retire_many(key_guide, guide)
 
 
 class StripedGuideMap(_GuideOps):

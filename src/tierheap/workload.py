@@ -195,7 +195,12 @@ def read_trace(path) -> list[TraceRecord]:
             except ValueError as exc:
                 raise TraceParseError(
                     f"{path}:{lineno}: non-integer field: {exc}") from None
-            key = key.encode("latin-1")
+            try:
+                key = key.encode("latin-1")
+            except UnicodeEncodeError:
+                raise TraceParseError(
+                    f"{path}:{lineno}: key {key!r} has a character outside "
+                    f"latin-1") from None
             if ts_ms < 0 or not 0 <= size <= largest \
                     or not 0 < len(key) <= largest:
                 raise TraceParseError(

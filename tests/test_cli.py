@@ -277,6 +277,16 @@ class TestExitCodes:
         assert code == 2
         assert ":3:" in capsys.readouterr().err
 
+    def test_trace_key_outside_latin_1_is_usage_error(self, tmp_path,
+                                                       capsys):
+        path = tmp_path / "bad.csv"
+        path.write_text("ts_ms,op,key,size\n0,set,k\u20ac,10\n",
+                        encoding="utf-8")
+        code = main(["--keys", "10", "--ops", "0", "--value-size", "64",
+                     "--trace", str(path)])
+        assert code == 2
+        assert ":2:" in capsys.readouterr().err
+
     def test_missing_trace_is_runtime_fault(self, tmp_path):
         code = main(["--keys", "10", "--ops", "0", "--value-size", "64",
                      "--trace", str(tmp_path / "absent.csv")])

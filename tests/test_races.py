@@ -571,3 +571,127 @@ class TestRacesThroughTheStores:
         assert not setter.is_alive()
         assert got == b"new-value"
         runtime.audit()
+
+
+class TestLockFreeRetire:
+    """A delete tombstones under its words' stripe locks and then retires
+    both guides with no lock: it never waits for the registry lock."""
+
+    @pytest.mark.parametrize("structure", ["hashmap", "skiplist"])
+    def test_delete_completes_while_a_section_takes_its_stripes(
+            self, structure):
+        """A collector thread in `registry.exclusive()` holds the registry
+        lock and the stripes below 128, and waits for stripe 128, which
+        this thread holds.  A delete whose guides lie on higher stripes
+        completes meanwhile.  (A section holding every stripe keeps every
+        delete out, since a tombstone is stored under its stripe lock.)"""
+        runtime = TierRuntime(region_length=1 << 22)
+        registry = runtime.registry
+        store = make_store(runtime, structure)
+        for i in range(70):  # key i has guides 2i and 2i + 1
+            store.set(b"key-%02d" % i, PAYLOAD)
+        entry = store._entry(b"key-65")
+        assert (entry.key_guide, entry.value_guide) == (130, 131)
+        stripes = registry.stripes
+        entered, deleted, errors = threading.Event(), [], []
+
+        def section():
+            try:
+                with registry.exclusive():
+                    entered.set()
+            except Exception as exc:  # noqa: BLE001 - collected for assert
+                errors.append(exc)
+
+        def delete():
+            try:
+                deleted.append(store.delete(b"key-65"))
+            except Exception as exc:  # noqa: BLE001 - collected for assert
+                errors.append(exc)
+
+        collector = threading.Thread(target=section)
+        deleter = threading.Thread(target=delete)
+        stripes[128].acquire()
+        try:
+            collector.start()
+            deadline = time.monotonic() + 10.0
+            while not stripes[127].locked() and time.monotonic() < deadline:
+                time.sleep(0.001)
+            assert registry._lock.locked() and stripes[127].locked()
+            deleter.start()
+            deleter.join(5.0)
+            finished = not deleter.is_alive()
+            assert not entered.is_set()
+        finally:
+            stripes[128].release()
+        collector.join(10.0)
+        deleter.join(10.0)
+        assert finished, "the delete waited for the section"
+        assert not collector.is_alive() and entered.is_set()
+        assert errors == [] and deleted == [True]
+        assert store.get(b"key-65") is None
+        assert registry.graveyard_mark() == 2
+        runtime.audit()
+
+    @pytest.mark.parametrize("structure", ["hashmap", "skiplist"])
+    def test_deletes_racing_reclaims_lose_and_repeat_no_index(
+            self, structure):
+        """Two threads delete every key while a third drains the graveyard
+        in a loop.  Guides a tracked scope on this thread still holds stay
+        parked through every drain; once it exits, all are freed, each
+        once, and the audit holds."""
+        runtime = TierRuntime(region_length=1 << 24)
+        registry = runtime.registry
+        store = make_store(runtime, structure)
+        keys = [b"key-%05d" % i for i in range(3000)]
+        for key in keys:
+            store.set(key, PAYLOAD)
+        held = keys[::7]
+        held_guides = sorted(guide for key in held for guide in (
+            store._entry(key).key_guide, store._entry(key).value_guide))
+        runtime.epoch_state.tracking_enabled = True
+        runtime.scope.enter_scope()
+        for key in held:  # each get records its two guides: ATC 1
+            assert store.get(key) == PAYLOAD
+        runtime.epoch_state.tracking_enabled = False
+        done, errors = threading.Event(), []
+
+        def delete_all(part):
+            try:
+                for key in part:
+                    assert store.delete(key)
+            except Exception as exc:  # noqa: BLE001 - collected for assert
+                errors.append(exc)
+
+        def reclaim():
+            try:
+                while not done.is_set():
+                    registry.reclaim_retired(registry.graveyard_mark())
+            except Exception as exc:  # noqa: BLE001 - collected for assert
+                errors.append(exc)
+
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            deleters = [threading.Thread(target=delete_all, args=(part,))
+                        for part in (keys[0::2], keys[1::2])]
+            reclaimer = threading.Thread(target=reclaim)
+            threads = [*deleters, reclaimer]
+            for thread in threads:
+                thread.start()
+            for thread in deleters:
+                thread.join(60.0)
+            done.set()
+            reclaimer.join(60.0)
+        finally:
+            done.set()
+            sys.setswitchinterval(old_interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        registry.reclaim_retired()
+        assert sorted(registry._graveyard) == held_guides
+        runtime.scope.exit_scope()
+        registry.reclaim_retired()
+        assert registry.graveyard_mark() == 0
+        assert sorted(registry._free) == list(range(2 * len(keys)))
+        assert registry.live_count == 0
+        runtime.audit()

@@ -9,10 +9,12 @@ from collections import Counter
 import pytest
 
 import tierheap.store
-from tierheap.guideword import (ACCESSED_BIT, LOCATOR_MASK, LOCK_BIT, HeapId,
-                                pack, unpack, word_atc, word_heap)
+from tierheap.guideword import (ACCESSED_BIT, LOCATOR_MASK, LOCK_BIT,
+                                GuideWord, HeapId, pack, unpack, word_atc,
+                                word_heap)
 from tierheap.metrics import FOLD_LENGTH
-from tierheap.runtime import TierRuntime
+from tierheap.regions import SIZE_CLASSES, RegionError, RegionManager
+from tierheap.runtime import GuideRegistry, TierRuntime
 from tierheap.scope import SCOPE_SAMPLE_MASK, EpochState, Phase
 from tierheap.store import (_MAX_LEVEL, MAP_STRIPES, GuideSkipList,
                             PlainStore, StripedGuideMap, make_store)
@@ -548,6 +550,102 @@ class TestOneFrameGet:
 
 class TestOneFrameGetSkipList(TestOneFrameGet):
     structure = "skiplist"
+
+
+class TestDirectWrites:
+    """Inserts, updates and deletes install and free slots through the heap
+    regions themselves (`RegionManager.heaps`), create an entry's two
+    guides in one `create_many` call and retire them in one `retire_many`
+    call, and tombstone inline under each word's stripe lock."""
+
+    def test_writes_call_no_manager_or_single_guide_method(self, store,
+                                                           monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("called on a write path")
+
+        for owner, name in ((RegionManager, "install"),
+                            (RegionManager, "free"),
+                            (RegionManager, "_region_of"),
+                            (GuideRegistry, "create"),
+                            (GuideRegistry, "retire"),
+                            (GuideRegistry, "tombstone")):
+            monkeypatch.setattr(owner, name, refuse)
+        runtime = store.runtime
+        store.set(b"k", b"one")  # insert
+        store.set(b"other", b"x")
+        entry = entry_of(store, b"k")
+        store.set(b"k", b"two")  # update
+        assert store.get(b"k") == b"two"
+        assert entry_of(store, b"k") is entry
+        assert store.delete(b"k") is True
+        assert store.get(b"k") is None and store.get(b"other") == b"x"
+        words = runtime.registry.words
+        assert [word_heap(words[guide]) for guide in
+                (entry.key_guide, entry.value_guide)] == [HeapId.RESERVED] * 2
+        assert runtime.registry.live_count == 2
+        assert runtime.regions.live_slot_count() == 2
+        runtime.audit()
+        store.set(b"k", b"three")  # fresh guides: the old are still parked
+        runtime.registry.reclaim_retired()
+        store.set(b"new", b"four")
+        new = entry_of(store, b"new")  # reuses the reclaimed guides
+        assert {new.key_guide, new.value_guide} == {entry.key_guide,
+                                                   entry.value_guide}
+        assert store.get(b"k") == b"three" and store.get(b"new") == b"four"
+        runtime.audit()
+
+    def test_insert_of_an_unstorable_value_leaves_nothing(self, store):
+        runtime = store.runtime
+        with pytest.raises(RegionError, match="largest size class"):
+            store.set(b"k", bytes(SIZE_CLASSES[-1] + 1))
+        assert store.get(b"k") is None
+        assert runtime.regions.live_slot_count() == 0
+        assert runtime.registry.live_count == 0
+        runtime.audit()
+
+    def test_pair_gets_the_indices_two_creates_would(self):
+        paired, single = GuideRegistry(), GuideRegistry()
+        for registry in (paired, single):
+            for locator in range(6):
+                registry.create(pack(locator * 16))
+            for index in (4, 1, 3):
+                registry.tombstone(index)
+                registry.retire(index)
+            registry.reclaim_retired()
+        words = [pack(96), pack(112)]
+        assert paired.create_many(*words) == [
+            single.create(words[0]), single.create(words[1])]
+        assert paired.create_many(*words) == [
+            single.create(words[0]), single.create(words[1])]
+        assert paired.words == single.words
+        with pytest.raises(ValueError, match="RESERVED"):
+            paired.create_many(pack(0), pack(0, heap=HeapId.RESERVED))
+        assert paired.words == single.words  # nothing created
+
+    def test_delete_in_a_tracked_scope_keeps_its_atc(self, store):
+        """A delete inside an open tracked scope tombstones both words with
+        the scope's ATC kept, so the scope's exit balances its decrements
+        and only then can the guides be reclaimed."""
+        runtime = store.runtime
+        registry = runtime.registry
+        store.set(b"k", b"v")
+        entry = entry_of(store, b"k")
+        guides = (entry.key_guide, entry.value_guide)
+        runtime.epoch_state.tracking_enabled = True
+        runtime.scope.enter_scope()
+        try:
+            assert store.delete(b"k") is True
+            assert [unpack(registry.words[guide]) for guide in guides] == [
+                GuideWord(0, atc=1, heap=HeapId.RESERVED)] * 2
+            registry.reclaim_retired()
+            assert registry.graveyard_mark() == 2  # still parked
+        finally:
+            runtime.scope.exit_scope()
+        assert [registry.words[guide] for guide in guides] == [
+            pack(0, heap=HeapId.RESERVED)] * 2
+        registry.reclaim_retired()
+        assert registry.graveyard_mark() == 0
+        runtime.audit()
 
 
 class TestConcurrency:

@@ -154,6 +154,13 @@ class TestTraceFormat:
         with pytest.raises(TraceParseError, match=f":2: .*got {got}$"):
             read_trace(path)
 
+    def test_key_outside_latin_1_rejected(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("0,set,k1,10\n0,set,k\u20ac,10\n", encoding="utf-8")
+        with pytest.raises(TraceParseError,
+                           match=":2: key 'k\u20ac' has a character outside"):
+            read_trace(path)
+
 
 class TestReplay:
     def make_store(self):
