@@ -4,12 +4,13 @@ Each heap temperature (NEW, HOT, COLD) gets one contiguous reserved range of
 the 48-bit managed space and sub-allocates object slots from power-of-two
 size classes.  A live slot holds only its payload bytes; its length and size
 class follow from them.  The page is a fixed 4 KiB (`PAGE_SIZE`), so a
-page's 64-byte lines fit one 64-bit mask.  Page accounting is two flat
-per-region arrays indexed by region-relative page and grown with the bump
-pointer: live slots (a list of ints) and a simulated residency flag
-(`bytearray`), so reclaim advice can be modeled without touching the OS.
-Single-slot `install` and `free` index them directly; the batch paths,
-`audit` and `emit_hints` compute over them with numpy.
+page's 64-byte lines fit one 64-bit mask.  The only per-page state is a
+simulated residency flag (`bytearray`, indexed by region-relative page and
+grown with the bump pointer), so reclaim advice can be modeled without
+touching the OS: allocation sets it, and PAGEOUT advice and `audit` clear
+it.  A page's occupancy (the live slots that touch it) is not kept: the
+readers that need it, `page_table`, PAGEOUT advice and `audit`, derive it
+from the slot dict with numpy, at O(live slots) cost per call.
 """
 from __future__ import annotations
 
@@ -96,8 +97,9 @@ class HeapRegion:
     Free slots are kept in per-class min-heaps so allocation always returns
     the lowest-addressed free slot of the smallest sufficient class, falling
     back to bump allocation at the end of the used prefix.  Per page it
-    keeps the count of live slots that touch the page and a residency
-    flag, for exactly the pages the bump pointer has reached.
+    keeps only a residency flag, for exactly the pages the bump pointer
+    has reached; each page's live-slot count is derived on demand from
+    the slot dict (`_page_counts`).
     """
 
     def __init__(self, heap: HeapId, base: int, length: int):
@@ -111,49 +113,41 @@ class HeapRegion:
         self._free: dict[int, list[int]] = {c: [] for c in SIZE_CLASSES}
         self._bump = 0
         self._live: dict[int, bytes] = {}  # region-relative offset -> payload
-        # Per region-relative page: live slots, residency.  The counter is
-        # a list: `install` and `free` update it in place, and a list item
-        # costs about half of an `array("q")` item.
-        self._page_slots: list[int] = []
-        self._resident = bytearray()
-        self._page_end = 0  # offsets below this have counters
+        self._resident = bytearray()  # per region-relative page
+        self._page_end = 0  # offsets below this have a residency flag
         self._lock = threading.Lock()
         self.live_bytes = 0
 
     def _grow(self, end: int) -> None:
-        """Extend the page counters to cover offsets below `end`."""
-        extra = (end + PAGE_SIZE - 1) // PAGE_SIZE - len(self._resident)
-        self._page_slots += [0] * extra
-        self._resident += bytes(extra)
+        """Extend the residency flags to cover offsets below `end`."""
+        self._resident += bytes((end + PAGE_SIZE - 1) // PAGE_SIZE
+                                - len(self._resident))
         self._page_end = len(self._resident) * PAGE_SIZE
 
-    def _account(self, offset: int, length: int, sign: int) -> None:
-        """Add (`sign` +1) or remove (-1) a slot on each page it touches."""
-        for page in range(offset // PAGE_SIZE,
-                          (offset + length - 1) // PAGE_SIZE + 1):
-            self._page_slots[page] += sign
-            if sign > 0:
-                self._resident[page] = 1
-        self.live_bytes += sign * length
+    def _add_live(self, offsets: np.ndarray, lengths: np.ndarray) -> None:
+        """Count new slots' bytes as live, and mark every page they touch
+        resident."""
+        np.frombuffer(self._resident, np.uint8)[
+            page_rows(offsets, lengths)[1]] = 1
+        self.live_bytes += int(lengths.sum())
 
-    def _account_batch(self, offsets: np.ndarray, lengths: np.ndarray,
-                       sign: int) -> None:
-        """`_account` for many slots: numpy counts each page's slots, and
-        each touched page's counter is updated once."""
-        touched, counts = np.unique(page_rows(offsets, lengths)[1],
-                                    return_counts=True)
-        page_slots = self._page_slots
-        for page, nslots in zip(touched.tolist(), counts.tolist()):
-            page_slots[page] += sign * nslots
-        if sign > 0:
-            np.frombuffer(self._resident, np.uint8)[touched] = 1
-        self.live_bytes += sign * int(lengths.sum())
+    def _page_counts(self) -> tuple[int, np.ndarray]:
+        """The live slots' payload bytes, and each page's live-slot count
+        (one entry per residency flag), from the slot dict.  The caller
+        holds the lock."""
+        live = self._live
+        n = len(live)
+        lengths = np.fromiter(map(len, live.values()), np.int64, n)
+        pages = page_rows(np.fromiter(live, np.int64, n), lengths)[1]
+        return (int(lengths.sum()),
+                np.bincount(pages, minlength=len(self._resident)))
 
     def install(self, payload: bytes) -> int:
         """Put `payload` itself in a fresh slot and return its locator.
 
         The lowest free slot of the payload's class is taken, else the one
-        at the bump pointer.  A slot on one page is accounted inline.
+        at the bump pointer.  Every page the slot touches is marked
+        resident.
         """
         length = len(payload)
         if not 0 < length <= _MAX_LENGTH:
@@ -174,12 +168,12 @@ class HeapRegion:
                 self._bump = end
             self._live[offset] = payload
             page = offset // PAGE_SIZE
-            if (offset + length - 1) // PAGE_SIZE == page:
-                self._page_slots[page] += 1
+            last = (offset + length - 1) // PAGE_SIZE
+            if last == page:
                 self._resident[page] = 1
-                self.live_bytes += length
             else:
-                self._account(offset, length, +1)
+                self._resident[page:last + 1] = b"\x01" * (last + 1 - page)
+            self.live_bytes += length
         return self.base + offset
 
     def allocate_batch(self, payloads: list[bytes]) -> list[int | None]:
@@ -240,11 +234,11 @@ class HeapRegion:
                 self._bump = end
             if room is None:
                 self._live.update(zip(offsets.tolist(), payloads))
-                self._account_batch(offsets, lengths, +1)
+                self._add_live(offsets, lengths)
                 return (offsets + self.base).tolist()
             self._live.update(zip(offsets[room].tolist(),
                                   compress(payloads, room.tolist())))
-            self._account_batch(offsets[room], lengths[room], +1)
+            self._add_live(offsets[room], lengths[room])
         return [self.base + offset if placed else None
                 for offset, placed in zip(offsets.tolist(), room.tolist())]
 
@@ -257,12 +251,7 @@ class HeapRegion:
                 raise DoubleFreeError(f"free of non-live locator "
                                       f"{locator:#x} in {self.heap.name}")
             length = len(payload)
-            page = offset // PAGE_SIZE
-            if (offset + length - 1) // PAGE_SIZE == page:
-                self._page_slots[page] -= 1
-                self.live_bytes -= length
-            else:
-                self._account(offset, length, -1)
+            self.live_bytes -= length
             heapq.heappush(self._free[_CLASS_OF[(length - 1) >> 4]], offset)
 
     def free_batch(self, locators) -> None:
@@ -291,7 +280,7 @@ class HeapRegion:
                     f"{locators[payloads.index(None)]:#x} in "
                     f"{self.heap.name}")
             lengths = np.fromiter(map(len, payloads), np.int64, n)
-            self._account_batch(offsets, lengths, -1)
+            self.live_bytes -= int(lengths.sum())
             ranks = _RANK_OF[(lengths - 1) >> 4]
             for rank, count in enumerate(np.bincount(ranks).tolist()):
                 if count:
@@ -321,12 +310,13 @@ class HeapRegion:
 
     def page_table(self) -> dict[int, tuple[int, bool]]:
         """Absolute page index -> (live slots, resident) for every page
-        below the bump pointer."""
+        below the bump pointer; the counts are derived from the slots."""
         first = self.base // PAGE_SIZE
         with self._lock:
+            counts = self._page_counts()[1].tolist()
             return {first + page: (live_slots, bool(resident))
                     for page, (live_slots, resident) in
-                    enumerate(zip(self._page_slots, self._resident))}
+                    enumerate(zip(counts, self._resident))}
 
     def resident_bytes(self) -> int:
         return self._resident.count(1) * PAGE_SIZE
@@ -343,7 +333,7 @@ class HeapRegion:
             return [HintEvent(kind, self.heap, first,
                               first + self.length // PAGE_SIZE, window)]
         with self._lock:
-            pages = np.flatnonzero(np.array(self._page_slots) > 0)
+            pages = np.flatnonzero(self._page_counts()[1])
             np.frombuffer(self._resident, np.uint8)[pages] = 0
         if not len(pages):
             return []
@@ -354,26 +344,13 @@ class HeapRegion:
                 for start, end in zip(starts.tolist(), ends.tolist())]
 
     def audit(self) -> None:
-        """Recompute page accounting from live slots and compare."""
+        """Check `live_bytes` against the live slots, and clear the
+        simulated residency of every page that holds no live slot."""
         with self._lock:
-            live = self._live
-            n = len(live)
-            lengths = np.fromiter(map(len, live.values()), np.int64, n)
-            if int(lengths.sum()) != self.live_bytes:
+            live_bytes, counts = self._page_counts()
+            if live_bytes != self.live_bytes:
                 raise RegionError("live byte accounting drifted")
-            pages = page_rows(np.fromiter(live, np.int64, n), lengths)[1]
-            count = len(self._resident)
-            expected = np.bincount(pages, minlength=count)
-            page_slots = np.zeros_like(expected)
-            page_slots[:count] = self._page_slots
-            drifted = np.flatnonzero(page_slots != expected)
-            if len(drifted):
-                raise RegionError(
-                    f"page {self.base // PAGE_SIZE + int(drifted[0])} "
-                    f"accounting drifted")
-            # Empty pages lose simulated residency on audit.
-            np.frombuffer(self._resident, np.uint8)[page_slots[:count]
-                                                    == 0] = 0
+            np.frombuffer(self._resident, np.uint8)[counts == 0] = 0
 
 
 class RegionManager:

@@ -42,3 +42,67 @@ def test_one_pair_has_its_own_value_as_quartiles():
             ab_pairs.parse_result(result_line(7.0, 1.0)))
     (delete, _) = ab_pairs.summarise([pair])
     assert delete.parent_quartiles == (7.0, 7.0) and delete.lower == 0
+
+
+def paired(metric, parent, change):
+    """Canned (parent, change) results of one metric, pair by pair."""
+    def result(value):
+        return ab_pairs.parse_result(json.dumps(
+            {"metrics": {metric: {"value": value, "unit": "u"}}}))
+    return [(result(p), result(c)) for p, c in zip(parent, change)]
+
+
+SPEC = {"collector_s": {"better": "lower", "bound": 0.25},
+        "cold_bytes": {"better": "higher", "bound": 0.1}}
+
+
+def test_directions_and_bounds_come_from_the_benchmark():
+    (ops,) = ab_pairs.summarise(paired("mutator_ops_s", [100.0, 100.0],
+                                       [90.0, 110.0]))
+    assert (ops.better, ops.bound) == ("higher", 0.25)
+    assert ops.wins == 1 and ops.lower == 1
+
+
+def test_a_higher_is_better_regression_is_not_a_win():
+    (cold,) = ab_pairs.summarise(
+        paired("cold_bytes", [100.0] * 4, [99.0, 98.0, 101.0, 97.0]), SPEC)
+    assert cold.lower == 3 and cold.wins == 1
+    assert "1/4" in cold.format()
+
+
+PARENT = [0.70, 0.72, 0.74, 0.76, 0.78, 0.80, 0.71, 0.75, 0.77, 0.79]
+
+
+def test_claim_ok_needs_nine_of_ten_and_a_gap_past_the_quartiles():
+    q1, q3 = ab_pairs.Row("x", "s", PARENT, PARENT).parent_quartiles
+    faster = [value - 0.12 for value in PARENT]
+    assert 0.12 > q3 - q1
+    (row,) = ab_pairs.summarise(paired("collector_s", PARENT, faster), SPEC)
+    assert row.wins == 10 and row.verdict == "claim-ok"
+    assert row.format().split()[-1] == "claim-ok"
+    # Better in only 8 of 10 pairs.
+    (row,) = ab_pairs.summarise(
+        paired("collector_s", PARENT, faster[:8] + PARENT[8:]), SPEC)
+    assert row.wins == 8 and row.verdict == ""
+    # Better in every pair, by less than the quartiles are apart.
+    (row,) = ab_pairs.summarise(
+        paired("collector_s", PARENT, [v - 0.01 for v in PARENT]), SPEC)
+    assert row.wins == 10 and row.verdict == ""
+
+
+def test_claim_ok_on_a_higher_is_better_metric():
+    more = [value + 0.12 for value in PARENT]
+    (row,) = ab_pairs.summarise(paired("cold_bytes", PARENT, more), SPEC)
+    assert row.verdict == "claim-ok"
+    (row,) = ab_pairs.summarise(paired("collector_s", PARENT, more), SPEC)
+    assert row.wins == 0 and row.verdict == ""  # +16 %, within 25 %
+
+
+@pytest.mark.parametrize("metric, factor, verdict", [
+    ("collector_s", 1.30, "worse>bound"), ("collector_s", 1.20, ""),
+    ("cold_bytes", 0.85, "worse>bound"), ("cold_bytes", 0.95, "")])
+def test_worse_than_the_bound(metric, factor, verdict):
+    (row,) = ab_pairs.summarise(
+        paired(metric, PARENT, [v * factor for v in PARENT]), SPEC)
+    assert row.verdict == verdict
+    assert row.format().endswith(verdict)

@@ -237,6 +237,34 @@ class TestMigrate:
             assert counts.moved == 1 and fields.heap is HeapId.HOT
         runtime.audit()
 
+    @pytest.mark.parametrize("target, sources", [
+        (HeapId.HOT, (HeapId.NEW, HeapId.COLD)),
+        (HeapId.COLD, (HeapId.NEW, HeapId.HOT))])
+    def test_chunk_with_two_source_heaps(self, target, sources):
+        """A chunk whose guides come from two heaps moves each payload
+        object itself to `target` and frees every source slot."""
+        runtime = make_runtime()
+        payloads = [bytes([i]) * (16 + 37 * i) for i in range(40)]
+        guides = [add_object(runtime, payload=payload, heap=sources[i % 2])
+                  for i, payload in enumerate(payloads)]
+        olds = [runtime.registry.words[g] & LOCATOR_MASK for g in guides]
+        self.setup_active(runtime)
+        counts = runtime.collector.migrate_batch(guides, target)
+        assert (counts.moved, counts.aborted, counts.skipped) == (40, 0, 0)
+        assert [counts.moved_from[heap] for heap in sources] == [20, 20]
+        assert counts.bytes_moved == sum(map(len, payloads))
+        for guide, payload, old in zip(guides, payloads, olds):
+            fields = unpack(runtime.registry.words[guide])
+            assert fields.heap is target
+            assert runtime.regions.read(fields.locator) is payload
+            with pytest.raises(RegionError):
+                runtime.regions.read(old)
+        for heap in sources:
+            region = runtime.regions.region(heap)
+            assert (region.live_slot_count, region.live_bytes) == (0, 0)
+        runtime.collector.end_epoch()
+        runtime.audit()
+
 
 def scalar_migrate(runtime, index: int, target: HeapId) -> str:
     """Scalar reference for the chunked batch path: the two-CAS protocol,

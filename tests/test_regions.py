@@ -317,6 +317,93 @@ class TestFreeBatchChecksFirst:
         assert region.live_slot_count == 2
 
 
+def model_page_counts(slots):
+    """Each page's live-slot count, from (locator, length) pairs."""
+    counts = {}
+    for locator, length in slots:
+        for page in range(locator // PAGE_SIZE,
+                          (locator + length - 1) // PAGE_SIZE + 1):
+            counts[page] = counts.get(page, 0) + 1
+    return counts
+
+
+def model_runs(pages):
+    """Maximal runs of consecutive pages, as (start, end) pairs."""
+    runs = []
+    for page in sorted(pages):
+        if runs and runs[-1][1] == page:
+            runs[-1][1] = page + 1
+        else:
+            runs.append([page, page + 1])
+    return [tuple(run) for run in runs]
+
+
+class TestPageOccupancy:
+    """A region's page table, PAGEOUT spans and residency agree with a
+    plain model of its live slots under a random drive of `install`,
+    `free`, `allocate_batch` and `free_batch`."""
+
+    LENGTHS = (16, 17, 100, 1000, 1025, 3000, 4096, 4097, 9000, 12 << 10)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_drive(self, seed):
+        rng = random.Random(seed)
+        base = 1 << 30  # so pages are absolute, not region-relative
+        region = HeapRegion(HeapId.COLD, base, 4096 * PAGE_SIZE)
+        slots = []  # (locator, length) of every live slot
+        resident = set()  # the pages the model expects resident
+        emptied = set()  # resident pages whose last slot a free removed
+
+        def installed(locator, length):
+            slots.append((locator, length))
+            pages = range(locator // PAGE_SIZE,
+                          (locator + length - 1) // PAGE_SIZE + 1)
+            resident.update(pages)
+            emptied.difference_update(pages)
+
+        def freed(count):
+            rng.shuffle(slots)
+            gone, slots[:] = slots[:count], slots[count:]
+            emptied.update((set(model_page_counts(gone))
+                            - set(model_page_counts(slots))) & resident)
+            return [locator for locator, _ in gone]
+
+        for step in range(120):
+            roll = rng.random()
+            if roll < 0.3:
+                length = rng.choice(self.LENGTHS)
+                installed(region.install(bytes(length)), length)
+            elif roll < 0.55:
+                lengths = [rng.choice(self.LENGTHS)
+                           for _ in range(rng.randrange(1, 40))]
+                got = region.allocate_batch([bytes(n) for n in lengths])
+                assert None not in got
+                for locator, length in zip(got, lengths):
+                    installed(locator, length)
+            elif roll < 0.75 and slots:
+                region.free(freed(1)[0])
+            elif slots:
+                region.free_batch(freed(rng.randrange(len(slots) + 1)))
+            counts = model_page_counts(slots)
+            table = region.page_table()
+            assert {page: n for page, (n, _) in table.items() if n} == counts
+            assert {page for page, (_, r) in table.items() if r} == resident
+            assert all(table[page] == (0, True) for page in emptied)
+            if step % 10 == 9:
+                events = region.emit_hints(HintKind.PAGEOUT_ADVICE, step)
+                assert [(e.start_page, e.end_page) for e in events] \
+                    == model_runs(counts)
+                resident.difference_update(counts)
+            elif step % 10 == 4:
+                region.audit()
+                resident.intersection_update(counts)
+                emptied.clear()
+                table = region.page_table()
+                assert {page for page, (_, r) in table.items() if r} \
+                    == resident
+        assert region.live_bytes == sum(n for _, n in slots)
+
+
 class TestHints:
     def test_whole_region_hint(self):
         region = small_region(HeapId.HOT, pages=8)

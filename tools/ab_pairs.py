@@ -10,9 +10,13 @@ pair i runs seed ``first-seed + i`` on both sides, the revision first in
 even pairs and the working tree first in odd ones.  For each metric it
 prints the revision's median and quartiles
 (``statistics.quantiles(values, n=4)``), the working tree's median, and in
-how many pairs the working tree read lower; then every pair's two values.
-A claimed gain on a lower-is-better metric needs it lower in at least 9 of
-10 pairs, with the medians further apart than the revision's quartiles.
+how many pairs the working tree read better, in the direction that
+``BENCHMARK.json`` gives the metric (``better``: lower or higher); then
+every pair's two values.  A row ends ``claim-ok`` when the working tree
+was better in at least 9 of 10 pairs and its median is further from the
+revision's, in the better direction, than the revision's quartiles are
+apart; and ``worse>bound`` when its median is worse than the revision's by
+more than the metric's ``bound`` (a fraction of the revision's median).
 """
 from __future__ import annotations
 
@@ -30,12 +34,20 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def load_spec() -> dict[str, dict]:
+    """Each end-to-end metric's entry in BENCHMARK.json, by name."""
+    return {metric["name"]: metric for metric in json.loads(
+        (ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+
+
 @dataclass
 class Row:
     metric: str
     unit: str
     parent: list[float]  # one value per pair, in pair order
     change: list[float]
+    better: str = "lower"  # or "higher"
+    bound: float | None = None  # the worst allowed relative regression
 
     @property
     def parent_median(self) -> float:
@@ -57,14 +69,37 @@ class Row:
         """Pairs in which the change read lower than the parent."""
         return sum(c < p for p, c in zip(self.parent, self.change))
 
+    @property
+    def wins(self) -> int:
+        """Pairs in which the change read better than the parent."""
+        if self.better == "higher":
+            return sum(c > p for p, c in zip(self.parent, self.change))
+        return self.lower
+
+    @property
+    def gain(self) -> float:
+        """How far the change's median is better than the parent's."""
+        gap = self.parent_median - self.change_median
+        return -gap if self.better == "higher" else gap
+
+    @property
+    def verdict(self) -> str:
+        q1, q3 = self.parent_quartiles
+        if 10 * self.wins >= 9 * len(self.parent) and self.gain > q3 - q1:
+            return "claim-ok"
+        if self.bound is not None \
+                and -self.gain > self.bound * abs(self.parent_median):
+            return "worse>bound"
+        return ""
+
     def format(self) -> str:
         parent, change = self.parent_median, self.change_median
         q1, q3 = self.parent_quartiles
         delta = (change - parent) / parent if parent else 0.0
         return (f"{self.metric:22s} {parent:>13.6g} {change:>13.6g} "
                 f"{q1:>11.6g} {q3:>11.6g} "
-                f"{self.lower:>3d}/{len(self.parent):<3d} {delta:>+8.2%}  "
-                f"{self.unit}")
+                f"{self.wins:>3d}/{len(self.parent):<3d} {delta:>+8.2%}  "
+                f"{self.unit:6s} {self.verdict}").rstrip()
 
     def format_pairs(self) -> str:
         return f"{self.metric:22s} " + ", ".join(
@@ -72,7 +107,7 @@ class Row:
 
 
 HEADER = (f"{'metric':22s} {'parent median':>13s} {'change median':>13s} "
-          f"{'parent q1':>11s} {'parent q3':>11s} {'lower':>7s} "
+          f"{'parent q1':>11s} {'parent q3':>11s} {'better':>7s} "
           f"{'change':>8s}  unit")
 
 
@@ -81,12 +116,18 @@ def parse_result(stdout: str) -> dict:
     return json.loads(stdout.strip().splitlines()[-1])
 
 
-def summarise(pairs: list[tuple[dict, dict]]) -> list[Row]:
+def summarise(pairs: list[tuple[dict, dict]],
+              spec: dict[str, dict] | None = None) -> list[Row]:
     """One row per metric of the first parent result, over (parent,
-    change) result pairs."""
+    change) result pairs.  `spec` (by default BENCHMARK.json's end-to-end
+    metrics) gives each metric's direction and bound; a metric it does not
+    name is lower-is-better, with no bound."""
+    spec = load_spec() if spec is None else spec
     return [Row(name, first["unit"],
                 [p["metrics"][name]["value"] for p, _ in pairs],
-                [c["metrics"][name]["value"] for _, c in pairs])
+                [c["metrics"][name]["value"] for _, c in pairs],
+                spec.get(name, {}).get("better", "lower"),
+                spec.get(name, {}).get("bound"))
             for name, first in pairs[0][0]["metrics"].items()]
 
 
