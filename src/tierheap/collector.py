@@ -299,12 +299,9 @@ class Collector:
         locators = olds & LOCATOR_MASK
         source = (olds >> HEAP_SHIFT) & 3
         offsets = (locators - source * regions.region_length).tolist()
-        if (source == source[0]).all():  # one source heap: the common case
-            payloads = list(map(regions.slots[source[0]].get, offsets,
-                                repeat(b"")))
-        else:  # each guide's source dict, by one object-array gather
-            dicts = np.array(regions.slots, dtype=object)[source].tolist()
-            payloads = list(map(dict.get, dicts, offsets, repeat(b"")))
+        # Each guide's source slot dict, gathered by one object-array index.
+        dicts = np.array(regions.slots, dtype=object)[source].tolist()
+        payloads = list(map(dict.get, dicts, offsets, repeat(b"")))
         lengths = np.fromiter(map(len, payloads), np.int64, len(payloads))
         read = lengths > 0  # b"": freed by a delete or a set after the lock
         target_region = regions.region(target)

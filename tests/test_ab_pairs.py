@@ -27,9 +27,9 @@ def test_summary_gives_medians_parent_quartiles_and_lower_pairs():
     assert (delete.metric, delete.unit) == ("del_p50_us", "us")
     assert delete.parent_median == 7.7 and delete.change_median == 6.7
     assert delete.parent_quartiles == pytest.approx((7.55, 7.85))
-    assert delete.lower == 4
+    assert delete.wins == 4
     assert ops.parent_median == 102.0 and ops.change_median == 200.0
-    assert ops.lower == 0
+    assert ops.wins == 5  # mutator_ops_s: higher is better
     line = delete.format()
     assert line.split()[:4] == ["del_p50_us", "7.7", "6.7", "7.55"]
     assert "4/5" in line and "-12.99%" in line
@@ -41,7 +41,7 @@ def test_one_pair_has_its_own_value_as_quartiles():
     pair = (ab_pairs.parse_result(result_line(7.0, 1.0)),
             ab_pairs.parse_result(result_line(7.0, 1.0)))
     (delete, _) = ab_pairs.summarise([pair])
-    assert delete.parent_quartiles == (7.0, 7.0) and delete.lower == 0
+    assert delete.parent_quartiles == (7.0, 7.0) and delete.wins == 0
 
 
 def paired(metric, parent, change):
@@ -60,13 +60,13 @@ def test_directions_and_bounds_come_from_the_benchmark():
     (ops,) = ab_pairs.summarise(paired("mutator_ops_s", [100.0, 100.0],
                                        [90.0, 110.0]))
     assert (ops.better, ops.bound) == ("higher", 0.25)
-    assert ops.wins == 1 and ops.lower == 1
+    assert ops.wins == 1
 
 
 def test_a_higher_is_better_regression_is_not_a_win():
     (cold,) = ab_pairs.summarise(
         paired("cold_bytes", [100.0] * 4, [99.0, 98.0, 101.0, 97.0]), SPEC)
-    assert cold.lower == 3 and cold.wins == 1
+    assert cold.wins == 1  # lower in 3 of 4 pairs
     assert "1/4" in cold.format()
 
 

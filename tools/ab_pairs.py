@@ -65,16 +65,11 @@ class Row:
         return q1, q3
 
     @property
-    def lower(self) -> int:
-        """Pairs in which the change read lower than the parent."""
-        return sum(c < p for p, c in zip(self.parent, self.change))
-
-    @property
     def wins(self) -> int:
         """Pairs in which the change read better than the parent."""
         if self.better == "higher":
             return sum(c > p for p, c in zip(self.parent, self.change))
-        return self.lower
+        return sum(c < p for p, c in zip(self.parent, self.change))
 
     @property
     def gain(self) -> float:
