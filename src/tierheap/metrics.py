@@ -19,7 +19,7 @@ from .regions import PAGE_SIZE, page_rows
 LINE_SIZE = 64
 
 
-@dataclass
+@dataclass(slots=True)  # one per touched page of each window read
 class AccessLogEntry:
     window: int
     page: int

@@ -11,6 +11,14 @@ touching the OS: allocation sets it, and PAGEOUT advice and `audit` clear
 it.  A page's occupancy (the live slots that touch it) is not kept: the
 readers that need it, `page_table`, PAGEOUT advice and `audit`, derive it
 from the slot dict with numpy, at O(live slots) cost per call.
+
+A CPython dict keeps its table when entries are deleted, so a slot dict
+would stay sized for the most slots its region ever held.  Migration frees
+its source slots through `free_batch`, which rebuilds the dict once the
+region falls below a quarter of its recent peak (`REBUILD_RATIO`) and
+publishes the copy in `RegionManager.slots`.  So `slots` is a list whose
+entries a rebuild replaces: a reader indexes it on every lookup and never
+keeps a region's dict.
 """
 from __future__ import annotations
 
@@ -19,6 +27,7 @@ import threading
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from itertools import compress, repeat
 
 import numpy as np
@@ -28,6 +37,13 @@ from .guideword import LOCATOR_MASK, HeapId
 PAGE_SIZE = 4096
 DEFAULT_REGION_LENGTH = 4 << 30  # 4 GiB per heap
 SIZE_CLASSES = tuple(1 << i for i in range(4, 17))  # 16 B .. 64 KiB
+# `free_batch` rebuilds a region's slot dict once it holds fewer than
+# 1/REBUILD_RATIO of the most live slots it held since its last rebuild.
+# Going from that peak to below a quarter of it took at least three frees
+# per slot the rebuild copies, so the copy adds under a third of a dict
+# operation to each free, and the table it drops was sized for at least
+# four times the slots the new one holds.
+REBUILD_RATIO = 4
 
 
 class RegionError(RuntimeError):
@@ -113,6 +129,10 @@ class HeapRegion:
         self._free: dict[int, list[int]] = {c: [] for c in SIZE_CLASSES}
         self._bump = 0
         self._live: dict[int, bytes] = {}  # region-relative offset -> payload
+        self._peak_live = 0  # most live slots since the last rebuild
+        # Called with each rebuilt slot dict, under the lock; a region's
+        # RegionManager makes it publish the dict in `slots`.
+        self._publish = lambda live: None
         self._resident = bytearray()  # per region-relative page
         self._page_end = 0  # offsets below this have a residency flag
         self._lock = threading.Lock()
@@ -260,7 +280,9 @@ class HeapRegion:
 
         Every locator is checked first: one that is not live, or that the
         batch names twice, raises DoubleFreeError with the region left
-        untouched.
+        untouched.  A batch that leaves fewer than 1/REBUILD_RATIO of the
+        most live slots seen at the start of a batch since the last
+        rebuild rebuilds the slot dict (`_rebuild`).
         """
         n = len(locators)
         if not n:
@@ -269,6 +291,7 @@ class HeapRegion:
         relative = offsets.tolist()
         with self._lock:
             live = self._live
+            self._peak_live = max(self._peak_live, len(live))
             # One lookup per slot: each payload is popped, and all are put
             # back if one is missing (not live, or named twice).
             payloads = list(map(live.pop, relative, repeat(None)))
@@ -287,16 +310,42 @@ class HeapRegion:
                     deque(map(heapq.heappush,  # a C-speed loop
                               repeat(self._free[SIZE_CLASSES[rank]]),
                               offsets[ranks == rank].tolist()), 0)
+            if len(live) * REBUILD_RATIO < self._peak_live:
+                self._rebuild()
+
+    def _rebuild(self) -> None:
+        """Copy the live slots into a fresh dict sized for them, and make
+        it the slot dict, both `_live` and the one `_publish` hands to the
+        manager's `slots`.  The caller holds the lock.
+
+        A reader that takes no region lock (a store's get, the collector's
+        read pass) stays correct across the swap:
+        - the copy and the publish run under the region lock, so no
+          install or free interleaves with them;
+        - a reader still holding the old dict finds there every slot
+          installed before the swap;
+        - a slot installed after the swap is published to its guide word
+          only afterwards, so a reader that loaded that word indexes
+          `slots` after the swap and finds the new dict;
+        - a slot freed after the swap may still be found in the old dict,
+          a stale read that the get's re-check of the word rejects, since
+          its word was moved on before the free.
+        """
+        live = dict(self._live)
+        self._publish(live)
+        self._live = live
+        self._peak_live = len(live)
 
     def write(self, locator: int, data: bytes) -> None:
         """Fill a slot; only its allocator writes it, before publishing it."""
         offset = locator - self.base
-        payload = self._live.get(offset)
-        if payload is None:
-            raise RegionError(f"write to non-live locator {locator:#x}")
-        if len(data) != len(payload):
-            raise RegionError("payload length does not match the slot")
-        self._live[offset] = data
+        with self._lock:  # so a rebuild cannot drop the write
+            payload = self._live.get(offset)
+            if payload is None:
+                raise RegionError(f"write to non-live locator {locator:#x}")
+            if len(data) != len(payload):
+                raise RegionError("payload length does not match the slot")
+            self._live[offset] = data
 
     def read(self, locator: int) -> bytes:
         payload = self._live.get(locator - self.base)
@@ -373,7 +422,11 @@ class RegionManager:
         # Each region's live slots, region-relative offset -> payload, in
         # locator order: the slot at `locator` is
         # `slots[locator // region_length].get(locator % region_length)`.
-        self.slots = tuple(region._live for region in self.heaps)
+        # A rebuild (`HeapRegion._rebuild`) replaces a region's entry, so
+        # index `slots` on every lookup and never keep a region's dict.
+        self.slots = [region._live for region in self.heaps]
+        for index, region in enumerate(self.heaps):
+            region._publish = partial(self.slots.__setitem__, index)
 
     def region(self, heap: HeapId) -> HeapRegion:
         return self.heaps[heap]

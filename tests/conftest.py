@@ -70,24 +70,26 @@ def hook_slots(monkeypatch):
     before the dict lookup, or after it.
 
     `install(store, hook, after=False)` swaps the store's `_slots` for
-    hooked views of the same dicts.
+    hooked views of the same list, each of which looks its region's dict
+    up on every read, as the store does, since a rebuild replaces it.
     """
     def install(store, hook, after: bool = False) -> None:
         armed = [hook]
+        slots = store._slots
 
         class HookedSlots:
-            def __init__(self, slots):
-                self.slots = slots
+            def __init__(self, index):
+                self.index = index
 
             def get(self, offset):
                 run = armed.pop() if armed else None
                 if run is not None and not after:
                     run()
-                data = self.slots.get(offset)
+                data = slots[self.index].get(offset)
                 if run is not None and after:
                     run()
                 return data
 
-        hooked = tuple(HookedSlots(slots) for slots in store._slots)
+        hooked = [HookedSlots(index) for index in range(len(slots))]
         monkeypatch.setattr(store, "_slots", hooked)
     return install

@@ -106,3 +106,55 @@ def test_worse_than_the_bound(metric, factor, verdict):
         paired(metric, PARENT, [v * factor for v in PARENT]), SPEC)
     assert row.verdict == verdict
     assert row.format().endswith(verdict)
+
+
+@pytest.fixture
+def offline(monkeypatch):
+    """`main` with `extract` and `run_once` replaced: returns the revisions
+    extracted and the (workload, seed) of every run."""
+    extracted, ran = [], []
+    monkeypatch.setattr(ab_pairs, "extract",
+                        lambda rev, into: extracted.append(rev))
+
+    def run_once(tree, workload, seed):
+        ran.append((workload, seed))
+        return ab_pairs.parse_result(result_line(7.0, 100.0))
+
+    monkeypatch.setattr(ab_pairs, "run_once", run_once)
+    return extracted, ran
+
+
+WORKLOADS = [w["name"] for w in json.loads(
+    (ab_pairs.ROOT / "BENCHMARK.json").read_text())["workloads"]]
+
+
+def test_every_workload_flag_runs_its_workload(offline, capsys):
+    extracted, ran = offline
+    assert ab_pairs.main(["--workload", "zipf-update-skiplist",
+                          "--workload", "zipf-read-hashmap",
+                          "--pairs", "2"]) == 0
+    assert ran == [(workload, seed)
+                   for workload in ("zipf-update-skiplist",
+                                    "zipf-read-hashmap")
+                   for seed in (1, 1, 2, 2)]
+    out = capsys.readouterr().out
+    assert "== zipf-update-skiplist: 2 pairs" in out
+    assert "== zipf-read-hashmap: 2 pairs" in out
+
+
+@pytest.mark.parametrize("argv", [[], ["--workload", "all"]])
+def test_all_workloads_by_default(offline, argv):
+    extracted, ran = offline
+    assert ab_pairs.main([*argv, "--pairs", "1"]) == 0
+    assert extracted == ["HEAD"]
+    assert [workload for workload, _ in ran[::2]] == WORKLOADS
+
+
+def test_a_misspelt_workload_fails_before_extracting(offline, capsys):
+    extracted, ran = offline
+    with pytest.raises(SystemExit) as exited:
+        ab_pairs.main(["--workload", "zipf-read-hashmap",
+                       "--workload", "zipf-raed-hashmap"])
+    assert exited.value.code == 2
+    assert extracted == [] and ran == []
+    assert "'zipf-raed-hashmap'" in capsys.readouterr().err

@@ -288,3 +288,13 @@ def test_cdf_csv_format(tmp_path):
     assert lines[0] == "utilization,cum_fraction"
     assert lines[1] == "0.015625,0.500000"
     assert lines[2] == "1.000000,1.000000"
+
+
+def test_access_log_entry_keeps_no_instance_dict():
+    """`AccessLog.entries` builds one entry per touched page of each window
+    it reads, so entries use slots; they still compare and print by
+    value."""
+    entry = AccessLogEntry(1, 5, 3)
+    assert not hasattr(entry, "__dict__")
+    assert entry == AccessLogEntry(1, 5, 3) != AccessLogEntry(1, 5, 7)
+    assert repr(entry) == "AccessLogEntry(window=1, page=5, line_mask=3)"

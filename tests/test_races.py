@@ -20,7 +20,7 @@ from tierheap.collector import MIGRATE_CHUNK
 from tierheap.guideword import (ACCESSED_BIT, ATC_FIELD, LOCATOR_MASK,
                                 LOCK_BIT, HeapId, pack, tombstone_from,
                                 unpack, word_heap)
-from tierheap.regions import DoubleFreeError, RegionError
+from tierheap.regions import DoubleFreeError, HeapRegion, RegionError
 from tierheap.runtime import TierRuntime
 from tierheap.store import make_store
 
@@ -694,4 +694,131 @@ class TestLockFreeRetire:
         assert registry.graveyard_mark() == 0
         assert sorted(registry._free) == list(range(2 * len(keys)))
         assert registry.live_count == 0
+        runtime.audit()
+
+
+class TestSlotDictRebuild:
+    """Gets take no region lock, so they race the collector's
+    `free_batch`, which swaps a region's slot dict for a smaller copy once
+    migration drains the region below a quarter of its peak."""
+
+    def test_gets_while_windows_drain_new_and_hot(self, monkeypatch):
+        """A second thread gets every key of a 20k-key map, in passes,
+        during some scan windows and not others, while the windows drain
+        NEW into HOT and HOT into COLD through several rebuilds; every get
+        reads its model value and every region's slot dict stays the one
+        published in `slots`."""
+        runtime = TierRuntime(region_length=1 << 26, ct_init=1)
+        store = make_store(runtime, "hashmap")
+        model = {b"key-%05d" % i: b"value-%05d" % i for i in range(20000)}
+        for key, value in model.items():
+            store.set(key, value)
+        regions = runtime.regions
+        in_pass = threading.Event()
+        rebuilds = []  # (heap, whether a get pass was running)
+        rebuild = HeapRegion._rebuild
+
+        def counted(region):
+            rebuilds.append((region.heap, in_pass.is_set()))
+            rebuild(region)
+
+        monkeypatch.setattr(HeapRegion, "_rebuild", counted)
+        reading, done = threading.Event(), threading.Event()
+        errors, passes = [], []
+
+        def reader():
+            try:
+                while not done.is_set():
+                    if not reading.wait(0.001):
+                        continue
+                    in_pass.set()
+                    wrong = sum(store.get(key) != value
+                                for key, value in model.items())
+                    in_pass.clear()
+                    passes.append(wrong)
+            except Exception as exc:  # noqa: BLE001 - collected for assert
+                errors.append(exc)
+                in_pass.clear()
+
+        thread = threading.Thread(target=reader, daemon=True)
+        thread.start()
+        try:
+            # r: gets run through the window; .: no get runs in it.
+            for schedule in "rr..rr..":
+                if schedule == "r":
+                    reading.set()
+                else:
+                    reading.clear()
+                    while in_pass.is_set() and thread.is_alive():
+                        time.sleep(0.001)  # let the pass finish
+                runtime.collector.run_scan_window()
+                for heap, region in enumerate(regions.heaps):
+                    assert regions.slots[heap] is region._live
+                runtime.audit()
+        finally:
+            done.set()
+            thread.join(60.0)
+        assert not thread.is_alive()
+        assert errors == [] and passes and not any(passes)
+        assert {HeapId.NEW, HeapId.HOT} <= {heap for heap, _ in rebuilds}
+        assert any(racing for _, racing in rebuilds)
+        assert all(store.get(key) == value for key, value in model.items())
+        runtime.audit()
+
+    def test_get_between_the_copy_and_the_publish(self):
+        """A get on another thread, run while the rebuild holds NEW's lock
+        after copying the slot dict but before publishing the copy, reads
+        the old dict and returns the value; an insert waits for the lock
+        and lands in the new dict."""
+        runtime = TierRuntime(region_length=1 << 22)
+        store = make_store(runtime, "hashmap")
+        model = {b"key-%03d" % i: b"value-%03d" % i for i in range(64)}
+        for key, value in model.items():
+            store.set(key, value)
+        regions = runtime.regions
+        new = regions.region(HeapId.NEW)
+        stay = store._entry(b"key-000")  # the one entry left in NEW
+        guides = [guide for key in model if key != b"key-000"
+                  for guide in (store._entry(key).key_guide,
+                                store._entry(key).value_guide)]
+        publish = new._publish
+        seen = []
+
+        def hooked(live):
+            old = regions.slots[HeapId.NEW]
+            assert old is new._live and live is not old
+            assert new._lock.locked()
+            got = []
+            getter = threading.Thread(target=lambda: got.extend(
+                store.get(key) for key in (b"key-000", b"key-001")))
+            getter.start()
+            getter.join(10.0)
+            assert not getter.is_alive(), "a get waited for the region lock"
+            inserter = threading.Thread(target=store.set,
+                                        args=(b"late", b"late-value"))
+            inserter.start()
+            inserter.join(0.05)
+            assert inserter.is_alive(), "an insert ran inside the rebuild"
+            publish(live)
+            seen.append((got, inserter))
+
+        new._publish = hooked
+        collector = runtime.collector
+        collector.begin_epoch()
+        assert collector.await_convergence()
+        counts = collector.migrate_batch(guides, HeapId.HOT)
+        collector.end_epoch()
+        (got, inserter), = seen
+        inserter.join(10.0)
+        assert not inserter.is_alive()
+        assert got == [b"value-000", b"value-001"]
+        assert counts.moved == len(guides)
+        assert regions.slots[HeapId.NEW] is new._live
+        late = store._entry(b"late")
+        assert sorted(new._live) == sorted(  # NEW's base is 0
+            runtime.registry.words[guide] & LOCATOR_MASK
+            for guide in (stay.key_guide, stay.value_guide,
+                          late.key_guide, late.value_guide))
+        for key, value in [*model.items(), (b"late", b"late-value")]:
+            assert store.get(key) == value
         runtime.audit()

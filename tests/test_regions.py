@@ -1,5 +1,6 @@
 """Temperature-segregated regions: size classes, accounting, hints."""
 import random
+import sys
 
 import pytest
 
@@ -338,6 +339,89 @@ def model_runs(pages):
     return [tuple(run) for run in runs]
 
 
+class SlotModel:
+    """A plain model of a region's live slots and page residency, checked
+    against the region's page table, PAGEOUT spans and audit."""
+
+    def __init__(self, rng, twin=None):
+        self.rng = rng
+        self.twin = twin  # a region every call is repeated on
+        self.slots = []  # (locator, length) of every live slot
+        self.resident = set()  # the pages the model expects resident
+        self.emptied = set()  # resident pages whose last slot a free removed
+
+    def installed(self, locator, length):
+        self.slots.append((locator, length))
+        pages = range(locator // PAGE_SIZE,
+                      (locator + length - 1) // PAGE_SIZE + 1)
+        self.resident.update(pages)
+        self.emptied.difference_update(pages)
+
+    def freed(self, count):
+        """Drop `count` random live slots; returns their locators."""
+        slots = self.slots
+        self.rng.shuffle(slots)
+        gone, slots[:] = slots[:count], slots[count:]
+        self.emptied.update((set(model_page_counts(gone))
+                             - set(model_page_counts(slots))) & self.resident)
+        return [locator for locator, _ in gone]
+
+    def call(self, region, method, *args):
+        """`region.method(*args)`, repeated on the twin, which must return
+        the same placements."""
+        got = getattr(region, method)(*args)
+        if self.twin is not None:
+            assert getattr(self.twin, method)(*args) == got
+        return got
+
+    def step(self, region, lengths):
+        """One random `install`, `allocate_batch`, `free` or
+        `free_batch`."""
+        def call(method, *args):
+            return self.call(region, method, *args)
+
+        rng, slots = self.rng, self.slots
+        roll = rng.random()
+        if roll < 0.3:
+            length = rng.choice(lengths)
+            self.installed(call("install", bytes(length)), length)
+        elif roll < 0.55:
+            batch = [rng.choice(lengths) for _ in range(rng.randrange(1, 40))]
+            got = call("allocate_batch", [bytes(n) for n in batch])
+            assert None not in got
+            for locator, length in zip(got, batch):
+                self.installed(locator, length)
+        elif roll < 0.75 and slots:
+            call("free", self.freed(1)[0])
+        elif slots:
+            call("free_batch", self.freed(rng.randrange(len(slots) + 1)))
+
+    def check(self, region):
+        """The page table agrees with the model; returns each page's
+        live-slot count."""
+        counts = model_page_counts(self.slots)
+        table = region.page_table()
+        assert {page: n for page, (n, _) in table.items() if n} == counts
+        assert {page for page, (_, r) in table.items() if r} == self.resident
+        assert all(table[page] == (0, True) for page in self.emptied)
+        assert region.live_bytes == sum(n for _, n in self.slots)
+        return counts
+
+    def pageout(self, region, window):
+        counts = model_page_counts(self.slots)
+        events = region.emit_hints(HintKind.PAGEOUT_ADVICE, window)
+        assert [(e.start_page, e.end_page) for e in events] \
+            == model_runs(counts)
+        self.resident.difference_update(counts)
+
+    def audit(self, region):
+        region.audit()
+        self.resident.intersection_update(model_page_counts(self.slots))
+        self.emptied.clear()
+        table = region.page_table()
+        assert {page for page, (_, r) in table.items() if r} == self.resident
+
+
 class TestPageOccupancy:
     """A region's page table, PAGEOUT spans and residency agree with a
     plain model of its live slots under a random drive of `install`,
@@ -347,61 +431,86 @@ class TestPageOccupancy:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_random_drive(self, seed):
-        rng = random.Random(seed)
         base = 1 << 30  # so pages are absolute, not region-relative
         region = HeapRegion(HeapId.COLD, base, 4096 * PAGE_SIZE)
-        slots = []  # (locator, length) of every live slot
-        resident = set()  # the pages the model expects resident
-        emptied = set()  # resident pages whose last slot a free removed
-
-        def installed(locator, length):
-            slots.append((locator, length))
-            pages = range(locator // PAGE_SIZE,
-                          (locator + length - 1) // PAGE_SIZE + 1)
-            resident.update(pages)
-            emptied.difference_update(pages)
-
-        def freed(count):
-            rng.shuffle(slots)
-            gone, slots[:] = slots[:count], slots[count:]
-            emptied.update((set(model_page_counts(gone))
-                            - set(model_page_counts(slots))) & resident)
-            return [locator for locator, _ in gone]
-
+        model = SlotModel(random.Random(seed))
         for step in range(120):
-            roll = rng.random()
-            if roll < 0.3:
-                length = rng.choice(self.LENGTHS)
-                installed(region.install(bytes(length)), length)
-            elif roll < 0.55:
-                lengths = [rng.choice(self.LENGTHS)
-                           for _ in range(rng.randrange(1, 40))]
-                got = region.allocate_batch([bytes(n) for n in lengths])
-                assert None not in got
-                for locator, length in zip(got, lengths):
-                    installed(locator, length)
-            elif roll < 0.75 and slots:
-                region.free(freed(1)[0])
-            elif slots:
-                region.free_batch(freed(rng.randrange(len(slots) + 1)))
-            counts = model_page_counts(slots)
-            table = region.page_table()
-            assert {page: n for page, (n, _) in table.items() if n} == counts
-            assert {page for page, (_, r) in table.items() if r} == resident
-            assert all(table[page] == (0, True) for page in emptied)
+            model.step(region, self.LENGTHS)
+            model.check(region)
             if step % 10 == 9:
-                events = region.emit_hints(HintKind.PAGEOUT_ADVICE, step)
-                assert [(e.start_page, e.end_page) for e in events] \
-                    == model_runs(counts)
-                resident.difference_update(counts)
+                model.pageout(region, step)
             elif step % 10 == 4:
-                region.audit()
-                resident.intersection_update(counts)
-                emptied.clear()
-                table = region.page_table()
-                assert {page for page, (_, r) in table.items() if r} \
-                    == resident
-        assert region.live_bytes == sum(n for _, n in slots)
+                model.audit(region)
+
+
+class TestSlotDictRebuild:
+    """Once a `free_batch` leaves a region under a quarter of the most
+    live slots it held at the start of a batch since its last rebuild, the
+    region swaps its slot dict for a copy sized for the live slots and
+    publishes it in `RegionManager.slots`; nothing else changes."""
+
+    LENGTHS = TestPageOccupancy.LENGTHS
+
+    def test_below_a_quarter_then_empty(self):
+        rng = random.Random(7)
+        mgr = RegionManager(region_length=4096 * PAGE_SIZE)
+        region = mgr.region(HeapId.HOT)
+        twin = HeapRegion(HeapId.HOT, region.base, region.length)
+        twin._rebuild = lambda: None  # the same region, never rebuilt
+        model = SlotModel(rng, twin)
+
+        def call(method, *args):
+            return model.call(region, method, *args)
+
+        def same_as_twin():
+            assert mgr.slots[HeapId.HOT] is region._live
+            assert list(region._live.items()) == list(twin._live.items())
+            assert sorted(region._live) == sorted(
+                locator - region.base for locator, _ in model.slots)
+            model.check(region)
+            assert region.page_table() == twin.page_table()
+
+        def drive(steps):
+            for step in range(steps):
+                model.step(region, self.LENGTHS)
+                same_as_twin()
+                if step % 10 == 4:
+                    model.audit(region)
+                    twin.audit()
+                    same_as_twin()
+
+        lengths = [rng.choice(self.LENGTHS) for _ in range(600)]
+        for locator, length in zip(
+                call("allocate_batch", [bytes(n) for n in lengths]), lengths):
+            model.installed(locator, length)
+        for length in self.LENGTHS:
+            model.installed(call("install", bytes(length)), length)
+        for locator in model.freed(10):
+            call("free", locator)
+        same_as_twin()
+        peak = len(region._live)  # what the next free_batch samples
+        old = region._live
+        # Down to a quarter of the peak exactly: not yet rebuilt.
+        call("free_batch", model.freed(peak - peak // 4))
+        assert len(old) * 4 >= peak and region._live is old
+        same_as_twin()
+        # One slot below it: rebuilt to exactly the live slots.
+        call("free_batch", model.freed(1))
+        rebuilt = region._live
+        assert rebuilt is not old and len(rebuilt) == peak // 4 - 1
+        assert sys.getsizeof(rebuilt) < sys.getsizeof(old)
+        same_as_twin()
+        drive(60)
+        # To empty: the slot dict is a fresh empty one.
+        call("free_batch", model.freed(len(model.slots)))
+        assert region._live == {} and region._live is not rebuilt
+        assert sys.getsizeof(region._live) == sys.getsizeof({})
+        same_as_twin()
+        model.audit(region)
+        twin.audit()
+        same_as_twin()
+        drive(60)
+        assert region.live_bytes == twin.live_bytes
 
 
 class TestHints:

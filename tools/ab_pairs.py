@@ -3,6 +3,10 @@
     python3 tools/ab_pairs.py --rev HEAD --workload churn-concurrent-hashmap \\
         --pairs 10 --first-seed 1
 
+``--workload`` may be given more than once; without it, every workload of
+``BENCHMARK.json`` runs.  Each name is checked against ``BENCHMARK.json``
+before the revision is extracted.
+
 Extracts ``--rev`` with ``git archive`` into a temporary directory, then
 runs ``tierbench/run.py`` (untraced, at the benchmark's run length) there
 and in the working tree, in ``--pairs`` alternating pairs per workload:
@@ -146,18 +150,21 @@ def extract(rev: str, into: Path) -> None:
 
 
 def main(argv=None) -> int:
+    known = [w["name"] for w in json.loads(
+        (ROOT / "BENCHMARK.json").read_text())["workloads"]]
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--rev", default="HEAD")
-    parser.add_argument("--workload", default="all",
-                        help="a workload name, or all of BENCHMARK.json's")
+    parser.add_argument("--workload", action="append",
+                        choices=[*known, "all"],
+                        help="a workload name, or all of BENCHMARK.json's "
+                        "(the default); may be given more than once")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--first-seed", type=int, default=1)
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
-    workloads = ([w["name"] for w in json.loads(
-        (ROOT / "BENCHMARK.json").read_text())["workloads"]]
-        if args.workload == "all" else [args.workload])
+    named = args.workload or ["all"]
+    workloads = known if "all" in named else list(dict.fromkeys(named))
     with tempfile.TemporaryDirectory(prefix="ab_pairs-") as tmp:
         parent_tree = Path(tmp)
         extract(args.rev, parent_tree)
