@@ -24,7 +24,7 @@ from pathlib import Path
 
 from .collector import CT_MAX, CT_MIN
 from .guideword import ACCESSED_BIT, DEREF_BITS, LOCATOR_MASK, HeapId, pack
-from .metrics import page_utilization, write_cdf_csv
+from .metrics import UtilizationReport, page_utilization, write_cdf_csv
 from .regions import SIZE_CLASSES, write_hint_log
 from .runtime import TierRuntime
 from .store import make_store
@@ -107,6 +107,8 @@ class BenchmarkResult:
     reports: list = field(default_factory=list)
     access_windows: list[int] = field(default_factory=list)
     replay_counts: dict | None = None
+    # The "after" window's utilization, whose CDF `--report` writes.
+    after_report: UtilizationReport | None = None
 
 
 def measure_deref_ns(samples: int = 64, batch: int = 2000) -> float:
@@ -243,12 +245,13 @@ def run_benchmark(config: RunConfig) -> BenchmarkResult:
         executed = workers.join()
     elapsed = time.perf_counter() - run_started
 
-    summary = _build_summary(config, runtime, access_windows,
-                             executed, elapsed)
+    summary, after_report = _build_summary(config, runtime, access_windows,
+                                           executed, elapsed)
     result = BenchmarkResult(summary, runtime, store,
                              reports=list(collector.reports),
                              access_windows=access_windows,
-                             replay_counts=replay_counts)
+                             replay_counts=replay_counts,
+                             after_report=after_report)
     if config.report is not None:
         _write_reports(config, result)
     return result
@@ -280,7 +283,9 @@ def _utilization_for(runtime: TierRuntime, access_window: int):
 
 def _build_summary(config: RunConfig, runtime: TierRuntime,
                    access_windows: list[int], executed: int,
-                   elapsed: float) -> dict:
+                   elapsed: float) -> tuple[dict, UtilizationReport | None]:
+    """The run's summary (`SUMMARY_FIELDS`), and the "after" window's
+    utilization report, None when no access log was recorded."""
     controller = runtime.collector.controller
     reports = runtime.collector.reports
     migration_counts = {
@@ -314,8 +319,9 @@ def _build_summary(config: RunConfig, runtime: TierRuntime,
     live = {heap: runtime.regions.region(heap).live_bytes
             for heap in (HeapId.NEW, HeapId.HOT, HeapId.COLD)}
     total_live = sum(live.values())
-    resident = sum(runtime.regions.region(h).resident_bytes()
-                   for h in (HeapId.NEW, HeapId.HOT, HeapId.COLD))
+    # The page-rounded extents the bump pointers reached: which of those
+    # pages stay resident is a page backend's decision, not the regions'.
+    resident = sum(region.extent_bytes() for region in runtime.regions.heaps)
 
     summary = {
         "aggregateUtilizationBefore": before,
@@ -330,8 +336,7 @@ def _build_summary(config: RunConfig, runtime: TierRuntime,
         "derefOverheadNs": measure_deref_ns(),
         "throughputOpsPerSec": (executed / elapsed) if elapsed > 0 else 0.0,
     }
-    summary["_afterUtilizationReport"] = after_report  # internal, not dumped
-    return summary
+    return summary, after_report
 
 
 def _write_reports(config: RunConfig, result: BenchmarkResult) -> None:
@@ -340,16 +345,11 @@ def _write_reports(config: RunConfig, result: BenchmarkResult) -> None:
     with open(out / "windows.jsonl", "w") as fh:
         for report in result.reports:
             fh.write(report.to_json() + "\n")
-    dumpable = {k: v for k, v in result.summary.items()
-                if not k.startswith("_")}
     with open(out / "summary.json", "w") as fh:
-        json.dump(dumpable, fh, indent=2, sort_keys=True)
+        json.dump(result.summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    after_report = result.summary.get("_afterUtilizationReport")
-    if after_report is not None:
-        write_cdf_csv(after_report, out / "utilization_cdf.csv")
-    else:
-        write_cdf_csv(page_utilization([]), out / "utilization_cdf.csv")
+    write_cdf_csv(result.after_report or page_utilization([]),
+                  out / "utilization_cdf.csv")
     write_hint_log(result.runtime.collector.hint_events, out / "hints.log")
 
 
@@ -414,9 +414,7 @@ def main(argv=None) -> int:
     except Exception as exc:  # runtime fault
         print(f"fatal: {exc}", file=sys.stderr)
         return 1
-    dumpable = {k: v for k, v in result.summary.items()
-                if not k.startswith("_")}
-    print(json.dumps(dumpable, indent=2, sort_keys=True))
+    print(json.dumps(result.summary, indent=2, sort_keys=True))
     return 0
 
 

@@ -1,16 +1,17 @@
-"""Temperature-segregated arena allocator with page-level accounting.
+"""Temperature-segregated arena allocator over fixed 4 KiB pages.
 
 Each heap temperature (NEW, HOT, COLD) gets one contiguous reserved range of
 the 48-bit managed space and sub-allocates object slots from power-of-two
 size classes.  A live slot holds only its payload bytes; its length and size
 class follow from them.  The page is a fixed 4 KiB (`PAGE_SIZE`), so a
-page's 64-byte lines fit one 64-bit mask.  The only per-page state is a
-simulated residency flag (`bytearray`, indexed by region-relative page and
-grown with the bump pointer), so reclaim advice can be modeled without
-touching the OS: allocation sets it, and PAGEOUT advice and `audit` clear
-it.  A page's occupancy (the live slots that touch it) is not kept: the
-readers that need it, `page_table`, PAGEOUT advice and `audit`, derive it
-from the slot dict with numpy, at O(live slots) cost per call.
+page's 64-byte lines fit one 64-bit mask.  A region keeps no per-page
+state.  A page's occupancy (the live slots that touch it) is derived on
+demand from the slot dict with numpy, at O(live slots) cost per call, by
+its two readers, `page_table` and PAGEOUT advice.  Which pages stay
+resident is a page backend's decision, not the allocator's: a region
+reports only the page-rounded extent its bump pointer has reached
+(`extent_bytes`), and reclaim is modelled by replaying the advised pages
+(`metrics.simulate_reclaim`).
 
 A CPython dict keeps its table when entries are deleted, so a slot dict
 would stay sized for the most slots its region ever held.  Migration frees
@@ -112,9 +113,8 @@ class HeapRegion:
 
     Free slots are kept in per-class min-heaps so allocation always returns
     the lowest-addressed free slot of the smallest sufficient class, falling
-    back to bump allocation at the end of the used prefix.  Per page it
-    keeps only a residency flag, for exactly the pages the bump pointer
-    has reached; each page's live-slot count is derived on demand from
+    back to bump allocation at the end of the used prefix.  It keeps no
+    per-page state: each page's live-slot count is derived on demand from
     the slot dict (`_page_counts`).
     """
 
@@ -133,41 +133,24 @@ class HeapRegion:
         # Called with each rebuilt slot dict, under the lock; a region's
         # RegionManager makes it publish the dict in `slots`.
         self._publish = lambda live: None
-        self._resident = bytearray()  # per region-relative page
-        self._page_end = 0  # offsets below this have a residency flag
         self._lock = threading.Lock()
         self.live_bytes = 0
 
-    def _grow(self, end: int) -> None:
-        """Extend the residency flags to cover offsets below `end`."""
-        self._resident += bytes((end + PAGE_SIZE - 1) // PAGE_SIZE
-                                - len(self._resident))
-        self._page_end = len(self._resident) * PAGE_SIZE
-
-    def _add_live(self, offsets: np.ndarray, lengths: np.ndarray) -> None:
-        """Count new slots' bytes as live, and mark every page they touch
-        resident."""
-        np.frombuffer(self._resident, np.uint8)[
-            page_rows(offsets, lengths)[1]] = 1
-        self.live_bytes += int(lengths.sum())
-
-    def _page_counts(self) -> tuple[int, np.ndarray]:
-        """The live slots' payload bytes, and each page's live-slot count
-        (one entry per residency flag), from the slot dict.  The caller
-        holds the lock."""
+    def _page_counts(self) -> np.ndarray:
+        """Each region-relative page's live-slot count, for every page the
+        bump pointer has reached, from the slot dict.  The caller holds the
+        lock."""
         live = self._live
         n = len(live)
         lengths = np.fromiter(map(len, live.values()), np.int64, n)
         pages = page_rows(np.fromiter(live, np.int64, n), lengths)[1]
-        return (int(lengths.sum()),
-                np.bincount(pages, minlength=len(self._resident)))
+        return np.bincount(pages, minlength=-(-self._bump // PAGE_SIZE))
 
     def install(self, payload: bytes) -> int:
         """Put `payload` itself in a fresh slot and return its locator.
 
         The lowest free slot of the payload's class is taken, else the one
-        at the bump pointer.  Every page the slot touches is marked
-        resident.
+        at the bump pointer.
         """
         length = len(payload)
         if not 0 < length <= _MAX_LENGTH:
@@ -180,19 +163,10 @@ class HeapRegion:
             else:
                 offset = self._bump
                 end = offset + size_class
-                if end > self._page_end:
-                    if end > self.length:
-                        raise RegionExhausted(
-                            f"{self.heap.name} region exhausted")
-                    self._grow(end)
+                if end > self.length:
+                    raise RegionExhausted(f"{self.heap.name} region exhausted")
                 self._bump = end
             self._live[offset] = payload
-            page = offset // PAGE_SIZE
-            last = (offset + length - 1) // PAGE_SIZE
-            if last == page:
-                self._resident[page] = 1
-            else:
-                self._resident[page:last + 1] = b"\x01" * (last + 1 - page)
             self.live_bytes += length
         return self.base + offset
 
@@ -249,16 +223,14 @@ class HeapRegion:
                             end += size
                     offsets[bumped] = starts
                     room = offsets >= 0
-                if end > self._page_end:
-                    self._grow(end)
                 self._bump = end
             if room is None:
                 self._live.update(zip(offsets.tolist(), payloads))
-                self._add_live(offsets, lengths)
+                self.live_bytes += int(lengths.sum())
                 return (offsets + self.base).tolist()
             self._live.update(zip(offsets[room].tolist(),
                                   compress(payloads, room.tolist())))
-            self._add_live(offsets[room], lengths[room])
+            self.live_bytes += int(lengths[room].sum())
         return [self.base + offset if placed else None
                 for offset, placed in zip(offsets.tolist(), room.tolist())]
 
@@ -357,33 +329,31 @@ class HeapRegion:
     def live_slot_count(self) -> int:
         return len(self._live)
 
-    def page_table(self) -> dict[int, tuple[int, bool]]:
-        """Absolute page index -> (live slots, resident) for every page
-        below the bump pointer; the counts are derived from the slots."""
-        first = self.base // PAGE_SIZE
+    def page_table(self) -> dict[int, int]:
+        """Absolute page index -> live slots, for every page the bump
+        pointer has reached; the counts are derived from the slots."""
         with self._lock:
-            counts = self._page_counts()[1].tolist()
-            return {first + page: (live_slots, bool(resident))
-                    for page, (live_slots, resident) in
-                    enumerate(zip(counts, self._resident))}
+            return dict(enumerate(self._page_counts().tolist(),
+                                  self.base // PAGE_SIZE))
 
-    def resident_bytes(self) -> int:
-        return self._resident.count(1) * PAGE_SIZE
+    def extent_bytes(self) -> int:
+        """The bytes of the pages the bump pointer has reached."""
+        return -(-self._bump // PAGE_SIZE) * PAGE_SIZE
 
     def emit_hints(self, kind: HintKind, window: int = 0) -> list[HintEvent]:
         """Hint events for this region.
 
         PAGEOUT_ADVICE covers the pages holding live slots, coalesced into
-        maximal ranges, and clears their residency flag (simulated
-        reclamation).  Any other kind is one event covering the whole region.
+        maximal ranges; acting on it is a page backend's business, so the
+        region itself is left as it was.  Any other kind is one event
+        covering the whole region.
         """
         first = self.base // PAGE_SIZE
         if kind is not HintKind.PAGEOUT_ADVICE:
             return [HintEvent(kind, self.heap, first,
                               first + self.length // PAGE_SIZE, window)]
         with self._lock:
-            pages = np.flatnonzero(self._page_counts()[1])
-            np.frombuffer(self._resident, np.uint8)[pages] = 0
+            pages = np.flatnonzero(self._page_counts())
         if not len(pages):
             return []
         breaks = np.flatnonzero(np.diff(pages) != 1) + 1
@@ -393,13 +363,10 @@ class HeapRegion:
                 for start, end in zip(starts.tolist(), ends.tolist())]
 
     def audit(self) -> None:
-        """Check `live_bytes` against the live slots, and clear the
-        simulated residency of every page that holds no live slot."""
+        """Check `live_bytes` against the live slots' payload lengths."""
         with self._lock:
-            live_bytes, counts = self._page_counts()
-            if live_bytes != self.live_bytes:
+            if sum(map(len, self._live.values())) != self.live_bytes:
                 raise RegionError("live byte accounting drifted")
-            np.frombuffer(self._resident, np.uint8)[counts == 0] = 0
 
 
 class RegionManager:

@@ -47,8 +47,9 @@ class WorkloadSpec:
         if abs(total - 100.0) > 1e-6:
             raise ValueError(
                 f"operation percentages sum to {total}, expected 100")
-        if self.keys <= 0 or self.ops < 0:
-            raise ValueError("keys must be positive and ops non-negative")
+        if self.keys <= 0 or self.ops < 0 or self.seed < 0:
+            raise ValueError("keys must be positive, and ops and seed "
+                             "non-negative")
         if self.key_size < 20:
             raise ValueError("key_size must be at least 20 bytes, the "
                              "length of make_key's id prefix")

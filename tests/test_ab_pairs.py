@@ -9,12 +9,23 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 import ab_pairs  # noqa: E402
 
 
-def result_line(del_p50: float, ops: float) -> str:
-    """A `run.py` output whose last line is its JSON result."""
-    return "del_p50_us  7.7 us\n" + json.dumps({
-        "correct": True, "attempted": 100, "failed": 0,
-        "metrics": {"del_p50_us": {"value": del_p50, "unit": "us"},
-                    "mutator_ops_s": {"value": ops, "unit": "ops/s"}}})
+def result_line(del_p50: float, ops: float, **extra) -> str:
+    """A `run.py` output whose last line is its JSON result; `extra`
+    overrides its top-level fields or, given as `metrics`, adds metrics."""
+    result = {"correct": True, "attempted": 100, "failed": 0,
+              "metrics": {"del_p50_us": {"value": del_p50, "unit": "us"},
+                          "mutator_ops_s": {"value": ops, "unit": "ops/s"}}}
+    result["metrics"].update(extra.pop("metrics", {}))
+    return "del_p50_us  7.7 us\n" + json.dumps({**result, **extra})
+
+
+def run_result(attempted=100, failed=0, hot=4096.0, cold=8192.0):
+    """A parsed `run.py` result with its operation counts and layout
+    metrics."""
+    return ab_pairs.parse_result(result_line(
+        7.0, 100.0, attempted=attempted, failed=failed,
+        metrics={"hot_footprint_bytes": {"value": hot, "unit": "B"},
+                 "cold_bytes": {"value": cold, "unit": "B"}}))
 
 
 def test_summary_gives_medians_parent_quartiles_and_lower_pairs():
@@ -118,7 +129,7 @@ def offline(monkeypatch):
 
     def run_once(tree, workload, seed):
         ran.append((workload, seed))
-        return ab_pairs.parse_result(result_line(7.0, 100.0))
+        return run_result()
 
     monkeypatch.setattr(ab_pairs, "run_once", run_once)
     return extracted, ran
@@ -140,6 +151,9 @@ def test_every_workload_flag_runs_its_workload(offline, capsys):
     out = capsys.readouterr().out
     assert "== zipf-update-skiplist: 2 pairs" in out
     assert "== zipf-read-hashmap: 2 pairs" in out
+    assert out.count("failed share: parent 0.0000%, change 0.0000%\n") == 2
+    assert out.count("layout identical (hot_footprint_bytes, cold_bytes): "
+                     "2/2 pairs\n") == 2
 
 
 @pytest.mark.parametrize("argv", [[], ["--workload", "all"]])
@@ -158,3 +172,29 @@ def test_a_misspelt_workload_fails_before_extracting(offline, capsys):
     assert exited.value.code == 2
     assert extracted == [] and ran == []
     assert "'zipf-raed-hashmap'" in capsys.readouterr().err
+
+
+def test_failed_share_sums_over_pairs_and_flags_a_rise():
+    # Parent: 3 of 400 failed; change: 4 of 500, a higher share only
+    # when summed, since its pairs' own shares straddle the parent's.
+    pairs = [(run_result(100, 0), run_result(400, 4)),
+             (run_result(300, 3), run_result(100, 0))]
+    assert ab_pairs.failed_share([p for p, _ in pairs]) == 3 / 400
+    assert ab_pairs.failed_share([c for _, c in pairs]) == 4 / 500
+    assert ab_pairs.format_failed(pairs) == (
+        "failed share: parent 0.7500%, change 0.8000%  failed-share-rose")
+    same = [(run_result(200, 1), run_result(200, 1))]
+    assert not ab_pairs.format_failed(same).endswith("rose")
+    lower = [(run_result(200, 2), run_result(200, 1))]
+    assert ab_pairs.format_failed(lower) == (
+        "failed share: parent 1.0000%, change 0.5000%")
+    assert ab_pairs.failed_share([run_result(0, 0)]) == 0.0
+
+
+def test_layout_counts_pairs_where_every_layout_metric_matches():
+    pairs = [(run_result(), run_result()),
+             (run_result(hot=1.0), run_result(hot=2.0)),
+             (run_result(cold=1.0), run_result(cold=2.0)),
+             (run_result(hot=5.0, cold=6.0), run_result(hot=5.0, cold=6.0))]
+    assert ab_pairs.format_layout(pairs) == (
+        "layout identical (hot_footprint_bytes, cold_bytes): 2/4 pairs")

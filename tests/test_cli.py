@@ -59,15 +59,14 @@ class TestRunBenchmark:
 
     def test_summary_schema_golden(self):
         result = run_benchmark(small_config())
-        dumpable = {k: v for k, v in result.summary.items()
-                    if not k.startswith("_")}
-        assert set(dumpable) == set(SUMMARY_FIELDS)
-        json.dumps(dumpable)  # everything serializable
-        assert len(dumpable["prSeries"]) == SMALL["windows"]
-        assert len(dumpable["ctSeries"]) == SMALL["windows"]
+        summary = result.summary
+        assert set(summary) == set(SUMMARY_FIELDS)
+        json.dumps(summary)  # everything serializable
+        assert len(summary["prSeries"]) == SMALL["windows"]
+        assert len(summary["ctSeries"]) == SMALL["windows"]
         for key in ("promotedToHot", "demotedToCold", "newToHot",
                     "aborted", "skipped"):
-            assert dumpable["migrationCounts"][key] >= 0
+            assert summary["migrationCounts"][key] >= 0
 
     def test_deterministic_in_logical_mode(self):
         a = run_benchmark(small_config())
@@ -212,10 +211,11 @@ class TestAfterPick:
         monkeypatch.setattr(
             cli, "_utilization_for",
             lambda _rt, window: SimpleNamespace(aggregate=float(window)))
-        summary = cli._build_summary(small_config(), runtime,
-                                     access_windows, 1, 1.0)
+        summary, after = cli._build_summary(small_config(), runtime,
+                                            access_windows, 1, 1.0)
         pick = 5 if first_demotion is None else min(first_demotion + 1, 5)
         assert summary["aggregateUtilizationAfter"] == access_windows[pick]
+        assert after.aggregate == access_windows[pick]
 
 
 class TestExitCodes:
@@ -253,6 +253,7 @@ class TestExitCodes:
         ["--read-pct", "nan", "--update-pct", "100"],
         ["--zipf-alpha", "nan"], ["--scan-interval", "nan"],
         ["--pr-target", "nan"], ["--pr-target", "-1"],
+        ["--seed", "-1"],
     ], ids="-".join)
     def test_invalid_windows_is_usage_error(self, args):
         assert main(["--keys", "50", "--ops", "100", "--windows", "1"]

@@ -97,11 +97,12 @@ class TestDataAndAccounting:
         region = small_region()
         # 16 KiB slot spans 4 pages exactly
         loc = region.install(bytes(16 << 10))
-        assert region.resident_bytes() == 4 * PAGE_SIZE
+        assert region.page_table() == {0: 1, 1: 1, 2: 1, 3: 1}
         assert region.live_bytes == 16 << 10
         region.free(loc)
-        region.audit()  # audit clears residency of emptied pages
-        assert region.resident_bytes() == 0
+        region.audit()
+        assert region.page_table() == {0: 0, 1: 0, 2: 0, 3: 0}
+        assert region.live_bytes == 0
 
     def test_audit_passes_on_random_churn(self):
         rng = random.Random(5)
@@ -339,31 +340,29 @@ def model_runs(pages):
     return [tuple(run) for run in runs]
 
 
+def region_state(region):
+    """What no PAGEOUT advice or audit may change: the page table, the
+    extent and the live bytes."""
+    return region.page_table(), region.extent_bytes(), region.live_bytes
+
+
 class SlotModel:
-    """A plain model of a region's live slots and page residency, checked
-    against the region's page table, PAGEOUT spans and audit."""
+    """A plain model of a region's live slots, checked against the region's
+    page table, PAGEOUT spans and audit."""
 
     def __init__(self, rng, twin=None):
         self.rng = rng
         self.twin = twin  # a region every call is repeated on
         self.slots = []  # (locator, length) of every live slot
-        self.resident = set()  # the pages the model expects resident
-        self.emptied = set()  # resident pages whose last slot a free removed
 
     def installed(self, locator, length):
         self.slots.append((locator, length))
-        pages = range(locator // PAGE_SIZE,
-                      (locator + length - 1) // PAGE_SIZE + 1)
-        self.resident.update(pages)
-        self.emptied.difference_update(pages)
 
     def freed(self, count):
         """Drop `count` random live slots; returns their locators."""
         slots = self.slots
         self.rng.shuffle(slots)
         gone, slots[:] = slots[:count], slots[count:]
-        self.emptied.update((set(model_page_counts(gone))
-                             - set(model_page_counts(slots))) & self.resident)
         return [locator for locator, _ in gone]
 
     def call(self, region, method, *args):
@@ -401,29 +400,26 @@ class SlotModel:
         live-slot count."""
         counts = model_page_counts(self.slots)
         table = region.page_table()
-        assert {page: n for page, (n, _) in table.items() if n} == counts
-        assert {page for page, (_, r) in table.items() if r} == self.resident
-        assert all(table[page] == (0, True) for page in self.emptied)
+        assert {page: n for page, n in table.items() if n} == counts
+        assert len(table) * PAGE_SIZE == region.extent_bytes()
         assert region.live_bytes == sum(n for _, n in self.slots)
         return counts
 
     def pageout(self, region, window):
-        counts = model_page_counts(self.slots)
+        before = region_state(region)
         events = region.emit_hints(HintKind.PAGEOUT_ADVICE, window)
         assert [(e.start_page, e.end_page) for e in events] \
-            == model_runs(counts)
-        self.resident.difference_update(counts)
+            == model_runs(model_page_counts(self.slots))
+        assert region_state(region) == before
 
     def audit(self, region):
+        before = region_state(region)
         region.audit()
-        self.resident.intersection_update(model_page_counts(self.slots))
-        self.emptied.clear()
-        table = region.page_table()
-        assert {page for page, (_, r) in table.items() if r} == self.resident
+        assert region_state(region) == before
 
 
 class TestPageOccupancy:
-    """A region's page table, PAGEOUT spans and residency agree with a
+    """A region's page table, PAGEOUT spans and live bytes agree with a
     plain model of its live slots under a random drive of `install`,
     `free`, `allocate_batch` and `free_batch`."""
 
@@ -520,14 +516,27 @@ class TestHints:
         assert events == [HintEvent(HintKind.HUGEPAGE_ADVICE, HeapId.HOT,
                                     0, 8, 3)]
 
-    def test_pageout_coalesces_and_clears_residency(self):
+    def test_pageout_coalesces_live_pages(self):
         region = small_region(HeapId.COLD, pages=16)
         locs = [region.install(bytes(4096)) for _ in range(5)]
         region.free(locs[2])  # hole at page 2
         events = region.emit_hints(HintKind.PAGEOUT_ADVICE, window=1)
         spans = [(e.start_page, e.end_page) for e in events]
         assert spans == [(0, 2), (3, 5)]
-        assert region.resident_bytes() == PAGE_SIZE  # only the hole
+
+    def test_pageout_and_audit_leave_the_region_unchanged(self):
+        # The region keeps no per-page state for advice or audit to clear:
+        # what stays resident is a page backend's decision.
+        region = small_region(HeapId.COLD, pages=16)
+        locs = [region.install(bytes(n)) for n in (4096, 4096, 9000, 4096)]
+        region.free(locs[1])  # an empty page between two live ones
+        state = region_state(region)
+        assert state == ({0: 1, 1: 0, 2: 1, 3: 1, 4: 1, 5: 0, 6: 1},
+                         7 * PAGE_SIZE, 4096 + 9000 + 4096)
+        region.emit_hints(HintKind.PAGEOUT_ADVICE, window=1)
+        assert region_state(region) == state
+        region.audit()
+        assert region_state(region) == state
 
     def test_hint_line_format(self):
         event = HintEvent(HintKind.PAGEOUT_ADVICE, HeapId.COLD, 10, 14, 7)

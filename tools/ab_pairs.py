@@ -21,6 +21,10 @@ was better in at least 9 of 10 pairs and its median is further from the
 revision's, in the better direction, than the revision's quartiles are
 apart; and ``worse>bound`` when its median is worse than the revision's by
 more than the metric's ``bound`` (a fraction of the revision's median).
+Last come each side's failed-operation share (summed ``failed`` over
+summed ``attempted``), flagged ``failed-share-rose`` when the working
+tree's is higher, and in how many pairs the layout metrics
+(``LAYOUT_METRICS``) read the same on both sides.
 """
 from __future__ import annotations
 
@@ -105,6 +109,34 @@ class Row:
             f"{p:.6g}->{c:.6g}" for p, c in zip(self.parent, self.change))
 
 
+# The metrics that read the same seed for seed when a change leaves every
+# placement as it was.
+LAYOUT_METRICS = ("hot_footprint_bytes", "cold_bytes")
+
+
+def failed_share(results: list[dict]) -> float:
+    """Summed `failed` over summed `attempted` operations."""
+    attempted = sum(result["attempted"] for result in results)
+    failed = sum(result["failed"] for result in results)
+    return failed / attempted if attempted else 0.0
+
+
+def format_failed(pairs: list[tuple[dict, dict]]) -> str:
+    parent = failed_share([p for p, _ in pairs])
+    change = failed_share([c for _, c in pairs])
+    return (f"failed share: parent {parent:.4%}, change {change:.4%}"
+            + ("  failed-share-rose" if change > parent else ""))
+
+
+def format_layout(pairs: list[tuple[dict, dict]]) -> str:
+    """In how many pairs every layout metric read the same on both
+    sides."""
+    same = sum(all(p["metrics"][name]["value"] == c["metrics"][name]["value"]
+                   for name in LAYOUT_METRICS) for p, c in pairs)
+    return (f"layout identical ({', '.join(LAYOUT_METRICS)}): "
+            f"{same}/{len(pairs)} pairs")
+
+
 HEADER = (f"{'metric':22s} {'parent median':>13s} {'change median':>13s} "
           f"{'parent q1':>11s} {'parent q3':>11s} {'better':>7s} "
           f"{'change':>8s}  unit")
@@ -187,6 +219,8 @@ def main(argv=None) -> int:
             print("pairs, parent->change:")
             for row in rows:
                 print(row.format_pairs())
+            print(format_failed(pairs))
+            print(format_layout(pairs))
             sys.stdout.flush()
     return 0
 
