@@ -13,6 +13,13 @@ reports only the page-rounded extent its bump pointer has reached
 (`extent_bytes`), and reclaim is modelled by replaying the advised pages
 (`metrics.simulate_reclaim`).
 
+Placement is address-ordered first fit within a size class: a slot goes to
+the lowest free offset of its class, else to the bump pointer.  A class's
+free offsets are held unboxed (`_FreeSlots`): a sorted int64 pool consumed
+from a head index, the int64 runs `free_batch` appends, folded into the
+pool by one stable sort when the class next allocates, and a min-heap of
+the single frees since that merge, the only offsets held as Python ints.
+
 A CPython dict keeps its table when entries are deleted, so a slot dict
 would stay sized for the most slots its region ever held.  Migration frees
 its source slots through `free_batch`, which rebuilds the dict once the
@@ -23,13 +30,12 @@ keeps a region's dict.
 """
 from __future__ import annotations
 
-import heapq
 import threading
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from itertools import compress, repeat
+from heapq import heappop, heappush
+from itertools import compress
 
 import numpy as np
 
@@ -89,8 +95,99 @@ def _check_length(length: int) -> None:
                           f"size class ({_MAX_LENGTH} B)")
 
 
+_NO_OFFSETS = np.empty(0, np.int64)
+
+
+class _FreeSlots:
+    """One size class's free slots, as region-relative offsets handed out
+    lowest first.
+
+    Three disjoint parts hold them:
+    - `pool`, a sorted int64 array whose entries from `head` on are free;
+    - `runs`, the int64 arrays that `free_batch` appended since the last
+      merge, each in its batch's order;
+    - `singles`, a min-heap of the offsets that `free` returned since the
+      last merge, the only ones held as Python ints.
+    The class's first allocation after a `free_batch` merges the runs and
+    the singles into the pool (`_merge`); `take` merges the singles too, so
+    a batch takes its slots as one slice.  The class is in its region's
+    `stocked` dict exactly while it holds a free slot: a free puts it there
+    (`HeapRegion.free` pushes onto `singles` itself), and taking its last
+    slot removes it.
+    """
+
+    __slots__ = ("size_class", "stocked", "pool", "head", "runs", "singles")
+
+    def __init__(self, size_class: int, stocked: dict[int, _FreeSlots]):
+        self.size_class = size_class
+        self.stocked = stocked
+        self.pool = _NO_OFFSETS
+        self.head = 0
+        self.runs: list[np.ndarray] = []
+        self.singles: list[int] = []
+
+    def push_run(self, offsets: np.ndarray) -> None:
+        self.runs.append(offsets)
+        self.stocked[self.size_class] = self
+
+    def _merge(self) -> None:
+        """Fold the runs and the singles into the pool with one stable
+        sort, which finds the rest of the pool already sorted and merges
+        the new offsets into it."""
+        parts = [self.pool[self.head:], *self.runs]
+        if self.singles:
+            parts.append(np.array(self.singles, np.int64))
+            self.singles = []
+        self.pool = np.sort(np.concatenate(parts), kind="stable")
+        self.head = 0
+        self.runs = []
+
+    def _drained(self) -> None:
+        """Drop the used-up pool, and leave `stocked` if no single is
+        left."""
+        self.pool = _NO_OFFSETS
+        self.head = 0
+        if not self.singles:
+            del self.stocked[self.size_class]
+
+    def pop(self) -> int:
+        """Remove and return the lowest free offset; the class must be
+        stocked."""
+        if self.runs:
+            self._merge()
+        pool, head, singles = self.pool, self.head, self.singles
+        if head < len(pool):
+            low = pool.item(head)
+            if not singles or low < singles[0]:
+                self.head = head = head + 1
+                if head == len(pool):
+                    self._drained()
+                return low
+        offset = heappop(singles)
+        if not singles and not len(pool):
+            del self.stocked[self.size_class]
+        return offset
+
+    def take(self, count: int) -> np.ndarray:
+        """Remove and return the lowest `count` free offsets, ascending, or
+        all of them if there are fewer; the class must be stocked."""
+        if self.runs or self.singles:
+            self._merge()
+        head = self.head
+        taken = self.pool[head:head + count]
+        self.head = head + count
+        if self.head >= len(self.pool):
+            self._drained()
+        return taken
+
+    def offsets(self) -> list[int]:
+        """Every free offset, ascending, leaving the parts as they are."""
+        return sorted(self.pool[self.head:].tolist()
+                      + [o for run in self.runs for o in run.tolist()]
+                      + self.singles)
+
+
 class HintKind(str, Enum):
-    COLD_ADVICE = "COLD_ADVICE"
     PAGEOUT_ADVICE = "PAGEOUT_ADVICE"
     HUGEPAGE_ADVICE = "HUGEPAGE_ADVICE"
 
@@ -109,13 +206,15 @@ class HintEvent:
 
 
 class HeapRegion:
-    """One heap's reserved range with size-class free lists.
+    """One heap's reserved range with size-class free slots.
 
-    Free slots are kept in per-class min-heaps so allocation always returns
-    the lowest-addressed free slot of the smallest sufficient class, falling
-    back to bump allocation at the end of the used prefix.  It keeps no
-    per-page state: each page's live-slot count is derived on demand from
-    the slot dict (`_page_counts`).
+    Allocation returns the lowest-addressed free slot of the payload's size
+    class, else the slot at the bump pointer.  Each class's free slots are
+    one `_FreeSlots` in `_free`, which keeps its offsets unboxed except for
+    single frees awaiting a merge; `_stocked` holds only the classes with a
+    free slot, so a bump allocation costs one membership test.  It keeps
+    no per-page state: each page's live-slot count is derived on demand
+    from the slot dict (`_page_counts`).
     """
 
     def __init__(self, heap: HeapId, base: int, length: int):
@@ -126,7 +225,11 @@ class HeapRegion:
         self.heap = heap
         self.base = base
         self.length = length
-        self._free: dict[int, list[int]] = {c: [] for c in SIZE_CLASSES}
+        # Size class -> its free slots; `_stocked` keeps the classes that
+        # hold one.
+        self._stocked: dict[int, _FreeSlots] = {}
+        self._free = {size_class: _FreeSlots(size_class, self._stocked)
+                      for size_class in SIZE_CLASSES}
         self._bump = 0
         self._live: dict[int, bytes] = {}  # region-relative offset -> payload
         self._peak_live = 0  # most live slots since the last rebuild
@@ -157,9 +260,8 @@ class HeapRegion:
             _check_length(length)
         size_class = _CLASS_OF[(length - 1) >> 4]
         with self._lock:
-            free = self._free[size_class]
-            if free:
-                offset = heapq.heappop(free)
+            if size_class in self._stocked:
+                offset = self._stocked[size_class].pop()
             else:
                 offset = self._bump
                 end = offset + size_class
@@ -194,16 +296,15 @@ class HeapRegion:
         classes = _SIZE_CLASSES_NP[ranks]
         counts = np.bincount(ranks, minlength=len(SIZE_CLASSES)).tolist()
         with self._lock:
-            free = self._free
+            stocked = self._stocked
             offsets = np.empty(n, np.int64)
             bumped = np.ones(n, bool)
             for size_class, count in zip(SIZE_CLASSES, counts):
-                take = min(count, len(free[size_class]))
-                if take:
-                    members = np.flatnonzero(classes == size_class)[:take]
-                    heap = free[size_class]
-                    offsets[members] = list(map(heapq.heappop,
-                                                repeat(heap, take)))
+                if count and size_class in stocked:
+                    taken = stocked[size_class].take(count)
+                    members = np.flatnonzero(
+                        classes == size_class)[:len(taken)]
+                    offsets[members] = taken
                     bumped[members] = False
             room = None  # None: every payload has a slot
             sizes = classes[bumped]
@@ -235,7 +336,7 @@ class HeapRegion:
                 for offset, placed in zip(offsets.tolist(), room.tolist())]
 
     def free(self, locator: int) -> None:
-        """Return a live slot to its class's free list."""
+        """Return a live slot to its class's free slots."""
         offset = locator - self.base
         with self._lock:
             payload = self._live.pop(offset, None)
@@ -244,7 +345,11 @@ class HeapRegion:
                                       f"{locator:#x} in {self.heap.name}")
             length = len(payload)
             self.live_bytes -= length
-            heapq.heappush(self._free[_CLASS_OF[(length - 1) >> 4]], offset)
+            # On the mutator's path, so the push is inline: the offset joins
+            # its class's singles, and the class is stocked.
+            slots = self._free[_CLASS_OF[(length - 1) >> 4]]
+            heappush(slots.singles, offset)
+            self._stocked[slots.size_class] = slots
 
     def free_batch(self, locators) -> None:
         """Free many live slots, given as a list or an integer array, under
@@ -266,7 +371,7 @@ class HeapRegion:
             self._peak_live = max(self._peak_live, len(live))
             # One lookup per slot: each payload is popped, and all are put
             # back if one is missing (not live, or named twice).
-            payloads = list(map(live.pop, relative, repeat(None)))
+            payloads = list(map(live.pop, relative, [None] * n))
             if None in payloads:
                 live.update(pair for pair in zip(relative, payloads)
                             if pair[1] is not None)
@@ -279,9 +384,8 @@ class HeapRegion:
             ranks = _RANK_OF[(lengths - 1) >> 4]
             for rank, count in enumerate(np.bincount(ranks).tolist()):
                 if count:
-                    deque(map(heapq.heappush,  # a C-speed loop
-                              repeat(self._free[SIZE_CLASSES[rank]]),
-                              offsets[ranks == rank].tolist()), 0)
+                    self._free[SIZE_CLASSES[rank]].push_run(
+                        offsets[ranks == rank] if count < n else offsets)
             if len(live) * REBUILD_RATIO < self._peak_live:
                 self._rebuild()
 
@@ -324,6 +428,13 @@ class HeapRegion:
         if payload is None:
             raise RegionError(f"read of non-live locator {locator:#x}")
         return payload
+
+    def free_offsets(self) -> dict[int, list[int]]:
+        """Each size class's free region-relative offsets, ascending, for
+        every class that holds a free slot, in class order."""
+        with self._lock:
+            return {size_class: self._stocked[size_class].offsets()
+                    for size_class in sorted(self._stocked)}
 
     @property
     def live_slot_count(self) -> int:

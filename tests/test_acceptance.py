@@ -25,7 +25,7 @@ from tierheap.metrics import page_utilization, simulate_reclaim
 from tierheap.regions import RegionError
 from tierheap.runtime import TierRuntime
 from tierheap.scope import BaseDeltaSet
-from tierheap.store import StripedGuideMap
+from tierheap.store import StripedGuideMap, make_store
 from tierheap.workload import synthesize_phase_shift_trace, write_trace
 
 from test_metrics import brute_force_utilization, log_of
@@ -292,6 +292,130 @@ def test_criterion_5_safety_stress():
     assert not errors
     assert audits_ok
     assert migrated > 0
+
+
+def _keyed_value(key_id: int, writer: int, seq: int) -> bytes:
+    # 23 B, the size class of the 23 B keys below, so a slot that held a
+    # key and is reused under a stale word would read as a value.
+    body = b"%06d|%d|%09d|" % (key_id, writer, seq)
+    return body + zlib.crc32(body).to_bytes(4, "big")
+
+
+def _key_of_value(value: bytes):
+    """The key id a value was written for, with its writer and sequence
+    number, or None if it is not a whole value."""
+    body = value[:-4]
+    if len(value) != 23 or zlib.crc32(body).to_bytes(4, "big") != value[-4:]:
+        return None
+    key_id, writer, seq, _ = body.split(b"|")
+    return int(key_id), int(writer), int(seq)
+
+
+@pytest.mark.parametrize("structure", ["hashmap", "skiplist"])
+def test_gets_return_their_own_keys_values_while_slots_are_reused(structure):
+    """Beside criterion 5, whose values carry no key: two mutators and a
+    collector looping scan windows, at a 10 µs switch interval, while freed
+    slots are handed out again.  Every get returns a value written for its
+    own key, and never one that writer wrote before a value of that key it
+    already returned to the same reader."""
+    n_keys, seconds, n_mutators = 2000, 1.5, 2
+    runtime = TierRuntime(region_length=1 << 25, scan_interval_s=120.0,
+                          track_access_log=False)
+    # Count the slots handed out again: a locator a region returned before
+    # came from its free slots, since the bump pointer never goes back.
+    handed_out, reused = set(), [0, 0]  # installs, batch allocations
+
+    def count_reuse(region, name, index):
+        method = getattr(region, name)
+
+        def wrapper(arg):
+            got = method(arg)
+            for locator in (got if index else (got,)):
+                if locator is not None:
+                    reused[index] += locator in handed_out
+                    handed_out.add(locator)
+            return got
+        setattr(region, name, wrapper)
+
+    for region in runtime.regions.heaps:
+        count_reuse(region, "install", 0)
+        count_reuse(region, "allocate_batch", 1)
+    store = make_store(runtime, structure)
+    keys = [b"wrong-key-stress-%06d" % i for i in range(n_keys)]
+    for i, key in enumerate(keys):
+        store.set(key, _keyed_value(i, 9, 0))
+
+    wrong, errors, ops, windows = [], [], [0] * n_mutators, [0]
+    mutators_done = threading.Event()
+
+    def collector_loop():
+        try:
+            while not mutators_done.is_set():
+                runtime.collector.run_scan_window()
+                windows[0] += 1
+        except Exception as exc:
+            errors.append(repr(exc))
+
+    def mutator(worker: int):
+        rng = random.Random(31 + worker)
+        seen = {}  # (key id, writer) -> the newest sequence number read
+        seq, done = 0, 0
+        deadline = time.monotonic() + seconds
+        try:
+            while time.monotonic() < deadline:
+                key_id = rng.randrange(n_keys)
+                key = keys[key_id]
+                r = rng.random()
+                if r < 0.7:
+                    value = store.get(key)
+                    if value is not None:
+                        got = _key_of_value(value)
+                        if got is None or got[0] != key_id:
+                            wrong.append((key_id, value))
+                        elif seen.get(got[:2], -1) > got[2]:
+                            wrong.append((key_id, value, "stale"))
+                        else:
+                            seen[got[:2]] = got[2]
+                else:
+                    seq += 1
+                    if r < 0.9 or store.delete(key):
+                        store.set(key, _keyed_value(key_id, worker, seq))
+                done += 1
+        except Exception as exc:  # double frees, protocol faults
+            errors.append(repr(exc))
+        ops[worker] = done
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        collector = threading.Thread(target=collector_loop, daemon=True)
+        workers = [threading.Thread(target=mutator, args=(w,))
+                   for w in range(n_mutators)]
+        collector.start()
+        for t in workers:
+            t.start()
+        for t in workers:
+            t.join(timeout=60)
+        mutators_done.set()
+        collector.join(timeout=60)
+    finally:
+        mutators_done.set()
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in (*workers, collector))
+
+    migrated = sum(r.promoted_to_hot + r.demoted_to_cold + r.new_to_hot
+                   for r in runtime.collector.reports)
+    print(f"{structure}: {sum(ops)} ops, {windows[0]} windows, {migrated} "
+          f"migrations, {reused[0]} installs and {reused[1]} batch slots "
+          f"took a freed slot")
+    assert not errors
+    assert not wrong, wrong[:5]
+    runtime.registry.reclaim_retired()
+    runtime.audit()
+    assert len(store) == n_keys
+    assert runtime.regions.live_slot_count() == 2 * n_keys
+    assert windows[0] > 0 and migrated > 0
+    assert reused[0] > 0
 
 
 def test_criterion_6_encoding_suite():

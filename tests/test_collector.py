@@ -306,7 +306,7 @@ def heap_state(runtime):
         regions.append((
             dict(region._live),
             region.page_table(),
-            {c: sorted(free) for c, free in region._free.items()},
+            region.free_offsets(),
             region._bump, region.live_bytes))
     return list(runtime.registry.words), regions
 

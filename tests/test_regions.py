@@ -1,12 +1,14 @@
 """Temperature-segregated regions: size classes, accounting, hints."""
+import heapq
 import random
 import sys
+from collections import Counter
 
 import pytest
 
 from tierheap.guideword import HeapId
-from tierheap.regions import (PAGE_SIZE, DoubleFreeError, HeapRegion,
-                              HintEvent, HintKind, RegionError,
+from tierheap.regions import (PAGE_SIZE, SIZE_CLASSES, DoubleFreeError,
+                              HeapRegion, HintEvent, HintKind, RegionError,
                               RegionExhausted, RegionManager, write_hint_log)
 
 
@@ -141,7 +143,7 @@ class TestInstall:
             assert installed.read(loc) is payload  # the object itself
             live.append(loc)
         assert installed._live == allocated._live
-        assert installed._free == allocated._free
+        assert installed.free_offsets() == allocated.free_offsets()
         assert installed._bump == allocated._bump
         assert installed.live_bytes == allocated.live_bytes
         assert installed.page_table() == allocated.page_table()
@@ -182,11 +184,11 @@ class TestInstall:
         assert mgr.slots[HeapId.COLD][loc - (2 << 20)] == b"abcde"
 
 
-def region_state(region):
-    """Everything a placement changes: slots, free lists, bump pointer,
+def placement_state(region):
+    """Everything a placement changes: slots, free slots, bump pointer,
     page table and live bytes."""
-    return (dict(region._live), {c: list(f) for c, f in region._free.items()},
-            region._bump, region.page_table(), region.live_bytes)
+    return (dict(region._live), region.free_offsets(), region._bump,
+            region.page_table(), region.live_bytes)
 
 
 def install_or_none(region, payload):
@@ -221,14 +223,14 @@ class TestBatchesMatchSingleSlotCalls:
             batch.free_batch(freed)
             for locator in freed:
                 single.free(locator)
-            assert region_state(batch) == region_state(single)
+            assert placement_state(batch) == placement_state(single)
             payloads = [bytes([rng.randrange(256)]) * rng.choice(BATCH_LENGTHS)
                         for _ in range(rng.randrange(1, 80))]
             got = batch.allocate_batch(payloads)
             assert got == [install_or_none(single, p) for p in payloads]
             assert all(batch.read(loc) is p
                        for loc, p in zip(got, payloads) if loc is not None)
-            assert region_state(batch) == region_state(single)
+            assert placement_state(batch) == placement_state(single)
             live += [loc for loc in got if loc is not None]
         batch.audit()
         single.audit()
@@ -237,7 +239,7 @@ class TestBatchesMatchSingleSlotCalls:
     @pytest.mark.parametrize("seed", range(6))
     def test_random_class_mixes_with_holes(self, seed):
         region = self.churn(seed, pages=4096, rounds=40)
-        assert region.live_slot_count and any(region._free.values())
+        assert region.live_slot_count and region.free_offsets()
 
     @pytest.mark.parametrize("seed", range(6))
     def test_random_batches_that_exhaust_the_region(self, seed):
@@ -258,7 +260,7 @@ class TestBatchesMatchSingleSlotCalls:
         got = batch.allocate_batch(payloads)
         assert got == [install_or_none(single, p) for p in payloads]
         assert got == [None, hole, None, 3968, None, 4000]
-        assert region_state(batch) == region_state(single)
+        assert placement_state(batch) == placement_state(single)
         batch.audit()
 
     @pytest.mark.parametrize("seed", range(4))
@@ -277,19 +279,131 @@ class TestBatchesMatchSingleSlotCalls:
             batch.free_batch(freed)
             for locator in freed:
                 single.free(locator)
-            assert region_state(batch) == region_state(single)
+            assert placement_state(batch) == placement_state(single)
         batch.audit()
 
     def test_rejects_what_install_rejects(self):
         region = small_region()
         for bad in (b"", b"x" * ((64 << 10) + 1)):
-            before = region_state(region)
+            before = placement_state(region)
             with pytest.raises(RegionError) as batched:
                 region.allocate_batch([b"ok", bad])
             with pytest.raises(RegionError) as installed:
                 region.install(bad)
             assert str(batched.value) == str(installed.value)
-            assert region_state(region) == before
+            assert placement_state(region) == before
+
+
+class HeapqRegion:
+    """The allocator the free pools replaced, as a placement reference:
+    one `heapq` min-heap of offsets per size class, the lowest free slot of
+    a class first, else the bump pointer, and batches placed as sequences
+    of single-slot calls."""
+
+    def __init__(self, length):
+        self.length = length
+        self.heaps = {c: [] for c in SIZE_CLASSES}
+        self.bump = 0
+        self.live = {}  # offset -> size class
+
+    def install(self, length):
+        """The new slot's offset, or None if the class has no room."""
+        size_class = next(c for c in SIZE_CLASSES if c >= length)
+        heap = self.heaps[size_class]
+        if heap:
+            offset = heapq.heappop(heap)
+        elif self.bump + size_class > self.length:
+            return None
+        else:
+            offset, self.bump = self.bump, self.bump + size_class
+        self.live[offset] = size_class
+        return offset
+
+    def free(self, offset):
+        heapq.heappush(self.heaps[self.live.pop(offset)], offset)
+
+    def free_offsets(self):
+        return {c: sorted(heap) for c, heap in self.heaps.items() if heap}
+
+
+class TestPlacementMatchesHeapq:
+    """A seeded random drive of `install`, `free`, `allocate_batch` and
+    `free_batch` hands out exactly the slots `HeapqRegion` does, and leaves
+    exactly its free slots, at every step."""
+
+    # Six classes, so each is often emptied by allocation.
+    LENGTHS = (16, 30, 100, 1000, 3000, 5000)
+
+    def drive(self, seed, pages, steps):
+        rng = random.Random(seed)
+        base = 3 * pages * PAGE_SIZE  # locators are not offsets
+        region = HeapRegion(HeapId.COLD, base, pages * PAGE_SIZE)
+        ref = HeapqRegion(pages * PAGE_SIZE)
+        live = []
+        # Per class: frees of each kind since its last allocation.
+        singles, batched = Counter(), Counter()
+        seen = Counter()
+
+        def placed(length, locator):
+            offset = ref.install(length)
+            assert locator == (None if offset is None else base + offset)
+            size_class = next(c for c in SIZE_CLASSES if c >= length)
+            if offset is None:
+                seen["no room"] += 1
+                return
+            if offset in freed_before:
+                seen["reused"] += 1
+            if singles[size_class] and batched[size_class]:
+                seen["both pending"] += 1
+            if not ref.heaps[size_class] and offset in freed_before:
+                seen["class emptied"] += 1
+            singles[size_class] = batched[size_class] = 0
+            live.append(locator)
+
+        for _ in range(steps):
+            freed_before = {o for heap in ref.heaps.values() for o in heap}
+            roll = rng.random()
+            if roll < 0.3:
+                length = rng.choice(self.LENGTHS)
+                try:
+                    locator = region.install(bytes(length))
+                except RegionExhausted:
+                    locator = None
+                placed(length, locator)
+            elif roll < 0.5:
+                lengths = [rng.choice(self.LENGTHS)
+                           for _ in range(rng.randrange(1, 24))]
+                got = region.allocate_batch([bytes(n) for n in lengths])
+                for length, locator in zip(lengths, got):
+                    placed(length, locator)
+            elif roll < 0.8 and live:
+                locator = live.pop(rng.randrange(len(live)))
+                region.free(locator)
+                singles[ref.live[locator - base]] += 1
+                ref.free(locator - base)
+            elif live:
+                rng.shuffle(live)
+                cut = rng.randrange(len(live) + 1) // 2
+                batch, live[:] = live[:cut], live[cut:]
+                region.free_batch(batch)
+                for locator in batch:
+                    batched[ref.live[locator - base]] += 1
+                    ref.free(locator - base)
+            assert region.free_offsets() == ref.free_offsets()
+            assert region.live_slot_count == len(ref.live)
+        region.audit()
+        return seen
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_roomy_region(self, seed):
+        seen = self.drive(seed, pages=1024, steps=600)
+        assert seen["reused"] and seen["both pending"]
+        assert seen["class emptied"]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_region_driven_to_exhaustion(self, seed):
+        seen = self.drive(seed, pages=12, steps=600)
+        assert seen["no room"] and seen["reused"] and seen["both pending"]
 
 
 class TestFreeBatchChecksFirst:
@@ -307,12 +421,12 @@ class TestFreeBatchChecksFirst:
     @pytest.mark.parametrize("bad", ["repeated", "non-live"])
     def test_region_untouched(self, bad):
         region, locators = self.populated()
-        before = region_state(region)
+        before = placement_state(region)
         batch = [locators[0], locators[2], locators[3]]
         batch.insert(2, locators[2] if bad == "repeated" else locators[1])
         with pytest.raises(DoubleFreeError, match=f"{batch[2]:#x}"):
             region.free_batch(batch)
-        assert region_state(region) == before
+        assert placement_state(region) == before
         region.audit()
         region.free_batch([locators[0], locators[2], locators[3]])
         region.audit()
@@ -544,9 +658,9 @@ class TestHints:
 
     def test_write_hint_log(self, tmp_path):
         path = tmp_path / "hints.log"
-        write_hint_log([HintEvent(HintKind.COLD_ADVICE, HeapId.NEW, 0, 1, 2)],
-                       path)
-        assert path.read_text() == "2,NEW,COLD_ADVICE,0,1\n"
+        write_hint_log(
+            [HintEvent(HintKind.PAGEOUT_ADVICE, HeapId.NEW, 0, 1, 2)], path)
+        assert path.read_text() == "2,NEW,PAGEOUT_ADVICE,0,1\n"
 
 
 class TestRegionManager:
