@@ -170,14 +170,21 @@ class _FreeSlots:
 
     def take(self, count: int) -> np.ndarray:
         """Remove and return the lowest `count` free offsets, ascending, or
-        all of them if there are fewer; the class must be stocked."""
+        all of them if there are fewer; the class must be stocked.
+
+        Once `head` passes half the pool, the rest is kept as a fresh
+        array, so the consumed prefix is not held until the next merge.
+        """
         if self.runs or self.singles:
             self._merge()
-        head = self.head
-        taken = self.pool[head:head + count]
-        self.head = head + count
-        if self.head >= len(self.pool):
+        pool, head = self.pool, self.head + count
+        taken = pool[self.head:head]
+        if head >= len(pool):
             self._drained()
+        elif head > len(pool) >> 1:
+            self.pool, self.head = pool[head:].copy(), 0
+        else:
+            self.head = head
         return taken
 
     def offsets(self) -> list[int]:

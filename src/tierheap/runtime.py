@@ -38,56 +38,81 @@ class GuideRegistry(GuideArena):
     indices retired before the window began: convergence proves that every
     scope open at a retire, which may still hold the deleted entry, has
     exited.  A word is live exactly when its heap bits are not RESERVED,
-    and every RESERVED word is parked on the free list or in the graveyard.
+    and every RESERVED word is parked on a free list or in the graveyard.
+
+    A store entry is one pair of adjacent guides, key `g` and value
+    `g + 1`, that lives and dies as a unit: `create_pair` makes it,
+    `retire_pair` parks it as one graveyard item, `~g`, and
+    `reclaim_retired` frees it whole, onto the pair free list that only
+    `create_pair` reuses, once both words' ATC has drained.  Single
+    guides (`create`, `retire`) keep a free list of their own, so neither
+    kind ever takes half of the other.
 
     The registry lock guards only the arena's growth and the reuse of
-    free-listed indices: `create_many` appends to `words`, or pops the free
-    list, only under it, and `reclaim_retired` fills the free list under
-    it.  `retire_many` takes no lock: it extends the graveyard in place,
-    one atomic list operation, and `reclaim_retired` drains the
-    graveyard's prefix in place, so a retire racing it is never lost.  The
-    lock order is the registry lock, then stripes; `exclusive` takes both,
-    so the collector can work on a numpy view of the whole arena.
+    free-listed indices: `create` and `create_pair` append to `words`, or
+    pop a free list, only under it, and `reclaim_retired` fills the free
+    lists under it.  `retire` and `retire_pair` take no lock: each appends
+    to the graveyard, one atomic list operation, and `reclaim_retired`
+    drains the graveyard's prefix in place, so a retire racing it is never
+    lost.  The lock order is the registry lock, then stripes; `exclusive`
+    takes both, so the collector can work on a numpy view of the whole
+    arena.
     """
 
     def __init__(self):
         super().__init__()
         self._free: list[int] = []
-        self._graveyard: list[int] = []
+        self._free_pairs: list[int] = []
+        self._graveyard: list[int] = []  # index i, or ~g for the pair g
         self._lock = threading.Lock()
 
     @property
     def live_count(self) -> int:
         """Created words less parked ones: exact while no guide is between
         its tombstone and its retire, or being created or reclaimed."""
-        return len(self.words) - len(self._free) - len(self._graveyard)
+        graveyard = self._graveyard[:]
+        return (len(self.words) - len(self._free)
+                - 2 * len(self._free_pairs) - len(graveyard)
+                - sum(1 for item in graveyard if item < 0))
 
-    # The stores call only `create_many` and `retire_many`.  `create` and
+    # The stores call only `create_pair` and `retire_pair`.  `create` and
     # `retire` serve one-guide callers, and the benchmark's tracer wraps
     # them.
     def create(self, word: int) -> int:
-        return self.create_many(word)[0]
-
-    def create_many(self, *words: int) -> list[int]:
-        """A guide for each word, under one registry-lock acquisition: the
-        indices successive `create` calls would return."""
-        for word in words:
-            if (word & HEAP_FIELD) == HEAP_FIELD:
-                raise ValueError(
-                    "cannot create a guide with a RESERVED heap id")
-        indices = []
-        arena, free = self.words, self._free
+        """A single guide for `word`; it never reuses half of a pair."""
+        if (word & HEAP_FIELD) == HEAP_FIELD:
+            raise ValueError("cannot create a guide with a RESERVED heap id")
+        arena = self.words
         with self._lock:
-            for word in words:
-                if free:
-                    index = free.pop()
-                    with self.stripes[index % LOCK_STRIPES]:
-                        arena[index] = word
-                else:
-                    index = len(arena)
-                    arena.append(word)
-                indices.append(index)
-        return indices
+            if self._free:
+                index = self._free.pop()
+                with self.stripes[index % LOCK_STRIPES]:
+                    arena[index] = word
+                return index
+            arena.append(word)
+            return len(arena) - 1
+
+    def create_pair(self, key_word: int, value_word: int) -> int:
+        """An entry's guides, `g` for `key_word` and `g + 1` for
+        `value_word`, under one registry-lock acquisition: a freed pair if
+        there is one, else two words appended to the arena.  Returns `g`."""
+        if ((key_word & HEAP_FIELD) == HEAP_FIELD
+                or (value_word & HEAP_FIELD) == HEAP_FIELD):
+            raise ValueError("cannot create a guide with a RESERVED heap id")
+        arena = self.words
+        with self._lock:
+            if self._free_pairs:
+                g = self._free_pairs.pop()
+                stripes = self.stripes
+                with stripes[g % LOCK_STRIPES]:
+                    arena[g] = key_word
+                with stripes[(g + 1) % LOCK_STRIPES]:
+                    arena[g + 1] = value_word
+                return g
+            g = len(arena)
+            arena.append(key_word)
+            arena.append(value_word)
+            return g
 
     @contextmanager
     def exclusive(self):
@@ -113,21 +138,25 @@ class GuideRegistry(GuideArena):
                 deque(map(_RELEASE, stripes), 0)
 
     def retire(self, index: int) -> None:
-        self.retire_many(index)
+        """Park the tombstoned single guide `index` until its ATC drains.
 
-    def retire_many(self, *indices: int) -> None:
-        """Park the tombstoned guides `indices` until their ATC drains.
-
-        The caller must already have swung each word to a tombstone, and
-        retires each guide once.  No lock is taken: the graveyard is
-        extended in place, one atomic list operation.
+        The caller must already have swung the word to a tombstone, and
+        retires each guide once.  No lock is taken.
         """
+        if (self.words[index] & HEAP_FIELD) != HEAP_FIELD:
+            raise GuideProtocolError(
+                f"retire of guide {index}, which is not a tombstone")
+        self._graveyard.append(index)
+
+    def retire_pair(self, g: int) -> None:
+        """Park the tombstoned pair `g`, `g + 1` as one unit until both
+        words' ATC drains; as `retire`, it takes no lock."""
         words = self.words
-        for index in indices:
-            if (words[index] & HEAP_FIELD) != HEAP_FIELD:
-                raise GuideProtocolError(
-                    f"retire of guide {index}, which is not a tombstone")
-        self._graveyard.extend(indices)
+        if (words[g] & words[g + 1] & HEAP_FIELD) != HEAP_FIELD:
+            index = g if (words[g] & HEAP_FIELD) != HEAP_FIELD else g + 1
+            raise GuideProtocolError(
+                f"retire of guide {index}, which is not a tombstone")
+        self._graveyard.append(~g)
 
     def tombstone(self, index: int) -> int:
         """CAS the word to a tombstone; returns the replaced word."""
@@ -138,12 +167,13 @@ class GuideRegistry(GuideArena):
                 return word
 
     def graveyard_mark(self) -> int:
-        """The graveyard's length: indices retired so far lie below it."""
+        """The graveyard's length: items retired so far lie below it."""
         return len(self._graveyard)
 
     def reclaim_retired(self, mark: int | None = None) -> None:
-        """Free the parked indices below `mark` (all by default) whose ATC
-        has drained; the others stay parked, in order, at the front.
+        """Free the parked items below `mark` (all by default) whose ATC
+        has drained, a pair only once both its words have; the others stay
+        parked, in order, at the front.
 
         The graveyard is drained in place and never rebound: retires
         racing this only append to it, past `mark`.
@@ -156,11 +186,16 @@ class GuideRegistry(GuideArena):
             del graveyard[:mark]
             still_parked = []
             words = self.words
-            for index in drained:
-                if words[index] & ATC_FIELD:
-                    still_parked.append(index)
+            for item in drained:
+                if item >= 0:
+                    if words[item] & ATC_FIELD:
+                        still_parked.append(item)
+                    else:
+                        self._free.append(item)
+                elif (words[~item] | words[~item + 1]) & ATC_FIELD:
+                    still_parked.append(item)
                 else:
-                    self._free.append(index)
+                    self._free_pairs.append(~item)
             graveyard[:0] = still_parked
 
     def indices(self):
@@ -175,13 +210,18 @@ class GuideRegistry(GuideArena):
             (words & HEAP_FIELD) != HEAP_FIELD).tolist()
 
     def audit(self) -> None:
-        """Check the arena against the free list and graveyard.
+        """Check the arena against the free lists and graveyard.
 
-        The parked indices must be exactly the RESERVED words, none parked
-        twice.  `live_count` then equals the number of live words.
+        The parked indices, both of each parked pair's, must be exactly the
+        RESERVED words, none parked twice.  `live_count` then equals the
+        number of live words.
         """
         with self._lock:
-            parked = self._free + self._graveyard
+            parked = self._free[:]
+            for item in self._free_pairs:
+                parked += (item, item + 1)
+            for item in self._graveyard[:]:
+                parked += (item,) if item >= 0 else (~item, ~item + 1)
             words = np.frombuffer(self.words[:], dtype=np.uint64)
         reserved = np.flatnonzero(
             (words & HEAP_FIELD) == HEAP_FIELD).tolist()

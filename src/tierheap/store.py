@@ -13,16 +13,16 @@ one `_GuideOps` method, which appends the key and value slots to the access
 log's pending list in one call.  `get` runs all of that in its own frame,
 whichever way its scope registers, the structure adding only its `_entry`
 lookup.  The write paths install and free slots through the heap regions
-themselves (`RegionManager.heaps`), and hand an entry's two guides to the
-registry in one call: `create_many` on an insert, `retire_many` on a
-delete.  PlainStore is the untiered baseline for overhead comparisons: a
-locked dict with no guides, scopes or regions.
+themselves (`RegionManager.heaps`).  An entry is one int `g`, the index
+of its key guide; its value guide is `g + 1`.  The registry creates the
+two as an adjacent pair on an insert (`create_pair`) and parks them as one
+on a delete (`retire_pair`).  PlainStore is the untiered baseline for
+overhead comparisons: a locked dict with no guides, scopes or regions.
 """
 from __future__ import annotations
 
 import threading
 import zlib
-from dataclasses import dataclass
 
 from .guideword import (ACCESSED_BIT, ATC_FIELD, DEREF_BITS, HEAP_FIELD,
                         LOCATOR_MASK, LOCK_BIT, LOCK_STRIPES, TOMBSTONE_BASE,
@@ -37,13 +37,6 @@ from .scope import SCOPE_SAMPLE_MASK
 # 30 B key costs about 100 ns more.  Stripes only pick a lock, so the
 # per-process hash seed changes no layout.
 MAP_STRIPES = 64
-
-
-@dataclass
-class KvEntry:
-    __slots__ = ("key_guide", "value_guide")
-    key_guide: int
-    value_guide: int
 
 
 class _GuideOps:
@@ -71,11 +64,11 @@ class _GuideOps:
     Writes call the heap regions directly: a slot is installed with its
     payload by `HeapRegion.install` on the NEW region, and freed by
     `HeapRegion.free` on the region its locator lies in.  An insert
-    installs both slots, then creates both guides under one registry-lock
-    acquisition.  An update swings the value word by `compare_and_swap`.
-    A delete stores each word's tombstone inline under its stripe lock,
-    frees both slots, and retires both guides in one call that takes no
-    lock.
+    installs both slots, then creates the entry's guide pair, key `g` and
+    value `g + 1`, under one registry-lock acquisition.  An update swings
+    the value word by `compare_and_swap`.  A delete stores each word's
+    tombstone inline under its stripe lock, frees both slots, and retires
+    the pair in one call that takes no lock.
     """
 
     def __init__(self, runtime: TierRuntime):
@@ -120,11 +113,11 @@ class _GuideOps:
         if not inline:
             scope = self._scopes.enter_scope()
         try:
-            entry = self._entry(key)
-            if entry is None:
+            key_guide = self._entry(key)
+            if key_guide is None:
                 return None
             words, word_locks = self._words, self._word_locks
-            key_guide, guide = entry.key_guide, entry.value_guide
+            guide = key_guide + 1
             if scope.used is not None:
                 self._scopes.record_guide_use(key_guide)
                 self._scopes.record_guide_use(guide)
@@ -214,7 +207,7 @@ class _GuideOps:
         finally:
             scopes.exit_scope()
 
-    def _make_entry(self, key: bytes, value: bytes, tracked: bool) -> KvEntry:
+    def _make_entry(self, key: bytes, value: bytes, tracked: bool) -> int:
         new = self._new_heap
         key_loc = new.install(key)
         try:
@@ -222,20 +215,20 @@ class _GuideOps:
         except RegionError:  # e.g. a value past the largest size class
             new.free(key_loc)
             raise
-        key_guide, value_guide = self._registry.create_many(
+        entry = self._registry.create_pair(
             key_loc | ACCESSED_BIT, value_loc | ACCESSED_BIT)  # heap=NEW
         if tracked:
-            self._scopes.record_guide_use(key_guide)
-            self._scopes.record_guide_use(value_guide)
+            self._scopes.record_guide_use(entry)
+            self._scopes.record_guide_use(entry + 1)
         log = self._log
         if log is not None:
             pending = log.pending
             pending.extend((key_loc, len(key), value_loc, len(value)))
             if len(pending) >= FOLD_LENGTH:
                 log.record()  # no pairs: folds the full list
-        return KvEntry(key_guide, value_guide)
+        return entry
 
-    def _update(self, entry: KvEntry, key_len: int, value: bytes,
+    def _update(self, entry: int, key_len: int, value: bytes,
                 tracked: bool) -> bool:
         """Touch the key, then publish a fresh NEW-heap slot for the value
         via guide CAS.
@@ -251,7 +244,7 @@ class _GuideOps:
         entry was deleted, so the fresh slot is freed and False returned.
         """
         registry, words, new = self._registry, self._words, self._new_heap
-        key_guide, guide = entry.key_guide, entry.value_guide
+        key_guide, guide = entry, entry + 1
         if tracked:
             self._scopes.record_guide_use(key_guide)
             self._scopes.record_guide_use(guide)
@@ -281,12 +274,12 @@ class _GuideOps:
                 log.record()
         return updated
 
-    def _retire_entry(self, entry: KvEntry, tracked: bool) -> None:
+    def _retire_entry(self, entry: int, tracked: bool) -> None:
         """Tombstone both words, each by the store a winning
-        `registry.tombstone` CAS makes, free both slots, and retire both
-        guides in one call."""
+        `registry.tombstone` CAS makes, free both slots, and retire the
+        pair in one call."""
         words, word_locks = self._words, self._word_locks
-        key_guide, guide = entry.key_guide, entry.value_guide
+        key_guide, guide = entry, entry + 1
         if tracked:
             self._scopes.record_guide_use(key_guide)
             self._scopes.record_guide_use(guide)
@@ -300,7 +293,7 @@ class _GuideOps:
         key_loc, loc = key_word & LOCATOR_MASK, word & LOCATOR_MASK
         heaps[key_loc // length].free(key_loc)
         heaps[loc // length].free(loc)
-        self._registry.retire_many(key_guide, guide)
+        self._registry.retire_pair(entry)
 
 
 class StripedGuideMap(_GuideOps):
@@ -313,11 +306,11 @@ class StripedGuideMap(_GuideOps):
 
     def __init__(self, runtime: TierRuntime):
         super().__init__(runtime)
-        self._stripes: list[dict[bytes, KvEntry]] = \
+        self._stripes: list[dict[bytes, int]] = \
             [{} for _ in range(MAP_STRIPES)]
         self._locks = [threading.Lock() for _ in range(MAP_STRIPES)]
 
-    def _entry(self, key: bytes) -> KvEntry | None:
+    def _entry(self, key: bytes) -> int | None:
         return self._stripes[hash(key) % MAP_STRIPES].get(key)
 
     def _set(self, key: bytes, value: bytes, tracked: bool) -> None:
@@ -353,7 +346,7 @@ class _Node:
 
     def __init__(self, key: bytes | None, level: int, entry=None):
         self.key = key
-        self.entry = entry  # live KvEntry, or None when deleted
+        self.entry = entry  # the live entry's key guide, None when deleted
         self.nexts: list[_Node | None] = [None] * level
 
 
@@ -400,7 +393,7 @@ class GuideSkipList(_GuideOps):
             return nxt
         return None
 
-    def _entry(self, key: bytes) -> KvEntry | None:
+    def _entry(self, key: bytes) -> int | None:
         node = self._search(key)
         return None if node is None else node.entry
 
@@ -420,7 +413,7 @@ class GuideSkipList(_GuideOps):
             return preds, candidate
         return preds, None
 
-    def _install(self, key: bytes, fresh: KvEntry) -> KvEntry:
+    def _install(self, key: bytes, fresh: int) -> int:
         """Link or resurrect the key's node holding `fresh`.
 
         Returns the entry live afterwards: `fresh`, or the entry another
@@ -443,7 +436,7 @@ class GuideSkipList(_GuideOps):
             if entry is None:
                 fresh = self._make_entry(key, value, tracked)
                 entry = self._install(key, fresh)
-                if entry is fresh:
+                if entry == fresh:
                     return
                 # Another set installed first.
                 self._retire_entry(fresh, tracked)

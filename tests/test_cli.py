@@ -103,8 +103,8 @@ class TestRunBenchmark:
         assert digests[0] == digests[1]
         assert len(set(digests[0])) == 2  # the digest tells runs apart
         assert digests[0] == [
-            "7ec29b9cd470caefa7b4209590bba3b195dcb9696af936e7477dda4731fa8fc8",
-            "a529506d344b7f5e9ab0ca0b1450184d32fc516a055b60a8c05fef70caaf04fa",
+            "2ab06c8ec77f323eee4c54db74a34ea7e8938ed5268aa7b78c6019a0e413a092",
+            "da991c6704e8124b4732e4e8235fab94504952c3632c9907cdacad668f124a02",
         ]
 
     def test_digest_flag_prints_the_layout_digest(self):

@@ -198,7 +198,7 @@ class TestMigrate:
         runtime = make_runtime()
         store = make_store(runtime, "hashmap")
         store.set(b"k", b"value")
-        value_guide = store._entry(b"k").value_guide
+        value_guide = store._entry(b"k") + 1
         words = list(runtime.registry.words)
         self.setup_active(runtime)
         with pytest.raises(ValueError, match="names a guide twice"):

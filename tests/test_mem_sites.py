@@ -18,7 +18,7 @@ def test_lists_the_top_sites_of_a_small_run():
     assert proc.returncode == 0, proc.stderr[-2000:]
     lines = proc.stdout.strip().splitlines()
     assert "zipf-update-skiplist, 300 keys, seed 1" in lines[0]
-    rows = [ROW.match(line).groups() for line in lines[1:]]
+    rows = [ROW.match(line).groups() for line in lines[1:-1]]
     assert len(rows) == 6 and rows[-1][2] == "total traced"
     sizes = [int(size) for size, _, _ in rows[:-1]]
     assert sizes == sorted(sizes, reverse=True)
@@ -26,6 +26,10 @@ def test_lists_the_top_sites_of_a_small_run():
     # The store's slots are live at the snapshot, so the sites name the
     # runtime's sources, relative to the checkout.
     assert any(site.startswith("src/tierheap/") for _, _, site in rows)
+    # Then the objects the cyclic GC tracks: at least the skip list's 300
+    # nodes and their link lists.
+    label, tracked = lines[-1].split(": ")
+    assert label == "gc-tracked objects" and int(tracked) > 600
 
 
 def test_rejects_a_non_positive_key_count():

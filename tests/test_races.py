@@ -21,11 +21,14 @@ from tierheap.guideword import (ACCESSED_BIT, ATC_FIELD, LOCATOR_MASK,
                                 LOCK_BIT, HeapId, pack, tombstone_from,
                                 unpack, word_heap)
 from tierheap.regions import DoubleFreeError, HeapRegion, RegionError
-from tierheap.runtime import TierRuntime
+from tierheap.runtime import GuideRegistry, TierRuntime
 from tierheap.store import make_store
 
 
 PAYLOAD = b"migrating-object-payload" * 4
+
+# A store entry is its key guide's index; its value guide is the next one.
+ROLE_OFFSET = {"key_guide": 0, "value_guide": 1}
 
 
 def make_env():
@@ -245,10 +248,11 @@ class TestChunkedMigration:
         thread appends a guide through `registry.create` (the free list is
         empty), sets a new key and gets an old one while the arena is being
         aged: the create and the set wait for the section, so neither meets
-        a buffer export, and the appended word is not aged.  Then a `registry.create` that
-        reuses a freed index, a set of a chunk member and a first-touch get
-        of another run while the chunk sits between its lock and commit
-        passes.  Each takes a stripe (the create under the registry lock),
+        a buffer export, and the appended word is not aged.  Then a
+        `registry.create_pair` that reuses a deleted entry's freed pair, a
+        set of a chunk member and a first-touch get of another run while
+        the chunk sits between its lock and commit passes.  Each takes a
+        stripe (the create under the registry lock),
         so none may wait on the collector; the two touched guides' commits
         abort and their copies are freed."""
         runtime = TierRuntime(region_length=1 << 24)
@@ -304,9 +308,8 @@ class TestChunkedMigration:
         (appended, loc), warm = raced
         assert appended == arena_length and warm == PAYLOAD
         assert registry.words[appended] == loc | ACCESSED_BIT  # not aged
-        assert sorted(registry._free) == sorted(
-            (gone.key_guide, gone.value_guide))
-        guides = [store._entry(key).value_guide for key in keys]
+        assert registry._free_pairs == [gone]
+        guides = [store._entry(key) + 1 for key in keys]
         set_guide, get_guide = guides[3], guides[MIGRATE_CHUNK // 2]
         cold = runtime.regions.region(HeapId.COLD)
         allocate_batch = cold.allocate_batch
@@ -314,8 +317,10 @@ class TestChunkedMigration:
 
         def mutate():
             try:
-                loc = runtime.regions.install(HeapId.NEW, b"fresh")
-                created.append(registry.create(loc | ACCESSED_BIT))
+                key_loc, loc = (runtime.regions.install(HeapId.NEW, payload)
+                                for payload in (b"fresh", b"value"))
+                created.append(registry.create_pair(key_loc | ACCESSED_BIT,
+                                                    loc | ACCESSED_BIT))
                 store.set(keys[3], b"new-value")
                 got.append(store.get(keys[MIGRATE_CHUNK // 2]))
             except Exception as exc:  # noqa: BLE001 - collected for assert
@@ -336,7 +341,7 @@ class TestChunkedMigration:
         counts = collector.migrate_batch(guides, HeapId.COLD)
         collector.end_epoch()
         assert errors == []
-        assert created[0] in (gone.key_guide, gone.value_guide)
+        assert created == [gone]
         assert got == [PAYLOAD]
         assert (counts.moved, counts.aborted, counts.skipped) \
             == (MIGRATE_CHUNK - 2, 2, 0)
@@ -483,6 +488,49 @@ class TestExclusiveSection:
         assert reports[-1].scanned_guides > 4096  # saw appended guides
         runtime.audit()
 
+    def test_create_pair_waits_for_the_section_then_appends(self):
+        """A `create_pair` issued while another thread holds the section
+        waits for it, then appends both words: the view is gone by then,
+        so the append raises no BufferError."""
+        registry = GuideRegistry()
+        registry.create_pair(pack(0x40), pack(0x80))
+        entered, leave = threading.Event(), threading.Event()
+        created, errors = [], []
+
+        def section():
+            try:
+                with registry.exclusive() as view:
+                    entered.set()
+                    assert leave.wait(10.0)
+                    view[0] |= ACCESSED_BIT
+            except Exception as exc:  # noqa: BLE001 - collected for assert
+                errors.append(exc)
+
+        def create():
+            try:
+                created.append(registry.create_pair(pack(0xC0),
+                                                    pack(0x100)))
+            except Exception as exc:  # noqa: BLE001 - collected for assert
+                errors.append(exc)
+
+        holder = threading.Thread(target=section)
+        holder.start()
+        assert entered.wait(10.0)
+        creator = threading.Thread(target=create)
+        creator.start()
+        creator.join(0.1)
+        waited = creator.is_alive() and created == [] \
+            and len(registry.words) == 2
+        leave.set()
+        holder.join(10.0)
+        creator.join(10.0)
+        assert waited, "create_pair did not wait for the section"
+        assert not holder.is_alive() and not creator.is_alive()
+        assert errors == [] and created == [2]
+        assert list(registry.words) == [pack(0x40) | ACCESSED_BIT,
+                                        pack(0x80), pack(0xC0), pack(0x100)]
+        registry.audit()
+
     @pytest.mark.parametrize("section", ["aging", "lock pass"])
     def test_a_pass_that_raises_leaves_the_section(self, monkeypatch,
                                                    section):
@@ -534,7 +582,7 @@ class TestRacesThroughTheStores:
         store = make_store(runtime, structure)
         store.set(b"key", PAYLOAD)
         runtime.collector.run_scan_window()  # clears the accessed bits
-        index = getattr(store._entry(b"key"), role)
+        index = store._entry(b"key") + ROLE_OFFSET[role]
         word = runtime.registry.words[index]
         got = []
         counts, _, new_loc = migrate_one(
@@ -591,7 +639,7 @@ class TestLockFreeRetire:
         for i in range(70):  # key i has guides 2i and 2i + 1
             store.set(b"key-%02d" % i, PAYLOAD)
         entry = store._entry(b"key-65")
-        assert (entry.key_guide, entry.value_guide) == (130, 131)
+        assert entry == 130
         stripes = registry.stripes
         entered, deleted, errors = threading.Event(), [], []
 
@@ -629,7 +677,7 @@ class TestLockFreeRetire:
         assert not collector.is_alive() and entered.is_set()
         assert errors == [] and deleted == [True]
         assert store.get(b"key-65") is None
-        assert registry.graveyard_mark() == 2
+        assert registry.graveyard_mark() == 1  # the pair, as one item
         runtime.audit()
 
     @pytest.mark.parametrize("structure", ["hashmap", "skiplist"])
@@ -646,8 +694,7 @@ class TestLockFreeRetire:
         for key in keys:
             store.set(key, PAYLOAD)
         held = keys[::7]
-        held_guides = sorted(guide for key in held for guide in (
-            store._entry(key).key_guide, store._entry(key).value_guide))
+        held_pairs = sorted(store._entry(key) for key in held)
         runtime.epoch_state.tracking_enabled = True
         runtime.scope.enter_scope()
         for key in held:  # each get records its two guides: ATC 1
@@ -688,14 +735,65 @@ class TestLockFreeRetire:
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
         registry.reclaim_retired()
-        assert sorted(registry._graveyard) == held_guides
+        assert sorted(~item for item in registry._graveyard) == held_pairs
         runtime.scope.exit_scope()
         registry.reclaim_retired()
         assert registry.graveyard_mark() == 0
-        assert sorted(registry._free) == list(range(2 * len(keys)))
+        assert sorted(registry._free_pairs) == list(range(0, 2 * len(keys),
+                                                          2))
         assert registry.live_count == 0
         runtime.audit()
 
+
+    def test_retire_pairs_racing_reclaims_park_each_pair_once(self):
+        """Two threads retire pairs, with no lock, while a third drains
+        the graveyard in a loop: every pair ends on the pair free list
+        exactly once, whole, and none on the single free list."""
+        registry = GuideRegistry()
+        pairs = [registry.create_pair(pack(0x40 * i), pack(0x40 * i + 0x20))
+                 for i in range(4000)]
+        for g in pairs:
+            registry.tombstone(g)
+            registry.tombstone(g + 1)
+        done, errors = threading.Event(), []
+
+        def retire_all(part):
+            try:
+                for g in part:
+                    registry.retire_pair(g)
+            except Exception as exc:  # noqa: BLE001 - collected for assert
+                errors.append(exc)
+
+        def reclaim():
+            try:
+                while not done.is_set():
+                    registry.reclaim_retired(registry.graveyard_mark())
+            except Exception as exc:  # noqa: BLE001 - collected for assert
+                errors.append(exc)
+
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            retirers = [threading.Thread(target=retire_all, args=(part,))
+                        for part in (pairs[0::2], pairs[1::2])]
+            reclaimer = threading.Thread(target=reclaim)
+            threads = [*retirers, reclaimer]
+            for thread in threads:
+                thread.start()
+            for thread in retirers:
+                thread.join(60.0)
+            done.set()
+            reclaimer.join(60.0)
+        finally:
+            done.set()
+            sys.setswitchinterval(old_interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        registry.reclaim_retired()
+        assert registry.graveyard_mark() == 0 and registry._free == []
+        assert sorted(registry._free_pairs) == pairs
+        assert registry.live_count == 0
+        registry.audit()
 
 class TestSlotDictRebuild:
     """Gets take no region lock, so they race the collector's
@@ -779,8 +877,8 @@ class TestSlotDictRebuild:
         new = regions.region(HeapId.NEW)
         stay = store._entry(b"key-000")  # the one entry left in NEW
         guides = [guide for key in model if key != b"key-000"
-                  for guide in (store._entry(key).key_guide,
-                                store._entry(key).value_guide)]
+                  for guide in (store._entry(key),
+                                store._entry(key) + 1)]
         publish = new._publish
         seen = []
 
@@ -817,8 +915,7 @@ class TestSlotDictRebuild:
         late = store._entry(b"late")
         assert sorted(new._live) == sorted(  # NEW's base is 0
             runtime.registry.words[guide] & LOCATOR_MASK
-            for guide in (stay.key_guide, stay.value_guide,
-                          late.key_guide, late.value_guide))
+            for guide in (stay, stay + 1, late, late + 1))
         for key, value in [*model.items(), (b"late", b"late-value")]:
             assert store.get(key) == value
         runtime.audit()

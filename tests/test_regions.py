@@ -4,6 +4,7 @@ import random
 import sys
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from tierheap.guideword import HeapId
@@ -404,6 +405,27 @@ class TestPlacementMatchesHeapq:
     def test_region_driven_to_exhaustion(self, seed):
         seen = self.drive(seed, pages=12, steps=600)
         assert seen["no room"] and seen["reused"] and seen["both pending"]
+
+
+class TestFreeSlotPool:
+    def test_take_drops_the_consumed_prefix(self):
+        """A batch that takes a class's pool past its half keeps only the
+        rest, as a fresh array; one that stays below half only moves the
+        head.  The slots handed out are the lowest either way."""
+        region = small_region(pages=64)
+        locators = region.allocate_batch([bytes(100)] * 40)
+        region.free_batch(locators)
+        pool = region._free[128]
+        assert region.allocate_batch([bytes(100)] * 10) == locators[:10]
+        assert (pool.head, len(pool.pool)) == (10, 40)
+        consumed = pool.pool
+        assert region.allocate_batch([bytes(100)] * 12) == locators[10:22]
+        assert (pool.head, pool.pool.tolist()) == (0, locators[22:])
+        assert pool.pool.base is None and not np.shares_memory(pool.pool,
+                                                               consumed)
+        assert region.allocate_batch([bytes(100)] * 20) == [
+            *locators[22:], region.base + 40 * 128, region.base + 41 * 128]
+        region.audit()
 
 
 class TestFreeBatchChecksFirst:

@@ -1,6 +1,6 @@
 """The guide-word arena: the vectorized scan against a scalar reference,
-its concurrency, the registry's guide lifetimes, and the audit of the arena
-against the registry's free list and graveyard."""
+its concurrency, the registry's guide lifetimes, single and paired, and the
+audit of the arena against the registry's free lists and graveyard."""
 import random
 import sys
 import threading
@@ -223,6 +223,80 @@ class TestGuideLifetimes:
         assert registry.live_count == len(live)
         registry.audit()
 
+    @pytest.mark.parametrize("live", [0, 1])
+    def test_retire_pair_of_a_live_word_raises(self, live):
+        registry = GuideRegistry()
+        g = registry.create_pair(pack(0x40), pack(0x80))
+        registry.tombstone(g + 1 - live)  # the other word is still live
+        with pytest.raises(GuideProtocolError, match=f"guide {g + live}, "
+                                                     "which is not a"):
+            registry.retire_pair(g)
+        assert registry.graveyard_mark() == 0
+        registry.tombstone(g + live)
+        registry.retire_pair(g)
+        registry.audit()
+
+    def test_fuzz_pairs_and_singles_against_reference_sets(self):
+        """Random single and paired creates, deletes (some held by an ATC
+        on either word of a pair) and reclaims: a pair is always two
+        adjacent indices, `create` never returns half of a pair nor
+        `create_pair` a single, and the live indices and count follow the
+        reference sets."""
+        rng = random.Random(9)
+        registry = GuideRegistry()
+        singles: set[int] = set()
+        pairs: set[int] = set()
+        was_single: set[int] = set()
+        was_pair: set[int] = set()  # both indices of every pair ever made
+        held: list[int] = []  # tombstoned with an ATC still counted
+        reused = {"single": 0, "pair": 0}
+        for _ in range(20_000):
+            roll = rng.random()
+            if roll < 0.25:
+                index = registry.create(pack(rng.randrange(1 << 20),
+                                             heap=rng.choice(HEAPS)))
+                assert index not in was_pair
+                assert index not in singles
+                reused["single"] += index in was_single
+                singles.add(index)
+                was_single.add(index)
+            elif roll < 0.5:
+                g = registry.create_pair(
+                    pack(rng.randrange(1 << 20), heap=rng.choice(HEAPS)),
+                    pack(rng.randrange(1 << 20), heap=rng.choice(HEAPS)))
+                assert not {g, g + 1} & was_single
+                assert g not in pairs
+                reused["pair"] += g in was_pair
+                pairs.add(g)
+                was_pair.update((g, g + 1))
+            elif roll < 0.65 and singles:
+                index = rng.choice(sorted(singles))
+                if rng.random() < 0.3:
+                    registry.atc_increment(index)
+                    held.append(index)
+                registry.tombstone(index)
+                registry.retire(index)
+                singles.discard(index)
+            elif roll < 0.8 and pairs:
+                g = rng.choice(sorted(pairs))
+                for index in (g, g + 1):
+                    if rng.random() < 0.2:
+                        registry.atc_increment(index)
+                        held.append(index)
+                    registry.tombstone(index)
+                registry.retire_pair(g)
+                pairs.discard(g)
+            elif roll < 0.9 and held:
+                registry.atc_decrement(held.pop(rng.randrange(len(held))))
+            else:
+                registry.reclaim_retired(
+                    rng.randrange(registry.graveyard_mark() + 1))
+        live = singles | pairs | {g + 1 for g in pairs}
+        assert list(registry.indices()) == sorted(live)
+        assert registry.live_count == len(live)
+        assert min(reused.values()) > 100
+        registry.audit()
+
     def test_walk_racing_creates_and_retires(self):
         """A walk of `indices()` while another thread creates (appending to
         the arena) and retires guides: it raises nothing, comes out
@@ -302,6 +376,22 @@ class TestArenaAudit:
         registry.retire(1)  # a second retire of the same delete
         with pytest.raises(AssertionError, match=r"guides \[1\] are parked "
                                                  r"twice"):
+            runtime.audit()
+
+    def test_pair_parked_twice_fails(self):
+        runtime = self.make_runtime()
+        registry = runtime.registry
+        g = registry.create_pair(*(pack(loc, heap=HeapId.NEW) for loc in (
+            runtime.regions.install(HeapId.NEW, b"key"),
+            runtime.regions.install(HeapId.NEW, b"value"))))
+        for index in (g, g + 1):
+            runtime.regions.free(registry.tombstone(index) & LOCATOR_MASK)
+        registry.retire_pair(g)
+        registry.reclaim_retired()
+        runtime.audit()
+        registry.retire_pair(g)  # a second retire of the same delete
+        with pytest.raises(AssertionError, match=r"guides \[2, 3\] are "
+                                                 r"parked twice"):
             runtime.audit()
 
     def test_heap_bits_naming_another_region_fail(self):

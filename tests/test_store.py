@@ -19,6 +19,9 @@ from tierheap.scope import SCOPE_SAMPLE_MASK, EpochState, Phase
 from tierheap.store import (_MAX_LEVEL, MAP_STRIPES, GuideSkipList,
                             PlainStore, StripedGuideMap, make_store)
 
+# A store entry is its key guide's index; its value guide is the next one.
+ROLE_OFFSET = {"key_guide": 0, "value_guide": 1}
+
 
 def make_runtime():
     return TierRuntime(region_length=1 << 24, scan_interval_s=120.0)
@@ -88,7 +91,7 @@ class TestBasicOps:
         words = store.runtime.registry.words
         entry = entry_of(store, b"key")
         assert store.runtime.regions.read(
-            words[entry.key_guide] & LOCATOR_MASK) == b"key"
+            words[entry] & LOCATOR_MASK) == b"key"
 
 
 class TestGuideDiscipline:
@@ -160,7 +163,7 @@ class TestGuideDiscipline:
         runtime = store.runtime
         registry = runtime.registry
         store.set(b"k", b"v")
-        guide = getattr(entry_of(store, b"k"), role)
+        guide = entry_of(store, b"k") + ROLE_OFFSET[role]
         word = registry.words[guide]
         locked = word | LOCK_BIT
         assert registry.compare_and_swap(guide, word, locked)
@@ -191,8 +194,8 @@ class TestGuideDiscipline:
         store.set(b"key", b"value-22")  # update
         assert store.get(b"key") == b"value-22"
         words = runtime.registry.words
-        key_loc = words[entry.key_guide] & LOCATOR_MASK
-        value_loc = words[entry.value_guide] & LOCATOR_MASK
+        key_loc = words[entry] & LOCATOR_MASK
+        value_loc = words[entry + 1] & LOCATOR_MASK
         assert len(extends) == 3
         assert extends[0][:2] == (key_loc, 3) and extends[0][3] == 7
         assert extends[1] == extends[2] == (key_loc, 3, value_loc, 8)
@@ -213,7 +216,7 @@ class TestGuideDiscipline:
             store.set(b"k", b"v2")
         else:
             assert store.delete(b"k")
-        assert sorted(used) == sorted([entry.key_guide, entry.value_guide])
+        assert sorted(used) == sorted([entry, entry + 1])
         assert all(word_atc(w) == 0 for w in runtime.registry.words)
 
     def test_untracked_ops_record_no_guide_use(self, store, monkeypatch):
@@ -253,7 +256,7 @@ class TestInlineScope:
         def update_seeing_atcs(entry, key_len, value, tracked):
             updated = real_update(entry, key_len, value, tracked)
             atcs.append([word_atc(runtime.registry.words[g])
-                         for g in (entry.key_guide, entry.value_guide)])
+                         for g in (entry, entry + 1)])
             return updated
 
         monkeypatch.setattr(store, "_update", update_seeing_atcs)
@@ -265,7 +268,7 @@ class TestInlineScope:
         else:
             store.set(b"k", b"v2")
             assert atcs == [[1, 1]]  # held while the scope is open
-        assert sorted(used) == sorted([entry.key_guide, entry.value_guide])
+        assert sorted(used) == sorted([entry, entry + 1])
         assert all(word_atc(w) == 0 for w in runtime.registry.words)
 
     @pytest.mark.parametrize("outer", ["enter_scope", "inline op"])
@@ -365,7 +368,7 @@ class TestInlineScope:
             assert not outcome["converged"]  # waited for the open scope
         else:
             assert outcome["converged"] and state.phase == Phase.ACTIVE
-            assert set(used) == {entry.key_guide, entry.value_guide}
+            assert set(used) == {entry, entry + 1}
         assert runtime.scope.depth == 0
         assert all(word_atc(w) == 0 for w in runtime.registry.words)
         assert runtime.tai.converged(state.epoch)
@@ -400,8 +403,8 @@ class TestOneFrameGet:
         assert held == [False]
         entry, words = entry_of(store, b"k"), runtime.registry.words
         assert runtime.access_log.pending[-4:] == [
-            words[entry.key_guide] & LOCATOR_MASK, 1,
-            words[entry.value_guide] & LOCATOR_MASK, 5]
+            words[entry] & LOCATOR_MASK, 1,
+            words[entry + 1] & LOCATOR_MASK, 5]
 
     def test_first_touch_sets_the_accessed_bit_inline(self, monkeypatch):
         """The window clears the accessed bits, so the next get stores
@@ -411,7 +414,7 @@ class TestOneFrameGet:
         runtime, store = self.setup()
         registry = runtime.registry
         entry, other = entry_of(store, b"k"), entry_of(store, b"other")
-        guides = (entry.key_guide, entry.value_guide)
+        guides = (entry, entry + 1)
         runtime.collector.run_scan_window()
         words = registry.words
         aged = [words[guide] for guide in guides]
@@ -425,7 +428,7 @@ class TestOneFrameGet:
         assert store.get(b"k") == b"value"
         runtime.collector.run_scan_window()
         assert [unpack(words[guide]).ciw for guide in guides] == [0, 0]
-        assert unpack(words[other.value_guide]).ciw == 1
+        assert unpack(words[other + 1]).ciw == 1
         assert derefs == []
         runtime.audit()
 
@@ -436,7 +439,7 @@ class TestOneFrameGet:
         own frame."""
         runtime, store = self.setup()
         registry = runtime.registry
-        guide = getattr(entry_of(store, b"k"), role)
+        guide = entry_of(store, b"k") + ROLE_OFFSET[role]
         runtime.collector.run_scan_window()
         word = registry.words[guide]
         locked = word | LOCK_BIT
@@ -474,14 +477,13 @@ class TestOneFrameGet:
         entry = entry_of(store, b"k")
         moved = []
         hook_slots(store,
-                   lambda: moved.append(move_to_hot(runtime,
-                                                    entry.value_guide)),
+                   lambda: moved.append(move_to_hot(runtime, entry + 1)),
                    after=moment == "after lookup")
         assert store.get(b"k") == b"value"
         assert len(moved) == 1
         assert len(entries) == (registration == "enter_scope")
         assert runtime.access_log.pending[-2:] == [moved[0], 5]
-        assert word_heap(runtime.registry.words[entry.value_guide]) \
+        assert word_heap(runtime.registry.words[entry + 1]) \
             is HeapId.HOT
         runtime.audit()
 
@@ -555,8 +557,8 @@ class TestOneFrameGetSkipList(TestOneFrameGet):
 class TestDirectWrites:
     """Inserts, updates and deletes install and free slots through the heap
     regions themselves (`RegionManager.heaps`), create an entry's two
-    guides in one `create_many` call and retire them in one `retire_many`
-    call, and tombstone inline under each word's stripe lock."""
+    guides as one adjacent pair (`create_pair`) and retire them as one
+    (`retire_pair`), and tombstone inline under each word's stripe lock."""
 
     def test_writes_call_no_manager_or_single_guide_method(self, store,
                                                            monkeypatch):
@@ -576,12 +578,12 @@ class TestDirectWrites:
         entry = entry_of(store, b"k")
         store.set(b"k", b"two")  # update
         assert store.get(b"k") == b"two"
-        assert entry_of(store, b"k") is entry
+        assert entry_of(store, b"k") == entry
         assert store.delete(b"k") is True
         assert store.get(b"k") is None and store.get(b"other") == b"x"
         words = runtime.registry.words
         assert [word_heap(words[guide]) for guide in
-                (entry.key_guide, entry.value_guide)] == [HeapId.RESERVED] * 2
+                (entry, entry + 1)] == [HeapId.RESERVED] * 2
         assert runtime.registry.live_count == 2
         assert runtime.regions.live_slot_count() == 2
         runtime.audit()
@@ -589,8 +591,7 @@ class TestDirectWrites:
         runtime.registry.reclaim_retired()
         store.set(b"new", b"four")
         new = entry_of(store, b"new")  # reuses the reclaimed guides
-        assert {new.key_guide, new.value_guide} == {entry.key_guide,
-                                                   entry.value_guide}
+        assert new == entry
         assert store.get(b"k") == b"three" and store.get(b"new") == b"four"
         runtime.audit()
 
@@ -604,23 +605,59 @@ class TestDirectWrites:
         runtime.audit()
 
     def test_pair_gets_the_indices_two_creates_would(self):
+        """A fresh pair is `(len(words), len(words) + 1)`, the indices two
+        appending `create` calls would return, even with single guides on
+        the free list: only `create` reuses those.  A RESERVED word in
+        either place raises and creates nothing."""
         paired, single = GuideRegistry(), GuideRegistry()
         for registry in (paired, single):
             for locator in range(6):
                 registry.create(pack(locator * 16))
-            for index in (4, 1, 3):
-                registry.tombstone(index)
-                registry.retire(index)
-            registry.reclaim_retired()
+        for index in (4, 1, 3):
+            paired.tombstone(index)
+            paired.retire(index)
+        paired.reclaim_retired()
         words = [pack(96), pack(112)]
-        assert paired.create_many(*words) == [
-            single.create(words[0]), single.create(words[1])]
-        assert paired.create_many(*words) == [
-            single.create(words[0]), single.create(words[1])]
-        assert paired.words == single.words
-        with pytest.raises(ValueError, match="RESERVED"):
-            paired.create_many(pack(0), pack(0, heap=HeapId.RESERVED))
-        assert paired.words == single.words  # nothing created
+        g = paired.create_pair(*words)
+        assert (g, g + 1) == (6, 7) == (single.create(words[0]),
+                                        single.create(words[1]))
+        assert paired.words[6:] == single.words[6:]
+        assert paired.create_pair(*words) == len(paired.words) - 2 == 8
+        for pair in ((pack(0), pack(0, heap=HeapId.RESERVED)),
+                     (pack(0, heap=HeapId.RESERVED), pack(0))):
+            with pytest.raises(ValueError, match="RESERVED"):
+                paired.create_pair(*pair)
+        assert len(paired.words) == 10  # nothing created
+        assert [paired.create(pack(0)) for _ in range(4)] == [3, 1, 4, 10]
+        paired.audit()
+
+    def test_pair_is_parked_whole_until_both_words_drain(self):
+        """A deleted pair whose value word still carries ATC stays parked
+        whole through `reclaim_retired`, key word included.  Meanwhile
+        `create_pair` and `create` append; once both words drain, only
+        `create_pair` reuses the pair, and `create` never takes half of
+        it."""
+        registry = GuideRegistry()
+        g = registry.create_pair(pack(0x40), pack(0x80))
+        registry.atc_increment(g + 1)  # a scope still holds the value
+        registry.tombstone(g)
+        registry.tombstone(g + 1)
+        registry.retire_pair(g)
+        assert registry.live_count == 0
+        registry.reclaim_retired()
+        assert registry.graveyard_mark() == 1  # the pair, as one item
+        assert registry.create_pair(pack(0x100), pack(0x140)) == 2
+        assert registry.create(pack(0x180)) == 4
+        registry.audit()
+        registry.atc_decrement(g + 1)
+        registry.reclaim_retired()
+        assert registry.graveyard_mark() == 0
+        assert registry.create(pack(0x1C0)) == 5  # not half of the pair
+        assert registry.create_pair(pack(0x200), pack(0x240)) == g
+        assert [registry.words[i] for i in (g, g + 1)] == [pack(0x200),
+                                                          pack(0x240)]
+        assert registry.live_count == 6
+        registry.audit()
 
     def test_delete_in_a_tracked_scope_keeps_its_atc(self, store):
         """A delete inside an open tracked scope tombstones both words with
@@ -630,7 +667,7 @@ class TestDirectWrites:
         registry = runtime.registry
         store.set(b"k", b"v")
         entry = entry_of(store, b"k")
-        guides = (entry.key_guide, entry.value_guide)
+        guides = (entry, entry + 1)
         runtime.epoch_state.tracking_enabled = True
         runtime.scope.enter_scope()
         try:
@@ -638,7 +675,7 @@ class TestDirectWrites:
             assert [unpack(registry.words[guide]) for guide in guides] == [
                 GuideWord(0, atc=1, heap=HeapId.RESERVED)] * 2
             registry.reclaim_retired()
-            assert registry.graveyard_mark() == 2  # still parked
+            assert registry.graveyard_mark() == 1  # the pair, still parked
         finally:
             runtime.scope.exit_scope()
         assert [registry.words[guide] for guide in guides] == [
@@ -743,7 +780,7 @@ class TestSkipListSpecifics:
         store.set(b"k", b"old-value")
         regions = runtime.regions
         locator = runtime.registry.words[
-            entry_of(store, b"k").value_guide] & LOCATOR_MASK
+            entry_of(store, b"k") + 1] & LOCATOR_MASK
         raced = []
 
         def racing_set():
@@ -948,7 +985,8 @@ class TestBaseline:
 
 
 def entry_of(store, key: bytes):
-    """The live KvEntry of `key` in either structure."""
+    """The live entry of `key` in either structure: its key guide, whose
+    value guide is the next index."""
     return store._entry(key)
 
 

@@ -9,7 +9,9 @@ Runs ``tierbench/harness.py``'s ``Run`` for the workload (untraced, as
 start, and takes one snapshot just before the teardown deletes every key,
 when the store, the regions and the run phase's state are all still live.
 Prints the ``--top`` source lines holding the most traced bytes (bytes,
-blocks, and the line), then the total traced at the snapshot.  Paths under
+blocks, and the line), then the total traced at the snapshot, then how many
+objects the cyclic garbage collector tracks at it (``len(gc.get_objects())``:
+container objects, such as any per-key object a store keeps).  Paths under
 the checkout are printed relative to it.
 
 ``--keys`` shrinks the workload's key count through ``dataclasses.replace``;
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import sys
 import tracemalloc
 from pathlib import Path
@@ -53,9 +56,11 @@ def main(argv=None) -> int:
 
     class SnapshotRun(Run):
         snapshot = None
+        gc_tracked = None
 
         def _teardown(self):
             self.snapshot = tracemalloc.take_snapshot()
+            self.gc_tracked = len(gc.get_objects())
             return super()._teardown()
 
     tracemalloc.start()
@@ -74,6 +79,7 @@ def main(argv=None) -> int:
         print(f"{stat.size:>12d} {stat.count:>9d}  {path}:{frame.lineno}")
     print(f"{sum(s.size for s in stats):>12d} "
           f"{sum(s.count for s in stats):>9d}  total traced")
+    print(f"gc-tracked objects: {run.gc_tracked}")
     if not result["correct"]:
         print("error: the run failed its correctness checks", file=sys.stderr)
         return 1
