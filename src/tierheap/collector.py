@@ -189,7 +189,7 @@ class Collector:
         state = self.epoch_state
         if state.phase != Phase.INACTIVE:
             raise CollectorError("begin_epoch outside INACTIVE")
-        # Indices retired before the epoch moves may be held by scopes that
+        # Entries retired before the epoch moves may be held by scopes that
         # a converged window waits out; later ones may not (reclaim_retired).
         self._reclaim_mark = self.registry.graveyard_mark()
         # Tracking goes on before the epoch moves, so a scope that registers
@@ -270,9 +270,11 @@ class Collector:
         slots are freed with one lock acquisition per source region.
 
         Deadlock rule: the lock order is the registry lock, then the
-        stripes.  `GuideRegistry.create` takes them in that order, mutators
-        take at most one stripe, and inside the section the collector takes
-        no other lock, so no thread blocked on the section holds anything
+        stripes.  `GuideRegistry.create` takes them in that order; mutators
+        hold at most one stripe at a time, `GuideRegistry.retire` storing
+        its two tombstones one stripe after the other and taking no
+        registry lock; and inside the section the collector takes no other
+        lock, so no thread blocked on the section holds anything
         the collector waits for.  A numpy view of `registry.words` exists
         only inside the section, where `words` cannot grow; a view that
         outlived it would make the next appending `create` raise

@@ -135,15 +135,10 @@ def word_heap(word: int) -> HeapId:
     return HeapId((word >> HEAP_SHIFT) & 3)
 
 
-# Tombstone installed by delete: RESERVED heap, zero locator.  ATC bits are
-# preserved by the caller so scopes opened before the delete can still balance
-# their decrements against this word.
+# Tombstone installed by delete (`GuideRegistry.retire`): RESERVED heap, zero
+# locator, OR-ed with the replaced word's ATC bits, so scopes opened before
+# the delete can still balance their decrements against this word.
 TOMBSTONE_BASE = 3 << HEAP_SHIFT
-
-
-def tombstone_from(word: int) -> int:
-    """Tombstone word that keeps the ATC of `word` and drops everything else."""
-    return TOMBSTONE_BASE | (word & ATC_FIELD)
 
 
 class GuideArena:

@@ -521,17 +521,14 @@ class RegionManager:
 
     def allocate(self, heap: HeapId, length: int) -> int:
         # A slot of `length` zero bytes.  No store op calls this or
-        # `write`, since `install` places a slot with its payload; both are
-        # kept because the benchmark's tracer wraps them.
+        # `write`, since `HeapRegion.install` places a slot with its
+        # payload; both are kept because the benchmark's tracer wraps them.
         _check_length(length)
         return self.heaps[heap].install(bytes(length))
 
-    # No store op calls `install` or `free`: a write calls its region's own
-    # method through `heaps`.  Both are kept for callers off the mutator
-    # path, and the benchmark's tracer wraps `free`.
-    def install(self, heap: HeapId, payload: bytes) -> int:
-        return self.heaps[heap].install(payload)
-
+    # No store op calls this: a write frees through its region in `heaps`.
+    # It is kept for callers off the mutator path, and the benchmark's
+    # tracer wraps it.
     def free(self, locator: int) -> None:
         self._region_of(locator).free(locator)
 

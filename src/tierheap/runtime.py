@@ -16,8 +16,8 @@ import numpy as np
 
 from .collector import SCAN_CHUNK, Collector, ControllerState
 from .guideword import (ATC_FIELD, HEAP_FIELD, HEAP_SHIFT, LOCATOR_MASK,
-                        LOCK_STRIPES, GuideArena, GuideProtocolError,
-                        tombstone_from, word_heap)
+                        LOCK_STRIPES, TOMBSTONE_BASE, GuideArena,
+                        GuideProtocolError, word_heap)
 from .metrics import AccessLog
 from .regions import DEFAULT_REGION_LENGTH, RegionManager
 from .scope import EpochState, ScopeManager, ThreadActivityIndex
@@ -30,69 +30,44 @@ class GuideRegistry(GuideArena):
     """Guide arena with stable indices and their lifetimes.
 
     The arena holds the words and runs the guide-word protocol by index;
-    the registry adds lifetimes.  Deleted guides are tombstoned
-    (heap=RESERVED, ATC preserved) and parked in a graveyard until their
-    ATC drains to zero, so scopes that recorded the guide before the
-    delete can still balance their decrements.  The collector drains the
-    graveyard at the end of each window that converged, and only of the
-    indices retired before the window began: convergence proves that every
-    scope open at a retire, which may still hold the deleted entry, has
-    exited.  A word is live exactly when its heap bits are not RESERVED,
-    and every RESERVED word is parked on a free list or in the graveyard.
-
-    A store entry is one pair of adjacent guides, key `g` and value
-    `g + 1`, that lives and dies as a unit: `create_pair` makes it,
-    `retire_pair` parks it as one graveyard item, `~g`, and
-    `reclaim_retired` frees it whole, onto the pair free list that only
-    `create_pair` reuses, once both words' ATC has drained.  Single
-    guides (`create`, `retire`) keep a free list of their own, so neither
-    kind ever takes half of the other.
+    the registry adds lifetimes, and its one lifetime unit is an entry: a
+    pair of adjacent guides, key `g` and value `g + 1`.  `create` makes
+    both words, `retire` tombstones both (heap=RESERVED, ATC preserved)
+    and parks `g` in a graveyard until both words' ATC drains, so scopes
+    that recorded a guide before the delete can still balance their
+    decrements.  The collector drains the graveyard at the end of each
+    window that converged, and only of the entries retired before the
+    window began: convergence proves that every scope open at a retire,
+    which may still hold the deleted entry, has exited.  A drained entry
+    goes onto the free list, whose pairs `create` reuses, last freed
+    first.  A word is live exactly when its heap bits are not RESERVED,
+    and both words of every entry on the free list or in the graveyard
+    are RESERVED.
 
     The registry lock guards only the arena's growth and the reuse of
-    free-listed indices: `create` and `create_pair` append to `words`, or
-    pop a free list, only under it, and `reclaim_retired` fills the free
-    lists under it.  `retire` and `retire_pair` take no lock: each appends
-    to the graveyard, one atomic list operation, and `reclaim_retired`
-    drains the graveyard's prefix in place, so a retire racing it is never
-    lost.  The lock order is the registry lock, then stripes; `exclusive`
-    takes both, so the collector can work on a numpy view of the whole
-    arena.
+    freed pairs: `create` appends to `words`, or pops the free list, only
+    under it, and `reclaim_retired` fills the free list under it.
+    `retire` takes only each word's stripe lock, to store its tombstone,
+    and parks the entry by one graveyard append, an atomic list
+    operation; `reclaim_retired` drains the graveyard's prefix in place,
+    so a retire racing it is never lost.  The lock order is the registry
+    lock, then stripes; `exclusive` takes both, so the collector can work
+    on a numpy view of the whole arena.
     """
 
     def __init__(self):
         super().__init__()
         self._free: list[int] = []
-        self._free_pairs: list[int] = []
-        self._graveyard: list[int] = []  # index i, or ~g for the pair g
+        self._graveyard: list[int] = []
         self._lock = threading.Lock()
 
     @property
     def live_count(self) -> int:
-        """Created words less parked ones: exact while no guide is between
-        its tombstone and its retire, or being created or reclaimed."""
-        graveyard = self._graveyard[:]
-        return (len(self.words) - len(self._free)
-                - 2 * len(self._free_pairs) - len(graveyard)
-                - sum(1 for item in graveyard if item < 0))
+        """Created words less parked ones: exact while no entry is being
+        created or reclaimed."""
+        return len(self.words) - 2 * (len(self._free) + len(self._graveyard))
 
-    # The stores call only `create_pair` and `retire_pair`.  `create` and
-    # `retire` serve one-guide callers, and the benchmark's tracer wraps
-    # them.
-    def create(self, word: int) -> int:
-        """A single guide for `word`; it never reuses half of a pair."""
-        if (word & HEAP_FIELD) == HEAP_FIELD:
-            raise ValueError("cannot create a guide with a RESERVED heap id")
-        arena = self.words
-        with self._lock:
-            if self._free:
-                index = self._free.pop()
-                with self.stripes[index % LOCK_STRIPES]:
-                    arena[index] = word
-                return index
-            arena.append(word)
-            return len(arena) - 1
-
-    def create_pair(self, key_word: int, value_word: int) -> int:
+    def create(self, key_word: int, value_word: int) -> int:
         """An entry's guides, `g` for `key_word` and `g + 1` for
         `value_word`, under one registry-lock acquisition: a freed pair if
         there is one, else two words appended to the arena.  Returns `g`."""
@@ -101,8 +76,8 @@ class GuideRegistry(GuideArena):
             raise ValueError("cannot create a guide with a RESERVED heap id")
         arena = self.words
         with self._lock:
-            if self._free_pairs:
-                g = self._free_pairs.pop()
+            if self._free:
+                g = self._free.pop()
                 stripes = self.stripes
                 with stripes[g % LOCK_STRIPES]:
                     arena[g] = key_word
@@ -137,43 +112,35 @@ class GuideRegistry(GuideArena):
                 view = None
                 deque(map(_RELEASE, stripes), 0)
 
-    def retire(self, index: int) -> None:
-        """Park the tombstoned single guide `index` until its ATC drains.
+    def retire(self, g: int) -> tuple[int, int]:
+        """Tombstone the entry `g`'s two words, each under its stripe lock
+        and keeping its ATC, and park `g` until both counts drain.  Returns
+        the replaced key and value words, whose slots the caller frees.
 
-        The caller must already have swung the word to a tombstone, and
-        retires each guide once.  No lock is taken.
+        A retire of an entry already retired raises GuideProtocolError
+        before it stores anything.
         """
-        if (self.words[index] & HEAP_FIELD) != HEAP_FIELD:
-            raise GuideProtocolError(
-                f"retire of guide {index}, which is not a tombstone")
-        self._graveyard.append(index)
-
-    def retire_pair(self, g: int) -> None:
-        """Park the tombstoned pair `g`, `g + 1` as one unit until both
-        words' ATC drains; as `retire`, it takes no lock."""
-        words = self.words
-        if (words[g] & words[g + 1] & HEAP_FIELD) != HEAP_FIELD:
-            index = g if (words[g] & HEAP_FIELD) != HEAP_FIELD else g + 1
-            raise GuideProtocolError(
-                f"retire of guide {index}, which is not a tombstone")
-        self._graveyard.append(~g)
-
-    def tombstone(self, index: int) -> int:
-        """CAS the word to a tombstone; returns the replaced word."""
-        words = self.words
-        while True:
-            word = words[index]
-            if self.compare_and_swap(index, word, tombstone_from(word)):
-                return word
+        words, stripes = self.words, self.stripes
+        with stripes[g % LOCK_STRIPES]:
+            key_word = words[g]
+            if key_word & HEAP_FIELD == HEAP_FIELD:
+                raise GuideProtocolError(
+                    f"retire of entry {g}, which is already retired")
+            words[g] = TOMBSTONE_BASE | (key_word & ATC_FIELD)
+        with stripes[(g + 1) % LOCK_STRIPES]:
+            value_word = words[g + 1]
+            words[g + 1] = TOMBSTONE_BASE | (value_word & ATC_FIELD)
+        self._graveyard.append(g)
+        return key_word, value_word
 
     def graveyard_mark(self) -> int:
-        """The graveyard's length: items retired so far lie below it."""
+        """The graveyard's length: entries retired so far lie below it."""
         return len(self._graveyard)
 
     def reclaim_retired(self, mark: int | None = None) -> None:
-        """Free the parked items below `mark` (all by default) whose ATC
-        has drained, a pair only once both its words have; the others stay
-        parked, in order, at the front.
+        """Free the entries parked below `mark` (all by default) whose two
+        words' ATC has drained; the others stay parked, in order, at the
+        front.
 
         The graveyard is drained in place and never rebound: retires
         racing this only append to it, past `mark`.
@@ -185,17 +152,12 @@ class GuideRegistry(GuideArena):
             drained = graveyard[:mark]
             del graveyard[:mark]
             still_parked = []
-            words = self.words
-            for item in drained:
-                if item >= 0:
-                    if words[item] & ATC_FIELD:
-                        still_parked.append(item)
-                    else:
-                        self._free.append(item)
-                elif (words[~item] | words[~item + 1]) & ATC_FIELD:
-                    still_parked.append(item)
+            words, free = self.words, self._free
+            for g in drained:
+                if (words[g] | words[g + 1]) & ATC_FIELD:
+                    still_parked.append(g)
                 else:
-                    self._free_pairs.append(~item)
+                    free.append(g)
             graveyard[:0] = still_parked
 
     def indices(self):
@@ -210,22 +172,18 @@ class GuideRegistry(GuideArena):
             (words & HEAP_FIELD) != HEAP_FIELD).tolist()
 
     def audit(self) -> None:
-        """Check the arena against the free lists and graveyard.
+        """Check the arena against the free list and graveyard.
 
-        The parked indices, both of each parked pair's, must be exactly the
-        RESERVED words, none parked twice.  `live_count` then equals the
-        number of live words.
+        Both indices of every parked entry must be exactly the RESERVED
+        words, none parked twice.  `live_count` then equals the number of
+        live words.
         """
         with self._lock:
-            parked = self._free[:]
-            for item in self._free_pairs:
-                parked += (item, item + 1)
-            for item in self._graveyard[:]:
-                parked += (item,) if item >= 0 else (~item, ~item + 1)
+            parked = self._free + self._graveyard[:]
             words = np.frombuffer(self.words[:], dtype=np.uint64)
         reserved = np.flatnonzero(
             (words & HEAP_FIELD) == HEAP_FIELD).tolist()
-        parked.sort()
+        parked = sorted(parked + [g + 1 for g in parked])
         twice = sorted({a for a, b in zip(parked, parked[1:]) if a == b})
         if twice:
             raise AssertionError(f"guides {twice[:8]} are parked twice")
@@ -271,8 +229,8 @@ class TierRuntime:
         arena (`GuideRegistry.audit`), that every live guide's heap bits
         match the region its locator falls in, and that its locator is a
         live slot there that no other live guide names.  Slots no guide
-        names are allowed.  Run it while no mutator is between a tombstone
-        and its retire.
+        names are allowed.  Run it while no mutator is inside a `retire`,
+        between its tombstones and its graveyard append.
         """
         self.regions.audit()
         self.registry.audit()

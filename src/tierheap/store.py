@@ -15,9 +15,10 @@ whichever way its scope registers, the structure adding only its `_entry`
 lookup.  The write paths install and free slots through the heap regions
 themselves (`RegionManager.heaps`).  An entry is one int `g`, the index
 of its key guide; its value guide is `g + 1`.  The registry creates the
-two as an adjacent pair on an insert (`create_pair`) and parks them as one
-on a delete (`retire_pair`).  PlainStore is the untiered baseline for
-overhead comparisons: a locked dict with no guides, scopes or regions.
+two as an adjacent pair on an insert (`create`) and, on a delete, stores
+both tombstones and parks the pair as one (`retire`).  PlainStore is the
+untiered baseline for overhead comparisons: a locked dict with no guides,
+scopes or regions.
 """
 from __future__ import annotations
 
@@ -25,8 +26,7 @@ import threading
 import zlib
 
 from .guideword import (ACCESSED_BIT, ATC_FIELD, DEREF_BITS, HEAP_FIELD,
-                        LOCATOR_MASK, LOCK_BIT, LOCK_STRIPES, TOMBSTONE_BASE,
-                        HeapId)
+                        LOCATOR_MASK, LOCK_BIT, LOCK_STRIPES, HeapId)
 from .metrics import FOLD_LENGTH
 from .regions import RegionError
 from .runtime import TierRuntime
@@ -65,10 +65,12 @@ class _GuideOps:
     payload by `HeapRegion.install` on the NEW region, and freed by
     `HeapRegion.free` on the region its locator lies in.  An insert
     installs both slots, then creates the entry's guide pair, key `g` and
-    value `g + 1`, under one registry-lock acquisition.  An update swings
-    the value word by `compare_and_swap`.  A delete stores each word's
-    tombstone inline under its stripe lock, frees both slots, and retires
-    the pair in one call that takes no lock.
+    value `g + 1`, in one `registry.create` call.  An update swings the
+    value word by `compare_and_swap`.  A delete retires the pair in one
+    `registry.retire` call, which tombstones both words and parks the
+    entry, then frees the two slots it returns.  Both registry calls are
+    looked up on each use, so a wrapper installed on the registry sees
+    every insert and delete.
     """
 
     def __init__(self, runtime: TierRuntime):
@@ -215,7 +217,7 @@ class _GuideOps:
         except RegionError:  # e.g. a value past the largest size class
             new.free(key_loc)
             raise
-        entry = self._registry.create_pair(
+        entry = self._registry.create(
             key_loc | ACCESSED_BIT, value_loc | ACCESSED_BIT)  # heap=NEW
         if tracked:
             self._scopes.record_guide_use(entry)
@@ -275,25 +277,17 @@ class _GuideOps:
         return updated
 
     def _retire_entry(self, entry: int, tracked: bool) -> None:
-        """Tombstone both words, each by the store a winning
-        `registry.tombstone` CAS makes, free both slots, and retire the
-        pair in one call."""
-        words, word_locks = self._words, self._word_locks
-        key_guide, guide = entry, entry + 1
+        """Retire the entry in one `registry.retire` call, which tombstones
+        both words and parks the pair, then free the two slots they
+        named."""
         if tracked:
-            self._scopes.record_guide_use(key_guide)
-            self._scopes.record_guide_use(guide)
-        with word_locks[key_guide % LOCK_STRIPES]:
-            key_word = words[key_guide]
-            words[key_guide] = TOMBSTONE_BASE | (key_word & ATC_FIELD)
-        with word_locks[guide % LOCK_STRIPES]:
-            word = words[guide]
-            words[guide] = TOMBSTONE_BASE | (word & ATC_FIELD)
+            self._scopes.record_guide_use(entry)
+            self._scopes.record_guide_use(entry + 1)
+        key_word, word = self._registry.retire(entry)
         heaps, length = self._heaps, self._region_length
         key_loc, loc = key_word & LOCATOR_MASK, word & LOCATOR_MASK
         heaps[key_loc // length].free(key_loc)
         heaps[loc // length].free(loc)
-        self._registry.retire_pair(entry)
 
 
 class StripedGuideMap(_GuideOps):

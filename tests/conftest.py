@@ -1,5 +1,20 @@
 import pytest
 
+from tierheap.guideword import HeapId, pack
+
+
+def add_entry(runtime, payload: bytes = b"x" * 64, heap: HeapId = HeapId.NEW,
+              accessed: bool = False) -> int:
+    """An entry as the stores make one: two slots of `payload` installed
+    in `heap`, then one `registry.create` of the guide pair.  Returns the
+    key guide `g`; the value guide is `g + 1`."""
+    region = runtime.regions.heaps[heap]
+    key_loc = region.install(payload)
+    value_loc = region.install(payload)
+    return runtime.registry.create(pack(key_loc, heap=heap, accessed=accessed),
+                                   pack(value_loc, heap=heap,
+                                        accessed=accessed))
+
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     """Re-emit the acceptance verdict lines after output capture ends."""

@@ -20,7 +20,7 @@ import pytest
 from tierheap.cli import RunConfig, measure_deref_ns, run_benchmark
 from tierheap.collector import compute_promotion_rate
 from tierheap.guideword import (ACCESSED_BIT, LOCATOR_MASK, LOCK_BIT,
-                                GuideWord, HeapId, pack, pack_fields, unpack)
+                                GuideWord, HeapId, pack_fields, unpack)
 from tierheap.metrics import page_utilization, simulate_reclaim
 from tierheap.regions import RegionError
 from tierheap.runtime import TierRuntime
@@ -28,6 +28,7 @@ from tierheap.scope import BaseDeltaSet
 from tierheap.store import StripedGuideMap, make_store
 from tierheap.workload import synthesize_phase_shift_trace, write_trace
 
+from conftest import add_entry
 from test_metrics import brute_force_utilization, log_of
 from test_races import dereference, migrate_one
 
@@ -149,9 +150,10 @@ def test_criterion_4_race_table_fidelity():
     outcomes = {}
 
     def fresh():
+        """One entry; each row migrates its key guide, `index`."""
         runtime = TierRuntime(region_length=1 << 22)
-        loc = runtime.regions.install(HeapId.NEW, payload)
-        index = runtime.registry.create(pack(loc, heap=HeapId.NEW))
+        index = add_entry(runtime, payload)
+        loc = runtime.registry.words[index] & LOCATOR_MASK
         return runtime, runtime.registry, index, loc
 
     # Row: lock-set CAS succeeds from {atc=0, lock=0}.

@@ -40,3 +40,8 @@ def test_benchmark_runs_and_is_correct(workload, trace):
         metrics = last["metrics"]
         assert metrics["guideword.deref_ns"]["value"] > 0
         assert metrics["guideword.cas_calls"]["value"] > 0
+        if workload == "churn-concurrent-hashmap":
+            # Its timed mix inserts and deletes: the stores' registry
+            # `create` and `retire` calls.
+            assert metrics["runtime.registry_create_ns"]["value"] > 0
+            assert metrics["runtime.registry_retire_ns"]["value"] > 0

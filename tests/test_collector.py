@@ -15,16 +15,14 @@ from tierheap.runtime import TierRuntime
 from tierheap.scope import Phase
 from tierheap.store import make_store
 
+from conftest import add_entry
+from test_races import tombstone_and_free
+
 
 def make_runtime(**kwargs):
     kwargs.setdefault("region_length", 1 << 22)
     kwargs.setdefault("scan_interval_s", 120.0)
     return TierRuntime(**kwargs)
-
-
-def add_object(runtime, payload=b"x" * 64, heap=HeapId.NEW, accessed=False):
-    loc = runtime.regions.install(heap, payload)
-    return runtime.registry.create(pack(loc, heap=heap, accessed=accessed))
 
 
 class TestControllerMath:
@@ -58,7 +56,7 @@ class TestControllerMath:
     def test_controller_is_pure_replay(self):
         runtime = make_runtime(ct_init=3)
         for i in range(30):
-            add_object(runtime, accessed=(i % 3 == 0))
+            add_entry(runtime, accessed=(i % 3 == 0))
         for _ in range(6):
             runtime.collector.run_scan_window()
         ctl = runtime.collector.controller
@@ -92,7 +90,7 @@ class TestEpochMachine:
 
     def test_migrate_outside_active_faults(self):
         runtime = make_runtime()
-        index = add_object(runtime)
+        index = add_entry(runtime)
         with pytest.raises(CollectorError):
             runtime.collector.migrate(index, HeapId.HOT)
 
@@ -156,7 +154,7 @@ class TestMigrate:
 
     def test_quiescent_object_moves_with_payload(self):
         runtime = make_runtime()
-        index = add_object(runtime, payload=b"p" * 100)
+        index = add_entry(runtime, payload=b"p" * 100)
         self.setup_active(runtime)
         assert runtime.collector.migrate(index, HeapId.HOT) == "moved"
         word = runtime.registry.words[index]
@@ -165,26 +163,26 @@ class TestMigrate:
         assert fields.ciw == 0 and not fields.accessed
         assert not fields.migration_lock
         assert runtime.regions.read(fields.locator) == b"p" * 100
-        assert runtime.regions.region(HeapId.NEW).live_slot_count == 0
+        # Only the entry's value slot stays in NEW.
+        assert runtime.regions.region(HeapId.NEW).live_slot_count == 1
 
     def test_nonzero_atc_skips_without_locking(self):
         runtime = make_runtime()
-        index = add_object(runtime)
+        index = add_entry(runtime)
         runtime.registry.atc_increment(index)
         self.setup_active(runtime)
         assert runtime.collector.migrate(index, HeapId.HOT) == "skipped"
 
     def test_tombstoned_object_skipped(self):
         runtime = make_runtime()
-        index = add_object(runtime)
-        old = runtime.registry.tombstone(index)
-        runtime.regions.free(old & ((1 << 48) - 1))
+        index = add_entry(runtime)
+        tombstone_and_free(runtime, index)
         self.setup_active(runtime)
         assert runtime.collector.migrate(index, HeapId.HOT) == "skipped"
 
     def test_region_exhaustion_skips(self):
         runtime = TierRuntime(region_length=4096, scan_interval_s=120.0)
-        index = add_object(runtime, payload=b"x" * 1024)
+        index = add_entry(runtime, payload=b"x" * 1024)
         for _ in range(4):  # fill HOT completely
             runtime.regions.allocate(HeapId.HOT, 1024)
         self.setup_active(runtime)
@@ -211,7 +209,7 @@ class TestMigrate:
 
     def test_descending_distinct_guides_still_move(self):
         runtime = make_runtime()
-        guides = [add_object(runtime) for _ in range(3)]
+        guides = [add_entry(runtime) for _ in range(3)]
         self.setup_active(runtime)
         counts = runtime.collector.migrate_batch(guides[::-1], HeapId.HOT)
         assert counts.moved == 3
@@ -221,20 +219,22 @@ class TestMigrate:
     def test_candidate_touched_after_the_scan(self, target):
         """A demotion candidate a get touches between the scan and the
         lock pass is busy for a move to COLD: it stays where it is, with
-        its accessed bit.  A move to HOT takes an accessed word."""
+        its accessed bit.  A move to HOT takes an accessed word.  Only the
+        key is touched, so the untouched value moves either way."""
         runtime = make_runtime(ct_init=1)
-        index = add_object(runtime)
+        index = add_entry(runtime)
         scan = runtime.collector.scan(1)
-        assert scan.demotions == [index]
+        assert scan.demotions == [index, index + 1]
         runtime.registry.dereference(index)
         self.setup_active(runtime)
         counts = runtime.collector.migrate_batch(scan.demotions, target)
         fields = unpack(runtime.registry.words[index])
+        assert word_heap(runtime.registry.words[index + 1]) is target
         if target is HeapId.COLD:
-            assert (counts.moved, counts.skipped) == (0, 1)
+            assert (counts.moved, counts.skipped) == (1, 1)
             assert fields.heap is HeapId.NEW and fields.accessed
         else:
-            assert counts.moved == 1 and fields.heap is HeapId.HOT
+            assert counts.moved == 2 and fields.heap is HeapId.HOT
         runtime.audit()
 
     @pytest.mark.parametrize("target, sources", [
@@ -242,16 +242,19 @@ class TestMigrate:
         (HeapId.COLD, (HeapId.NEW, HeapId.HOT))])
     def test_chunk_with_two_source_heaps(self, target, sources):
         """A chunk whose guides come from two heaps moves each payload
-        object itself to `target` and frees every source slot."""
+        object itself to `target` and frees every source slot.  Each
+        entry's key and value hold the same payload."""
         runtime = make_runtime()
         payloads = [bytes([i]) * (16 + 37 * i) for i in range(40)]
-        guides = [add_object(runtime, payload=payload, heap=sources[i % 2])
-                  for i, payload in enumerate(payloads)]
+        entries = [add_entry(runtime, payload=payload, heap=sources[i % 2])
+                   for i, payload in enumerate(payloads)]
+        guides = [i for g in entries for i in (g, g + 1)]
+        payloads = [payload for payload in payloads for _ in range(2)]
         olds = [runtime.registry.words[g] & LOCATOR_MASK for g in guides]
         self.setup_active(runtime)
         counts = runtime.collector.migrate_batch(guides, target)
-        assert (counts.moved, counts.aborted, counts.skipped) == (40, 0, 0)
-        assert [counts.moved_from[heap] for heap in sources] == [20, 20]
+        assert (counts.moved, counts.aborted, counts.skipped) == (80, 0, 0)
+        assert [counts.moved_from[heap] for heap in sources] == [40, 40]
         assert counts.bytes_moved == sum(map(len, payloads))
         for guide, payload, old in zip(guides, payloads, olds):
             fields = unpack(runtime.registry.words[guide])
@@ -286,7 +289,7 @@ def scalar_migrate(runtime, index: int, target: HeapId) -> str:
         registry.compare_and_swap(index, locked, word)
         return "aborted"
     try:
-        new_locator = regions.install(target, payload)
+        new_locator = regions.heaps[target].install(payload)
     except RegionExhausted:
         registry.compare_and_swap(index, locked, word)
         return "skipped"
@@ -312,11 +315,12 @@ def heap_state(runtime):
 
 
 def seeded_heap(seed, guides, sizes, region_length=1 << 22):
-    """A runtime with `guides` objects of random sizes in random heaps.
+    """A runtime with `guides` entries, `2 * guides` words, of random sizes
+    in random heaps.
 
-    Half the words carry the accessed bit, some carry the lock bit or an
-    ATC, some are tombstoned and freed,
-    and some keep a live word whose slot was freed behind its back, so a
+    Half the entries carry the accessed bit; some words carry the lock bit
+    or an ATC, some entries are retired and their slots freed, and some
+    words stay live with their slot freed behind their back, so a
     migration of it aborts at the read.  Returns the runtime and seeded
     promotion (heap not HOT) and demotion (heap not COLD) lists, disjoint
     and in ascending guide order.  As after a scan, most demotion
@@ -328,22 +332,23 @@ def seeded_heap(seed, guides, sizes, region_length=1 << 22):
     registry = runtime.registry
     for _ in range(guides):
         heap = rng.choice((HeapId.NEW, HeapId.HOT, HeapId.COLD))
-        add_object(runtime, payload=bytes([rng.randrange(256)])
+        add_entry(runtime, payload=bytes([rng.randrange(256)])
                    * rng.choice(sizes), heap=heap,
                    accessed=rng.random() < 0.5)
-    for index in range(guides):
-        roll = rng.random()
-        if roll < 0.05:
-            registry.words[index] |= LOCK_BIT
-        elif roll < 0.10:
-            registry.atc_increment(index)
-        elif roll < 0.15:
-            runtime.regions.free(registry.tombstone(index) & LOCATOR_MASK)
-            registry.retire(index)
-        elif roll < 0.17:
-            runtime.regions.free(registry.words[index] & LOCATOR_MASK)
+    for g in range(0, 2 * guides, 2):
+        if rng.random() < 0.05:
+            tombstone_and_free(runtime, g)
+            continue
+        for index in (g, g + 1):
+            roll = rng.random()
+            if roll < 0.05:
+                registry.words[index] |= LOCK_BIT
+            elif roll < 0.10:
+                registry.atc_increment(index)
+            elif roll < 0.12:
+                runtime.regions.free(registry.words[index] & LOCATOR_MASK)
     promotions, demotions = [], []
-    for index in range(guides):
+    for index in range(2 * guides):
         heap = word_heap(registry.words[index])
         if heap != HeapId.HOT and rng.random() < 0.5:
             promotions.append(index)
@@ -395,9 +400,9 @@ class TestBatchMatchesScalarReference:
     def test_freed_cold_slot_is_reused_by_a_later_demotion(self):
         def build():
             runtime = make_runtime()
-            cold = [add_object(runtime, payload=b"c" * 64, heap=HeapId.COLD)
+            cold = [add_entry(runtime, payload=b"c" * 64, heap=HeapId.COLD)
                     for _ in range(3)]
-            hot = [add_object(runtime, payload=b"h" * 64, heap=HeapId.HOT)
+            hot = [add_entry(runtime, payload=b"h" * 64, heap=HeapId.HOT)
                    for _ in range(3)]
             runtime.collector.begin_epoch()
             assert runtime.collector.await_convergence()
@@ -425,7 +430,7 @@ class TestBatchMatchesScalarReference:
             runtime.regions.allocate(HeapId.HOT, 512)
             runtime.regions.allocate(HeapId.HOT, 256)
             runtime.regions.allocate(HeapId.HOT, 128)  # 128 B remain
-            guides = [add_object(runtime, payload=b"m" * size)
+            guides = [add_entry(runtime, payload=b"m" * size)
                       for size in (1024, 64, 500, 32, 60, 16, 8)]
             runtime.collector.begin_epoch()
             assert runtime.collector.await_convergence()
@@ -446,29 +451,29 @@ class TestBatchMatchesScalarReference:
 class TestScanWindow:
     def test_accessed_cold_object_promoted(self):
         runtime = make_runtime()
-        index = add_object(runtime, heap=HeapId.COLD, accessed=True)
+        index = add_entry(runtime, heap=HeapId.COLD, accessed=True)
         report = runtime.collector.run_scan_window()
-        assert report.promoted_to_hot == 1
+        assert report.promoted_to_hot == 2  # the key and the value
         fields = unpack(runtime.registry.words[index])
         assert fields.heap is HeapId.HOT and fields.ciw == 0
 
     def test_accessed_new_object_promoted(self):
         runtime = make_runtime()
-        index = add_object(runtime, heap=HeapId.NEW, accessed=True)
+        index = add_entry(runtime, heap=HeapId.NEW, accessed=True)
         report = runtime.collector.run_scan_window()
-        assert report.new_to_hot == 1
+        assert report.new_to_hot == 2  # the key and the value
         assert word_heap(runtime.registry.words[index]) is HeapId.HOT
 
     def test_untouched_object_demoted_at_threshold(self):
         runtime = make_runtime(ct_init=2)
-        index = add_object(runtime, heap=HeapId.NEW)
+        index = add_entry(runtime, heap=HeapId.NEW)
         reports = [runtime.collector.run_scan_window() for _ in range(3)]
         assert word_heap(runtime.registry.words[index]) is HeapId.COLD
-        assert sum(r.demoted_to_cold for r in reports) == 1
+        assert sum(r.demoted_to_cold for r in reports) == 2
 
     def test_accessed_bit_cleared_by_scan(self):
         runtime = make_runtime()
-        index = add_object(runtime, heap=HeapId.HOT, accessed=True)
+        index = add_entry(runtime, heap=HeapId.HOT, accessed=True)
         runtime.collector.run_scan_window()
         assert not runtime.registry.words[index] & ACCESSED_BIT
 
@@ -476,7 +481,7 @@ class TestScanWindow:
         runtime = make_runtime(ct_init=32, pr_target=0.0)
         # pr_target 0 keeps C_t at 32 (PR never < 0), so no demotion occurs
         # and CIW can run into its clamp.
-        index = add_object(runtime, heap=HeapId.HOT)
+        index = add_entry(runtime, heap=HeapId.HOT)
         for _ in range(40):
             runtime.collector.run_scan_window()
         assert unpack(runtime.registry.words[index]).ciw == 31
@@ -484,28 +489,28 @@ class TestScanWindow:
     def test_object_conservation_quiesced(self):
         runtime = make_runtime(ct_init=1)
         for i in range(50):
-            add_object(runtime, accessed=(i % 2 == 0))
+            add_entry(runtime, accessed=(i % 2 == 0))
         for _ in range(5):
             runtime.collector.run_scan_window()
-            assert runtime.registry.live_count == 50
-            assert runtime.regions.live_slot_count() == 50
+            assert runtime.registry.live_count == 2 * 50
+            assert runtime.regions.live_slot_count() == 2 * 50
             runtime.audit()
 
     def test_window_reports_bytes_moved(self):
         runtime = make_runtime()
         for size in (64, 100, 1024):
-            add_object(runtime, payload=b"b" * size, accessed=True)
+            add_entry(runtime, payload=b"b" * size, accessed=True)
         report = runtime.collector.run_scan_window()
-        assert report.new_to_hot == 3
-        assert report.bytes_moved == 64 + 100 + 1024
+        assert report.new_to_hot == 2 * 3
+        assert report.bytes_moved == 2 * (64 + 100 + 1024)
         assert runtime.collector.run_scan_window().bytes_moved == 0
 
     def test_window_report_counts_consistent(self):
         runtime = make_runtime()
         for i in range(20):
-            add_object(runtime, accessed=(i < 10))
+            add_entry(runtime, accessed=(i < 10))
         report = runtime.collector.run_scan_window()
-        assert report.scanned_guides == 20
+        assert report.scanned_guides == 2 * 20
         assert (report.promoted_to_hot + report.demoted_to_cold
                 + report.new_to_hot) <= report.scanned_guides
 
@@ -513,7 +518,7 @@ class TestScanWindow:
 class TestHintGating:
     def test_default_mode_never_emits(self):
         runtime = make_runtime(ct_init=1)
-        add_object(runtime)
+        add_entry(runtime)
         for _ in range(5):
             report = runtime.collector.run_scan_window()
             assert report.hints_emitted == 0
@@ -521,7 +526,7 @@ class TestHintGating:
 
     def test_stability_rule(self):
         runtime = make_runtime(hinted=True)
-        add_object(runtime, heap=HeapId.COLD)  # COLD populated
+        add_entry(runtime, heap=HeapId.COLD)  # COLD populated
         col = runtime.collector
         col.controller.stable_windows = 1
         assert col.maybe_emit_hints() == []
@@ -533,7 +538,7 @@ class TestHintGating:
     def test_vacuous_pr_does_not_build_stability(self):
         # Below-target PR with an empty COLD region must not count.
         runtime = make_runtime(hinted=True, ct_init=32, pr_target=0.5)
-        add_object(runtime, accessed=True)
+        add_entry(runtime, accessed=True)
         for _ in range(4):
             runtime.collector.run_scan_window()
         assert runtime.collector.controller.stable_windows == 0
@@ -541,10 +546,11 @@ class TestHintGating:
 
     def test_hints_after_real_stability(self):
         runtime = make_runtime(hinted=True, ct_init=1, pr_target=0.5)
-        add_object(runtime)      # never accessed: demoted window 1
-        hot = add_object(runtime, accessed=True)
+        add_entry(runtime)      # never accessed: demoted window 1
+        hot = add_entry(runtime, accessed=True)
         for _ in range(4):
             runtime.collector.run_scan_window()
-            runtime.registry.dereference(hot)  # keep one object hot
+            runtime.registry.dereference(hot)  # keep one entry hot
+            runtime.registry.dereference(hot + 1)
         assert runtime.collector.controller.stable_windows >= 2
         assert runtime.collector.hinted_cold_pages()

@@ -8,7 +8,7 @@ import pytest
 from tierheap.guideword import (ACCESSED_BIT, ATC_MAX, ATC_ONE, CIW_MAX,
                                 LOCATOR_MASK, LOCK_BIT, EncodingError,
                                 GuideArena, GuideProtocolError, GuideWord,
-                                HeapId, pack, pack_fields, tombstone_from,
+                                HeapId, pack, pack_fields,
                                 unpack, word_atc, word_heap)
 from tierheap.runtime import GuideRegistry
 
@@ -61,9 +61,12 @@ class TestPackUnpack:
         assert word_heap(word) is HeapId.COLD
 
     def test_tombstone_preserves_atc_only(self):
+        """The tombstone `GuideRegistry.retire` stores over a word."""
+        registry = GuideRegistry()
         word = pack(0x1234, atc=5, ciw=7, heap=HeapId.HOT, accessed=True)
-        stone = tombstone_from(word)
-        fields = unpack(stone)
+        g = registry.create(word, word)
+        registry.retire(g)
+        fields = unpack(registry.words[g])
         assert fields.heap is HeapId.RESERVED
         assert fields.atc == 5
         assert fields.locator == 0 and fields.ciw == 0
@@ -183,8 +186,8 @@ def test_a_guide_costs_only_its_word():
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        for _ in range(guides):
-            registry.create(word)
+        for _ in range(guides // 2):  # one entry is two guides
+            registry.create(word, word)
         allocated = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()

@@ -18,11 +18,12 @@ import pytest
 from tierheap import collector as collector_module
 from tierheap.collector import MIGRATE_CHUNK
 from tierheap.guideword import (ACCESSED_BIT, ATC_FIELD, LOCATOR_MASK,
-                                LOCK_BIT, HeapId, pack, tombstone_from,
-                                unpack, word_heap)
+                                LOCK_BIT, HeapId, pack, unpack, word_heap)
 from tierheap.regions import DoubleFreeError, HeapRegion, RegionError
 from tierheap.runtime import GuideRegistry, TierRuntime
 from tierheap.store import make_store
+
+from conftest import add_entry
 
 
 PAYLOAD = b"migrating-object-payload" * 4
@@ -32,10 +33,11 @@ ROLE_OFFSET = {"key_guide": 0, "value_guide": 1}
 
 
 def make_env():
+    """A runtime holding one entry; the race table's rows run on its key
+    guide, `index`, whose slot is at `loc`."""
     runtime = TierRuntime(region_length=1 << 22)
-    loc = runtime.regions.install(HeapId.NEW, PAYLOAD)
-    index = runtime.registry.create(pack(loc, heap=HeapId.NEW))
-    return runtime, index, loc
+    index = add_entry(runtime, PAYLOAD)
+    return runtime, index, runtime.registry.words[index] & LOCATOR_MASK
 
 
 def migrate_one(runtime, index, step=None):
@@ -153,25 +155,39 @@ class TestDeleteVersusMigrate:
     def test_tombstone_preserves_atc_for_open_scopes(self):
         runtime, index, old_loc = make_env()
         registry = runtime.registry
-        assert registry.atc_increment(index)  # an open scope recorded it
-        old = registry.tombstone(index)
-        runtime.regions.free(old & LOCATOR_MASK)
-        registry.retire(index)
-        assert unpack(registry.words[index]).atc == 1
+        assert registry.atc_increment(index)  # open scopes recorded them
+        for _ in range(2):
+            assert registry.atc_increment(index + 1)
+        tombstone_and_free(runtime, index)
+        assert [unpack(registry.words[i]).atc
+                for i in (index, index + 1)] == [1, 2]
         registry.reclaim_retired()
-        assert registry.live_count == 0
-        registry.atc_decrement(index)  # the scope exit still balances
+        assert registry.live_count == 0 and registry.graveyard_mark() == 1
+        registry.atc_decrement(index)  # the scope exits still balance
+        registry.atc_decrement(index + 1)
         registry.reclaim_retired()
-        # index becomes reusable only after the ATC drained
-        assert registry.create(pack(1, heap=HeapId.NEW)) == index
+        assert registry.graveyard_mark() == 1  # the value's count holds it
+        registry.atc_decrement(index + 1)
+        registry.reclaim_retired()
+        # the pair becomes reusable only after both counts drained
+        assert registry.graveyard_mark() == 0
+        assert registry.create(pack(1, heap=HeapId.NEW),
+                               pack(2, heap=HeapId.NEW)) == index
 
     def test_tombstone_word_shape(self):
-        word = pack(0x1234, atc=2, ciw=9, heap=HeapId.HOT, accessed=True,
-                    migration_lock=True)
-        stone = tombstone_from(word)
-        fields = unpack(stone)
-        assert fields.heap is HeapId.RESERVED and fields.atc == 2
-        assert fields.locator == 0 and not fields.migration_lock
+        """`retire` returns the replaced words and leaves each one the
+        RESERVED heap, a zero locator and the word's own ATC."""
+        registry = GuideRegistry()
+        words = (pack(0x1234, atc=2, ciw=9, heap=HeapId.HOT, accessed=True,
+                      migration_lock=True),
+                 pack(0x5678, atc=5, ciw=1, heap=HeapId.COLD))
+        g = registry.create(*words)
+        assert registry.retire(g) == words
+        for index, atc in ((g, 2), (g + 1, 5)):
+            fields = unpack(registry.words[index])
+            assert fields.heap is HeapId.RESERVED and fields.atc == atc
+            assert fields.locator == 0 and fields.ciw == 0
+            assert not fields.accessed and not fields.migration_lock
 
 
 def dereference(runtime, index):
@@ -183,15 +199,16 @@ def atc_increment(runtime, index):
 
 
 def tombstone_and_free(runtime, index):
-    old = runtime.registry.tombstone(index)
-    runtime.regions.free(old & LOCATOR_MASK)
-    runtime.registry.retire(index)
+    """A delete of the entry whose key guide is `index`: retire it, then
+    free both slots."""
+    for old in runtime.registry.retire(index):
+        runtime.regions.free(old & LOCATOR_MASK)
 
 
 def swing_value(runtime, index):
     """A set: publish a fresh NEW slot by CAS, then free the replaced one."""
     regions, registry = runtime.regions, runtime.registry
-    new_loc = regions.install(HeapId.NEW, PAYLOAD)
+    new_loc = regions.heaps[HeapId.NEW].install(PAYLOAD)
     while True:
         word = registry.words[index]
         if registry.compare_and_swap(index, word, new_loc | ACCESSED_BIT
@@ -206,10 +223,7 @@ class TestChunkedMigration:
     def test_mutator_step_between_lock_and_commit_aborts_one_guide(
             self, step):
         runtime = TierRuntime(region_length=1 << 22)
-        guides = []
-        for _ in range(MIGRATE_CHUNK):
-            loc = runtime.regions.install(HeapId.NEW, PAYLOAD)
-            guides.append(runtime.registry.create(pack(loc, heap=HeapId.NEW)))
+        guides = [add_entry(runtime, PAYLOAD) for _ in range(MIGRATE_CHUNK)]
         victim = guides[MIGRATE_CHUNK // 2]
         hot = runtime.regions.region(HeapId.HOT)
         allocate_batch = hot.allocate_batch
@@ -245,11 +259,11 @@ class TestChunkedMigration:
         """A second thread races the aging section and then the passes.
 
         During the scan window that clears the accessed bits, a racer
-        thread appends a guide through `registry.create` (the free list is
+        thread appends an entry through `registry.create` (the free list is
         empty), sets a new key and gets an old one while the arena is being
         aged: the create and the set wait for the section, so neither meets
-        a buffer export, and the appended word is not aged.  Then a
-        `registry.create_pair` that reuses a deleted entry's freed pair, a
+        a buffer export, and the appended words are not aged.  Then a
+        `registry.create` that reuses a deleted entry's freed pair, a
         set of a chunk member and a first-touch get of another run while
         the chunk sits between its lock and commit passes.  Each takes a
         stripe (the create under the registry lock),
@@ -271,9 +285,11 @@ class TestChunkedMigration:
 
         def race():
             try:
-                loc = runtime.regions.install(HeapId.NEW, b"raced")
+                new = runtime.regions.heaps[HeapId.NEW]
+                words = [new.install(payload) | ACCESSED_BIT
+                         for payload in (b"raced", b"value")]
                 waiting.set()
-                raced.append((registry.create(loc | ACCESSED_BIT), loc))
+                raced.append((registry.create(*words), words))
                 store.set(b"raced", PAYLOAD)
                 raced.append(store.get(keys[0]))
             except Exception as exc:  # noqa: BLE001 - collected for assert
@@ -305,10 +321,11 @@ class TestChunkedMigration:
         collector.run_scan_window()  # clears every accessed bit
         monkeypatch.undo()
         assert racer_errors == []
-        (appended, loc), warm = raced
+        (appended, words), warm = raced
         assert appended == arena_length and warm == PAYLOAD
-        assert registry.words[appended] == loc | ACCESSED_BIT  # not aged
-        assert registry._free_pairs == [gone]
+        not_aged = registry.words[appended:appended + 2].tolist()
+        assert not_aged == words
+        assert registry._free == [gone]
         guides = [store._entry(key) + 1 for key in keys]
         set_guide, get_guide = guides[3], guides[MIGRATE_CHUNK // 2]
         cold = runtime.regions.region(HeapId.COLD)
@@ -317,10 +334,10 @@ class TestChunkedMigration:
 
         def mutate():
             try:
-                key_loc, loc = (runtime.regions.install(HeapId.NEW, payload)
-                                for payload in (b"fresh", b"value"))
-                created.append(registry.create_pair(key_loc | ACCESSED_BIT,
-                                                    loc | ACCESSED_BIT))
+                new = runtime.regions.heaps[HeapId.NEW]
+                created.append(registry.create(*(
+                    new.install(payload) | ACCESSED_BIT
+                    for payload in (b"fresh", b"value"))))
                 store.set(keys[3], b"new-value")
                 got.append(store.get(keys[MIGRATE_CHUNK // 2]))
             except Exception as exc:  # noqa: BLE001 - collected for assert
@@ -439,24 +456,22 @@ class TestExclusiveSection:
     registry lock, then every stripe, around a numpy view of the arena."""
 
     def test_appending_creates_racing_scan_windows(self):
-        """One thread appends guides through `create`, with the free list
+        """One thread appends entries through `create`, with the free list
         empty, while another runs scan windows with promotions and
         demotions queued: both finish, no create meets a buffer export,
         and the audit holds."""
         runtime = TierRuntime(region_length=1 << 24, ct_init=1)
-        registry, regions = runtime.registry, runtime.regions
-        for i in range(4096):
-            loc = regions.install(HeapId.NEW, PAYLOAD)
-            registry.create(pack(loc, heap=HeapId.NEW, accessed=i % 2 == 0))
+        registry = runtime.registry
+        for i in range(2048):
+            add_entry(runtime, PAYLOAD, accessed=i % 2 == 0)
         stop = threading.Event()
         appended, reports, errors = [], [], []
 
         def append():
             try:
-                while not stop.is_set() and len(appended) < 20_000:
-                    loc = regions.install(HeapId.NEW, PAYLOAD)
-                    appended.append(registry.create(
-                        pack(loc, heap=HeapId.NEW, accessed=True)))
+                while not stop.is_set() and len(appended) < 10_000:
+                    appended.append(add_entry(runtime, PAYLOAD,
+                                              accessed=True))
             except Exception as exc:  # noqa: BLE001 - collected for assert
                 errors.append(exc)
 
@@ -484,16 +499,16 @@ class TestExclusiveSection:
         assert len(reports) == 4
         assert reports[0].new_to_hot >= 2048
         assert reports[0].demoted_to_cold >= 2048
-        assert appended == list(range(4096, 4096 + len(appended)))
+        assert appended == list(range(4096, 4096 + 2 * len(appended), 2))
         assert reports[-1].scanned_guides > 4096  # saw appended guides
         runtime.audit()
 
     def test_create_pair_waits_for_the_section_then_appends(self):
-        """A `create_pair` issued while another thread holds the section
-        waits for it, then appends both words: the view is gone by then,
-        so the append raises no BufferError."""
+        """A `create` issued while another thread holds the section waits
+        for it, then appends both words: the view is gone by then, so the
+        append raises no BufferError."""
         registry = GuideRegistry()
-        registry.create_pair(pack(0x40), pack(0x80))
+        registry.create(pack(0x40), pack(0x80))
         entered, leave = threading.Event(), threading.Event()
         created, errors = [], []
 
@@ -508,8 +523,7 @@ class TestExclusiveSection:
 
         def create():
             try:
-                created.append(registry.create_pair(pack(0xC0),
-                                                    pack(0x100)))
+                created.append(registry.create(pack(0xC0), pack(0x100)))
             except Exception as exc:  # noqa: BLE001 - collected for assert
                 errors.append(exc)
 
@@ -524,7 +538,7 @@ class TestExclusiveSection:
         leave.set()
         holder.join(10.0)
         creator.join(10.0)
-        assert waited, "create_pair did not wait for the section"
+        assert waited, "create did not wait for the section"
         assert not holder.is_alive() and not creator.is_alive()
         assert errors == [] and created == [2]
         assert list(registry.words) == [pack(0x40) | ACCESSED_BIT,
@@ -540,8 +554,7 @@ class TestExclusiveSection:
         the exception is still held."""
         runtime = TierRuntime(region_length=1 << 22)
         registry, collector = runtime.registry, runtime.collector
-        loc = runtime.regions.install(HeapId.NEW, PAYLOAD)
-        index = registry.create(pack(loc, heap=HeapId.NEW))
+        index = add_entry(runtime, PAYLOAD)
         word = registry.words[index]
         if section == "aging":
             def broken(old):
@@ -559,8 +572,7 @@ class TestExclusiveSection:
         for lock in registry.stripes:
             assert lock.acquire(blocking=False)
             lock.release()
-        loc = runtime.regions.install(HeapId.NEW, PAYLOAD)
-        assert registry.create(pack(loc, heap=HeapId.NEW)) == index + 1
+        assert add_entry(runtime, PAYLOAD) == index + 2
         assert failure.value.__traceback__ is not None
         assert registry.words[index] == word
 
@@ -622,8 +634,9 @@ class TestRacesThroughTheStores:
 
 
 class TestLockFreeRetire:
-    """A delete tombstones under its words' stripe locks and then retires
-    both guides with no lock: it never waits for the registry lock."""
+    """A delete's `registry.retire` tombstones both words, each under its
+    stripe lock, and parks the entry with no lock: it never waits for the
+    registry lock."""
 
     @pytest.mark.parametrize("structure", ["hashmap", "skiplist"])
     def test_delete_completes_while_a_section_takes_its_stripes(
@@ -735,32 +748,28 @@ class TestLockFreeRetire:
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
         registry.reclaim_retired()
-        assert sorted(~item for item in registry._graveyard) == held_pairs
+        assert sorted(registry._graveyard) == held_pairs
         runtime.scope.exit_scope()
         registry.reclaim_retired()
         assert registry.graveyard_mark() == 0
-        assert sorted(registry._free_pairs) == list(range(0, 2 * len(keys),
-                                                          2))
+        assert sorted(registry._free) == list(range(0, 2 * len(keys), 2))
         assert registry.live_count == 0
         runtime.audit()
 
 
     def test_retire_pairs_racing_reclaims_park_each_pair_once(self):
-        """Two threads retire pairs, with no lock, while a third drains
-        the graveyard in a loop: every pair ends on the pair free list
-        exactly once, whole, and none on the single free list."""
+        """Two threads retire pairs, with no registry lock, while a third
+        drains the graveyard in a loop: every pair ends on the free list
+        exactly once."""
         registry = GuideRegistry()
-        pairs = [registry.create_pair(pack(0x40 * i), pack(0x40 * i + 0x20))
+        pairs = [registry.create(pack(0x40 * i), pack(0x40 * i + 0x20))
                  for i in range(4000)]
-        for g in pairs:
-            registry.tombstone(g)
-            registry.tombstone(g + 1)
         done, errors = threading.Event(), []
 
         def retire_all(part):
             try:
                 for g in part:
-                    registry.retire_pair(g)
+                    registry.retire(g)
             except Exception as exc:  # noqa: BLE001 - collected for assert
                 errors.append(exc)
 
@@ -790,10 +799,11 @@ class TestLockFreeRetire:
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
         registry.reclaim_retired()
-        assert registry.graveyard_mark() == 0 and registry._free == []
-        assert sorted(registry._free_pairs) == pairs
+        assert registry.graveyard_mark() == 0
+        assert sorted(registry._free) == pairs
         assert registry.live_count == 0
         registry.audit()
+
 
 class TestSlotDictRebuild:
     """Gets take no region lock, so they race the collector's

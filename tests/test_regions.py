@@ -179,7 +179,7 @@ class TestInstall:
 
     def test_manager_installs_into_the_named_heap(self):
         mgr = RegionManager(region_length=1 << 20)
-        loc = mgr.install(HeapId.COLD, b"abcde")
+        loc = mgr.heaps[HeapId.COLD].install(b"abcde")
         assert mgr.heap_of(loc) is HeapId.COLD
         assert mgr.read(loc) == b"abcde"
         assert mgr.slots[HeapId.COLD][loc - (2 << 20)] == b"abcde"

@@ -1,6 +1,6 @@
 """The guide-word arena: the vectorized scan against a scalar reference,
-its concurrency, the registry's guide lifetimes, single and paired, and the
-audit of the arena against the registry's free lists and graveyard."""
+its concurrency, the registry's entry lifetimes, and the audit of the arena
+against the registry's free list and graveyard."""
 import random
 import sys
 import threading
@@ -10,10 +10,13 @@ import pytest
 from tierheap.collector import SCAN_CHUNK, ScanResult
 from tierheap.guideword import (ACCESSED_BIT, ATC_MAX, ATC_ONE, CIW_FIELD,
                                 CIW_MAX, CIW_SHIFT, HEAP_SHIFT, LOCATOR_MASK,
-                                GuideProtocolError, HeapId, pack, word_atc,
-                                word_heap)
+                                TOMBSTONE_BASE, GuideProtocolError, HeapId,
+                                pack, word_atc, word_heap)
 from tierheap.regions import PAGE_SIZE, RegionError
 from tierheap.runtime import GuideRegistry, TierRuntime
+
+from conftest import add_entry
+from test_races import tombstone_and_free
 
 REGION_LENGTH = 1 << 30
 HEAPS = (HeapId.NEW, HeapId.HOT, HeapId.COLD)
@@ -58,29 +61,33 @@ def scalar_scan(registry, cold_threshold) -> ScanResult:
 
 
 def random_arena(seed: int, guides: int, spread: int) -> TierRuntime:
-    """A runtime whose registry holds random words over all four heaps.
+    """A runtime whose registry holds random words over all four heaps,
+    `guides` of them rounded up to whole entries.
 
     Words carry the lock bit, nonzero ATC and CIW at 0, 30 and 31; about a
-    quarter are tombstoned, some of those parked with ATC and the rest
-    freed.  Locators fall in the first 64 * `spread` bytes of their heap's
-    range, on few pages, so objects share pages: a spread of 1024, 4096 or
-    8192 covers 16, 64 or 128 pages.
+    quarter of the entries are retired, some of those parked with ATC and
+    the rest freed.  Locators fall in the first 64 * `spread` bytes of
+    their heap's range, on few pages, so objects share pages: a spread of
+    1024, 4096 or 8192 covers 16, 64 or 128 pages.
     """
     rng = random.Random(seed)
     runtime = TierRuntime(region_length=REGION_LENGTH)
     registry = runtime.registry
-    for _ in range(guides):
+
+    def random_word():
         heap = rng.choice(HEAPS)
         locator = int(heap) * REGION_LENGTH \
             + rng.randrange(64 * spread)
-        registry.create(pack(
+        return pack(
             locator, atc=rng.choice((0, 0, 0, 1, 7, ATC_MAX)),
             ciw=rng.choice((0, 0, 1, 2, 5, 30, 31, 31)), heap=heap,
             accessed=rng.random() < 0.5,
-            migration_lock=rng.random() < 0.1))
-    for index in rng.sample(range(guides), guides // 4):
-        registry.tombstone(index)
-        registry.retire(index)
+            migration_lock=rng.random() < 0.1)
+
+    entries = [registry.create(random_word(), random_word())
+               for _ in range((guides + 1) // 2)]
+    for g in rng.sample(entries, len(entries) // 4):
+        registry.retire(g)
     registry.reclaim_retired()
     return runtime
 
@@ -117,8 +124,10 @@ def test_dereferences_and_atc_increments_racing_scans_are_kept():
     increment is lost and no locator or heap bit changes."""
     runtime = TierRuntime(region_length=REGION_LENGTH)
     registry, collector = runtime.registry, runtime.collector
-    guides = [registry.create(pack(0x40 * i, heap=HeapId.HOT))
-              for i in range(2048)]
+    guides = [i for g in (registry.create(pack(0x80 * i, heap=HeapId.HOT),
+                                          pack(0x80 * i + 0x40,
+                                               heap=HeapId.HOT))
+                          for i in range(1024)) for i in (g, g + 1)]
     before = [w & ~(ACCESSED_BIT | CIW_FIELD) for w in registry.words]
     threads, rounds = 4, 30
     stop = threading.Event()
@@ -164,137 +173,84 @@ def test_create_reuses_a_free_index_under_its_stripe_lock():
     reused index's word under that lock too or the write-back loses it."""
     runtime = TierRuntime(region_length=REGION_LENGTH)
     registry = runtime.registry
-    index = registry.create(pack(0x100))
-    registry.tombstone(index)
+    index = registry.create(pack(0x100), pack(0x140))
     registry.retire(index)
     registry.reclaim_retired()
     stone = registry.words[index]
     created = []
     lock = registry.stripes[index % len(registry.stripes)]
     with lock:
-        creator = threading.Thread(
-            target=lambda: created.append(registry.create(pack(0x200))))
+        creator = threading.Thread(target=lambda: created.append(
+            registry.create(pack(0x200), pack(0x240))))
         creator.start()
         creator.join(0.1)
         assert creator.is_alive()  # waiting for the stripe lock
         assert registry.words[index] == stone
     creator.join(5.0)
     assert not creator.is_alive()
-    assert created == [index] and registry.words[index] == pack(0x200)
+    assert created == [index]
+    assert registry.words[index:index + 2].tolist() == [pack(0x200),
+                                                       pack(0x240)]
 
 
 class TestGuideLifetimes:
-    def test_retire_of_a_live_guide_raises(self):
-        registry = GuideRegistry()
-        index = registry.create(pack(0x40, heap=HeapId.HOT))
-        with pytest.raises(GuideProtocolError, match="not a tombstone"):
-            registry.retire(index)
-        assert registry.live_count == 1 and list(registry.indices()) == [0]
-        registry.audit()
+    def test_a_second_retire_raises_before_storing(self):
+        """A second retire of one entry is refused before it stores
+        anything: both words, with their ATC, and the graveyard stay as the
+        first retire left them."""
+        runtime = TierRuntime(region_length=REGION_LENGTH)
+        registry = runtime.registry
+        g = add_entry(runtime)
+        assert registry.atc_increment(g + 1)  # an open scope holds it
+        tombstone_and_free(runtime, g)
+        words, mark = registry.words.tolist(), registry.graveyard_mark()
+        with pytest.raises(GuideProtocolError,
+                           match=f"retire of entry {g}, which is already "
+                                 "retired"):
+            registry.retire(g)
+        assert registry.words.tolist() == words
+        assert registry.graveyard_mark() == mark == 1
+        assert registry.live_count == 0 and list(registry.indices()) == []
+        runtime.audit()
 
     def test_fuzz_against_reference_set(self):
-        """Random creates, deletes (some held by an ATC) and reclaims: the
-        live indices and the live count follow a reference set."""
-        rng = random.Random(4)
-        registry = GuideRegistry()
-        live: set[int] = set()
-        held: set[int] = set()  # tombstoned with an ATC still counted
-        for _ in range(20_000):
-            roll = rng.random()
-            if roll < 0.5 or not live:
-                index = registry.create(pack(
-                    rng.randrange(1 << 20), atc=rng.choice((0, 0, 0, 1)),
-                    heap=rng.choice(HEAPS)))
-                assert index not in live
-                live.add(index)
-            elif roll < 0.85:
-                index = rng.choice(sorted(live))
-                if word_atc(registry.tombstone(index)):
-                    held.add(index)
-                registry.retire(index)
-                live.discard(index)
-            elif roll < 0.95 and held:
-                index = held.pop()
-                registry.atc_decrement(index)
-            else:
-                registry.reclaim_retired(
-                    rng.randrange(registry.graveyard_mark() + 1))
-        assert list(registry.indices()) == sorted(live)
-        assert registry.live_count == len(live)
-        registry.audit()
-
-    @pytest.mark.parametrize("live", [0, 1])
-    def test_retire_pair_of_a_live_word_raises(self, live):
-        registry = GuideRegistry()
-        g = registry.create_pair(pack(0x40), pack(0x80))
-        registry.tombstone(g + 1 - live)  # the other word is still live
-        with pytest.raises(GuideProtocolError, match=f"guide {g + live}, "
-                                                     "which is not a"):
-            registry.retire_pair(g)
-        assert registry.graveyard_mark() == 0
-        registry.tombstone(g + live)
-        registry.retire_pair(g)
-        registry.audit()
-
-    def test_fuzz_pairs_and_singles_against_reference_sets(self):
-        """Random single and paired creates, deletes (some held by an ATC
-        on either word of a pair) and reclaims: a pair is always two
-        adjacent indices, `create` never returns half of a pair nor
-        `create_pair` a single, and the live indices and count follow the
-        reference sets."""
+        """Random creates, deletes (some held by an ATC on either word) and
+        reclaims: an entry is always two adjacent indices, freed pairs are
+        reused, and the live indices and live count follow a reference
+        set."""
         rng = random.Random(9)
         registry = GuideRegistry()
-        singles: set[int] = set()
-        pairs: set[int] = set()
-        was_single: set[int] = set()
-        was_pair: set[int] = set()  # both indices of every pair ever made
+        entries: set[int] = set()
+        made: set[int] = set()  # every entry ever created
         held: list[int] = []  # tombstoned with an ATC still counted
-        reused = {"single": 0, "pair": 0}
+        reused = 0
         for _ in range(20_000):
             roll = rng.random()
-            if roll < 0.25:
-                index = registry.create(pack(rng.randrange(1 << 20),
-                                             heap=rng.choice(HEAPS)))
-                assert index not in was_pair
-                assert index not in singles
-                reused["single"] += index in was_single
-                singles.add(index)
-                was_single.add(index)
-            elif roll < 0.5:
-                g = registry.create_pair(
+            if roll < 0.45 or not entries:
+                g = registry.create(
                     pack(rng.randrange(1 << 20), heap=rng.choice(HEAPS)),
                     pack(rng.randrange(1 << 20), heap=rng.choice(HEAPS)))
-                assert not {g, g + 1} & was_single
-                assert g not in pairs
-                reused["pair"] += g in was_pair
-                pairs.add(g)
-                was_pair.update((g, g + 1))
-            elif roll < 0.65 and singles:
-                index = rng.choice(sorted(singles))
-                if rng.random() < 0.3:
-                    registry.atc_increment(index)
-                    held.append(index)
-                registry.tombstone(index)
-                registry.retire(index)
-                singles.discard(index)
-            elif roll < 0.8 and pairs:
-                g = rng.choice(sorted(pairs))
+                assert g not in entries and not g % 2
+                reused += g in made
+                entries.add(g)
+                made.add(g)
+            elif roll < 0.75:
+                g = rng.choice(sorted(entries))
                 for index in (g, g + 1):
                     if rng.random() < 0.2:
                         registry.atc_increment(index)
                         held.append(index)
-                    registry.tombstone(index)
-                registry.retire_pair(g)
-                pairs.discard(g)
-            elif roll < 0.9 and held:
+                registry.retire(g)
+                entries.discard(g)
+            elif roll < 0.87 and held:
                 registry.atc_decrement(held.pop(rng.randrange(len(held))))
             else:
                 registry.reclaim_retired(
                     rng.randrange(registry.graveyard_mark() + 1))
-        live = singles | pairs | {g + 1 for g in pairs}
+        live = entries | {g + 1 for g in entries}
         assert list(registry.indices()) == sorted(live)
         assert registry.live_count == len(live)
-        assert min(reused.values()) > 100
+        assert reused > 100
         registry.audit()
 
     def test_walk_racing_creates_and_retires(self):
@@ -302,7 +258,9 @@ class TestGuideLifetimes:
         the arena) and retires guides: it raises nothing, comes out
         ascending, and yields every index live throughout."""
         registry = GuideRegistry()
-        steady = [registry.create(pack(0x40 * i)) for i in range(5000)]
+        for i in range(2500):
+            registry.create(pack(0x80 * i), pack(0x80 * i + 0x40))
+        steady = list(range(5000))
         stop = threading.Event()
         errors = []
 
@@ -310,9 +268,8 @@ class TestGuideLifetimes:
             try:
                 rounds = 0
                 while not stop.is_set():
-                    first = registry.create(pack(0x80))
-                    registry.create(pack(0xC0))
-                    registry.tombstone(first)
+                    first = registry.create(pack(0x80), pack(0xA0))
+                    registry.create(pack(0xC0), pack(0xE0))
                     registry.retire(first)
                     rounds += 1
                     if not rounds % 64:
@@ -342,54 +299,58 @@ class TestGuideLifetimes:
 
 class TestArenaAudit:
     def make_runtime(self):
+        """One entry, guides 0 and 1, whose slots hold 40 B each."""
         runtime = TierRuntime(region_length=REGION_LENGTH)
+        locs = []
         for payload in (b"a" * 40, b"b" * 40):
             loc = runtime.regions.allocate(HeapId.NEW, len(payload))
             runtime.regions.write(loc, payload)
-            runtime.registry.create(pack(loc, heap=HeapId.NEW))
+            locs.append(loc)
+        runtime.registry.create(*(pack(loc, heap=HeapId.NEW) for loc in locs))
         runtime.audit()
         return runtime
 
     def test_live_word_parked_fails(self):
         runtime = self.make_runtime()
-        runtime.registry._free.append(1)  # free list claims a live guide
+        runtime.registry._free.append(0)  # free list claims a live entry
         with pytest.raises(AssertionError, match=r"RESERVED words \[\] but "
-                                                 r"parked indices \[1\]"):
+                                                 r"parked indices \[0, 1\]"):
             runtime.audit()
 
     def test_tombstone_not_retired_fails(self):
         runtime = self.make_runtime()
         registry = runtime.registry
-        runtime.regions.free(registry.tombstone(1) & LOCATOR_MASK)
+        runtime.regions.free(registry.words[1] & LOCATOR_MASK)
+        registry.words[1] = TOMBSTONE_BASE  # stored outside `retire`
         with pytest.raises(AssertionError, match=r"RESERVED words \[1\]"):
             runtime.audit()  # tombstoned but not retired
-        registry.retire(1)
+        runtime.regions.free(registry.retire(0)[0] & LOCATOR_MASK)
         runtime.audit()
 
     def test_index_parked_twice_fails(self):
+        """Two parked entries that overlap share an index."""
         runtime = self.make_runtime()
         registry = runtime.registry
-        runtime.regions.free(registry.tombstone(1) & LOCATOR_MASK)
-        registry.retire(1)
+        g = add_entry(runtime)
+        for entry in (0, g):
+            tombstone_and_free(runtime, entry)
         registry.reclaim_retired()
         runtime.audit()
-        registry.retire(1)  # a second retire of the same delete
-        with pytest.raises(AssertionError, match=r"guides \[1\] are parked "
-                                                 r"twice"):
+        registry._free.append(1)  # entry 1 overlaps both 0 and 2
+        with pytest.raises(AssertionError, match=r"guides \[1, 2\] are "
+                                                 r"parked twice"):
             runtime.audit()
 
     def test_pair_parked_twice_fails(self):
         runtime = self.make_runtime()
         registry = runtime.registry
-        g = registry.create_pair(*(pack(loc, heap=HeapId.NEW) for loc in (
-            runtime.regions.install(HeapId.NEW, b"key"),
-            runtime.regions.install(HeapId.NEW, b"value"))))
-        for index in (g, g + 1):
-            runtime.regions.free(registry.tombstone(index) & LOCATOR_MASK)
-        registry.retire_pair(g)
+        g = add_entry(runtime)
+        tombstone_and_free(runtime, g)
         registry.reclaim_retired()
         runtime.audit()
-        registry.retire_pair(g)  # a second retire of the same delete
+        with pytest.raises(GuideProtocolError):
+            registry.retire(g)  # a second retire of the same delete
+        registry._graveyard.append(g)  # parked again behind its back
         with pytest.raises(AssertionError, match=r"guides \[2, 3\] are "
                                                  r"parked twice"):
             runtime.audit()
@@ -431,12 +392,12 @@ class TestArenaAudit:
     def test_slot_checks_span_many_scan_slices(self):
         runtime = TierRuntime(region_length=REGION_LENGTH)
         registry = runtime.registry
-        for i in range(2 * SCAN_CHUNK + 3):
-            heap = HEAPS[i % 3]
-            registry.create(pack(runtime.regions.install(heap, b"s" * 16),
-                                 heap=heap))
-        registry.tombstone(5)  # a RESERVED word is not a guide
-        registry.retire(5)
+        for i in range(0, 2 * SCAN_CHUNK + 4, 2):
+            registry.create(*(
+                pack(runtime.regions.heaps[heap].install(b"s" * 16),
+                     heap=heap)
+                for heap in (HEAPS[i % 3], HEAPS[(i + 1) % 3])))
+        registry.retire(4)  # RESERVED words are not guides
         runtime.audit()
         last = len(registry.words) - 1
         word = registry.words[last]

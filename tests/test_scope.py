@@ -186,13 +186,13 @@ class TestScopeManager:
 
     def test_guide_use_outside_scope_raises(self):
         registry, scope, _ = make_scope_env()
-        index = registry.create(pack(0x10))
+        index = registry.create(pack(0x10), pack(0x20))
         with pytest.raises(ScopeError):
             scope.record_guide_use(index)
 
     def test_atc_tracked_exactly_once_per_scope(self):
         registry, scope, _ = make_scope_env(tracking=True)
-        index = registry.create(pack(0x10))
+        index = registry.create(pack(0x10), pack(0x20))
         scope.enter_scope()
         for _ in range(5):
             scope.record_guide_use(index)
@@ -202,7 +202,8 @@ class TestScopeManager:
 
     def test_atc_once_per_scope_across_nesting(self):
         registry, scope, _ = make_scope_env(tracking=True)
-        guides = [registry.create(pack(0x10 * (i + 1))) for i in range(3)]
+        guides = [registry.create(pack(0x20 * i), pack(0x20 * i + 0x10))
+                  for i in range(3)]
 
         def atcs():
             return [word_atc(registry.words[g]) for g in guides]
@@ -229,7 +230,7 @@ class TestScopeManager:
 
         monkeypatch.setattr(scope_module, "BaseDeltaSet", CountingSet)
         registry, scope, state = make_scope_env(tracking=False)
-        index = registry.create(pack(0x10))
+        index = registry.create(pack(0x10), pack(0x20))
         for _ in range(3):
             scope.enter_scope()
             scope.record_guide_use(index)
@@ -260,7 +261,7 @@ class TestScopeManager:
             outcome["converged"] = collector.await_convergence(0.05)
 
         arm(window_begins)
-        index = registry.create(pack(0x10))
+        index = registry.create(pack(0x10), pack(0x20))
         scope.enter_scope()
         scope.record_guide_use(index)
         if before_registration:
@@ -274,7 +275,7 @@ class TestScopeManager:
 
     def test_no_atc_when_tracking_disabled(self):
         registry, scope, _ = make_scope_env(tracking=False)
-        index = registry.create(pack(0x10))
+        index = registry.create(pack(0x10), pack(0x20))
         scope.enter_scope()
         scope.record_guide_use(index)
         assert word_atc(registry.words[index]) == 0
@@ -282,7 +283,7 @@ class TestScopeManager:
 
     def test_tracking_sampled_at_outermost_entry(self):
         registry, scope, state = make_scope_env(tracking=False)
-        index = registry.create(pack(0x10))
+        index = registry.create(pack(0x10), pack(0x20))
         scope.enter_scope()
         state.tracking_enabled = True  # flipped mid-scope: entry view holds
         scope.record_guide_use(index)
@@ -299,7 +300,7 @@ class TestScopeManager:
 
     def test_threads_are_independent(self):
         registry, scope, _ = make_scope_env(tracking=True)
-        index = registry.create(pack(0x10))
+        index = registry.create(pack(0x10), pack(0x20))
         scope.enter_scope()
         scope.record_guide_use(index)
         errors = []

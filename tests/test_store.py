@@ -557,22 +557,28 @@ class TestOneFrameGetSkipList(TestOneFrameGet):
 class TestDirectWrites:
     """Inserts, updates and deletes install and free slots through the heap
     regions themselves (`RegionManager.heaps`), create an entry's two
-    guides as one adjacent pair (`create_pair`) and retire them as one
-    (`retire_pair`), and tombstone inline under each word's stripe lock."""
+    guides as one adjacent pair (`registry.create`) and retire them as one
+    (`registry.retire`, which stores both tombstones)."""
 
     def test_writes_call_no_manager_or_single_guide_method(self, store,
                                                            monkeypatch):
+        """No write calls a `RegionManager` method.  Each insert makes one
+        `registry.create` call and each delete one `registry.retire`, both
+        looked up on the registry at call time, so wrappers installed
+        after the store was made see them all."""
         def refuse(*args, **kwargs):
             raise AssertionError("called on a write path")
 
-        for owner, name in ((RegionManager, "install"),
-                            (RegionManager, "free"),
-                            (RegionManager, "_region_of"),
-                            (GuideRegistry, "create"),
-                            (GuideRegistry, "retire"),
-                            (GuideRegistry, "tombstone")):
-            monkeypatch.setattr(owner, name, refuse)
+        for name in ("allocate", "write", "free", "_region_of"):
+            monkeypatch.setattr(RegionManager, name, refuse)
         runtime = store.runtime
+        registry, calls = runtime.registry, Counter()
+        for name in ("create", "retire"):
+            def counted(*args, _call=getattr(registry, name), _name=name):
+                calls[_name] += 1
+                return _call(*args)
+
+            monkeypatch.setattr(registry, name, counted)
         store.set(b"k", b"one")  # insert
         store.set(b"other", b"x")
         entry = entry_of(store, b"k")
@@ -593,6 +599,7 @@ class TestDirectWrites:
         new = entry_of(store, b"new")  # reuses the reclaimed guides
         assert new == entry
         assert store.get(b"k") == b"three" and store.get(b"new") == b"four"
+        assert calls == {"create": 4, "retire": 1}
         runtime.audit()
 
     def test_insert_of_an_unstorable_value_leaves_nothing(self, store):
@@ -604,59 +611,50 @@ class TestDirectWrites:
         assert runtime.registry.live_count == 0
         runtime.audit()
 
-    def test_pair_gets_the_indices_two_creates_would(self):
-        """A fresh pair is `(len(words), len(words) + 1)`, the indices two
-        appending `create` calls would return, even with single guides on
-        the free list: only `create` reuses those.  A RESERVED word in
-        either place raises and creates nothing."""
-        paired, single = GuideRegistry(), GuideRegistry()
-        for registry in (paired, single):
-            for locator in range(6):
-                registry.create(pack(locator * 16))
-        for index in (4, 1, 3):
-            paired.tombstone(index)
-            paired.retire(index)
-        paired.reclaim_retired()
+    def test_create_reuses_the_last_freed_pair_else_appends(self):
+        """With no freed pair, `create` appends both words, at
+        `(len(words), len(words) + 1)`; freed pairs are reused last freed
+        first.  A RESERVED word in either place raises and creates
+        nothing."""
+        registry = GuideRegistry()
+        for locator in range(3):
+            registry.create(pack(locator * 32), pack(locator * 32 + 16))
         words = [pack(96), pack(112)]
-        g = paired.create_pair(*words)
-        assert (g, g + 1) == (6, 7) == (single.create(words[0]),
-                                        single.create(words[1]))
-        assert paired.words[6:] == single.words[6:]
-        assert paired.create_pair(*words) == len(paired.words) - 2 == 8
+        assert registry.create(*words) == 6
+        assert registry.words[6:].tolist() == words
         for pair in ((pack(0), pack(0, heap=HeapId.RESERVED)),
                      (pack(0, heap=HeapId.RESERVED), pack(0))):
             with pytest.raises(ValueError, match="RESERVED"):
-                paired.create_pair(*pair)
-        assert len(paired.words) == 10  # nothing created
-        assert [paired.create(pack(0)) for _ in range(4)] == [3, 1, 4, 10]
-        paired.audit()
+                registry.create(*pair)
+        assert len(registry.words) == 8  # nothing created
+        for g in (4, 0, 2):
+            registry.retire(g)
+        registry.reclaim_retired()
+        assert [registry.create(pack(0), pack(16)) for _ in range(4)] \
+            == [2, 0, 4, 8]
+        registry.audit()
 
     def test_pair_is_parked_whole_until_both_words_drain(self):
         """A deleted pair whose value word still carries ATC stays parked
-        whole through `reclaim_retired`, key word included.  Meanwhile
-        `create_pair` and `create` append; once both words drain, only
-        `create_pair` reuses the pair, and `create` never takes half of
-        it."""
+        whole through `reclaim_retired`, key word included, and `create`
+        appends meanwhile; once both words drain, `create` reuses the
+        pair."""
         registry = GuideRegistry()
-        g = registry.create_pair(pack(0x40), pack(0x80))
+        g = registry.create(pack(0x40), pack(0x80))
         registry.atc_increment(g + 1)  # a scope still holds the value
-        registry.tombstone(g)
-        registry.tombstone(g + 1)
-        registry.retire_pair(g)
+        registry.retire(g)
         assert registry.live_count == 0
         registry.reclaim_retired()
         assert registry.graveyard_mark() == 1  # the pair, as one item
-        assert registry.create_pair(pack(0x100), pack(0x140)) == 2
-        assert registry.create(pack(0x180)) == 4
+        assert registry.create(pack(0x100), pack(0x140)) == 2
         registry.audit()
         registry.atc_decrement(g + 1)
         registry.reclaim_retired()
         assert registry.graveyard_mark() == 0
-        assert registry.create(pack(0x1C0)) == 5  # not half of the pair
-        assert registry.create_pair(pack(0x200), pack(0x240)) == g
+        assert registry.create(pack(0x200), pack(0x240)) == g
         assert [registry.words[i] for i in (g, g + 1)] == [pack(0x200),
                                                           pack(0x240)]
-        assert registry.live_count == 6
+        assert registry.live_count == 4
         registry.audit()
 
     def test_delete_in_a_tracked_scope_keeps_its_atc(self, store):
@@ -785,7 +783,7 @@ class TestSkipListSpecifics:
 
         def racing_set():
             store.set(b"k", b"new-value")  # frees the slot being read
-            raced.append(regions.install(HeapId.NEW, b"other-key"))
+            raced.append(regions.heaps[HeapId.NEW].install(b"other-key"))
 
         hook_slots(store, racing_set)
         assert store.get(b"k") == b"new-value"
@@ -1011,7 +1009,7 @@ def move_to_hot(runtime, guide: int) -> int:
     locked = word | LOCK_BIT
     assert registry.compare_and_swap(guide, word, locked)
     old = word & LOCATOR_MASK
-    new = regions.install(HeapId.HOT, regions.read(old))
+    new = regions.heaps[HeapId.HOT].install(regions.read(old))
     assert registry.compare_and_swap(guide, locked,
                                      pack(new, heap=HeapId.HOT))
     regions.free(old)
