@@ -16,7 +16,7 @@ from .regions import (HeapRegion, HintEvent, HintKind, RegionExhausted,
                       RegionManager)
 from .runtime import GuideRegistry, TierRuntime
 from .scope import BaseDeltaSet, EpochState, ScopeManager, ThreadActivityIndex
-from .store import GuideSkipList, PlainStore, StripedGuideMap, make_store
+from .store import GuideHashMap, GuideSkipList, PlainStore, make_store
 from .workload import (OpStream, TraceParseError, TraceRecord, WorkloadSpec,
                        ZipfianGenerator, read_trace, replay_trace,
                        write_trace)
@@ -25,11 +25,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AccessLog", "BaseDeltaSet", "Collector", "ControllerState",
-    "EpochState", "GuideArena", "GuideProtocolError", "GuideRegistry",
-    "GuideSkipList", "GuideWord", "HeapId", "HeapRegion", "HintEvent",
-    "HintKind", "OpStream", "PlainStore", "RegionExhausted",
-    "RegionManager", "RunConfig", "ScopeManager", "StripedGuideMap",
-    "ThreadActivityIndex",
+    "EpochState", "GuideArena", "GuideHashMap", "GuideProtocolError",
+    "GuideRegistry", "GuideSkipList", "GuideWord", "HeapId", "HeapRegion",
+    "HintEvent", "HintKind", "OpStream", "PlainStore", "RegionExhausted",
+    "RegionManager", "RunConfig", "ScopeManager", "ThreadActivityIndex",
     "TierRuntime", "TraceParseError", "TraceRecord", "UtilizationReport",
     "WindowReport", "WorkloadSpec", "ZipfianGenerator",
     "compute_promotion_rate", "main", "make_store", "next_cold_threshold",

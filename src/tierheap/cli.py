@@ -19,7 +19,7 @@ import tempfile
 import threading
 import time
 from array import array
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 from .collector import CT_MAX, CT_MIN
@@ -359,30 +359,31 @@ def build_parser() -> argparse.ArgumentParser:
         description="Memory-tiering KV benchmark: guide-managed store, "
                     "NEW/HOT/COLD heaps, adaptive collector.")
     add = parser.add_argument
-    add("--keys", type=int, default=100_000)
-    add("--key-size", type=int, default=30)
-    add("--value-size", type=int, default=1024)
-    add("--zipf-alpha", type=float, default=0.99)
-    add("--read-pct", type=float, default=100.0)
-    add("--update-pct", type=float, default=0.0)
-    add("--insert-pct", type=float, default=0.0)
-    add("--delete-pct", type=float, default=0.0)
-    add("--ops", type=int, default=1_000_000)
-    add("--threads", type=int, default=1)
-    add("--windows", type=int, default=8)
-    add("--scan-interval", type=float, default=120.0)
-    add("--pr-target", type=float, default=0.01)
-    add("--ct-init", type=int, default=3)
+    add("--keys", type=int)
+    add("--key-size", type=int)
+    add("--value-size", type=int)
+    add("--zipf-alpha", type=float)
+    add("--read-pct", type=float)
+    add("--update-pct", type=float)
+    add("--insert-pct", type=float)
+    add("--delete-pct", type=float)
+    add("--ops", type=int)
+    add("--threads", type=int)
+    add("--windows", type=int)
+    add("--scan-interval", type=float)
+    add("--pr-target", type=float)
+    add("--ct-init", type=int)
     add("--hinted", action="store_true")
-    add("--trace", type=str, default=None)
-    add("--report", type=str, default=None)
-    add("--clock", choices=("logical", "realtime"), default="logical")
-    add("--seed", type=int, default=42)
+    add("--trace")
+    add("--report")
+    add("--clock", choices=("logical", "realtime"))
+    add("--seed", type=int)
     add("--baseline", action="store_true")
-    add("--structure", choices=("hashmap", "skiplist"), default="hashmap")
+    add("--structure", choices=("hashmap", "skiplist"))
     add("--digest", action="store_true",
         help="print the layout digest of a logical-clock run of these "
              "arguments (see layout_digest) instead of its summary")
+    parser.set_defaults(**asdict(RunConfig()))  # the only defaults
     return parser
 
 

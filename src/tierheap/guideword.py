@@ -174,14 +174,18 @@ class GuideArena:
         this is a plain load and no store is issued.  Otherwise one store
         under the guide's stripe lock, which every store to a word takes,
         installs accessed=1, lock=0; the locator bits are never modified.
+        A tombstone (RESERVED heap) is left as it is, and resolves to its
+        zero locator.
         """
         words = self.words
         w = words[index]
         if w & DEREF_BITS == ACCESSED_BIT:
             return w & LOCATOR_MASK
         with self.stripes[index % LOCK_STRIPES]:
-            w = (words[index] | ACCESSED_BIT) & ~LOCK_BIT
-            words[index] = w
+            w = words[index]
+            if w & HEAP_FIELD != HEAP_FIELD:
+                w = (w | ACCESSED_BIT) & ~LOCK_BIT
+                words[index] = w
         return w & LOCATOR_MASK
 
     def atc_increment(self, index: int) -> bool:

@@ -1,24 +1,14 @@
 """Guide-managed concurrent key-value stores.
 
-Two structures share the same guide discipline: a striped-lock hash map and
-a skip list whose writers link under one lock, deleting logically.  Readers
-of both take no store lock.  Every public operation runs inside a scope
+Two structures, a hash map and a skip list, share one guide discipline and
+one read and write protocol, `_GuideOps`; a structure is only a key index.
+Readers take no store lock.  Every public operation runs inside a scope
 guard, every key/value access goes through its guide word, and keys and
 values are handed over to region slots as immutable `bytes` (a `bytes`
 argument itself, anything else converted), so the runtime owns the
-authoritative bytes.  Both structures share their public operations through
-`_GuideOps`: each registers its scope inline in the common case (see
-`tierheap.scope`), runs the structure's body, and does its guided work in
-one `_GuideOps` method, which appends the key and value slots to the access
-log's pending list in one call.  `get` runs all of that in its own frame,
-whichever way its scope registers, the structure adding only its `_entry`
-lookup.  The write paths install and free slots through the heap regions
-themselves (`RegionManager.heaps`).  An entry is one int `g`, the index
-of its key guide; its value guide is `g + 1`.  The registry creates the
-two as an adjacent pair on an insert (`create`) and, on a delete, stores
-both tombstones and parks the pair as one (`retire`).  PlainStore is the
-untiered baseline for overhead comparisons: a locked dict with no guides,
-scopes or regions.
+authoritative bytes.  An entry is one int `g`, the index of its key guide;
+its value guide is `g + 1`.  PlainStore is the untiered baseline for
+overhead comparisons: a locked dict with no guides, scopes or regions.
 """
 from __future__ import annotations
 
@@ -32,21 +22,29 @@ from .regions import RegionError
 from .runtime import TierRuntime
 from .scope import SCOPE_SAMPLE_MASK
 
-# A hash-map key's stripe is `hash(key) % MAP_STRIPES`: the stripe dict's
-# lookup computes that hash anyway and `bytes` caches it, where a CRC-32 of a
-# 30 B key costs about 100 ns more.  Stripes only pick a lock, so the
-# per-process hash seed changes no layout.
-MAP_STRIPES = 64
-
 
 class _GuideOps:
-    """The public operations and guided paths both store structures share.
+    """The public operations and the one read and write protocol that
+    both store structures share.
 
-    `get` reads in its own frame; `set` and `delete` run the structure's
-    `_set` or `_delete`.  Each runs inside one outermost scope.  In the
-    common case (no scope open on the thread, ATC tracking off, the epoch
-    stable across the registration, and not the thread's sampled scope)
-    they register it inline, in the order `ScopeManager.enter_scope` uses:
+    A structure supplies only its key index: `_entry(key)`, the key's
+    entry or None; `_install(key, fresh)`, which adds `fresh` unless the
+    key has an entry and returns the entry live afterwards; `_remove(key)`,
+    which takes the key's entry out and returns it, or None; and
+    `__len__`.  Each is atomic against the others on other threads.  On
+    top runs the logical deletion of Harris (DISC 2001), with the guide
+    words marking the entries: lookups take no lock; an insert retires its
+    fresh entry if another set's install won; an update CASes the value
+    word, and inserts again if a delete tombstoned it first; a delete
+    removes the entry, then retires it.  A retired entry's guides are not
+    reused while a scope that may hold it is open (`GuideRegistry`), so a
+    lookup that raced a delete meets a tombstone, never another key's.
+
+    `get` reads in its own frame; `set` and `delete` run `_set` or
+    `_delete`.  Each runs inside one outermost scope.  In the common case
+    (no scope open on the thread, ATC tracking off, the epoch stable
+    across the registration, and not the thread's sampled scope) they
+    register it inline, in the order `ScopeManager.enter_scope` uses:
     append the epoch to the thread's TAI slot, then read the tracking flag
     and the epoch again.  Any other case goes through `enter_scope` and
     `exit_scope`; `get` runs the same body after either.
@@ -58,8 +56,10 @@ class _GuideOps:
     Any other, such as a first touch after a scan window, is stored back as
     `(word | ACCESSED_BIT) & ~LOCK_BIT` under its arena stripe lock, the
     store `GuideArena.dereference` makes; clearing the lock makes a racing
-    migration's commit fail.  Access-log pairs are appended to the log's
-    pending list in one call, and the log is called only to fold it.
+    migration's commit fail.  A tombstone, which never carries the accessed
+    bit, is left as it is, and nothing is logged for it.  Access-log pairs
+    are appended to the log's pending list in one call, and the log is
+    called only to fold it.
 
     Writes call the heap regions directly: a slot is installed with its
     payload by `HeapRegion.install` on the NEW region, and freed by
@@ -98,7 +98,8 @@ class _GuideOps:
         writes its slot before its CAS publishes it, so a slot the word
         still names after the read held this guide's value, unless within
         that window the slot was freed, reused elsewhere and then published
-        for this guide again.  A tombstoned word reads as a missing key.
+        for this guide again.  A tombstoned word reads as a missing key,
+        and is not written.
         """
         scope, state = getattr(self._tls, "scope", None), self._epoch_state
         inline = False
@@ -126,15 +127,21 @@ class _GuideOps:
             key_word = words[key_guide]
             if key_word & DEREF_BITS != ACCESSED_BIT:
                 with word_locks[key_guide % LOCK_STRIPES]:
-                    key_word = (words[key_guide] | ACCESSED_BIT) & ~LOCK_BIT
-                    words[key_guide] = key_word
+                    key_word = words[key_guide]
+                    if key_word & HEAP_FIELD != HEAP_FIELD:
+                        key_word = (key_word | ACCESSED_BIT) & ~LOCK_BIT
+                        words[key_guide] = key_word
+                if key_word & HEAP_FIELD == HEAP_FIELD:
+                    return None  # deleted after the lookup
             slots, length = self._slots, self._region_length
             word = words[guide]
             while True:
                 if word & DEREF_BITS != ACCESSED_BIT:
                     with word_locks[guide % LOCK_STRIPES]:
-                        word = (words[guide] | ACCESSED_BIT) & ~LOCK_BIT
-                        words[guide] = word
+                        word = words[guide]
+                        if word & HEAP_FIELD != HEAP_FIELD:
+                            word = (word | ACCESSED_BIT) & ~LOCK_BIT
+                            words[guide] = word
                 locator = word & LOCATOR_MASK
                 data = slots[locator // length].get(locator % length)
                 word = words[guide]
@@ -200,6 +207,27 @@ class _GuideOps:
             slot.remove(epoch)
         return self._scoped(self._delete, key)
 
+    def _set(self, key: bytes, value: bytes, tracked: bool) -> None:
+        while True:
+            entry = self._entry(key)
+            if entry is None:
+                fresh = self._make_entry(key, value, tracked)
+                entry = self._install(key, fresh)
+                if entry == fresh:
+                    return
+                # Another set installed first.
+                self._retire_entry(fresh, tracked)
+            if self._update(entry, len(key), value, tracked):
+                return
+            # A delete retired the entry after the lookup: insert anew.
+
+    def _delete(self, key: bytes, tracked: bool) -> bool:
+        entry = self._remove(key)
+        if entry is None:
+            return False
+        self._retire_entry(entry, tracked)
+        return True
+
     def _scoped(self, body, *args):
         """`body(*args, tracked)` in a scope that `enter_scope` opens."""
         scopes = self._scopes
@@ -243,7 +271,8 @@ class _GuideOps:
         Whoever succeeds a CAS frees exactly the slot named by the word it
         replaced, so racing setters and an in-flight migration can never
         free the same slot twice.  A tombstoned word is never replaced: the
-        entry was deleted, so the fresh slot is freed and False returned.
+        entry was deleted, so the fresh slot is freed, nothing is logged and
+        False returned.
         """
         registry, words, new = self._registry, self._words, self._new_heap
         key_guide, guide = entry, entry + 1
@@ -257,24 +286,21 @@ class _GuideOps:
         new_base = new_loc | ACCESSED_BIT  # heap=NEW, ciw=0, lock clear
         while True:
             word = words[guide]
-            if (word & HEAP_FIELD) == HEAP_FIELD:
+            if word & HEAP_FIELD == HEAP_FIELD:
                 new.free(new_loc)
-                updated = False
-                break
+                return False
             if registry.compare_and_swap(guide, word,
                                          new_base | (word & ATC_FIELD)):
-                old_loc = word & LOCATOR_MASK
-                self._heaps[old_loc // self._region_length].free(old_loc)
-                updated = True
                 break
+        old_loc = word & LOCATOR_MASK
+        self._heaps[old_loc // self._region_length].free(old_loc)
         log = self._log
         if log is not None:
             pending = log.pending
-            pending.extend((key_loc, key_len, new_loc, len(value)) if updated
-                           else (key_loc, key_len))
+            pending.extend((key_loc, key_len, new_loc, len(value)))
             if len(pending) >= FOLD_LENGTH:
                 log.record()
-        return updated
+        return True
 
     def _retire_entry(self, entry: int, tracked: bool) -> None:
         """Retire the entry in one `registry.retire` call, which tombstones
@@ -290,44 +316,27 @@ class _GuideOps:
         heaps[loc // length].free(loc)
 
 
-class StripedGuideMap(_GuideOps):
-    """Hash map with per-stripe locks; guide CAS arbitrates with migration.
+class GuideHashMap(_GuideOps):
+    """Hash map: one dict from key to entry, written with no lock.
 
-    Writers of a key serialize on its stripe's lock.  Readers take none:
-    `_entry` is one dict lookup, and guide lifetimes outlive a reader's
-    scope by the graveyard protocol, as in the skip list.
+    `_entry` and `_install` are the dict's own `get` and `setdefault`,
+    bound at construction so that neither adds a Python frame; `_remove`
+    is its `pop`.  Each is one atomic step under the interpreter lock only
+    because every stored key is an exact `bytes` (`set` converts others),
+    whose hash and comparison run no Python code.
     """
 
     def __init__(self, runtime: TierRuntime):
         super().__init__(runtime)
-        self._stripes: list[dict[bytes, int]] = \
-            [{} for _ in range(MAP_STRIPES)]
-        self._locks = [threading.Lock() for _ in range(MAP_STRIPES)]
+        self._map: dict[bytes, int] = {}
+        self._entry = self._map.get
+        self._install = self._map.setdefault
 
-    def _entry(self, key: bytes) -> int | None:
-        return self._stripes[hash(key) % MAP_STRIPES].get(key)
-
-    def _set(self, key: bytes, value: bytes, tracked: bool) -> None:
-        i = hash(key) % MAP_STRIPES
-        with self._locks[i]:
-            stripe = self._stripes[i]
-            entry = stripe.get(key)
-            if entry is None:
-                stripe[key] = self._make_entry(key, value, tracked)
-            else:
-                self._update(entry, len(key), value, tracked)
-
-    def _delete(self, key: bytes, tracked: bool) -> bool:
-        i = hash(key) % MAP_STRIPES
-        with self._locks[i]:
-            entry = self._stripes[i].pop(key, None)
-            if entry is None:
-                return False
-            self._retire_entry(entry, tracked)
-            return True
+    def _remove(self, key: bytes) -> int | None:
+        return self._map.pop(key, None)
 
     def __len__(self) -> int:
-        return sum(len(s) for s in self._stripes)
+        return len(self._map)
 
 
 # -- skip list ---------------------------------------------------------------
@@ -408,10 +417,9 @@ class GuideSkipList(_GuideOps):
         return preds, None
 
     def _install(self, key: bytes, fresh: int) -> int:
-        """Link or resurrect the key's node holding `fresh`.
-
-        Returns the entry live afterwards: `fresh`, or the entry another
-        set installed first.
+        """Link the key's node holding `fresh`, or resurrect its deleted
+        node with it.  Returns the entry live afterwards: `fresh`, or the
+        entry another set installed first.
         """
         with self._lock:
             preds, node = self._find(key)
@@ -424,31 +432,14 @@ class GuideSkipList(_GuideOps):
                 node.entry = fresh
             return node.entry
 
-    def _set(self, key: bytes, value: bytes, tracked: bool) -> None:
-        while True:
-            entry = self._entry(key)
-            if entry is None:
-                fresh = self._make_entry(key, value, tracked)
-                entry = self._install(key, fresh)
-                if entry == fresh:
-                    return
-                # Another set installed first.
-                self._retire_entry(fresh, tracked)
-            if self._update(entry, len(key), value, tracked):
-                return
-            # A delete retired the entry after the search: insert anew.
-
-    def _delete(self, key: bytes, tracked: bool) -> bool:
+    def _remove(self, key: bytes) -> int | None:
         node = self._search(key)
         if node is None:
-            return False
+            return None
         with self._lock:
             entry = node.entry
             node.entry = None
-        if entry is None:
-            return False
-        self._retire_entry(entry, tracked)
-        return True
+        return entry
 
     def _live_nodes(self):
         node = self._head.nexts[0]
@@ -498,5 +489,5 @@ def make_store(runtime: TierRuntime, structure: str = "hashmap",
     if baseline:
         return PlainStore()
     if structure == "hashmap":
-        return StripedGuideMap(runtime)
+        return GuideHashMap(runtime)
     return GuideSkipList(runtime)

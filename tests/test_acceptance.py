@@ -25,7 +25,7 @@ from tierheap.metrics import page_utilization, simulate_reclaim
 from tierheap.regions import RegionError
 from tierheap.runtime import TierRuntime
 from tierheap.scope import BaseDeltaSet
-from tierheap.store import StripedGuideMap, make_store
+from tierheap.store import GuideHashMap, make_store
 from tierheap.workload import synthesize_phase_shift_trace, write_trace
 
 from conftest import add_entry
@@ -211,7 +211,7 @@ def test_criterion_5_safety_stress():
     n_threads, n_keys, segments = 8, 50_000, 5
     runtime = TierRuntime(region_length=1 << 25, scan_interval_s=120.0,
                           track_access_log=False)
-    store = StripedGuideMap(runtime)
+    store = GuideHashMap(runtime)
     keys = [b"stress-%07d" % i for i in range(n_keys)]
     for i, key in enumerate(keys):
         store.set(key, _checksummed(i))

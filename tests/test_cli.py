@@ -44,11 +44,13 @@ class TestParser:
             config_from_args(["--structure", "btree"])
 
     def test_defaults(self):
+        """Every option's default is `RunConfig`'s."""
         config = config_from_args([])
         assert config.scan_interval == 120.0
         assert config.pr_target == 0.01
         assert config.ct_init == 3
         assert config.clock == "logical"
+        assert vars(config) == vars(RunConfig())
 
 
 class TestRunBenchmark:

@@ -10,17 +10,18 @@ import pytest
 
 import tierheap.store
 from tierheap.guideword import (ACCESSED_BIT, LOCATOR_MASK, LOCK_BIT,
-                                GuideWord, HeapId, pack, unpack, word_atc,
-                                word_heap)
+                                TOMBSTONE_BASE, GuideWord, HeapId, pack,
+                                unpack, word_atc, word_heap)
 from tierheap.metrics import FOLD_LENGTH
 from tierheap.regions import SIZE_CLASSES, RegionError, RegionManager
 from tierheap.runtime import GuideRegistry, TierRuntime
 from tierheap.scope import SCOPE_SAMPLE_MASK, EpochState, Phase
-from tierheap.store import (_MAX_LEVEL, MAP_STRIPES, GuideSkipList,
-                            PlainStore, StripedGuideMap, make_store)
+from tierheap.store import (_MAX_LEVEL, GuideHashMap, GuideSkipList,
+                            PlainStore, make_store)
 
 # A store entry is its key guide's index; its value guide is the next one.
 ROLE_OFFSET = {"key_guide": 0, "value_guide": 1}
+LOCK_TYPE = type(threading.Lock())
 
 
 def make_runtime():
@@ -144,7 +145,7 @@ class TestGuideDiscipline:
         # With ATC tracking on, a point get touches exactly its key and
         # value guides.
         runtime = make_runtime()
-        store = StripedGuideMap(runtime)
+        store = GuideHashMap(runtime)
         for i in range(50):
             store.set(b"k%02d" % i, b"v")
         runtime.epoch_state.tracking_enabled = True
@@ -394,13 +395,17 @@ class TestOneFrameGet:
         return runtime, store
 
     def test_warm_get_reads_the_slot_holding_no_store_lock(self, hook_slots):
+        """The skip list's one writer lock is free while a get reads; the
+        hash map has no store lock at all."""
         runtime, store = self.setup()
-        lock = (store._locks[hash(b"k") % MAP_STRIPES]
-                if isinstance(store, StripedGuideMap) else store._lock)
+        locks = [value for value in vars(store).values()
+                 if isinstance(value, LOCK_TYPE)]
+        assert len(locks) == (self.structure == "skiplist")
         held = []
-        hook_slots(store, lambda: held.append(lock.locked()))
+        hook_slots(store,
+                   lambda: held.append([lock.locked() for lock in locks]))
         assert store.get(b"k") == b"value"
-        assert held == [False]
+        assert held == [[False] * len(locks)]
         entry, words = entry_of(store, b"k"), runtime.registry.words
         assert runtime.access_log.pending[-4:] == [
             words[entry] & LOCATOR_MASK, 1,
@@ -753,6 +758,153 @@ class TestConcurrency:
         assert errors == []
         store.runtime.audit()
 
+    def test_writers_of_the_same_keys_leave_one_entry_each(self, store):
+        """Four threads set, get and delete the same eight keys at a short
+        switch interval, so lookups, installs, updates and removes of one
+        key interleave: every get returns its own key's value, and
+        afterwards each key has at most one entry, whose two slots and
+        guides are the only ones live."""
+        keys = [b"shared-%d" % i for i in range(8)]
+        errors = []
+
+        def body(worker):
+            rng = random.Random(worker)
+            try:
+                for i in range(2000):
+                    key = rng.choice(keys)
+                    roll = rng.random()
+                    if roll < 0.5:
+                        store.set(key, key + b"/%d/%d" % (worker, i))
+                    elif roll < 0.8:
+                        value = store.get(key)
+                        assert value is None or value.startswith(key + b"/")
+                    else:
+                        store.delete(key)
+            except Exception as exc:  # noqa: BLE001 - collected for assert
+                errors.append(exc)
+
+        threads = [threading.Thread(target=body, args=(w,))
+                   for w in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        runtime = store.runtime
+        live = [key for key in keys if store.get(key) is not None]
+        assert len(store) == len(live)
+        assert runtime.regions.live_slot_count() == 2 * len(live)
+        assert runtime.registry.live_count == 2 * len(live)
+        runtime.audit()
+
+
+class TestWriteRaces:
+    """Both structures run one write protocol over their key index: an
+    insert that loses its install to another set retires its own entry,
+    and an update that finds its entry tombstoned inserts anew."""
+
+    def test_same_key_insert_race_keeps_one_entry(self, store, monkeypatch):
+        """A set of the same key lands between an insert's first lookup
+        and its install: the later install finds that entry, retires its
+        own, and its value wins."""
+        runtime = store.runtime
+        real_make_entry = store._make_entry
+        nested = []
+
+        def racing_make_entry(key, value, tracked):
+            if not nested:
+                nested.append(key)
+                store.set(key, b"inner")
+            return real_make_entry(key, value, tracked)
+
+        monkeypatch.setattr(store, "_make_entry", racing_make_entry)
+        store.set(b"k", b"outer")
+        assert nested == [b"k"]
+        assert store.get(b"k") == b"outer"
+        assert len(store) == 1
+        assert runtime.registry.live_count == 2  # one key + one value guide
+        assert runtime.regions.live_slot_count() == 2
+        runtime.registry.reclaim_retired()
+        runtime.audit()
+
+    def test_set_racing_a_delete_of_its_entry_inserts_anew(
+            self, store, monkeypatch):
+        """A delete retires the entry that a set of the same key found,
+        between the set's lookup and its value swing: the set must not
+        revive the tombstone, and inserts the key again instead."""
+        runtime = store.runtime
+        store.set(b"k", b"old")
+        real_update = store._update
+        deleted = []
+
+        def racing_update(entry, key_len, value, tracked):
+            if not deleted:
+                deleted.append(store.delete(b"k"))
+            return real_update(entry, key_len, value, tracked)
+
+        monkeypatch.setattr(store, "_update", racing_update)
+        store.set(b"k", b"new")
+        assert deleted == [True]
+        assert store.get(b"k") == b"new"
+        assert len(store) == 1
+        assert runtime.regions.live_slot_count() == 2
+        runtime.audit()
+
+    def test_open_scope_keeps_a_deleted_entry_from_reuse(self, store,
+                                                         hook_slots):
+        """A get holds an entry that is deleted while its scope is open,
+        and a scan window that cannot converge past that scope runs: the
+        window must not recycle the entry's guides, or a later insert would
+        hand them, and the get, another key's bytes."""
+        runtime = store.runtime
+        store.set(b"k1", b"v1")
+        reports = []
+
+        def racing_delete():
+            assert store.delete(b"k1")
+            reports.append(runtime.collector.run_scan_window())
+            store.set(b"k2", b"v2")
+
+        hook_slots(store, racing_delete)
+        assert store.get(b"k1") is None
+        assert [r.converged for r in reports] == [False]
+        assert store.get(b"k2") == b"v2"
+        runtime.collector.run_scan_window()  # converges: now they recycle
+        store.set(b"k3", b"v3")
+        assert runtime.registry.live_count == 4
+        assert len(runtime.registry.words) == 4  # k3 took k1's guides
+        runtime.audit()
+
+    @pytest.mark.parametrize("op", ["get", "update"])
+    def test_a_stale_entry_leaves_its_tombstone_as_it_is(
+            self, store, monkeypatch, op):
+        """A get whose lookup ran before a delete retired the entry, or an
+        update that reaches the retired entry, finds both words tombstoned
+        and never touched since: it writes neither word, logs nothing and
+        leaves no new slot live."""
+        runtime = store.runtime
+        store.set(b"k", b"value")
+        entry = entry_of(store, b"k")
+        assert store.delete(b"k")
+        words, log = runtime.registry.words, runtime.access_log
+        pending = list(log.pending)
+        live = runtime.regions.live_slot_count()
+        if op == "get":
+            monkeypatch.setattr(store, "_entry", lambda key: entry)
+            assert store.get(b"k") is None
+        else:
+            assert not store._update(entry, 1, b"new", False)
+        assert [words[entry], words[entry + 1]] == [TOMBSTONE_BASE] * 2
+        assert log.pending == pending
+        assert runtime.regions.live_slot_count() == live
+        runtime.audit()
+
 
 class TestSkipListSpecifics:
     def test_keys_are_ordered(self):
@@ -886,80 +1038,6 @@ class TestSkipListSpecifics:
         assert store.keys() == expected
         assert len(store) == len(expected)
         store.runtime.audit()
-
-    def test_same_key_insert_race_keeps_one_entry(self, monkeypatch):
-        """A set of the same key lands between an insert's first search
-        and its install: the later install finds that entry, retires its
-        own, and its value wins."""
-        runtime = make_runtime()
-        store = GuideSkipList(runtime)
-        real_make_entry = store._make_entry
-        nested = []
-
-        def racing_make_entry(key, value, tracked):
-            if not nested:
-                nested.append(key)
-                store.set(key, b"inner")
-            return real_make_entry(key, value, tracked)
-
-        monkeypatch.setattr(store, "_make_entry", racing_make_entry)
-        store.set(b"k", b"outer")
-        assert nested == [b"k"]
-        assert store.get(b"k") == b"outer"
-        assert store.keys() == [b"k"]
-        assert runtime.registry.live_count == 2  # one key + one value guide
-        assert runtime.regions.live_slot_count() == 2
-        runtime.registry.reclaim_retired()
-        runtime.audit()
-
-    def test_set_racing_a_delete_of_its_entry_inserts_anew(
-            self, monkeypatch):
-        """A delete retires the entry that a set of the same key found,
-        between the set's search and its value swing: the set must not
-        revive the tombstone, and inserts the key again instead."""
-        runtime = make_runtime()
-        store = GuideSkipList(runtime)
-        store.set(b"k", b"old")
-        real_update = store._update
-        deleted = []
-
-        def racing_update(entry, key_len, value, tracked):
-            if not deleted:
-                deleted.append(store.delete(b"k"))
-            return real_update(entry, key_len, value, tracked)
-
-        monkeypatch.setattr(store, "_update", racing_update)
-        store.set(b"k", b"new")
-        assert deleted == [True]
-        assert store.get(b"k") == b"new"
-        assert len(store) == 1
-        assert runtime.regions.live_slot_count() == 2
-        runtime.audit()
-
-    def test_open_scope_keeps_a_deleted_entry_from_reuse(self, hook_slots):
-        """A get holds an entry that is deleted while its scope is open,
-        and a scan window that cannot converge past that scope runs: the
-        window must not recycle the entry's guides, or a later insert would
-        hand them, and the get, another key's bytes."""
-        runtime = make_runtime()
-        store = GuideSkipList(runtime)
-        store.set(b"k1", b"v1")
-        reports = []
-
-        def racing_delete():
-            assert store.delete(b"k1")
-            reports.append(runtime.collector.run_scan_window())
-            store.set(b"k2", b"v2")
-
-        hook_slots(store, racing_delete)
-        assert store.get(b"k1") is None
-        assert [r.converged for r in reports] == [False]
-        assert store.get(b"k2") == b"v2"
-        runtime.collector.run_scan_window()  # converges: now they recycle
-        store.set(b"k3", b"v3")
-        assert runtime.registry.live_count == 4
-        assert len(runtime.registry.words) == 4  # k3 took k1's guides
-        runtime.audit()
 
     def test_deterministic_levels(self):
         from tierheap.store import _node_level

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from tierheap.runtime import TierRuntime
-from tierheap.store import StripedGuideMap
+from tierheap.store import GuideHashMap
 from tierheap.workload import (OpStream, TraceParseError, TraceRecord,
                                WorkloadSpec, ZipfianGenerator, make_key,
                                make_value, read_trace, replay_trace,
@@ -164,7 +164,7 @@ class TestTraceFormat:
 
 class TestReplay:
     def make_store(self):
-        return StripedGuideMap(TierRuntime(region_length=1 << 22))
+        return GuideHashMap(TierRuntime(region_length=1 << 22))
 
     def test_empty_trace(self):
         counts = replay_trace([], self.make_store(), window_ms=1000)
