@@ -2,8 +2,8 @@
 
 Once per scan window the collector ages the guide-word arena with numpy in
 one exclusive section of the registry (`GuideRegistry.exclusive`: the
-registry lock, then every stripe lock): it copies the arena's words into a
-snapshot, clears the accessed flag and updates the consecutive-inactive-
+registry lock, then the arena's word lock): it copies the arena's words into
+a snapshot, clears the accessed flag and updates the consecutive-inactive-
 window count (CIW) of every live word in place.  From the snapshot it then
 queues, in ascending guide index, promotions (accessed objects in NEW or
 COLD move to HOT) and demotions (objects inactive for at least the cold
@@ -45,8 +45,8 @@ SCAN_CHUNK = 16384  # guides aged, classified or audited per numpy pass
 # run: zipf-read-hashmap's collector_s read medians of 1.02 s at 256 guides
 # per chunk, 0.83 s at 512, 0.78 s at 1,024 and 0.76 s at 4,096; churn-
 # concurrent-hashmap aborted about 245, 270, 530 and 1,570 moves per run of
-# about 120,000 committed.  A longer chunk spreads the 514 lock calls of
-# each section and the numpy calls over more guides, but lengthens each
+# about 120,000 committed, with 514 lock calls per section.  A longer chunk
+# spreads each section's fixed cost over more guides, but lengthens each
 # guide's lock-to-commit window, where a mutator's access aborts the move.
 MIGRATE_CHUNK = 1024
 
@@ -270,12 +270,12 @@ class Collector:
         slots are freed with one lock acquisition per source region.
 
         Deadlock rule: the lock order is the registry lock, then the
-        stripes.  `GuideRegistry.create` takes them in that order; mutators
-        hold at most one stripe at a time, `GuideRegistry.retire` storing
-        its two tombstones one stripe after the other and taking no
-        registry lock; and inside the section the collector takes no other
-        lock, so no thread blocked on the section holds anything
-        the collector waits for.  A numpy view of `registry.words` exists
+        arena's `word_lock`.  `GuideRegistry.create` takes them in that
+        order; every other store to a word, `GuideRegistry.retire`'s two
+        tombstones included, takes `word_lock` alone and no other lock
+        while holding it; and inside the section the collector takes no
+        other lock, so no thread blocked on the section holds anything the
+        collector waits for.  A numpy view of `registry.words` exists
         only inside the section, where `words` cannot grow; a view that
         outlived it would make the next appending `create` raise
         BufferError.

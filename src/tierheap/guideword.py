@@ -50,9 +50,6 @@ WORD_MASK = (1 << 64) - 1
 # A word with exactly ACCESSED_BIT of these set dereferences by a plain load.
 DEREF_BITS = ACCESSED_BIT | LOCK_BIT
 
-# Locks that emulate CAS on the arena; guide i uses stripe i % LOCK_STRIPES.
-LOCK_STRIPES = 256
-
 
 class HeapId(IntEnum):
     NEW = 0
@@ -145,23 +142,24 @@ class GuideArena:
     """Guide words stored unboxed in one `array("Q")`, addressed by index.
 
     `words[i]` is guide i's word.  Every store to an existing word happens
-    under the guide's stripe lock, `stripes[i % LOCK_STRIPES]`, so a
-    holder of every stripe sees no word change: the collector ages the
-    whole arena, and makes the migration protocol's lock and commit
-    stores for a chunk of guides, in one such section
-    (`GuideRegistry.exclusive`, which also holds off appends).  CPython
-    has no 64-bit CAS primitive, so compare_and_swap is emulated with the
-    stripe lock; plain loads read `words[i]` directly, which is atomic
-    under the GIL and matches the intended single-word load semantics.
+    under the arena's one lock, `word_lock`, so its holder sees no word
+    change: the collector ages the whole arena, and makes the migration
+    protocol's lock and commit stores for a chunk of guides, in one such
+    section (`GuideRegistry.exclusive`, which also holds off appends).
+    CPython has no 64-bit CAS primitive, so every read-modify-write of a
+    word is emulated under `word_lock`; under the interpreter lock, finer
+    locks would buy no parallelism.  Plain loads read `words[i]` directly,
+    which is atomic under the GIL and matches the intended single-word
+    load semantics.
     """
 
     def __init__(self, words=()):
         self.words = array("Q", words)
-        self.stripes = [threading.Lock() for _ in range(LOCK_STRIPES)]
+        self.word_lock = threading.Lock()
 
     def compare_and_swap(self, index: int, expected: int, new: int) -> bool:
         words = self.words
-        with self.stripes[index % LOCK_STRIPES]:
+        with self.word_lock:
             if words[index] == expected:
                 words[index] = new
                 return True
@@ -172,16 +170,16 @@ class GuideArena:
 
         If the accessed bit is already set and no migration lock is pending,
         this is a plain load and no store is issued.  Otherwise one store
-        under the guide's stripe lock, which every store to a word takes,
-        installs accessed=1, lock=0; the locator bits are never modified.
-        A tombstone (RESERVED heap) is left as it is, and resolves to its
-        zero locator.
+        under `word_lock`, which every store to a word takes, installs
+        accessed=1, lock=0; the locator bits are never modified.  A
+        tombstone (RESERVED heap) is left as it is, and resolves to its zero
+        locator.
         """
         words = self.words
         w = words[index]
         if w & DEREF_BITS == ACCESSED_BIT:
             return w & LOCATOR_MASK
-        with self.stripes[index % LOCK_STRIPES]:
+        with self.word_lock:
             w = words[index]
             if w & HEAP_FIELD != HEAP_FIELD:
                 w = (w | ACCESSED_BIT) & ~LOCK_BIT
@@ -194,21 +192,22 @@ class GuideArena:
         Returns False without modification when the count is saturated; the
         caller then treats the object as migration-ineligible this epoch.
         """
-        while True:
-            w = self.words[index]
+        words = self.words
+        with self.word_lock:
+            w = words[index]
             if (w >> ATC_SHIFT) & ATC_MAX == ATC_MAX:
                 return False
-            if self.compare_and_swap(index, w, (w & ~LOCK_BIT) + ATC_ONE):
-                return True
+            words[index] = (w & ~LOCK_BIT) + ATC_ONE
+            return True
 
     def atc_decrement(self, index: int) -> None:
-        while True:
-            w = self.words[index]
+        words = self.words
+        with self.word_lock:
+            w = words[index]
             if (w >> ATC_SHIFT) & ATC_MAX == 0:
                 raise GuideProtocolError(
                     f"ATC decrement below zero on guide {index}")
-            if self.compare_and_swap(index, w, w - ATC_ONE):
-                return
+            words[index] = w - ATC_ONE
 
 
 # The benchmark's tracer imports the class under this name and replaces

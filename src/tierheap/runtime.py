@@ -9,21 +9,17 @@ guide is live exactly when its word's heap bits are not RESERVED.
 from __future__ import annotations
 
 import threading
-from collections import deque
 from contextlib import contextmanager
 
 import numpy as np
 
 from .collector import SCAN_CHUNK, Collector, ControllerState
 from .guideword import (ATC_FIELD, HEAP_FIELD, HEAP_SHIFT, LOCATOR_MASK,
-                        LOCK_STRIPES, TOMBSTONE_BASE, GuideArena,
-                        GuideProtocolError, word_heap)
+                        TOMBSTONE_BASE, GuideArena, GuideProtocolError,
+                        word_heap)
 from .metrics import AccessLog
 from .regions import DEFAULT_REGION_LENGTH, RegionManager
 from .scope import EpochState, ScopeManager, ThreadActivityIndex
-
-_LOCK = type(threading.Lock())
-_ACQUIRE, _RELEASE = _LOCK.acquire, _LOCK.release
 
 
 class GuideRegistry(GuideArena):
@@ -47,12 +43,12 @@ class GuideRegistry(GuideArena):
     The registry lock guards only the arena's growth and the reuse of
     freed pairs: `create` appends to `words`, or pops the free list, only
     under it, and `reclaim_retired` fills the free list under it.
-    `retire` takes only each word's stripe lock, to store its tombstone,
-    and parks the entry by one graveyard append, an atomic list
-    operation; `reclaim_retired` drains the graveyard's prefix in place,
-    so a retire racing it is never lost.  The lock order is the registry
-    lock, then stripes; `exclusive` takes both, so the collector can work
-    on a numpy view of the whole arena.
+    `retire` takes only `word_lock`, to store both tombstones, and parks
+    the entry by one graveyard append, an atomic list operation;
+    `reclaim_retired` drains the graveyard's prefix in place, so a retire
+    racing it is never lost.  The lock order is the registry lock, then
+    `word_lock`; `exclusive` takes both, so the collector can work on a
+    numpy view of the whole arena.
     """
 
     def __init__(self):
@@ -78,10 +74,8 @@ class GuideRegistry(GuideArena):
         with self._lock:
             if self._free:
                 g = self._free.pop()
-                stripes = self.stripes
-                with stripes[g % LOCK_STRIPES]:
+                with self.word_lock:
                     arena[g] = key_word
-                with stripes[(g + 1) % LOCK_STRIPES]:
                     arena[g + 1] = value_word
                 return g
             g = len(arena)
@@ -91,8 +85,8 @@ class GuideRegistry(GuideArena):
 
     @contextmanager
     def exclusive(self):
-        """Hold the registry lock, then every stripe, and yield the arena
-        as a writable uint64 numpy view.
+        """Hold the registry lock, then `word_lock`, and yield the arena as
+        a writable uint64 numpy view.
 
         Inside the section no word is stored and `words` cannot grow, so
         the view stays valid.  It must not outlive the section: a view
@@ -102,33 +96,29 @@ class GuideRegistry(GuideArena):
         traceback would otherwise keep the caller's frame, and the view,
         alive.
         """
-        stripes = self.stripes
-        with self._lock:
-            deque(map(_ACQUIRE, stripes), 0)  # a C-speed loop over them
+        with self._lock, self.word_lock:
             try:
                 view = np.frombuffer(self.words, dtype=np.uint64)
                 yield view
             finally:
                 view = None
-                deque(map(_RELEASE, stripes), 0)
 
     def retire(self, g: int) -> tuple[int, int]:
-        """Tombstone the entry `g`'s two words, each under its stripe lock
-        and keeping its ATC, and park `g` until both counts drain.  Returns
+        """Tombstone entry `g`'s two words in one `word_lock` section,
+        keeping their ATC, and park `g` until both counts drain.  Returns
         the replaced key and value words, whose slots the caller frees.
 
         A retire of an entry already retired raises GuideProtocolError
         before it stores anything.
         """
-        words, stripes = self.words, self.stripes
-        with stripes[g % LOCK_STRIPES]:
+        words = self.words
+        with self.word_lock:
             key_word = words[g]
             if key_word & HEAP_FIELD == HEAP_FIELD:
                 raise GuideProtocolError(
                     f"retire of entry {g}, which is already retired")
-            words[g] = TOMBSTONE_BASE | (key_word & ATC_FIELD)
-        with stripes[(g + 1) % LOCK_STRIPES]:
             value_word = words[g + 1]
+            words[g] = TOMBSTONE_BASE | (key_word & ATC_FIELD)
             words[g + 1] = TOMBSTONE_BASE | (value_word & ATC_FIELD)
         self._graveyard.append(g)
         return key_word, value_word

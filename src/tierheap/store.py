@@ -8,7 +8,7 @@ values are handed over to region slots as immutable `bytes` (a `bytes`
 argument itself, anything else converted), so the runtime owns the
 authoritative bytes.  An entry is one int `g`, the index of its key guide;
 its value guide is `g + 1`.  PlainStore is the untiered baseline for
-overhead comparisons: a locked dict with no guides, scopes or regions.
+overhead comparisons: one dict with no lock, guides, scopes or regions.
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ import threading
 import zlib
 
 from .guideword import (ACCESSED_BIT, ATC_FIELD, DEREF_BITS, HEAP_FIELD,
-                        LOCATOR_MASK, LOCK_BIT, LOCK_STRIPES, HeapId)
+                        LOCATOR_MASK, LOCK_BIT, HeapId)
 from .metrics import FOLD_LENGTH
 from .regions import RegionError
 from .runtime import TierRuntime
@@ -54,7 +54,7 @@ class _GuideOps:
     the scope record), each before its guide is dereferenced.  A word with
     the accessed bit set and no migration lock dereferences by a plain load.
     Any other, such as a first touch after a scan window, is stored back as
-    `(word | ACCESSED_BIT) & ~LOCK_BIT` under its arena stripe lock, the
+    `(word | ACCESSED_BIT) & ~LOCK_BIT` under the arena's `word_lock`, the
     store `GuideArena.dereference` makes; clearing the lock makes a racing
     migration's commit fail.  A tombstone, which never carries the accessed
     bit, is left as it is, and nothing is logged for it.  Access-log pairs
@@ -80,7 +80,7 @@ class _GuideOps:
         self._epoch_state = runtime.epoch_state
         self._registry = runtime.registry
         self._words = runtime.registry.words
-        self._word_locks = runtime.registry.stripes
+        self._word_lock = runtime.registry.word_lock
         self._heaps = runtime.regions.heaps
         self._new_heap = runtime.regions.heaps[HeapId.NEW]
         self._slots = runtime.regions.slots
@@ -119,14 +119,14 @@ class _GuideOps:
             key_guide = self._entry(key)
             if key_guide is None:
                 return None
-            words, word_locks = self._words, self._word_locks
+            words, word_lock = self._words, self._word_lock
             guide = key_guide + 1
             if scope.used is not None:
                 self._scopes.record_guide_use(key_guide)
                 self._scopes.record_guide_use(guide)
             key_word = words[key_guide]
             if key_word & DEREF_BITS != ACCESSED_BIT:
-                with word_locks[key_guide % LOCK_STRIPES]:
+                with word_lock:
                     key_word = words[key_guide]
                     if key_word & HEAP_FIELD != HEAP_FIELD:
                         key_word = (key_word | ACCESSED_BIT) & ~LOCK_BIT
@@ -137,7 +137,7 @@ class _GuideOps:
             word = words[guide]
             while True:
                 if word & DEREF_BITS != ACCESSED_BIT:
-                    with word_locks[guide % LOCK_STRIPES]:
+                    with word_lock:
                         word = words[guide]
                         if word & HEAP_FIELD != HEAP_FIELD:
                             word = (word | ACCESSED_BIT) & ~LOCK_BIT
@@ -456,23 +456,25 @@ class GuideSkipList(_GuideOps):
 
 
 class PlainStore:
-    """Untiered baseline: a dict under one lock, no guides or regions."""
+    """Untiered baseline: one dict written with no lock, and no guides or
+    regions.  Each call is one atomic dict step for the reason
+    `GuideHashMap` gives: `set` stores exact `bytes` keys and values."""
 
     def __init__(self):
         self._data: dict[bytes, bytes] = {}
-        self._lock = threading.Lock()
 
     def set(self, key: bytes, value: bytes) -> None:
-        with self._lock:
-            self._data[key] = bytes(value)
+        if type(key) is not bytes:
+            key = bytes(key)
+        if type(value) is not bytes:
+            value = bytes(value)
+        self._data[key] = value
 
     def get(self, key: bytes) -> bytes | None:
-        with self._lock:
-            return self._data.get(key)
+        return self._data.get(key)
 
     def delete(self, key: bytes) -> bool:
-        with self._lock:
-            return self._data.pop(key, None) is not None
+        return self._data.pop(key, None) is not None
 
     def __len__(self) -> int:
         return len(self._data)

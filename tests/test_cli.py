@@ -80,9 +80,10 @@ class TestRunBenchmark:
     def test_layout_digest_agrees_across_hash_seeds(self):
         """Two small mixes with inserts and deletes, one per structure,
         give the same layout digests in processes with different hash
-        seeds (the hash map picks stripes by `hash(key)`), and the digests
-        committed here.  A change that alters the layout on purpose updates
-        these constants and says so."""
+        seeds (the hash map's dict hashes each key by `hash(key)`, which
+        the layout must not follow), and the digests committed here.  A
+        change that alters the layout on purpose updates these constants
+        and says so."""
         src = str(Path(cli.__file__).resolve().parent.parent)
         path = os.environ.get("PYTHONPATH")
         script = (

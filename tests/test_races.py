@@ -265,10 +265,11 @@ class TestChunkedMigration:
         a buffer export, and the appended words are not aged.  Then a
         `registry.create` that reuses a deleted entry's freed pair, a
         set of a chunk member and a first-touch get of another run while
-        the chunk sits between its lock and commit passes.  Each takes a
-        stripe (the create under the registry lock),
-        so none may wait on the collector; the two touched guides' commits
-        abort and their copies are freed."""
+        the chunk sits between its lock and commit passes.  Each takes the
+        arena's word lock (the create under the registry lock), which no
+        section holds between the passes, so none may wait on the
+        collector; the two touched guides' commits abort and their copies
+        are freed."""
         runtime = TierRuntime(region_length=1 << 24)
         store = make_store(runtime, "hashmap")
         keys = [b"key-%05d" % i for i in range(MIGRATE_CHUNK)]
@@ -453,7 +454,8 @@ class TestChunkedMigration:
 
 class TestExclusiveSection:
     """The collector's passes run in `GuideRegistry.exclusive`: the
-    registry lock, then every stripe, around a numpy view of the arena."""
+    registry lock, then the arena's word lock, around a numpy view of the
+    arena."""
 
     def test_appending_creates_racing_scan_windows(self):
         """One thread appends entries through `create`, with the free list
@@ -549,7 +551,7 @@ class TestExclusiveSection:
     def test_a_pass_that_raises_leaves_the_section(self, monkeypatch,
                                                    section):
         """A pass that raises inside the section releases the registry
-        lock and every stripe, and keeps no view of the arena alive, not
+        lock and the word lock, and keeps no view of the arena alive, not
         even through the traceback: an appending `create` succeeds while
         the exception is still held."""
         runtime = TierRuntime(region_length=1 << 22)
@@ -569,12 +571,89 @@ class TestExclusiveSection:
             with pytest.raises(IndexError) as failure:
                 collector.migrate_batch([index + 5], HeapId.HOT)
         assert not registry._lock.locked()
-        for lock in registry.stripes:
-            assert lock.acquire(blocking=False)
-            lock.release()
+        assert not registry.word_lock.locked()
         assert add_entry(runtime, PAYLOAD) == index + 2
         assert failure.value.__traceback__ is not None
         assert registry.words[index] == word
+
+    @pytest.mark.parametrize("store", [
+        "first-touch-get", "update-cas", "delete-retire", "create-reusing",
+        "atc-increment"])
+    def test_a_word_store_waits_for_the_section(self, store):
+        """Every store to an existing word is made under the word lock, so
+        one issued while another thread holds `exclusive()` waits for the
+        section, stores nothing meanwhile, then completes: a get's first
+        touch after a scan window, an update's CAS on the value word, a
+        delete's `retire`, a `create` that reuses a freed pair (which also
+        waits for the registry lock), and an ATC increment."""
+        runtime = TierRuntime(region_length=1 << 24)
+        registry = runtime.registry
+        kv = make_store(runtime, "hashmap")
+        kv.set(b"key", PAYLOAD)
+        entry = kv._entry(b"key")
+        kv.set(b"gone", PAYLOAD)
+        gone = kv._entry(b"gone")
+        kv.delete(b"gone")
+        registry.reclaim_retired()
+        if store == "first-touch-get":
+            runtime.collector.run_scan_window()  # clears the accessed bits
+            assert not registry.words[entry] & ACCESSED_BIT
+        op, done = {
+            "first-touch-get": (
+                lambda: kv.get(b"key"),
+                lambda result: result == PAYLOAD and all(
+                    registry.words[g] & ACCESSED_BIT
+                    for g in (entry, entry + 1))),
+            "update-cas": (
+                lambda: kv.set(b"key", b"new-value"),
+                lambda result: kv.get(b"key") == b"new-value"),
+            "delete-retire": (
+                lambda: kv.delete(b"key"),
+                lambda result: result is True and all(
+                    word_heap(registry.words[g]) == HeapId.RESERVED
+                    for g in (entry, entry + 1))),
+            "create-reusing": (
+                lambda: kv.set(b"fresh", PAYLOAD),
+                lambda result: kv._entry(b"fresh") == gone),
+            "atc-increment": (
+                lambda: registry.atc_increment(entry),
+                lambda result: result is True
+                and unpack(registry.words[entry]).atc == 1),
+        }[store]
+        before = registry.words.tolist()
+        entered, leave = threading.Event(), threading.Event()
+        results, errors = [], []
+
+        def section():
+            try:
+                with registry.exclusive():
+                    entered.set()
+                    assert leave.wait(10.0)
+            except Exception as exc:  # noqa: BLE001 - collected for assert
+                errors.append(exc)
+
+        def mutate():
+            try:
+                results.append(op())
+            except Exception as exc:  # noqa: BLE001 - collected for assert
+                errors.append(exc)
+
+        holder = threading.Thread(target=section)
+        holder.start()
+        assert entered.wait(10.0)
+        mutator = threading.Thread(target=mutate)
+        mutator.start()
+        mutator.join(0.1)
+        waited = mutator.is_alive() and results == [] \
+            and registry.words.tolist() == before
+        leave.set()
+        holder.join(10.0)
+        mutator.join(10.0)
+        assert waited, f"the {store} did not wait for the section"
+        assert not holder.is_alive() and not mutator.is_alive()
+        assert errors == [] and len(results) == 1
+        assert done(results[0])
+        runtime.audit()
 
 
 class TestRacesThroughTheStores:
@@ -634,62 +713,47 @@ class TestRacesThroughTheStores:
 
 
 class TestLockFreeRetire:
-    """A delete's `registry.retire` tombstones both words, each under its
-    stripe lock, and parks the entry with no lock: it never waits for the
-    registry lock."""
+    """A delete's `registry.retire` tombstones both words under the
+    arena's word lock, and parks the entry with no lock: it never waits
+    for the registry lock."""
 
     @pytest.mark.parametrize("structure", ["hashmap", "skiplist"])
-    def test_delete_completes_while_a_section_takes_its_stripes(
+    def test_delete_completes_while_the_registry_lock_is_held(
             self, structure):
-        """A collector thread in `registry.exclusive()` holds the registry
-        lock and the stripes below 128, and waits for stripe 128, which
-        this thread holds.  A delete whose guides lie on higher stripes
-        completes meanwhile.  (A section holding every stripe keeps every
-        delete out, since a tombstone is stored under its stripe lock.)"""
+        """A thread holds the registry lock, as a `create` or a
+        `reclaim_retired` does, until the delete on another thread has
+        finished, which it does meanwhile."""
         runtime = TierRuntime(region_length=1 << 22)
         registry = runtime.registry
         store = make_store(runtime, structure)
-        for i in range(70):  # key i has guides 2i and 2i + 1
-            store.set(b"key-%02d" % i, PAYLOAD)
-        entry = store._entry(b"key-65")
-        assert entry == 130
-        stripes = registry.stripes
-        entered, deleted, errors = threading.Event(), [], []
+        store.set(b"other", PAYLOAD)
+        store.set(b"key", PAYLOAD)
+        held, finished, deleted, errors = threading.Event(), [], [], []
 
-        def section():
-            try:
-                with registry.exclusive():
-                    entered.set()
-            except Exception as exc:  # noqa: BLE001 - collected for assert
-                errors.append(exc)
+        def hold():
+            with registry._lock:
+                held.set()
+                deleter.join(5.0)
+                finished.append(not deleter.is_alive())
 
         def delete():
             try:
-                deleted.append(store.delete(b"key-65"))
+                assert held.wait(10.0)
+                deleted.append(store.delete(b"key"))
             except Exception as exc:  # noqa: BLE001 - collected for assert
                 errors.append(exc)
 
-        collector = threading.Thread(target=section)
+        holder = threading.Thread(target=hold)
         deleter = threading.Thread(target=delete)
-        stripes[128].acquire()
-        try:
-            collector.start()
-            deadline = time.monotonic() + 10.0
-            while not stripes[127].locked() and time.monotonic() < deadline:
-                time.sleep(0.001)
-            assert registry._lock.locked() and stripes[127].locked()
-            deleter.start()
-            deleter.join(5.0)
-            finished = not deleter.is_alive()
-            assert not entered.is_set()
-        finally:
-            stripes[128].release()
-        collector.join(10.0)
+        deleter.start()
+        holder.start()
+        holder.join(10.0)
         deleter.join(10.0)
-        assert finished, "the delete waited for the section"
-        assert not collector.is_alive() and entered.is_set()
+        assert finished == [True], "the delete waited for the registry lock"
+        assert not holder.is_alive() and not deleter.is_alive()
         assert errors == [] and deleted == [True]
-        assert store.get(b"key-65") is None
+        assert store.get(b"key") is None
+        assert store.get(b"other") == PAYLOAD
         assert registry.graveyard_mark() == 1  # the pair, as one item
         runtime.audit()
 

@@ -169,8 +169,9 @@ def test_dereferences_and_atc_increments_racing_scans_are_kept():
 
 
 def test_create_reuses_a_free_index_under_its_stripe_lock():
-    """A scan writes a stripe back under its lock, so create must store a
-    reused index's word under that lock too or the write-back loses it."""
+    """A scan writes the arena back under `word_lock`, so create must store
+    a reused pair's words under that lock too or the write-back loses them.
+    (The name predates the one word lock, which replaced 256 stripes.)"""
     runtime = TierRuntime(region_length=REGION_LENGTH)
     registry = runtime.registry
     index = registry.create(pack(0x100), pack(0x140))
@@ -178,14 +179,14 @@ def test_create_reuses_a_free_index_under_its_stripe_lock():
     registry.reclaim_retired()
     stone = registry.words[index]
     created = []
-    lock = registry.stripes[index % len(registry.stripes)]
-    with lock:
+    with registry.word_lock:
         creator = threading.Thread(target=lambda: created.append(
             registry.create(pack(0x200), pack(0x240))))
         creator.start()
         creator.join(0.1)
-        assert creator.is_alive()  # waiting for the stripe lock
-        assert registry.words[index] == stone
+        assert creator.is_alive()  # waiting for the word lock
+        assert registry.words[index:index + 2].tolist() == [stone,
+                                                           stone]
     creator.join(5.0)
     assert not creator.is_alive()
     assert created == [index]

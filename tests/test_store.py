@@ -396,16 +396,19 @@ class TestOneFrameGet:
 
     def test_warm_get_reads_the_slot_holding_no_store_lock(self, hook_slots):
         """The skip list's one writer lock is free while a get reads; the
-        hash map has no store lock at all."""
+        hash map has no store lock at all.  The arena's `word_lock`, which
+        the store keeps for first touches, is no store lock, and a warm
+        get does not take it either."""
         runtime, store = self.setup()
+        word_lock = runtime.registry.word_lock
         locks = [value for value in vars(store).values()
-                 if isinstance(value, LOCK_TYPE)]
+                 if isinstance(value, LOCK_TYPE) and value is not word_lock]
         assert len(locks) == (self.structure == "skiplist")
         held = []
-        hook_slots(store,
-                   lambda: held.append([lock.locked() for lock in locks]))
+        hook_slots(store, lambda: held.append(
+            [lock.locked() for lock in locks + [word_lock]]))
         assert store.get(b"k") == b"value"
-        assert held == [[False] * len(locks)]
+        assert held == [[False] * (len(locks) + 1)]
         entry, words = entry_of(store, b"k"), runtime.registry.words
         assert runtime.access_log.pending[-4:] == [
             words[entry] & LOCATOR_MASK, 1,
@@ -1058,6 +1061,17 @@ class TestBaseline:
         assert store.delete(b"k") is True
         assert runtime.registry.live_count == 0
         assert calls == {"enter": 0, "exit": 0}
+
+    def test_baseline_is_one_dict_of_exact_bytes(self):
+        """The baseline holds no lock: `set` stores the key and value as
+        exact `bytes`, so each call is one atomic dict step."""
+        store = make_store(make_runtime(), baseline=True)
+        assert not [value for value in vars(store).values()
+                    if isinstance(value, LOCK_TYPE)]
+        store.set(bytearray(b"k"), memoryview(b"v"))
+        assert list(store._data.items()) == [(b"k", b"v")]
+        assert [type(item) for item in store._data.popitem()] == [bytes,
+                                                                  bytes]
 
 
 def entry_of(store, key: bytes):
