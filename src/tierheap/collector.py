@@ -270,15 +270,23 @@ class Collector:
         slots are freed with one lock acquisition per source region.
 
         Deadlock rule: the lock order is the registry lock, then the
-        arena's `word_lock`.  `GuideRegistry.create` takes them in that
-        order; every other store to a word, `GuideRegistry.retire`'s two
-        tombstones included, takes `word_lock` alone and no other lock
-        while holding it; and inside the section the collector takes no
-        other lock, so no thread blocked on the section holds anything the
-        collector waits for.  A numpy view of `registry.words` exists
-        only inside the section, where `words` cannot grow; a view that
-        outlived it would make the next appending `create` raise
-        BufferError.
+        arena's `word_lock`, then a region's lock, and no path takes a
+        region lock before `word_lock`:
+        - `GuideRegistry.create` takes the registry lock, then `word_lock`;
+        - a store's same-length update takes `word_lock`, then the value's
+          region lock (`HeapRegion.write`);
+        - every other store to a word, `GuideRegistry.retire`'s two
+          tombstones included, takes `word_lock` alone;
+        - `install`, `free`, `allocate_batch`, `free_batch` and
+          `_FreeSlots._merge` (under `install` and `allocate_batch`) hold
+          a region lock alone;
+        - inside the section the collector takes no region lock, nor any
+          other, so no thread blocked on the section holds anything the
+          collector waits for.
+
+        A numpy view of `registry.words` exists only inside the section,
+        where `words` cannot grow; a view that outlived it would make the
+        next appending `create` raise BufferError.
         """
         busy = _BUSY | ACCESSED_BIT if target == HeapId.COLD else _BUSY
         registry = self.registry

@@ -214,5 +214,8 @@ class GuideArena:
 # `dereference`, `compare_and_swap` and `atc_increment` in its `__dict__`.
 # GuideRegistry inherits them unchanged, so the wrappers see every call of
 # those methods.  A store's untracked get calls none of them: it
-# dereferences inline, first touches included.
+# dereferences inline, first touches included.  Nor does an update of a
+# value of the same length: it stores the value word back itself under
+# `word_lock`, so only an update of another length calls
+# `compare_and_swap`.
 GuideCell = GuideArena

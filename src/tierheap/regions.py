@@ -420,7 +420,12 @@ class HeapRegion:
         self._peak_live = len(live)
 
     def write(self, locator: int, data: bytes) -> None:
-        """Fill a slot; only its allocator writes it, before publishing it."""
+        """Replace a live slot's payload with `data`, of the same length.
+
+        A store's same-length update calls it while holding the arena's
+        `word_lock`, so that the guide word cannot move off the slot
+        meanwhile; a lock-free reader sees the old payload or the new.
+        """
         offset = locator - self.base
         with self._lock:  # so a rebuild cannot drop the write
             payload = self._live.get(offset)
@@ -521,8 +526,9 @@ class RegionManager:
 
     def allocate(self, heap: HeapId, length: int) -> int:
         # A slot of `length` zero bytes.  No store op calls this or
-        # `write`, since `HeapRegion.install` places a slot with its
-        # payload; both are kept because the benchmark's tracer wraps them.
+        # `RegionManager.write`: `HeapRegion.install` places a slot with
+        # its payload, and an update writes through its `HeapRegion`.  Both
+        # are kept because the benchmark's tracer wraps them.
         _check_length(length)
         return self.heaps[heap].install(bytes(length))
 

@@ -47,8 +47,9 @@ class GuideRegistry(GuideArena):
     the entry by one graveyard append, an atomic list operation;
     `reclaim_retired` drains the graveyard's prefix in place, so a retire
     racing it is never lost.  The lock order is the registry lock, then
-    `word_lock`; `exclusive` takes both, so the collector can work on a
-    numpy view of the whole arena.
+    `word_lock`, then a heap region's lock, which a store's same-length
+    update takes under `word_lock`; `exclusive` takes the first two, so the
+    collector can work on a numpy view of the whole arena.
     """
 
     def __init__(self):

@@ -7,7 +7,10 @@ guard, every key/value access goes through its guide word, and keys and
 values are handed over to region slots as immutable `bytes` (a `bytes`
 argument itself, anything else converted), so the runtime owns the
 authoritative bytes.  An entry is one int `g`, the index of its key guide;
-its value guide is `g + 1`.  PlainStore is the untiered baseline for
+its value guide is `g + 1`.  An update that keeps the value's length stores
+it into the slot its guide names, as the paper's mutators write objects
+through their guides, so only the collector relocates a value; any other
+update publishes a fresh slot.  PlainStore is the untiered baseline for
 overhead comparisons: one dict with no lock, guides, scopes or regions.
 """
 from __future__ import annotations
@@ -34,11 +37,12 @@ class _GuideOps:
     `__len__`.  Each is atomic against the others on other threads.  On
     top runs the logical deletion of Harris (DISC 2001), with the guide
     words marking the entries: lookups take no lock; an insert retires its
-    fresh entry if another set's install won; an update CASes the value
-    word, and inserts again if a delete tombstoned it first; a delete
-    removes the entry, then retires it.  A retired entry's guides are not
-    reused while a scope that may hold it is open (`GuideRegistry`), so a
-    lookup that raced a delete meets a tombstone, never another key's.
+    fresh entry if another set's install won; an update stores into the
+    value's slot or CASes the value word to a fresh one, and inserts again
+    if a delete tombstoned the word first; a delete removes the entry,
+    then retires it.  A retired entry's guides are not reused while a
+    scope that may hold it is open (`GuideRegistry`), so a lookup that
+    raced a delete meets a tombstone, never another key's.
 
     `get` reads in its own frame; `set` and `delete` run `_set` or
     `_delete`.  Each runs inside one outermost scope.  In the common case
@@ -65,8 +69,12 @@ class _GuideOps:
     payload by `HeapRegion.install` on the NEW region, and freed by
     `HeapRegion.free` on the region its locator lies in.  An insert
     installs both slots, then creates the entry's guide pair, key `g` and
-    value `g + 1`, in one `registry.create` call.  An update swings the
-    value word by `compare_and_swap`.  A delete retires the pair in one
+    value `g + 1`, in one `registry.create` call.  An update of the same
+    length replaces the value slot's payload by `HeapRegion.write` under
+    `word_lock`; one of another length installs a fresh slot, swings the
+    value word to it by `compare_and_swap` and frees the old one (see
+    `_update`).  The lock order is the registry lock, then `word_lock`,
+    then a region's lock.  A delete retires the pair in one
     `registry.retire` call, which tombstones both words and parks the
     entry, then frees the two slots it returns.  Both registry calls are
     looked up on each use, so a wrapper installed on the registry sees
@@ -94,12 +102,15 @@ class _GuideOps:
         Neither structure holds a lock while it reads, so a racing set may
         publish a new slot and free the one being read, and the next
         allocation may reuse it at once.  If the word moved on, the read is
-        repeated at the new locator, touching the word again.  A setter
-        writes its slot before its CAS publishes it, so a slot the word
-        still names after the read held this guide's value, unless within
-        that window the slot was freed, reused elsewhere and then published
-        for this guide again.  A tombstoned word reads as a missing key,
-        and is not written.
+        repeated at the new locator, touching the word again.  A setter of
+        a value of another length writes its slot before its CAS publishes
+        it, so a slot the word still names after the read held this guide's
+        value, unless within that window the slot was freed, reused
+        elsewhere and then published for this guide again.  A setter of a
+        same-length value replaces the payload of the slot the word names,
+        in one dict store, and leaves the word's locator as it is: the read
+        returns the old `bytes` or the new, never a mix.  A tombstoned word
+        reads as a missing key, and is not written.
         """
         scope, state = getattr(self._tls, "scope", None), self._epoch_state
         inline = False
@@ -260,19 +271,28 @@ class _GuideOps:
 
     def _update(self, entry: int, key_len: int, value: bytes,
                 tracked: bool) -> bool:
-        """Touch the key, then publish a fresh NEW-heap slot for the value
-        via guide CAS.
+        """Touch the key, then store the value into the slot its guide
+        names if the value keeps that slot's length, else publish a fresh
+        NEW-heap slot for it via guide CAS.
 
         A key word that fails the plain-load test goes through
         `registry.dereference`, the same locked store `get` makes inline;
         a set's first touch is off the get path, and it keeps the mutator's
         one call the benchmark's tracer times as `guideword.deref`.
 
-        Whoever succeeds a CAS frees exactly the slot named by the word it
-        replaced, so racing setters and an in-flight migration can never
-        free the same slot twice.  A tombstoned word is never replaced: the
-        entry was deleted, so the fresh slot is freed, nothing is logged and
-        False returned.
+        The length test runs under `word_lock`, where the word cannot move
+        and so the slot it names stays live with its payload's length.  A
+        same-length value replaces the payload by `HeapRegion.write`, under
+        the region's lock, and the word is stored back as `(word |
+        ACCESSED_BIT) & ~LOCK_BIT`, so a migration that locked it before
+        commits nothing and frees its copy.  The slot, its heap and the
+        region's live bytes stay as they were.
+
+        Otherwise, whoever succeeds a CAS frees exactly the slot named by
+        the word it replaced, so racing setters and an in-flight migration
+        can never free the same slot twice.  A tombstoned word is never
+        written: the entry was deleted, so nothing is logged and False is
+        returned (the CAS path frees its fresh slot first).
         """
         registry, words, new = self._registry, self._words, self._new_heap
         key_guide, guide = entry, entry + 1
@@ -282,18 +302,31 @@ class _GuideOps:
         word = words[key_guide]
         key_loc = (word & LOCATOR_MASK if word & DEREF_BITS == ACCESSED_BIT
                    else registry.dereference(key_guide))
-        new_loc = new.install(value)
-        new_base = new_loc | ACCESSED_BIT  # heap=NEW, ciw=0, lock clear
-        while True:
+        length = self._region_length
+        with self._word_lock:
             word = words[guide]
             if word & HEAP_FIELD == HEAP_FIELD:
-                new.free(new_loc)
                 return False
-            if registry.compare_and_swap(guide, word,
-                                         new_base | (word & ATC_FIELD)):
-                break
-        old_loc = word & LOCATOR_MASK
-        self._heaps[old_loc // self._region_length].free(old_loc)
+            new_loc = word & LOCATOR_MASK
+            region = new_loc // length
+            in_place = len(self._slots[region].get(new_loc % length)) \
+                == len(value)
+            if in_place:
+                self._heaps[region].write(new_loc, value)
+                words[guide] = (word | ACCESSED_BIT) & ~LOCK_BIT
+        if not in_place:
+            new_loc = new.install(value)
+            new_base = new_loc | ACCESSED_BIT  # heap=NEW, ciw=0, lock clear
+            while True:
+                word = words[guide]
+                if word & HEAP_FIELD == HEAP_FIELD:
+                    new.free(new_loc)
+                    return False
+                if registry.compare_and_swap(guide, word,
+                                             new_base | (word & ATC_FIELD)):
+                    break
+            old_loc = word & LOCATOR_MASK
+            self._heaps[old_loc // length].free(old_loc)
         log = self._log
         if log is not None:
             pending = log.pending

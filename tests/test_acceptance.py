@@ -497,7 +497,7 @@ def test_criterion_7_overhead_bound():
         "hand-offs between the worker threads.")
     assert one_ratio >= 0.90, (
         f"{throughput}.  The 1-thread ratio is the per-operation cost of "
-        "the guided path against a locked dict.")
+        "the guided path against a dict with no lock.")
 
 
 def test_criterion_8_formula_oracles():

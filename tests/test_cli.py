@@ -106,8 +106,8 @@ class TestRunBenchmark:
         assert digests[0] == digests[1]
         assert len(set(digests[0])) == 2  # the digest tells runs apart
         assert digests[0] == [
-            "2ab06c8ec77f323eee4c54db74a34ea7e8938ed5268aa7b78c6019a0e413a092",
-            "da991c6704e8124b4732e4e8235fab94504952c3632c9907cdacad668f124a02",
+            "26af52e5c552799c964fce46da1bf042ff870e7b7785598b3d40b11e19f5e259",
+            "747161d2dec8a209899661a9c740ae52e49dd3de71d1e42791790d033558f08b",
         ]
 
     def test_digest_flag_prints_the_layout_digest(self):

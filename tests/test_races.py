@@ -694,10 +694,12 @@ class TestRacesThroughTheStores:
         """A set of the same key runs to completion on a second thread
         while a hash-map get reads the value slot (before or after the
         slot lookup): the get holds no lock the set waits for, and it
-        returns the new value, never None."""
+        returns the new value, never None.  The two values differ in
+        length, so the set publishes a fresh slot and frees the one being
+        read."""
         runtime = TierRuntime(region_length=1 << 22)
         store = make_store(runtime, "hashmap")
-        store.set(b"key", b"old-value")
+        store.set(b"key", b"old")
         setter = threading.Thread(target=store.set,
                                   args=(b"key", b"new-value"))
 
@@ -709,6 +711,73 @@ class TestRacesThroughTheStores:
         got = store.get(b"key")
         assert not setter.is_alive()
         assert got == b"new-value"
+        runtime.audit()
+
+    @pytest.mark.parametrize("via", ["set", "_update"])
+    @pytest.mark.parametrize("structure", ["hashmap", "skiplist"])
+    def test_in_place_update_between_lock_and_commit_aborts(self, structure,
+                                                             via):
+        """A same-length update stores into the value slot between a
+        migration's lock pass and its commit pass, so the commit fails, the
+        copy (made of the old payload) is freed and the new value stays
+        readable in the old slot.  A set in the epoch is tracked, and its
+        scope's guide use clears the lock too; the untracked `_update`
+        call leaves that to the update's own word store."""
+        runtime = TierRuntime(region_length=1 << 22)
+        store = make_store(runtime, structure)
+        store.set(b"key", PAYLOAD)
+        entry = store._entry(b"key")
+        index = entry + 1
+        old_loc = runtime.registry.words[index] & LOCATOR_MASK
+        fresh = PAYLOAD.upper()
+
+        def update(*_):
+            if via == "set":
+                store.set(b"key", fresh)
+            else:
+                assert store._update(entry, 3, fresh, False)
+
+        counts, locked, new_loc = migrate_one(runtime, index, update)
+        assert locked & LOCK_BIT
+        assert outcome(counts) == "aborted"
+        fields = unpack(runtime.registry.words[index])
+        assert fields.locator == old_loc and fields.heap is HeapId.NEW
+        assert fields.accessed and not fields.migration_lock
+        with pytest.raises(RegionError):
+            runtime.regions.read(new_loc)  # the copy was freed
+        assert runtime.regions.read(old_loc) == fresh
+        assert store.get(b"key") == fresh
+        runtime.audit()
+
+    @pytest.mark.parametrize("after", [False, True], ids=["before", "after"])
+    @pytest.mark.parametrize("structure", ["hashmap", "skiplist"])
+    def test_get_racing_an_in_place_update_on_another_thread(
+            self, hook_slots, structure, after):
+        """A same-length set of the same key runs to completion on a second
+        thread while a get reads the value slot.  The set stores into that
+        slot, so the word keeps naming it: hooked before the dict lookup
+        the get reads the new value, hooked after it the old one, and
+        never None or another key's bytes."""
+        runtime = TierRuntime(region_length=1 << 22)
+        store = make_store(runtime, structure)
+        store.set(b"key", b"old-value")
+        store.set(b"other", b"not-yours")
+        locator = runtime.registry.words[store._entry(b"key") + 1] \
+            & LOCATOR_MASK
+        setter = threading.Thread(target=store.set,
+                                  args=(b"key", b"new-value"))
+
+        def race():
+            setter.start()
+            setter.join(10.0)
+
+        hook_slots(store, race, after=after)
+        got = store.get(b"key")
+        assert not setter.is_alive()
+        assert got == (b"old-value" if after else b"new-value")
+        assert runtime.registry.words[store._entry(b"key") + 1] \
+            & LOCATOR_MASK == locator
+        assert store.get(b"key") == b"new-value"
         runtime.audit()
 
 

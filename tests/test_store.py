@@ -485,7 +485,7 @@ class TestOneFrameGet:
         entry = entry_of(store, b"k")
         moved = []
         hook_slots(store,
-                   lambda: moved.append(move_to_hot(runtime, entry + 1)),
+                   lambda: moved.append(move_slot(runtime, entry + 1)),
                    after=moment == "after lookup")
         assert store.get(b"k") == b"value"
         assert len(moved) == 1
@@ -563,10 +563,10 @@ class TestOneFrameGetSkipList(TestOneFrameGet):
 
 
 class TestDirectWrites:
-    """Inserts, updates and deletes install and free slots through the heap
-    regions themselves (`RegionManager.heaps`), create an entry's two
-    guides as one adjacent pair (`registry.create`) and retire them as one
-    (`registry.retire`, which stores both tombstones)."""
+    """Inserts, updates and deletes install, write and free slots through
+    the heap regions themselves (`RegionManager.heaps`), create an entry's
+    two guides as one adjacent pair (`registry.create`) and retire them as
+    one (`registry.retire`, which stores both tombstones)."""
 
     def test_writes_call_no_manager_or_single_guide_method(self, store,
                                                            monkeypatch):
@@ -608,6 +608,61 @@ class TestDirectWrites:
         assert new == entry
         assert store.get(b"k") == b"three" and store.get(b"new") == b"four"
         assert calls == {"create": 4, "retire": 1}
+        runtime.audit()
+
+    @pytest.mark.parametrize("heap", [HeapId.HOT, HeapId.COLD],
+                             ids=["HOT", "COLD"])
+    def test_same_length_update_stores_into_the_value_slot(
+            self, store, monkeypatch, heap):
+        """A value of the current payload's length is stored into the slot
+        the value guide names, here moved to HOT or COLD and locked by a
+        migration: the locator and heap stay, the accessed bit is set, the
+        migration lock is cleared, the live bytes and slots are unchanged,
+        and no slot is installed or freed and no word CASed."""
+        runtime = store.runtime
+        registry, regions = runtime.registry, runtime.regions
+        store.set(b"k", b"old-value")
+        entry = entry_of(store, b"k")
+        guide = entry + 1
+        locator = move_slot(runtime, guide, heap)
+        word = registry.words[guide]
+        assert registry.compare_and_swap(
+            guide, word, (word & ~ACCESSED_BIT) | LOCK_BIT)
+        live_bytes = [region.live_bytes for region in regions.heaps]
+        live_slots = regions.live_slot_count()
+        calls = count_slot_calls(monkeypatch, runtime)
+        store.set(b"k", b"new-value")
+        assert calls == Counter()
+        fields = unpack(registry.words[guide])
+        assert fields.locator == locator and fields.heap is heap
+        assert fields.accessed and not fields.migration_lock
+        assert regions.read(locator) == b"new-value"
+        assert store.get(b"k") == b"new-value"
+        assert [region.live_bytes for region in regions.heaps] == live_bytes
+        assert regions.live_slot_count() == live_slots
+        key_loc = registry.words[entry] & LOCATOR_MASK
+        assert runtime.access_log.pending[-8:-4] == [key_loc, 1, locator, 9]
+        runtime.audit()
+
+    def test_other_length_update_swings_the_word_to_a_new_slot(
+            self, store, monkeypatch):
+        """A value of another length is installed in a fresh NEW slot, the
+        word is swung to it by one `compare_and_swap`, and the old slot is
+        freed."""
+        runtime = store.runtime
+        registry, regions = runtime.registry, runtime.regions
+        store.set(b"k", b"old")
+        guide = entry_of(store, b"k") + 1
+        old_loc = move_slot(runtime, guide)
+        calls = count_slot_calls(monkeypatch, runtime)
+        store.set(b"k", b"new-value")
+        assert calls == {"install": 1, "compare_and_swap": 1, "free": 1}
+        fields = unpack(registry.words[guide])
+        assert fields.heap is HeapId.NEW and fields.locator != old_loc
+        assert regions.read(fields.locator) == b"new-value"
+        with pytest.raises(RegionError):
+            regions.read(old_loc)
+        assert store.get(b"k") == b"new-value"
         runtime.audit()
 
     def test_insert_of_an_unstorable_value_leaves_nothing(self, store):
@@ -927,10 +982,12 @@ class TestSkipListSpecifics:
     def test_get_rereads_a_value_slot_reused_mid_read(self, hook_slots):
         """While get reads the value slot, a set of the same key frees it
         and the next allocation reuses it for other bytes: get still
-        returns the intact current value."""
+        returns the intact current value.  The old value's length differs
+        from the new one's, so the set swings the word to a fresh slot
+        instead of storing into this one."""
         runtime = make_runtime()
         store = GuideSkipList(runtime)
-        store.set(b"k", b"old-value")
+        store.set(b"k", b"old")
         regions = runtime.regions
         locator = runtime.registry.words[
             entry_of(store, b"k") + 1] & LOCATOR_MASK
@@ -1093,19 +1150,39 @@ def hook_lookup(monkeypatch, store, key: bytes, hook) -> None:
     monkeypatch.setattr(store, "_entry", hooked_entry)
 
 
-def move_to_hot(runtime, guide: int) -> int:
-    """The collector's two-CAS move of `guide`'s slot into HOT; returns the
-    new locator."""
+def move_slot(runtime, guide: int, heap: HeapId = HeapId.HOT) -> int:
+    """The collector's two-CAS move of `guide`'s slot into `heap`; returns
+    the new locator."""
     registry, regions = runtime.registry, runtime.regions
     word = registry.words[guide]
     locked = word | LOCK_BIT
     assert registry.compare_and_swap(guide, word, locked)
     old = word & LOCATOR_MASK
-    new = regions.heaps[HeapId.HOT].install(regions.read(old))
-    assert registry.compare_and_swap(guide, locked,
-                                     pack(new, heap=HeapId.HOT))
+    new = regions.heaps[heap].install(regions.read(old))
+    assert registry.compare_and_swap(guide, locked, pack(new, heap=heap))
     regions.free(old)
     return new
+
+
+def count_slot_calls(monkeypatch, runtime) -> Counter:
+    """Count each heap region's `install` and `free` calls and the
+    registry's `compare_and_swap` calls from here on, by name."""
+    calls = Counter()
+
+    def counting(owner, name):
+        call = getattr(owner, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return call(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    for region in runtime.regions.heaps:
+        counting(region, "install")
+        counting(region, "free")
+    counting(runtime.registry, "compare_and_swap")
+    return calls
 
 
 def record_uses(monkeypatch, scope) -> list[int]:
